@@ -9,8 +9,8 @@
 //                  execute with serial spin-join windows. Every phase is a
 //                  separate all-locales collective; execute joins each
 //                  window_ops sub-batch before issuing the next.
-//   * pipelined -- one collective per epoch: drain-mode windows absorb
-//                  completions mid-batch, and each lane admits+initializes
+//   * pipelined -- one collective per epoch: each window's drain() folds
+//                  finished ops mid-batch, and each lane admits+initializes
 //                  epoch e+1 while e's tail is still in flight.
 //
 // Rows report per-epoch model-time throughput and issue->completion

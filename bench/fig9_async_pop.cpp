@@ -18,20 +18,18 @@
 //   * windowed   -- the same aggregated pops owned by a comm::OpWindow:
 //                   closing the window auto-flushes and joins at the max
 //                   sim-time, no manual flushAll() anywhere.
-//   * drained    -- the same aggregated pops owned by a *drain-mode*
-//                   window (WindowMode::drain): completions land in the
-//                   window's CompletionQueue and are consumed as they
-//                   arrive -- a mid-window drain() overlaps the caller
-//                   with the batch tail -- instead of a close-time
-//                   spin-join, with the close parking through the locale's
-//                   drain scheduler.
+//   * drained    -- the windowed shape plus a mid-window drain(): the
+//                   window folds the pops that have already completed
+//                   before its close joins the rest, overlapping the
+//                   caller with the batch tail.
 //
 // Acceptance (ISSUE 3): at 8 locales the async-pop path must show >= 2x
 // lower simulated completion time than blocking pops. Acceptance (ISSUE 4):
 // the windowed path must be at parity with the manual-flush batched path
 // (auto-flush must not cost model time). Acceptance (ISSUE 5): the drained
-// path must be at parity with the windowed spin-join (<= 1.05x model time
-// at 8 locales -- draining is a scheduling change, not a model cost). The
+// path must be at parity with the windowed path (<= 1.05x model time at 8
+// locales -- mid-window folding uses the same max-fold as the close, so it
+// must cost no model time). The
 // bench prints the ratios and a PASS/FAIL verdict and exits non-zero on
 // FAIL so CI can gate on them. Counters handles_chained / cq_drained ride
 // in the notes column so scripts/bench_json.sh records them into
@@ -182,10 +180,9 @@ ModeResult runMode(PopMode mode, std::uint32_t locales,
           break;
         }
         case PopMode::drained: {
-          // Same aggregated pops, owned by a DRAIN-mode window: completions
-          // land in the window's CompletionQueue and are consumed as they
-          // arrive. The acceptance bar demands parity with the spin-join
-          // window -- the overlap must be free in model time.
+          // Same windowed pops plus a mid-window drain() that folds the
+          // finished head early. The acceptance bar demands parity with
+          // the plain window -- the overlap must be free in model time.
           constexpr std::uint64_t kWindow = 64;
           std::uint64_t remaining = pops_per_locale;
           std::vector<comm::Handle<std::optional<std::uint64_t>>> handles;
@@ -194,12 +191,12 @@ ModeResult runMode(PopMode mode, std::uint32_t locales,
             handles.clear();
             handles.reserve(n);
             {
-              comm::OpWindow window(comm::WindowMode::drain);
+              comm::OpWindow window;
               for (std::uint64_t i = 0; i < n; ++i) {
                 handles.push_back(stack->popAsyncAggregated(guard));
               }
               window.drain();  // overlap: absorb the finished head now
-            }  // close: drain the tail as completions land, same max-fold
+            }  // close: join the tail, same max-fold
             for (auto& h : handles) got += h.value().has_value() ? 1 : 0;
             remaining -= n;
           }
@@ -292,13 +289,13 @@ int main(int argc, char** argv) {
       window_ratio, at8_windowed, at8_batched);
   std::printf("acceptance (windowed <= 1.10x batched): %s\n",
               window_pass ? "PASS" : "FAIL");
-  // The drain-mode window must not pay for its overlap either: draining is
-  // a consumption-scheduling change, the max-fold arithmetic is identical.
+  // Mid-window draining must not pay for its overlap either: drain() and
+  // the close use the same max-fold arithmetic.
   const double drain_ratio =
       at8_drained / (at8_windowed == 0.0 ? 1.0 : at8_windowed);
   const bool drain_pass = drain_ratio <= 1.05;
   std::printf(
-      "drained (drain-mode window) vs windowed (spin-join) "
+      "drained (mid-window drain) vs windowed (close-only join) "
       "at 8 locales: %.3fx model time (%.6fs vs %.6fs)\n",
       drain_ratio, at8_drained, at8_windowed);
   std::printf("acceptance (drained <= 1.05x windowed): %s\n",

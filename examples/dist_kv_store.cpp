@@ -8,8 +8,8 @@
 // requests, ~1M requests total). Each epoch the engine admits the batch on
 // every (locale, worker) lane, partitions it by owning locale, stages the
 // writes' version nodes under an epoch guard (the previous versions become
-// the epoch's garbage), and issues everything through drain-mode
-// comm::OpWindows. Deletes re-put the key in the same aggregated batch
+// the epoch's garbage), and issues everything through comm::OpWindows
+// drained mid-batch. Deletes re-put the key in the same aggregated batch
 // (per-destination order is preserved), so the audit invariant holds at
 // every epoch boundary: present => value == 2*key.
 //

@@ -110,9 +110,8 @@ class DistStack {
   /// entirely on the home locale, one op of a batch). The batch's handles
   /// resolve together when it is serviced. Ships at batch-full / age /
   /// flush -- or automatically when the handle is waited/drained or an
-  /// enclosing comm::OpWindow closes; no manual flushAll() needed. A
-  /// comm::WindowMode::drain window additionally consumes the joins as
-  /// completions land (drain-mode join) instead of spin-joining at close.
+  /// enclosing comm::OpWindow closes; no manual flushAll() needed. The
+  /// window's drain() folds finished pushes mid-window.
   comm::Handle<> pushAsyncAggregated(Guard& guard, T value) {
     PGASNB_CHECK_MSG(guard.pinned(),
                      "DistStack::pushAsyncAggregated requires a pinned guard");
@@ -158,10 +157,9 @@ class DistStack {
   /// together when their batch is serviced. A buffered pop ships at
   /// batch-full / age / flush -- or automatically when its handle is
   /// waited/drained or an enclosing comm::OpWindow closes, so joining no
-  /// longer needs a manual flushAll(). Issue inside a
-  /// comm::WindowMode::drain window to *drain* the joins instead of
-  /// spin-joining at close: completions are consumed as they land, so
-  /// caller compute overlaps the tail of the batch.
+  /// longer needs a manual flushAll(). Call the window's drain() between
+  /// bursts of compute to fold finished pops mid-window, so caller compute
+  /// overlaps the tail of the batch.
   comm::Handle<std::optional<T>> popAsyncAggregated(Guard& guard) {
     PGASNB_CHECK_MSG(guard.pinned(),
                      "DistStack::popAsyncAggregated requires a pinned guard");

@@ -102,9 +102,10 @@ void recordLatencies(Lane& lane) {
   lane.inflight.clear();
 }
 
-/// Pipelined execute for one lane: issue epoch e's staged ops into a
-/// draining window, overlap admit+initialize of e+1 with the in-flight
-/// tail, then close. One collective per epoch runs this on every lane.
+/// Pipelined execute for one lane: issue epoch e's staged ops into one
+/// window, draining its finished head every window_ops issues, overlap
+/// admit+initialize of e+1 with the in-flight tail, then close. One
+/// collective per epoch runs this on every lane.
 void executeLanePipelined(DistDomain domain, EpochClient& client,
                           const EpochEngineConfig& cfg, std::uint64_t epoch,
                           std::uint32_t lane_id, std::uint64_t next_count,
@@ -114,7 +115,7 @@ void executeLanePipelined(DistDomain domain, EpochClient& client,
   lane.inflight.reserve(lane.staged.size());
   lane.executed = lane.staged.size();
   {
-    comm::OpWindow window(comm::WindowMode::drain);
+    comm::OpWindow window;
     std::uint64_t since_drain = 0;
     for (OpRecord& op : lane.staged) {
       op.issue_ns = sim::now();
@@ -127,14 +128,14 @@ void executeLanePipelined(DistDomain domain, EpochClient& client,
     }
     // Cross-epoch overlap (Caracal's insert/execute pipelining): admit and
     // initialize epoch e+1 while e's tail is still in flight. Pure local
-    // CPU + staging work; the drain in between absorbs completions that
-    // landed during the admit pass.
+    // CPU + staging work; the drain in between absorbs ops that completed
+    // during the admit pass.
     if (prepare_next) {
       admitAndGroup(client, cfg, epoch + 1, lane_id, next_count, lane.next);
       window.drain();
       initializeLane(domain, client, epoch + 1, lane.next);
     }
-  }  // close: ship buffered batches, drain to quiescence, one max-fold
+  }  // close: ship buffered batches, spin-join the tail, one max-fold
   recordLatencies(lane);
   lane.staged.swap(lane.next);
   lane.next.clear();
@@ -155,7 +156,7 @@ void executeLaneBarriered(EpochClient& client, const EpochEngineConfig& cfg,
         std::min(i + static_cast<std::size_t>(cfg.window_ops),
                  lane.staged.size());
     {
-      comm::OpWindow window;  // WindowMode::spin
+      comm::OpWindow window;
       for (; i < end; ++i) {
         OpRecord& op = lane.staged[i];
         op.issue_ns = sim::now();

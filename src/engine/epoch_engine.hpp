@@ -13,9 +13,9 @@
 //   initialize  allocate/stage per-op state under a pinned epoch guard
 //               (the client's hook; staging garbage retired here rides
 //               the aggregated-retire path like any other retire);
-//   execute     issue every staged op through a drain-mode comm::OpWindow
-//               -- completions are absorbed mid-window by the lane's
-//               DrainGroup-backed queue -- and record per-op latency.
+//   execute     issue every staged op through a comm::OpWindow -- the
+//               window's drain() folds finished ops mid-window -- and
+//               record per-op latency.
 //
 // The *epoch is the GC boundary*: at the end of every epoch the engine
 // fences the AM queues (so in-flight aggregated retires have landed in a
@@ -35,10 +35,10 @@
 //              baseline: every phase is a separate all-locales collective,
 //              and execute joins each sub-batch before issuing the next.
 //   pipelined  one collective per epoch: each lane issues epoch e's
-//              staged ops into a draining window, then -- while the tail
-//              of the batch is still in flight -- admits AND initializes
-//              epoch e+1 (Caracal's insert/execute overlap), draining
-//              completions between bursts, and finally closes the window.
+//              staged ops into one window, then -- while the tail of the
+//              batch is still in flight -- admits AND initializes epoch
+//              e+1 (Caracal's insert/execute overlap), draining finished
+//              ops between bursts, and finally closes the window.
 //              Phase boundaries are per-lane; the collective advance rides
 //              the epoch boundary.
 //

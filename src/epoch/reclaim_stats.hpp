@@ -67,8 +67,4 @@ struct ReclaimStats {
   }
 };
 
-/// Deprecated spellings kept for the migration window (docs/API.md).
-using EpochManagerStats = ReclaimStats;
-using LocalEpochManagerStats = ReclaimStats;
-
 }  // namespace pgasnb

@@ -18,25 +18,51 @@ int Arena::classIndex(std::size_t size) noexcept {
   return std::countr_zero(rounded) - std::countr_zero(kMinBlock);
 }
 
-void* Arena::allocate(std::size_t size) {
+void* Arena::allocate(std::size_t size, std::size_t align) {
+  const bool over_aligned = align > kMinAlign;
+  if (over_aligned) {
+    PGASNB_CHECK_MSG(std::has_single_bit(align) && align <= kMaxAlign &&
+                         align <= size,
+                     "unsupported arena alignment");
+  }
   const int cls = classIndex(size);
   SizeClass& sc = *classes_[cls];
   {
     std::lock_guard<std::mutex> guard(sc.lock);
-    if (sc.head != nullptr) {
-      FreeNode* node = sc.head;
-      sc.head = node->next;
+    // Over-aligned requests may only take cache-line-aligned blocks; the
+    // rest prefer the unaligned list so aligned blocks stay available.
+    FreeNode** list = over_aligned || sc.head == nullptr ? &sc.aligned_head
+                                                         : &sc.head;
+    if (FreeNode* node = *list; node != nullptr) {
+      *list = node->next;
       node->magic = 0;  // un-poison; block is live again
       allocated_.fetch_add(1, std::memory_order_relaxed);
       return node;
     }
   }
-  const std::size_t block = classSize(cls);
-  const std::size_t offset = bump_.fetch_add(block, std::memory_order_relaxed);
-  PGASNB_CHECK_MSG(offset + block <= bytes_,
-                   "locale arena exhausted; raise arena_bytes_per_locale");
+  void* p = bumpAllocate(classSize(cls), over_aligned ? kMaxAlign : kMinAlign);
   allocated_.fetch_add(1, std::memory_order_relaxed);
-  return base_ + offset;
+  return p;
+}
+
+void* Arena::bumpAllocate(std::size_t block, std::size_t align) {
+  std::size_t start;
+  if (align == kMinAlign) {
+    // Block sizes are multiples of kMinAlign: the bump stays aligned.
+    start = bump_.fetch_add(block, std::memory_order_relaxed);
+  } else {
+    // Skip (and waste) the padding in front of an over-aligned block.
+    std::size_t offset = bump_.load(std::memory_order_relaxed);
+    do {
+      const std::size_t misalign =
+          reinterpret_cast<std::uintptr_t>(base_ + offset) % align;
+      start = misalign == 0 ? offset : offset + (align - misalign);
+    } while (!bump_.compare_exchange_weak(offset, start + block,
+                                          std::memory_order_relaxed));
+  }
+  PGASNB_CHECK_MSG(start + block <= bytes_,
+                   "locale arena exhausted; raise arena_bytes_per_locale");
+  return base_ + start;
 }
 
 void Arena::deallocate(void* ptr, std::size_t size) noexcept {
@@ -50,10 +76,12 @@ void Arena::deallocate(void* ptr, std::size_t size) noexcept {
   std::memset(ptr, 0xEF, classSize(cls));
   node->magic = kFreeMagic;
   SizeClass& sc = *classes_[cls];
+  const bool aligned = reinterpret_cast<std::uintptr_t>(ptr) % kMaxAlign == 0;
+  FreeNode*& list = aligned ? sc.aligned_head : sc.head;
   {
     std::lock_guard<std::mutex> guard(sc.lock);
-    node->next = sc.head;
-    sc.head = node;
+    node->next = list;
+    list = node;
   }
   freed_.fetch_add(1, std::memory_order_relaxed);
 }

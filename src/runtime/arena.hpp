@@ -9,6 +9,12 @@
 // Allocation is a bump pointer plus segregated power-of-two free lists.
 // Freed blocks are poisoned so use-after-free slips become loud; tests rely
 // on this (see tests/epoch/safety_test.cpp).
+//
+// Blocks are 16-byte aligned. Over-aligned requests (up to a cache line)
+// pad the bump pointer to a cache line, and every size class keeps its
+// cache-line-aligned free blocks on a separate list, so a recycled block
+// still satisfies the request it is handed to. Requests at the default
+// alignment pay no padding.
 #pragma once
 
 #include <atomic>
@@ -24,6 +30,9 @@ class Arena {
  public:
   static constexpr std::size_t kMinBlock = 16;
   static constexpr std::size_t kMaxBlock = std::size_t{1} << 20;
+  /// Default block alignment, and the largest one allocate() supports.
+  static constexpr std::size_t kMinAlign = kMinBlock;
+  static constexpr std::size_t kMaxAlign = kCacheLineSize;
   static constexpr int kNumClasses = 17;  // 16B .. 1MiB, powers of two
   static constexpr std::uint64_t kFreeMagic = 0xfeedfacedeadbeefULL;
 
@@ -32,9 +41,11 @@ class Arena {
   Arena(const Arena&) = delete;
   Arena& operator=(const Arena&) = delete;
 
-  /// Allocates `size` bytes (aligned to 16). Aborts if the arena is full --
-  /// arenas are sized for the workload, not paged out.
-  void* allocate(std::size_t size);
+  /// Allocates `size` bytes aligned to `align` (a power of two no larger
+  /// than kMaxAlign and no larger than `size`, which holds for every C++
+  /// type). Aborts if the arena is full -- arenas are sized for the
+  /// workload, not paged out.
+  void* allocate(std::size_t size, std::size_t align = kMinAlign);
 
   /// Returns a block to the arena. Must be called on the owning locale; the
   /// caller guarantees `size` matches the original allocation request.
@@ -78,9 +89,14 @@ class Arena {
   std::atomic<std::uint64_t> allocated_{0};
   std::atomic<std::uint64_t> freed_{0};
 
+  /// Carve a fresh block off the bump pointer, padding its start up to
+  /// `align`.
+  void* bumpAllocate(std::size_t block, std::size_t align);
+
   struct SizeClass {
     std::mutex lock;
-    FreeNode* head = nullptr;
+    FreeNode* head = nullptr;          // free blocks not kMaxAlign-aligned
+    FreeNode* aligned_head = nullptr;  // free blocks aligned to kMaxAlign
   };
   CachePadded<SizeClass> classes_[kNumClasses];
 };

@@ -120,6 +120,11 @@ Handle<T> injectAmHandle(std::uint32_t loc,
 /// deferred bodies.
 thread_local OpWindow* t_current_window = nullptr;
 
+/// Join-ready time of a completed core: completion + return wire.
+std::uint64_t joinReadyTime(const detail::HandleCore& core) {
+  return core.done.load(std::memory_order_acquire) - 1 + core.wire_return_ns;
+}
+
 }  // namespace
 
 namespace detail {
@@ -145,7 +150,7 @@ void addCompletionWaiter(HandleCore& core,
     }
   }
   // Already complete: run inline on the registering thread.
-  waiter(core.done.load(std::memory_order_acquire) - 1 + core.wire_return_ns);
+  waiter(joinReadyTime(core));
 }
 
 void injectHandleAm(std::uint32_t loc, std::shared_ptr<HandleCore> core,
@@ -301,21 +306,11 @@ void throttleDeferredBacklog() {
 // OpWindow
 // ---------------------------------------------------------------------------
 
-OpWindow::OpWindow(WindowMode mode)
+OpWindow::OpWindow()
     : parent_(t_current_window),
       owner_(std::this_thread::get_id()),
       runtime_generation_(Runtime::active() ? Runtime::get().generation()
-                                            : 0),
-      mode_(mode) {
-  if (mode_ == WindowMode::drain) {
-    // Deliberately NOT group-enrolled: the queue's tags are the window's
-    // private enrollment indices, and queues enrolled in a DrainGroup
-    // share the locale's tag namespace (a sibling stealing tag 3 from
-    // here would misread it as its own slot 3). The window still routes
-    // through the drain scheduler at close -- next() parks in bounded
-    // slices and helps the locale's deferred continuations.
-    cq_ = std::make_unique<CompletionQueue>();
-  }
+                                            : 0) {
   t_current_window = this;
 }
 
@@ -328,21 +323,21 @@ void OpWindow::enroll(std::shared_ptr<detail::HandleCore> core) {
   PGASNB_CHECK_MSG(owner_ == std::this_thread::get_id(),
                    "OpWindow is bound to the thread that opened it");
   if (core == nullptr) return;
-  // Drain mode: the op's completion is pushed into the window's queue the
-  // moment it lands, tagged with its enrollment index.
-  if (cq_ != nullptr) cq_->watchCore(core, cores_.size());
   cores_.push_back(std::move(core));
 }
 
 std::size_t OpWindow::drain() {
-  PGASNB_CHECK_MSG(mode_ == WindowMode::drain,
-                   "OpWindow::drain on a spin-mode window");
   PGASNB_CHECK_MSG(owner_ == std::this_thread::get_id(),
                    "OpWindow is bound to the thread that opened it");
-  if (cq_ == nullptr) return 0;
-  std::size_t drained = 0;
-  std::uint64_t tag = 0;
-  while (cq_->tryNext(tag)) ++drained;  // each pop max-folds its join
+  std::uint64_t max_join = 0;
+  const std::size_t before = cores_.size();
+  std::erase_if(cores_, [&max_join](const auto& core) {
+    if (core->done.load(std::memory_order_acquire) == 0) return false;
+    max_join = std::max(max_join, joinReadyTime(*core));
+    return true;
+  });
+  const std::size_t drained = before - cores_.size();
+  if (drained != 0) sim::joinAtLeast(max_join);
   return drained;
 }
 
@@ -366,17 +361,6 @@ void OpWindow::join() {
     // replaces the manual flushAll() the pre-window API required.
     taskAggregator().flushAll();
   }
-  if (cq_ != nullptr) {
-    // Drain-mode close: consume the window's queue to quiescence instead
-    // of spin-joining -- completions are folded as they land, parking in
-    // bounded slices and helping deferred continuations in between. Every
-    // owned core is complete once the queue reports nothing outstanding.
-    if (live) {
-      while (cq_->next().has_value()) {
-      }
-    }
-    cq_.reset();
-  }
   if (cores_.empty()) return;
   std::uint64_t max_join = 0;
   for (const auto& core : cores_) {
@@ -390,8 +374,7 @@ void OpWindow::join() {
       detail::flushIfBuffered(*core);
       detail::spinHelpUntilDone(*core);
     }
-    max_join = std::max(max_join, core->done.load(std::memory_order_acquire) -
-                                      1 + core->wire_return_ns);
+    max_join = std::max(max_join, joinReadyTime(*core));
   }
   cores_.clear();
   // One max-fold for the whole window: the caller's clock ends at the

@@ -23,11 +23,9 @@
 //
 // Consumption is scheduled locale-wide: every locale owns a `DrainGroup`
 // (runtime/drain_group.hpp) that registers sibling CompletionQueues
-// (`enrollLocal()` + steal-from-any `nextAny()` draining), backs
-// `WindowMode::drain` OpWindows (completions processed as they land
-// instead of a close-time spin-join), and executes `then(fn,
-// ExecPolicy::worker)` continuation bodies on task threads so heavy
-// bodies stay off the progress threads' AM service path.
+// (`enrollLocal()` + steal-from-any `nextAny()` draining) and executes
+// `then(fn, ExecPolicy::worker)` continuation bodies on task threads so
+// heavy bodies stay off the progress threads' AM service path.
 //
 // This is the layer where CommMode matters:
 //
@@ -553,14 +551,13 @@ Handle<> whenAll(std::vector<Handle<T>>& handles) {
 /// since PR 4 so may consumers -- N worker tasks per locale can share one
 /// queue, each blocking in next() and waking per completion; every drained
 /// completion is delivered to exactly one consumer, which folds its join
-/// time. `nextFrom(other)` adds a pairwise work-stealing drain;
-/// `enrollLocal()` + `nextAny()` generalize it to the whole locale: the
-/// queue registers with its locale's DrainGroup and a consumer steals a
-/// ready completion from *any* enrolled sibling when its own queue runs
-/// empty (randomized victim order, bounded parking). Watched handles keep
-/// the queue's shared state alive, so dropping the queue with watches
-/// outstanding is safe -- the late completions are simply discarded (and
-/// the destructor unenrolls from the drain group).
+/// time. `enrollLocal()` + `nextAny()` add work-stealing across the whole
+/// locale: the queue registers with its locale's DrainGroup and a consumer
+/// steals a ready completion from *any* enrolled sibling when its own
+/// queue runs empty (randomized victim order, bounded parking). Watched
+/// handles keep the queue's shared state alive, so dropping the queue
+/// with watches outstanding is safe -- the late completions are simply
+/// discarded (and the destructor unenrolls from the drain group).
 ///
 /// A consumer about to block first ships anything buffered in its *own*
 /// task Aggregator, so draining a window of aggregated ops needs no manual
@@ -615,13 +612,6 @@ class CompletionQueue {
   template <typename T>
   void watch(const Handle<T>& h, std::uint64_t tag = 0) {
     PGASNB_CHECK_MSG(h.valid(), "watch() on an invalid comm::Handle");
-    watchCore(h.state(), tag);
-  }
-
-  /// Untyped flavor of watch() for completion cores (drain-mode OpWindows
-  /// enroll their owned cores this way). Internal surface.
-  void watchCore(const std::shared_ptr<detail::HandleCore>& core,
-                 std::uint64_t tag) {
     {
       std::lock_guard<std::mutex> g(state_->lock);
       ++state_->outstanding;
@@ -630,7 +620,7 @@ class CompletionQueue {
           std::memory_order_relaxed);
     }
     detail::addCompletionWaiter(
-        *core, [s = state_, tag](std::uint64_t join) {
+        *h.state(), [s = state_, tag](std::uint64_t join) {
           {
             std::lock_guard<std::mutex> g(s->lock);
             s->ready.push_back({tag, join});
@@ -658,7 +648,7 @@ class CompletionQueue {
       // would never ship (we are its only flusher) -- send it now.
       detail::flushTaskAggregatorForDrain();
       if (detail::helpOneDeferred()) continue;
-      parkOn(*this);
+      park();
     }
   }
 
@@ -684,31 +674,6 @@ class CompletionQueue {
     sim::joinAtLeast(join);
     tag_out = tag;
     return true;
-  }
-
-  /// Work-stealing drain: pop from this queue when something is ready,
-  /// otherwise *steal* a ready completion from `other` (never blocking on
-  /// it). Blocks -- in bounded slices, so steals stay responsive -- while
-  /// either queue has watches outstanding; returns nullopt once neither
-  /// has anything ready nor outstanding. The stolen completion's join time
-  /// folds into the *stealer's* clock, like any drain.
-  std::optional<std::uint64_t> nextFrom(CompletionQueue& other) {
-    for (;;) {
-      std::uint64_t tag = 0;
-      if (tryNext(tag)) return tag;
-      if (other.tryNext(tag)) {
-        detail::noteCqStolen();
-        return tag;
-      }
-      if (outstanding() == 0 && other.outstanding() == 0) return std::nullopt;
-      detail::flushTaskAggregatorForDrain();
-      if (detail::helpOneDeferred()) continue;
-      // Park on whichever queue can still produce for us: our own while it
-      // has outstanding watches, else the victim's. Bounded wait, so a
-      // completion landing only in the other queue is picked up within a
-      // slice even though we hold neither lock while parked there.
-      parkOn(outstanding() != 0 ? *this : other);
-    }
   }
 
   /// Locale-wide work-stealing drain: pop from this queue when something
@@ -749,7 +714,7 @@ class CompletionQueue {
       // Park where work can still appear: on our own queue while it has
       // outstanding watches...
       if (outstanding() != 0) {
-        parkOn(*this);
+        park();
         continue;
       }
       if (group == nullptr) return std::nullopt;
@@ -787,15 +752,16 @@ class CompletionQueue {
     return group_;
   }
 
-  /// One bounded parking slice on `q`'s condition variable (woken early by
-  /// a completion landing there or its outstanding count reaching 0). The
-  /// slice is per-queue: adaptive tuning scales it to the queue's observed
-  /// completion inter-arrival EWMA (static mode keeps the configured base).
-  static void parkOn(CompletionQueue& q) {
-    const auto slice = detail::cqParkSliceFor(*q.state_);
-    std::unique_lock<std::mutex> g(q.state_->lock);
-    q.state_->cv.wait_for(g, slice, [&] {
-      return !q.state_->ready.empty() || q.state_->outstanding == 0;
+  /// One bounded parking slice on this queue's condition variable (woken
+  /// early by a completion landing here or the outstanding count reaching
+  /// 0). The slice is per-queue: adaptive tuning scales it to the queue's
+  /// observed completion inter-arrival EWMA (static mode keeps the
+  /// configured base).
+  void park() {
+    const auto slice = detail::cqParkSliceFor(*state_);
+    std::unique_lock<std::mutex> g(state_->lock);
+    state_->cv.wait_for(g, slice, [&] {
+      return !state_->ready.empty() || state_->outstanding == 0;
     });
   }
 
@@ -1070,20 +1036,6 @@ Aggregator& taskAggregator();
 
 // --- operation windows ------------------------------------------------------
 
-/// How an OpWindow waits for its owned operations at close:
-///   * spin  -- close-time spin-join: busy-wait each owned core, then one
-///     max-fold of the set (the original discipline; no queue overhead).
-///   * drain -- the window watches every owned core into an internal
-///     (private) CompletionQueue and close *drains* it: completions are
-///     consumed (and their joins folded) as they land, `drain()` lets the
-///     caller overlap its own compute with the tail of the batch
-///     mid-window, and the close-time wait parks in bounded slices and
-///     helps execute the locale's deferred continuations instead of
-///     spinning. Same max-fold arithmetic either way. The internal queue
-///     is NOT enrolled in the DrainGroup -- its tags are window-internal
-///     indices, and enrolled queues share the locale's tag namespace.
-enum class WindowMode : std::uint8_t { spin, drain };
-
 /// An RAII scope owning a set of in-flight asynchronous operations --
 /// above all *aggregated* ones. While a window is open on a thread, every
 /// handle-carrying op buffered through the thread's **task aggregator**
@@ -1112,19 +1064,17 @@ enum class WindowMode : std::uint8_t { spin, drain };
 /// enqueue(), buffered retires) have no completion to own: the window
 /// guarantees they *ship* at close, not that they have been serviced.
 ///
-/// A `WindowMode::drain` window replaces the close-time spin-join with a
-/// CompletionQueue-backed drain: owned ops are watched into an internal
-/// private queue, `drain()` absorbs the finished head of the batch
-/// mid-window so the caller's compute overlaps the tail, and close
-/// consumes the queue to quiescence -- parking in bounded slices and
-/// helping the locale's deferred continuations -- before the same
-/// one-max-fold of the set.
+/// `drain()` folds the already-finished head of the batch mid-window, so
+/// the caller's compute overlaps the tail; the close then spin-joins only
+/// what is left (helping the locale's deferred continuations while it
+/// waits). Both steps use the same max-fold, so a window's model time does
+/// not depend on how often it was drained. No queue sits behind any of
+/// this: completion is read straight off the owned cores' `done` flags.
 class OpWindow {
  public:
   /// Open a window and make it the innermost on this thread. Charges
-  /// nothing. A `WindowMode::drain` window additionally owns a private
-  /// CompletionQueue that every enrolled op is watched into.
-  explicit OpWindow(WindowMode mode = WindowMode::spin);
+  /// nothing.
+  OpWindow();
   /// Close (join()) if still open: flush + wait-all, even when unwinding.
   ~OpWindow();
   OpWindow(const OpWindow&) = delete;
@@ -1147,18 +1097,18 @@ class OpWindow {
   /// accepts enrollments.
   void join();
 
-  /// Drain-mode only: consume every completion that has already landed in
-  /// the window's queue (never blocks), folding each join-ready time into
-  /// the caller's clock as it goes -- the mid-window overlap hook: call it
-  /// between bursts of compute to absorb the finished head of the batch
-  /// while the tail is still in flight. Returns how many completions were
-  /// consumed.
+  /// Release every owned op that has already completed (never blocks):
+  /// fold the max join-ready time of that finished set into the caller's
+  /// clock and drop those ops from the window. The mid-window overlap
+  /// hook: call it between bursts of compute to absorb the finished head
+  /// of the batch while the tail is still in flight. O(in-flight); returns
+  /// how many ops were released.
   std::size_t drain();
 
-  /// Operations owned and not yet joined. / Whether join() has not run yet.
+  /// Operations owned and not yet joined or drained. / Whether join() has
+  /// not run yet.
   std::size_t inFlight() const noexcept { return cores_.size(); }
   bool open() const noexcept { return open_; }
-  WindowMode mode() const noexcept { return mode_; }
 
   /// The innermost open window on the calling thread (nullptr outside any
   /// window scope). Aggregators use this to auto-enroll handle-carrying ops.
@@ -1169,13 +1119,9 @@ class OpWindow {
 
  private:
   std::vector<std::shared_ptr<detail::HandleCore>> cores_;
-  /// Drain mode: the private internal queue the owned cores are watched
-  /// into (reset at join). Never group-enrolled -- see WindowMode.
-  std::unique_ptr<CompletionQueue> cq_;
   OpWindow* parent_ = nullptr;
   std::thread::id owner_;
   std::uint64_t runtime_generation_ = 0;
-  WindowMode mode_ = WindowMode::spin;
   bool open_ = true;
 };
 
@@ -1191,8 +1137,9 @@ struct Counters {
   std::uint64_t ops_aggregated = 0;  ///< logical ops routed through Aggregators
   std::uint64_t handles_chained = 0; ///< combinator handles (then/whenAll)
   std::uint64_t cq_drained = 0;      ///< completions popped from CompletionQueues
+                                     ///< (OpWindow::drain does not count)
   std::uint64_t cq_stolen = 0;       ///< completions taken from a sibling queue
-                                     ///< (nextFrom / DrainGroup::stealReady)
+                                     ///< (DrainGroup::stealReady)
   std::uint64_t continuations_stolen = 0;  ///< deferred ExecPolicy::worker
                                            ///< bodies executed by task threads
   std::uint64_t backpressure_stalls = 0;   ///< throttle engagements: issuers

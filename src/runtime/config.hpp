@@ -131,7 +131,7 @@ struct RuntimeConfig {
   std::uint64_t aggregator_max_batch_age_ns = 100'000;
 
   /// Completion-surface parking slice (*wall-clock* microseconds): how long
-  /// a CompletionQueue consumer (next/nextAny/nextFrom) parks per slice
+  /// a CompletionQueue consumer (next/nextAny) parks per slice
   /// before re-probing for steals / deferred continuations. Smaller = more
   /// responsive stealing, more wakeups; 0 is clamped to 1. (Idle locale
   /// workers don't poll on this -- they block on their task queue and are

@@ -95,7 +95,8 @@ class DistArray {
       const std::uint32_t l = Runtime::here();
       const std::uint64_t count = dom_.localCount(l);
       if (count == 0) return;
-      T* chunk = static_cast<T*>(rt.allocateOn(l, sizeof(T) * count));
+      T* chunk =
+          static_cast<T*>(rt.allocateOn(l, sizeof(T) * count, alignof(T)));
       for (std::uint64_t k = 0; k < count; ++k) ::new (chunk + k) T();
       chunks_[l] = chunk;
     });

@@ -4,14 +4,13 @@
 // CompletionQueues draining on that locale plus a queue of *deferred
 // continuations* (then() bodies routed off the AM service path with
 // ExecPolicy::worker). It is the locale's single consumer surface --
-// workers, drain-mode OpWindows, and continuation execution all route
-// through it:
+// queue-draining workers and continuation execution both route through
+// it:
 //
 //   * `CompletionQueue::enrollLocal()` registers a queue here; an enrolled
 //     consumer draining with `nextAny()` pops its own queue first and then
 //     *steals* a ready completion from any sibling (randomized victim
 //     order, Chapel-style distributed workstealing rendered per locale).
-//     This generalizes the pairwise `nextFrom(other)` steal to N siblings.
 //   * `then(fn, ExecPolicy::worker)` defers the continuation body into the
 //     issuing locale's group via `defer()`; the completing progress thread
 //     only enqueues. Idle locale workers, helping task joins, and every
@@ -21,7 +20,7 @@
 //
 // The group itself never blocks: stealing and deferred execution are
 // try-operations; *bounded parking* between attempts lives in the consumer
-// loops (CompletionQueue::next/nextAny/nextFrom, sliced by
+// loops (CompletionQueue::next/nextAny, sliced by
 // RuntimeConfig::cq_park_slice_us). Idle locale workers block on their
 // task queue instead and are woken by defer()'s wake hook, so a quiet
 // locale costs nothing.
@@ -116,8 +115,7 @@ class DrainGroup {
   /// namespace -- a stolen completion surfaces from the *stealer's*
   /// nextAny() carrying the tag the victim's watcher chose, so consumers
   /// must agree on what tags mean (the work-queue pattern: tags index one
-  /// shared slot table). Queues with private tag meanings (e.g. a
-  /// drain-mode OpWindow's internal queue) must not enroll.
+  /// shared slot table). Queues with private tag meanings must not enroll.
   void enroll(const std::shared_ptr<detail::CqShared>& q) {
     std::lock_guard<std::mutex> g(lock_);
     for (const auto& w : queues_) {

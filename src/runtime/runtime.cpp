@@ -94,8 +94,9 @@ bool Runtime::inGlobalHeap(const void* p) const noexcept {
   return b >= heap_base_ && b < heap_base_ + heap_bytes_;
 }
 
-void* Runtime::allocateOn(std::uint32_t locale_id, std::size_t bytes) {
-  return locale(locale_id).arena().allocate(bytes);
+void* Runtime::allocateOn(std::uint32_t locale_id, std::size_t bytes,
+                          std::size_t align) {
+  return locale(locale_id).arena().allocate(bytes, align);
 }
 
 void Runtime::deallocateLocal(void* p, std::size_t bytes) {

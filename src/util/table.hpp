@@ -1,7 +1,7 @@
 // Fixed-width table printing for benchmark output.
 //
-// Every figure bench prints the same row schema so EXPERIMENTS.md can be
-// regenerated mechanically:  figure, series, x, wall_s, model_s, extra...
+// Every figure bench prints the same row schema so scripts/bench_json.sh
+// can parse it mechanically:  figure, series, x, wall_s, model_s, extra...
 #pragma once
 
 #include <cstdio>

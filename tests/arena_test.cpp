@@ -122,6 +122,63 @@ TEST_F(ArenaTest, ManyAllocationsAreDistinct) {
   for (void* p : blocks) arena.deallocate(p, 24);
 }
 
+TEST_F(ArenaTest, OverAlignedObjectsStayAlignedThroughRecycling) {
+  // Token and CachePadded<T> are alignas(64); the arena only guarantees 16
+  // by default. Interleave them with 16-aligned allocations of every small
+  // size so the bump pointer sits at every 16-byte phase, and free and
+  // reallocate so recycled blocks are checked too.
+  startRuntime(1);
+  using Padded = CachePadded<std::uint64_t>;
+  static_assert(alignof(Token) == 64 && alignof(Padded) == 64);
+  const auto aligned = [](const void* p) {
+    return reinterpret_cast<std::uintptr_t>(p) % 64 == 0;
+  };
+  const auto keep_odd = [](auto& v) {
+    std::size_t w = 0;
+    for (std::size_t k = 1; k < v.size(); k += 2) v[w++] = v[k];
+    v.resize(w);
+  };
+  Arena& arena = runtime_->locale(0).arena();
+  std::vector<Token*> tokens;
+  std::vector<Padded*> padded;
+  std::vector<std::pair<void*, std::size_t>> plain;
+  for (int round = 0; round < 4; ++round) {
+    for (int i = 0; i < 64; ++i) {
+      const std::size_t bytes = 16 * (1 + i % 8);  // 16..128: every phase
+      plain.emplace_back(arena.allocate(bytes), bytes);
+      tokens.push_back(gnew<Token>());
+      padded.push_back(gnew<Padded>(std::uint64_t(i)));
+      ASSERT_TRUE(aligned(tokens.back())) << "round " << round << " i " << i;
+      ASSERT_TRUE(aligned(padded.back())) << "round " << round << " i " << i;
+    }
+    // Free every other object of each kind (mixed sizes on the free
+    // lists), then the next round reallocates out of them.
+    for (std::size_t k = 0; k < tokens.size(); k += 2) {
+      gdelete(tokens[k]);
+      gdelete(padded[k]);
+      arena.deallocate(plain[k].first, plain[k].second);
+    }
+    keep_odd(tokens);
+    keep_odd(padded);
+    keep_odd(plain);
+  }
+  for (Token* t : tokens) gdelete(t);
+  for (Padded* p : padded) gdelete(p);
+  for (auto [p, bytes] : plain) arena.deallocate(p, bytes);
+}
+
+TEST_F(ArenaTest, OverAlignedRequestReusesItsFreedBlock) {
+  startRuntime(1);
+  Arena& arena = runtime_->locale(0).arena();
+  void* pad = arena.allocate(16);  // knock the bump off cache-line phase
+  void* a = arena.allocate(64, 64);
+  arena.deallocate(a, 64);
+  void* b = arena.allocate(64, 64);
+  EXPECT_EQ(a, b) << "an aligned free block is recycled, not re-bumped";
+  arena.deallocate(b, 64);
+  arena.deallocate(pad, 16);
+}
+
 TEST_F(ArenaTest, ConcurrentAllocFreeIsSafe) {
   startRuntime(1, CommMode::none, 4);
   Arena& arena = runtime_->locale(0).arena();

@@ -239,14 +239,16 @@ TEST_F(CommAsyncTest, StealAndContinuationCountersSnapshotAndReset) {
   RuntimeConfig cfg = testing::testConfig(2);
   cfg.tuning_mode = TuningMode::adaptive;
   runtime_ = std::make_unique<Runtime>(cfg);
-  // One pairwise steal: everything lands in `other`, so nextFrom must take
-  // it from there.
+  // One steal between two enrolled queues: everything lands in `other`,
+  // so nextAny must take it from there.
   comm::CompletionQueue mine;
   comm::CompletionQueue other;
+  mine.enrollLocal();
+  other.enrollLocal();
   auto h = comm::amAsyncHandle(1, [] {});
   h.wait();
   other.watch(h, 1);
-  ASSERT_TRUE(mine.nextFrom(other).has_value());
+  ASSERT_TRUE(mine.nextAny().has_value());
   // One stolen continuation: the worker-policy body is deferred into the
   // drain group and executed by a task thread (the waiter helps).
   std::atomic<int> ran{0};

@@ -1,7 +1,7 @@
 // The locale-wide drain scheduler (PR 5): DrainGroup enrollment and
 // steal-from-any-sibling draining (CompletionQueue::enrollLocal +
-// nextAny), drain-mode OpWindows (mid-window drain, close-time drain to
-// quiescence, nesting, max-fold parity with spin windows), deferred
+// nextAny), mid-window OpWindow::drain (release of finished ops, nesting,
+// max-fold parity with a bare join), deferred
 // ExecPolicy::worker continuations (off the progress thread, executor-side
 // sim-clock charging, monadic flattening, helping waits), the
 // cq_park_slice_us knob, and a workers-x-locales stealing work-queue
@@ -182,13 +182,12 @@ TEST_F(CommDrainTest, MultiWorkerGroupStealingDeliversExactlyOnce) {
   for (auto& q : queues) EXPECT_EQ(q->outstanding(), 0u);
 }
 
-// --- drain-mode operation windows --------------------------------------------
+// --- mid-window draining of operation windows --------------------------------
 
-TEST_F(CommDrainTest, DrainModeWindowProcessesCompletionsAsTheyLand) {
+TEST_F(CommDrainTest, WindowDrainReleasesCompletedOpsAsTheyLand) {
   startRuntime(2);
   constexpr std::size_t kOps = 8;
-  comm::OpWindow window(comm::WindowMode::drain);
-  EXPECT_EQ(window.mode(), comm::WindowMode::drain);
+  comm::OpWindow window;
   std::vector<comm::Handle<>> hs;
   for (std::size_t i = 0; i < kOps; ++i) {
     hs.push_back(window.add(comm::amAsyncHandle(1, [] {})));
@@ -196,50 +195,88 @@ TEST_F(CommDrainTest, DrainModeWindowProcessesCompletionsAsTheyLand) {
   // Overlap loop: absorb completions while the tail is still in flight --
   // the caller's "compute" here is just the polling itself.
   std::size_t consumed = 0;
-  while (consumed < kOps) consumed += window.drain();
+  while (consumed < kOps) {
+    consumed += window.drain();
+    EXPECT_EQ(window.inFlight(), kOps - consumed)
+        << "drained ops leave the window";
+  }
   EXPECT_EQ(consumed, kOps);
   for (auto& h : hs) EXPECT_TRUE(h.ready());
-  EXPECT_EQ(window.drain(), 0u) << "queue already empty";
+  EXPECT_EQ(window.drain(), 0u) << "nothing left to release";
+  EXPECT_EQ(comm::counters().cq_drained, 0u)
+      << "window drains use no completion queue";
   window.join();  // nothing left to wait for
 }
 
-TEST_F(CommDrainTest, DrainModeWindowJoinsAtTheMaxSimTimeOfTheSet) {
-  // The drain-vs-spin contract: same max-fold arithmetic, different
-  // consumption scheduling. Mirrors the spin-mode window test.
+TEST_F(CommDrainTest, DrainedWindowJoinsAtTheMaxSimTimeOfTheSet) {
+  // Draining mid-window changes when joins fold, not what they fold to:
+  // the caller still ends at the max join of the whole set.
   startRuntime(3);
   sim::setNow(0);
   const LatencyModel& lat = runtime_->config().latency;
   std::vector<comm::Handle<>> hs;
   {
-    comm::OpWindow window(comm::WindowMode::drain);
+    comm::OpWindow window;
     hs.push_back(comm::taskAggregator().enqueueHandle(1, [] {}));
     hs.push_back(comm::taskAggregator().enqueueHandle(1, [] {}));
     hs.push_back(comm::taskAggregator().enqueueHandle(2, [] {}));
     EXPECT_EQ(window.inFlight(), 3u) << "aggregated ops auto-enroll";
-  }  // close: flush + drain to quiescence + one max-fold
+    window.drain();  // may release nothing: the batches are still buffered
+  }  // close: flush + spin-join the rest + one max-fold
   std::uint64_t max_join = 0;
   for (auto& h : hs) {
-    ASSERT_TRUE(h.ready()) << "drain-mode close waits for every owned op";
+    ASSERT_TRUE(h.ready()) << "close waits for every owned op";
     max_join = std::max(max_join, h.completionTime() + lat.am_wire_ns);
   }
   EXPECT_GE(sim::now(), max_join) << "caller folded the max join of the set";
   EXPECT_EQ(comm::counters().am_batched, 2u);
 }
 
-TEST_F(CommDrainTest, NestedDrainModeWindowsJoinLifo) {
+TEST_F(CommDrainTest, DrainPlusJoinEndsWhereJoinAloneEnds) {
+  // add()-ed non-aggregated handles, all already complete: draining them
+  // first and then joining must leave the clock exactly where a bare
+  // join() of the same completed set leaves it.
+  startRuntime(3);
+  std::vector<comm::Handle<>> hs;
+  for (std::uint32_t i = 0; i < 6; ++i) {
+    hs.push_back(comm::amAsyncHandle(1 + i % 2, [] {}));
+  }
+  comm::waitAll(hs);  // complete the set; the clock is reset below
+  sim::setNow(0);
+  {
+    comm::OpWindow window;
+    for (auto& h : hs) window.add(h);
+    window.join();
+  }
+  const std::uint64_t join_only = sim::now();
+  sim::setNow(0);
+  {
+    comm::OpWindow window;
+    for (auto& h : hs) window.add(h);
+    EXPECT_EQ(window.drain(), hs.size()) << "every adopted op is complete";
+    EXPECT_EQ(window.inFlight(), 0u);
+    window.join();
+  }
+  EXPECT_EQ(sim::now(), join_only);
+  EXPECT_GT(join_only, 0u) << "the set's join time was folded";
+}
+
+TEST_F(CommDrainTest, NestedDrainedWindowsJoinLifo) {
   startRuntime(3);
   std::atomic<int> inner_ran{0};
   std::atomic<int> outer_ran{0};
   {
-    comm::OpWindow outer(comm::WindowMode::drain);
+    comm::OpWindow outer;
     comm::taskAggregator().enqueueHandle(1, [&outer_ran] { outer_ran.fetch_add(1); });
     EXPECT_EQ(outer.inFlight(), 1u);
     {
-      comm::OpWindow inner(comm::WindowMode::drain);
+      comm::OpWindow inner;
       EXPECT_EQ(comm::OpWindow::current(), &inner);
       comm::taskAggregator().enqueueHandle(2, [&inner_ran] { inner_ran.fetch_add(1); });
       EXPECT_EQ(inner.inFlight(), 1u) << "ops enroll into the innermost window";
       EXPECT_EQ(outer.inFlight(), 1u);
+      inner.drain();
+      EXPECT_EQ(outer.inFlight(), 1u) << "an inner drain leaves the outer alone";
     }  // inner close flushes the task aggregator: both batches ship...
     EXPECT_EQ(inner_ran.load(), 1) << "...and the inner op is joined";
     EXPECT_EQ(comm::OpWindow::current(), &outer);
@@ -250,8 +287,9 @@ TEST_F(CommDrainTest, NestedDrainModeWindowsJoinLifo) {
 }
 
 TEST_F(CommDrainTest, DrainedWindowedPopsNeedNoManualFlush) {
-  // The acceptance-criteria shape, drain-mode edition: popAsyncAggregated
-  // joined through a draining OpWindow with no flushAll() anywhere.
+  // The acceptance-criteria shape with a mid-window drain:
+  // popAsyncAggregated joined through an OpWindow with no flushAll()
+  // anywhere.
   startRuntime(4);
   DistDomain domain = DistDomain::create();
   auto* stack = DistStack<std::uint64_t>::create(domain, /*home=*/0);
@@ -266,12 +304,12 @@ TEST_F(CommDrainTest, DrainedWindowedPopsNeedNoManualFlush) {
     std::vector<comm::Handle<std::optional<std::uint64_t>>> handles;
     handles.reserve(kItems / 4);
     {
-      comm::OpWindow window(comm::WindowMode::drain);
+      comm::OpWindow window;
       for (int i = 0; i < kItems / 4; ++i) {
         handles.push_back(stack->popAsyncAggregated(guard));
       }
       window.drain();  // mid-window absorb (may be 0: batch still buffered)
-    }  // close: flush + drain to quiescence, one max-fold
+    }  // close: flush + join the rest, one max-fold
     std::uint64_t got = 0;
     for (auto& h : handles) got += h.value().has_value() ? 1 : 0;
     popped.fetch_add(got, std::memory_order_relaxed);
@@ -376,7 +414,7 @@ TEST_F(CommDrainTest, WorkerContinuationMayIssueAggregatedOps) {
 
 TEST_F(CommDrainTest, UnenrolledNextAnyStillRunsDeferredContinuations) {
   // Regression (PR-5 review): the unenrolled fallback of nextAny() must
-  // help execute deferred bodies like next()/nextFrom() do -- a consumer
+  // help execute deferred bodies like next() does -- a consumer
   // watching its own worker-policy continuation may be the only task
   // thread able to run it. One pool worker, pinned by a blocking task, so
   // nobody can rescue a non-helping consumer.
@@ -423,16 +461,18 @@ TEST_F(CommDrainTest, HelpedDeferredBodiesDoNotEnrollIntoTheHelpersWindow) {
   EXPECT_EQ(ran.load(), 1);
 }
 
-TEST_F(CommDrainTest, DrainModeWindowCompletesWorkerContinuations) {
-  // A drain-mode window owning a worker-policy continuation must not
-  // deadlock: its close-time drain helps execute the deferred body.
+TEST_F(CommDrainTest, DrainedWindowCompletesWorkerContinuations) {
+  // A window owning a worker-policy continuation must not deadlock: a
+  // drain never waits, and the close-time join helps execute the
+  // deferred body.
   startRuntime(2);
   std::atomic<int> ran{0};
   {
-    comm::OpWindow window(comm::WindowMode::drain);
+    comm::OpWindow window;
     window.add(comm::amAsyncHandle(1, [] {}).then(
         [&ran] { ran.fetch_add(1); }, comm::ExecPolicy::worker));
-  }  // close drains; the deferred body runs on a task thread
+    window.drain();
+  }  // close joins; the deferred body runs on a task thread
   EXPECT_EQ(ran.load(), 1);
 }
 
