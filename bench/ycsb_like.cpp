@@ -23,6 +23,7 @@
 // expected final key count, so the run must cross the create()-time
 // capacity and serve traffic *through* incremental per-segment resize
 // (ISSUE 9); the notes report resizes= and chunks= alongside rejects=.
+// maxdisp= is the RobinHoodStats::max_displacement high-water mark.
 //
 // Acceptance (ISSUE 6): at 8 locales, read-heavy + Zipfian, RobinHoodMap
 // must show >= 2x the model-time throughput of InterlockedHashTable -- the
@@ -32,6 +33,9 @@
 // exits non-zero on FAIL so CI can gate on it. Acceptance (ISSUE 9): every
 // insert-mix Robin Hood cell must finish with resizes >= 1 and
 // full_rejects == 0, also gated by exit status.
+// Every insert-mix Robin Hood cell must also finish with maxdisp <= 64:
+// grown segments must spread their keys over the whole doubled table, not
+// crowd them into one seed-size slice. The same exit status gates it.
 #include "bench_common.hpp"
 #include "workload_gen.hpp"
 
@@ -63,7 +67,12 @@ struct CellResult {
   std::uint64_t full_rejects = 0;    // RobinHoodStats::full_rejects
   std::uint64_t resizes = 0;         // RobinHoodStats::resizes
   std::uint64_t migrate_chunks = 0;  // RobinHoodStats::migrate_chunks
+  std::uint64_t max_displacement = 0;  // RobinHoodStats::max_displacement
 };
+
+/// Insert-mix bar on Robin Hood probe length: uniform homes keep the worst
+/// placement displacement small even after every segment has doubled.
+constexpr std::uint64_t kMaxInsertMixDisplacement = 64;
 
 /// One locale's slice of the mixed phase, generic over the per-op issue
 /// hooks so both tables share the window/issue/latency plumbing.
@@ -208,6 +217,7 @@ CellResult runCell(TableKind kind, const MixSpec& mix, KeyDist dist,
     result.full_rejects = stats.full_rejects;
     result.resizes = stats.resizes;
     result.migrate_chunks = stats.migrate_chunks;
+    result.max_displacement = stats.max_displacement;
     rh.destroy();
   } else {
     iht.destroy();
@@ -232,6 +242,7 @@ int main(int argc, char** argv) {
   double at8_iht_thr = 0.0;
   bool insert_rejected = false;
   bool insert_mix_resized = true;
+  bool insert_mix_spread = true;
   for (std::uint32_t locales = 1;
        locales <= std::min(opts.max_locales, 8u); locales *= 2) {
     for (TableKind kind : kTables) {
@@ -247,13 +258,15 @@ int main(int argc, char** argv) {
           char series[96];
           std::snprintf(series, sizeof(series), "%s/%s/%s", toString(kind),
                         mix.name, toString(dist));
-          char notes[192];
+          char notes[224];
           if (r.has_rejects) {
             std::snprintf(notes, sizeof(notes),
                           "ops=%" PRIu64 " thr=%.2fMops %s rejects=%" PRIu64
-                          " resizes=%" PRIu64 " chunks=%" PRIu64,
+                          " resizes=%" PRIu64 " chunks=%" PRIu64
+                          " maxdisp=%" PRIu64,
                           r.ops, thr * 1e-6, r.lat.summary().c_str(),
-                          r.full_rejects, r.resizes, r.migrate_chunks);
+                          r.full_rejects, r.resizes, r.migrate_chunks,
+                          r.max_displacement);
           } else {
             std::snprintf(notes, sizeof(notes),
                           "ops=%" PRIu64 " thr=%.2fMops %s", r.ops,
@@ -276,6 +289,17 @@ int main(int argc, char** argv) {
                          mix.name, toString(dist), locales);
             insert_mix_resized = false;
           }
+          if (r.has_rejects && mix.insert > 0.0 &&
+              r.max_displacement > kMaxInsertMixDisplacement) {
+            std::fprintf(stderr,
+                         "ycsb_like: %s/%s at %u locales reached "
+                         "max_displacement=%" PRIu64 " (> %" PRIu64
+                         ") -- grown segments crowd their keys into part "
+                         "of the table\n",
+                         mix.name, toString(dist), locales,
+                         r.max_displacement, kMaxInsertMixDisplacement);
+            insert_mix_spread = false;
+          }
           if (locales == 8 && mix.read == kReadHeavyMix.read &&
               dist == KeyDist::zipfian) {
             if (kind == TableKind::robinhood) at8_rh_thr = thr;
@@ -287,15 +311,13 @@ int main(int argc, char** argv) {
   }
   table.print();
 
-  if (insert_rejected || !insert_mix_resized) {
-    std::printf(
-        "\ninsert-mix check (crosses seed capacity, no full-segment "
-        "rejects): FAIL\n");
-    return 1;
-  }
+  const bool insert_mix_pass =
+      !insert_rejected && insert_mix_resized && insert_mix_spread;
   std::printf(
-      "\ninsert-mix check (crosses seed capacity, no full-segment rejects): "
-      "PASS\n");
+      "\ninsert-mix check (crosses seed capacity, no full-segment rejects, "
+      "maxdisp <= %" PRIu64 "): %s\n",
+      kMaxInsertMixDisplacement, insert_mix_pass ? "PASS" : "FAIL");
+  if (!insert_mix_pass) return 1;
 
   if (opts.max_locales < 8) {
     std::printf("acceptance check skipped (needs --max-locales >= 8)\n");

@@ -1,14 +1,19 @@
 // RobinHoodMap: a distributed open-addressed hash table with Robin Hood
 // probing -- the successor to InterlockedHashTable's closed chaining.
 //
-// Layout. The slot space is partitioned into one *segment per locale*. A
-// key's hash picks a global home slot in the fixed create()-time partition;
-// the segment containing that home slot is the key's owner, and the probe
-// sequence wraps *within* that segment's current table (segments are
-// independent Robin Hood tables, so displacement never crosses a locale
-// boundary -- the distributed analogue of per-bucket locality). Slots are
-// 16-byte (key, value) pairs accessed with the same double-word atomics the
-// DCAS layer uses, so readers always observe a slot atomically.
+// Layout. The slot space is partitioned into one *segment per locale*. The
+// low-order part of a key's hash (`h % capacity`) picks a global slot in the
+// fixed create()-time partition; the segment containing it is the key's
+// owner, and its offset there is the key's *seed home*. A segment that has
+// grown by `k` doublings keeps the seed home and appends the hash's top `k`
+// bits (see homeIn): the low-order bits already chose the owner, so re-using
+// them for a wider table would crowd every key into one seed-size slice of
+// it. The probe sequence wraps *within* the segment's current table
+// (segments are independent Robin Hood tables, so displacement never
+// crosses a locale boundary -- the distributed analogue of per-bucket
+// locality). Slots are 16-byte (key, value) pairs accessed with the same
+// double-word atomics the DCAS layer uses, so readers always observe a slot
+// atomically.
 //
 // Probing discipline. Entries are displacement-ordered (an entry `d` slots
 // past its home has stolen from every richer entry it passed -- Robin Hood's
@@ -67,6 +72,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <optional>
@@ -96,7 +102,9 @@ struct RobinHoodStats {
                             ///< current table -- the shadow's size while a
                             ///< segment is mid-migration)
   std::uint64_t used = 0;   ///< occupied slots
-  std::uint64_t max_displacement = 0;  ///< worst probe distance in the table
+  /// High-water mark of placement displacements since create(), across
+  /// every table each segment has had; erase and migration never lower it.
+  std::uint64_t max_displacement = 0;
   std::uint64_t full_rejects = 0;  ///< inserts refused by a full segment
   std::uint64_t resizes = 0;           ///< shadow tables started
   std::uint64_t migrate_chunks = 0;    ///< bounded migration steps executed
@@ -133,14 +141,22 @@ class RobinHoodMap {
   /// one while mid-migration). Slots are raw U128s (lo = key, hi = value
   /// bits) accessed exclusively through the __atomic 16-byte ops; `used`
   /// tracks this table's occupancy alone (the segment-level counter spans
-  /// both tables during migration). Allocated via Domain::make so retired
-  /// tables flow through the domain (IntervalDomain birth-tags the block).
+  /// both tables during migration). `seed_slots` is the create()-time
+  /// segment size and `spread_bits` the number of doublings since (see
+  /// homeIn). Allocated via Domain::make so retired tables flow through the
+  /// domain (IntervalDomain birth-tags the block).
   struct Table {
     U128* slots = nullptr;
     std::uint64_t nslots = 0;
+    std::uint64_t seed_slots = 0;
+    unsigned spread_bits = 0;
     std::atomic<std::uint64_t> used{0};
 
-    explicit Table(std::uint64_t n) : nslots(n) {
+    Table(std::uint64_t n, std::uint64_t seed)
+        : nslots(n),
+          seed_slots(seed),
+          spread_bits(static_cast<unsigned>(std::bit_width(n / seed)) - 1) {
+      PGASNB_DCHECK(nslots == seed_slots << spread_bits);
       if constexpr (Domain::kDistributed) {
         slots = static_cast<U128*>(
             Runtime::get().allocateOn(Runtime::here(), n * sizeof(U128)));
@@ -184,7 +200,7 @@ class RobinHoodMap {
     std::uint64_t migrate_left = 0;  ///< old-table slots not yet drained
 
     explicit Segment(std::uint64_t n) {
-      cur.store(Domain::template make<Table>(n), std::memory_order_release);
+      cur.store(Domain::template make<Table>(n, n), std::memory_order_release);
     }
 
     ~Segment() {
@@ -621,19 +637,26 @@ class RobinHoodMap {
     return static_cast<std::uint32_t>(globalSlotOf(key) / seg_slots_);
   }
 
-  /// Home slot of `key` inside table `t`. For the seed table (nslots ==
-  /// seg_slots_) this equals the old global-partition home because
-  /// seg_slots_ divides capacity_; doubled tables just rehash over the
-  /// wider ring.
+  /// Home slot of `key` inside table `t`. The seed home `h % seed_slots`
+  /// is the key's offset in its owner's create()-time partition slice
+  /// (seg_slots_ divides capacity_). A table grown by `spread_bits`
+  /// doublings appends the hash's top bits, which are independent of the
+  /// low-order bits that picked the owner, so homes stay uniform over the
+  /// whole grown table -- `h % nslots` would re-use the owner bits and pile
+  /// a segment's keys into one seed-size slice. A key homed at `x` re-homes
+  /// into [2x, 2x+1] of the doubled table; a seed table keeps its layout.
   static std::uint64_t homeIn(const Table& t, std::uint64_t key) noexcept {
-    return rhHash(key) % t.nslots;
+    const std::uint64_t h = rhHash(key);
+    const std::uint64_t seed_home = h % t.seed_slots;
+    if (t.spread_bits == 0) return seed_home;
+    return (seed_home << t.spread_bits) | (h >> (64 - t.spread_bits));
   }
 
   /// Displacement of `key` if it sat at `pos` of `t` (distance from home).
   static std::uint64_t dispIn(const Table& t, std::uint64_t key,
                               std::uint64_t pos) noexcept {
     const std::uint64_t home = homeIn(t, key);
-    return (pos + t.nslots - home) % t.nslots;
+    return pos >= home ? pos - home : pos + t.nslots - home;
   }
 
   /// Charge `probes` slot accesses to the simulated clock (processor
@@ -998,7 +1021,8 @@ class RobinHoodMap {
   /// whole).
   void startResize(Segment& seg, Table& t_old, std::uint64_t& probes) const {
     PGASNB_DCHECK(seg.shadow.load(std::memory_order_relaxed) == nullptr);
-    Table* fresh = Domain::template make<Table>(t_old.nslots * 2);
+    Table* fresh =
+        Domain::template make<Table>(t_old.nslots * 2, t_old.seed_slots);
     std::uint64_t start = 0;
     for (std::uint64_t i = 0; i < t_old.nslots; ++i) {
       ++probes;

@@ -13,6 +13,7 @@
 #include <atomic>
 #include <cstdint>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "test_support.hpp"
@@ -321,6 +322,59 @@ TEST_F(RobinHoodResizeDist, CrossLocaleResizeUnderIntervalDomain) {
   EXPECT_GE(reclaim.deferred, 8u) << "4 segments x >=2 retired tables";
   domain.destroy();
 }
+
+// --- home spread: grown segments use their whole table ----------------------
+
+/// Parameterized over the locale count. With an even count a doubled table
+/// size divides (or equals) the create()-time capacity, so homing a key by
+/// `hash % nslots` would re-use the hash bits that picked its owner and
+/// crowd a segment's keys into one seed-size slice of its grown table. Three
+/// locales is the odd-count control, where that slice effect never arises.
+class RobinHoodResizeSpread
+    : public RuntimeTest,
+      public ::testing::WithParamInterface<std::uint32_t> {};
+
+TEST_P(RobinHoodResizeSpread, GrownSegmentsSpreadOverTheWholeTable) {
+  const std::uint32_t locales = GetParam();
+  startRuntime(locales);
+  DistDomain domain = DistDomain::create();
+  auto map = RobinHoodMap<std::uint64_t>::create(
+      256 * locales, domain, RobinHoodOptions{.resize_load = 0.85});
+  // ~1024 keys per 256-slot segment: every segment doubles three times.
+  const std::uint64_t total = 1024 * std::uint64_t{locales};
+  std::atomic<std::uint64_t> inserted{0};
+  coforallLocales([map, locales, total, &inserted] {
+    std::uint64_t ok = 0;
+    for (std::uint64_t key = 1 + Runtime::here(); key <= total;
+         key += locales) {
+      if (map.insert(key, key * 3)) ++ok;
+    }
+    inserted.fetch_add(ok, std::memory_order_relaxed);
+  });
+  EXPECT_EQ(inserted.load(), total);
+  awaitQuiescentMigration(map);
+  const auto stats = map.stats();
+  EXPECT_EQ(stats.full_rejects, 0u);
+  EXPECT_GE(stats.resizes, 3u * locales)
+      << "every segment must have doubled at least three times";
+  EXPECT_TRUE(map.validateInvariants());
+  for (std::uint64_t key = 1; key <= total; ++key) {
+    const auto v = map.find(key);
+    ASSERT_TRUE(v.has_value()) << "key=" << key;
+    EXPECT_EQ(*v, key * 3);
+  }
+  // Uniform homes keep Robin Hood's expected probe length O(1); a pile-up
+  // into one seed-size slice drives this into the hundreds.
+  EXPECT_LE(stats.max_displacement, 32u);
+  map.destroy();
+  domain.destroy();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Locales, RobinHoodResizeSpread, ::testing::Values(3u, 4u, 8u),
+    [](const ::testing::TestParamInfo<std::uint32_t>& info) {
+      return std::to_string(info.param) + "loc";
+    });
 
 // --- torture: concurrent mutators during forced chunked migrations ----------
 
