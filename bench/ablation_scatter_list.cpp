@@ -17,7 +17,10 @@ int main(int argc, char** argv) {
   FigureTable table("ablation-scatter-list");
   for (std::uint32_t locales : opts.localeSweep(2)) {
     {  // scatter: the DistDomain's real reclaim path (100% remote objs)
-      Runtime rt(benchConfig(locales, CommMode::none, opts.tasks_per_locale));
+      RuntimeConfig cfg =
+          benchConfig(locales, CommMode::none, opts.tasks_per_locale);
+      cfg.remote_retire = RemoteRetirePolicy::scatter;
+      Runtime rt(cfg);
       DistDomain domain = DistDomain::create();
       coforallLocales([domain, objs_per_locale, locales] {
         auto guard = domain.pin();

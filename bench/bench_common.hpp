@@ -152,11 +152,13 @@ struct BenchOptions {
 /// Runtime config for benchmark runs: physical delay injection ON so the
 /// wall column reflects the interconnect model too. Starts from fromEnv()
 /// so the reclamation/backpressure knobs (PGASNB_RECLAIM_MODE,
-/// PGASNB_INTERVAL_ERA_FREQ, PGASNB_DRAIN_DEFERRED_CAP, retire policy,
-/// aggregator batching, ...) are sweepable from the environment --
+/// PGASNB_INTERVAL_ERA_FREQ, PGASNB_DRAIN_DEFERRED_CAP, aggregator
+/// batching, ...) are sweepable from the environment --
 /// scripts/bench_json.sh pins their defaults per recorded run. The sweep
 /// parameters below (locales, workers, comm mode, delay model) are the
-/// bench's own axes and always override the environment.
+/// bench's own axes and always override the environment. The remote-retire
+/// policy has no variable: a bench that compares policies sets
+/// cfg.remote_retire itself (fig8, ablation_scatter_list).
 inline RuntimeConfig benchConfig(std::uint32_t locales, CommMode mode,
                                  std::uint32_t workers) {
   RuntimeConfig cfg = RuntimeConfig::fromEnv();

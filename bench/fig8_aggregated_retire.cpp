@@ -1,12 +1,14 @@
-// Fig. 8 (extension): aggregated cross-locale retires vs. the per-op AM
-// path vs. the paper's scatter baseline.
+// Fig. 8 (extension): aggregated cross-locale retires vs. a per-op AM
+// row vs. the paper's scatter baseline.
 //
 // Every locale retires `objs` objects owned by *other* locales, then the
-// domain is cleared. The per-op path ships one active message per retire;
-// the aggregated path coalesces retires per destination (guard batches ->
-// comm::Aggregator -> one batched AM carrying a vector payload, bulk limbo
-// insert at the receiver). Scatter is the PR-1 baseline: communication
-// deferred to reclaim time.
+// domain is cleared. The aggregated path coalesces retires per
+// destination (guard batches -> comm::Aggregator -> one batched AM
+// carrying a vector payload, bulk limbo insert at the receiver). The
+// per-op-am row is the same path with every batch size pinned to 1
+// (retire_batch_size, aggregator_ops_per_batch and the tuner clamp): one
+// AM per retire, the naive async strawman. Scatter is the PR-1 baseline:
+// communication deferred to reclaim time.
 //
 // Acceptance (ISSUE 2): at 8 locales the aggregated path must inject >= 4x
 // fewer AMs (am_sync + am_async + am_batched) than per-op-am, at lower
@@ -28,13 +30,27 @@ struct PolicyResult {
   std::uint64_t ops_aggregated = 0;
 };
 
-PolicyResult runPolicy(pgasnb::RemoteRetirePolicy policy,
-                       std::uint32_t locales, std::uint64_t objs_per_locale,
+/// One table row: a retire policy, optionally with every batch pinned to a
+/// single retire.
+struct Row {
+  const char* label;
+  pgasnb::RemoteRetirePolicy policy;
+  bool one_per_batch;
+};
+
+PolicyResult runPolicy(const Row& row, std::uint32_t locales,
+                       std::uint64_t objs_per_locale,
                        std::uint32_t tasks_per_locale) {
   using namespace pgasnb;
   RuntimeConfig cfg =
       bench::benchConfig(locales, CommMode::none, tasks_per_locale);
-  cfg.remote_retire = policy;
+  cfg.remote_retire = row.policy;
+  if (row.one_per_batch) {
+    cfg.retire_batch_size = 1;
+    cfg.aggregator_ops_per_batch = 1;
+    cfg.tuner_batch_min = 1;
+    cfg.tuner_batch_max = 1;
+  }
   Runtime rt(cfg);
   DistDomain domain = DistDomain::create();
   const comm::Counters before = comm::counters();
@@ -72,27 +88,30 @@ int main(int argc, char** argv) {
   const BenchOptions opts = BenchOptions::parse(argc, argv);
   const std::uint64_t objs_per_locale = opts.scaled(2048);
 
-  constexpr RemoteRetirePolicy kPolicies[] = {
-      RemoteRetirePolicy::per_op_am,
-      RemoteRetirePolicy::aggregated,
-      RemoteRetirePolicy::scatter,
+  constexpr Row kRows[] = {
+      {"per-op-am", RemoteRetirePolicy::aggregated, true},
+      {"aggregated", RemoteRetirePolicy::aggregated, false},
+      {"scatter", RemoteRetirePolicy::scatter, false},
   };
 
   FigureTable table("fig8-aggregated-retire");
   PolicyResult at8_per_op, at8_aggregated;
   for (std::uint32_t locales : {2u, 4u, 8u}) {
     if (locales > opts.max_locales) break;
-    for (RemoteRetirePolicy policy : kPolicies) {
+    for (const Row& row : kRows) {
       const PolicyResult r =
-          runPolicy(policy, locales, objs_per_locale, opts.tasks_per_locale);
+          runPolicy(row, locales, objs_per_locale, opts.tasks_per_locale);
       char notes[128];
       std::snprintf(notes, sizeof(notes),
                     "ams=%" PRIu64 " ops_aggregated=%" PRIu64, r.total_ams,
                     r.ops_aggregated);
-      table.addRow(toString(policy), locales, r.m, notes);
+      table.addRow(row.label, locales, r.m, notes);
       if (locales == 8) {
-        if (policy == RemoteRetirePolicy::per_op_am) at8_per_op = r;
-        if (policy == RemoteRetirePolicy::aggregated) at8_aggregated = r;
+        if (row.one_per_batch) {
+          at8_per_op = r;
+        } else if (row.policy == RemoteRetirePolicy::aggregated) {
+          at8_aggregated = r;
+        }
       }
     }
   }

@@ -2,9 +2,12 @@
 // hand-tuned static grid.
 //
 // Three workload shapes, each run at 8 locales across a grid of static
-// aggregator batch thresholds {8, 32, 64, 128, 256} (TuningMode::static_,
-// the pre-tuner behavior) and once under TuningMode::adaptive starting
-// from the default threshold of 64:
+// aggregator batch thresholds {8, 32, 64, 128, 256} and once with the
+// batch tuner free to move, starting from the default threshold of 64. A
+// grid point pins the tuner's clamp to its threshold (tuner_batch_min ==
+// tuner_batch_max == aggregator_ops_per_batch): every target the tuner
+// computes is then the current threshold, so neither the threshold nor
+// the age cutoff moves during the run.
 //
 //   * retire-storm -- fig8-shaped AM-heavy storm: every locale retires
 //                     objects owned by *other* locales under the
@@ -137,17 +140,22 @@ void driveYcsbRead(RobinHoodMap<std::uint64_t>& map, std::uint64_t key_space,
   });
 }
 
+/// `pinned_batch` for a static grid point; kAdaptive for the tuned run.
+constexpr std::uint32_t kAdaptive = 0;
+
 RunResult runShape(Shape shape, std::uint32_t locales,
                    std::uint64_t ops_per_locale, std::uint32_t tasks,
-                   TuningMode mode, std::uint32_t static_batch) {
+                   std::uint32_t pinned_batch) {
   RuntimeConfig cfg = benchConfig(locales, CommMode::none, tasks);
-  cfg.tuning_mode = mode;
-  // Static runs sweep the hand-tuned threshold; the adaptive run starts
-  // from the stock default and must find its own.
-  cfg.aggregator_ops_per_batch =
-      mode == TuningMode::static_ ? static_batch : 64;
-  if (shape == Shape::retire_storm) {
-    cfg.remote_retire = RemoteRetirePolicy::aggregated;
+  // Static runs sweep the hand-tuned threshold with the clamp pinned to
+  // it; the adaptive run starts from the stock default and must find its
+  // own.
+  if (pinned_batch == kAdaptive) {
+    cfg.aggregator_ops_per_batch = 64;
+  } else {
+    cfg.aggregator_ops_per_batch = pinned_batch;
+    cfg.tuner_batch_min = pinned_batch;
+    cfg.tuner_batch_max = pinned_batch;
   }
   Runtime rt(cfg);
   DistDomain domain = DistDomain::create();
@@ -205,7 +213,7 @@ RunResult runShape(Shape shape, std::uint32_t locales,
 /// min-vs-min is a fair, stable comparison of what each config can do.
 RunResult runShapeBest(Shape shape, std::uint32_t locales,
                        std::uint64_t ops_per_locale, std::uint32_t tasks,
-                       TuningMode mode, std::uint32_t static_batch) {
+                       std::uint32_t pinned_batch) {
   // Scheduling noise (which worker ships which window) spreads a single
   // config's model time by a few percent, and the grid side of the
   // comparison takes the best of 5 configs x 5 repeats = 25 draws from
@@ -213,11 +221,10 @@ RunResult runShapeBest(Shape shape, std::uint32_t locales,
   // converges on its plateau floor -- the adaptive side draws more so a
   // lucky static draw cannot flunk the 5% bar on noise alone. Runs are
   // ~10 ms wall each; the whole bench stays around a second.
-  const int kRepeats = mode == TuningMode::adaptive ? 12 : 5;
+  const int kRepeats = pinned_batch == kAdaptive ? 12 : 5;
   RunResult best;
   for (int rep = 0; rep < kRepeats; ++rep) {
-    RunResult r =
-        runShape(shape, locales, ops_per_locale, tasks, mode, static_batch);
+    RunResult r = runShape(shape, locales, ops_per_locale, tasks, pinned_batch);
     if (rep == 0 || r.m.model_s < best.m.model_s) best = r;
   }
   return best;
@@ -245,8 +252,7 @@ int main(int argc, char** argv) {
     std::uint32_t best_batch = 0;
     for (std::uint32_t batch : kStaticGrid) {
       const RunResult r = runShapeBest(shape, locales, ops_per_locale,
-                                       opts.tasks_per_locale,
-                                       TuningMode::static_, batch);
+                                       opts.tasks_per_locale, batch);
       char series[64];
       std::snprintf(series, sizeof(series), "%s/static", toString(shape));
       table.addRow(series, batch, r.m, "hand-tuned grid point");
@@ -256,9 +262,7 @@ int main(int argc, char** argv) {
       }
     }
     const RunResult a = runShapeBest(shape, locales, ops_per_locale,
-                                     opts.tasks_per_locale,
-                                     TuningMode::adaptive,
-                                     /*static_batch=*/0);
+                                     opts.tasks_per_locale, kAdaptive);
     char series[64];
     std::snprintf(series, sizeof(series), "%s/adaptive", toString(shape));
     // A zero resize gauge means every observation landed inside the

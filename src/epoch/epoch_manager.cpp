@@ -162,14 +162,6 @@ void EpochManagerImpl::deferDelete(Token* token, void* obj,
   sim::charge(Runtime::get().config().latency.cpu_atomic_ns * 3);
 }
 
-void EpochManagerImpl::insertRemoteRetire(void* obj, ObjectDeleter deleter) {
-  LimboNode* node = node_pool_.acquire(obj, deleter);
-  const std::uint64_t e = locale_epoch_.load(std::memory_order_seq_cst);
-  limbo_[limboIndexFor(e)].push(node);
-  notePendingAfterDefer(1);
-  sim::charge(Runtime::get().config().latency.cpu_atomic_ns * 3);
-}
-
 void EpochManagerImpl::insertRemoteRetires(
     const std::vector<ScatterEntry>& entries) {
   if (entries.empty()) return;
@@ -259,14 +251,6 @@ void EpochToken::deferDeleteRaw(void* obj, ObjectDeleter deleter) {
     return;
   }
   PGASNB_CHECK_MSG(pinned(), "deferDelete requires a pinned token");
-  if (policy == RemoteRetirePolicy::per_op_am) {
-    // Naive async path: one active message per retire.
-    auto handle = handle_;
-    comm::amAsync(owner, [handle, obj, deleter] {
-      handle.local().insertRemoteRetire(obj, deleter);
-    });
-    return;
-  }
   // Aggregated: buffer per destination, ship batches through the task's
   // comm::Aggregator once the batch fills (or at unpin/release/tryReclaim).
   if (pending_remote_.empty()) pending_remote_.resize(rt.numLocales());

@@ -103,15 +103,12 @@ class EpochManagerImpl {
     ObjectDeleter deleter;
   };
 
-  /// Insert one retire shipped from another locale into this locale's
-  /// current-epoch limbo list. Runs on the progress thread (per-op AM path).
-  /// Inserting at the *receiver's* epoch is safe regardless of sender lag:
-  /// it can only delay the object past more grace periods, never fewer.
-  void insertRemoteRetire(void* obj, ObjectDeleter deleter);
-
-  /// Bulk flavor for aggregated retires: acquires limbo nodes for every
+  /// Insert a batch of aggregated retires shipped from another locale into
+  /// this locale's current-epoch limbo list: acquires limbo nodes for every
   /// entry, pre-links them, and splices the chain with ONE exchange
-  /// (LimboList::pushChain).
+  /// (LimboList::pushChain). Runs on the progress thread. Inserting at the
+  /// *receiver's* epoch is safe regardless of sender lag: it can only delay
+  /// the objects past more grace periods, never fewer.
   void insertRemoteRetires(const std::vector<ScatterEntry>& entries);
 
   // --- reclamation machinery (called by free functions below) -----------

@@ -697,16 +697,14 @@ void Aggregator::adoptRuntime() {
     // (Re)arm the adaptive batch-sizing policy for this runtime generation.
     // Only the thread's *task* aggregator adapts ("each task Aggregator"):
     // a hand-made Aggregator with an explicit threshold is a hand-tuned
-    // instrument and keeps its number bit-for-bit, as does every
-    // aggregator under TuningMode::static_.
+    // instrument and keeps its number bit-for-bit.
     tuner::BatchTuner::Config tc;
     tc.base_batch = ops_per_batch_;
     tc.base_age_ns = max_batch_age_ns_;
     tc.min_batch = cfg.tuner_batch_min;
     tc.max_batch = cfg.tuner_batch_max;
     tc.batch_overhead_ns = cfg.latency.am_wire_ns + cfg.latency.am_service_ns;
-    tc.adaptive = cfg.tuning_mode == TuningMode::adaptive && !configured_ &&
-                  this == &taskAggregator();
+    tc.adaptive = !configured_ && this == &taskAggregator();
     tuner_.reset(tc);
   }
   if (ops_per_batch_ == 0) ops_per_batch_ = 1;

@@ -191,10 +191,10 @@ void throttleDeferredBacklog();
 std::chrono::microseconds cqParkSlice() noexcept;
 
 /// Per-queue parking slice (runtime/tuner.cpp): the configured base slice
-/// in static tuning mode; under TuningMode::adaptive, scaled to the
-/// queue's observed completion inter-arrival EWMA and clamped to
-/// [base/8 (>= 1), 4x base] -- hot queues poll tightly, quiet queues
-/// sleep. Slice *changes* are counted in tuner_slice_adjusts.
+/// scaled to the queue's observed completion inter-arrival EWMA and
+/// clamped to [base/8 (>= 1), 4x base] -- hot queues poll tightly, quiet
+/// queues sleep; an unseeded EWMA keeps the base. Slice *changes* are
+/// counted in tuner_slice_adjusts.
 std::chrono::microseconds cqParkSliceFor(CqShared& q) noexcept;
 
 /// Tuner counter hooks (counters live in comm.cpp): a published adaptive
@@ -754,9 +754,8 @@ class CompletionQueue {
 
   /// One bounded parking slice on this queue's condition variable (woken
   /// early by a completion landing here or the outstanding count reaching
-  /// 0). The slice is per-queue: adaptive tuning scales it to the queue's
-  /// observed completion inter-arrival EWMA (static mode keeps the
-  /// configured base).
+  /// 0). The slice is per-queue: the tuner scales it to the queue's
+  /// observed completion inter-arrival EWMA (cqParkSliceFor).
   void park() {
     const auto slice = detail::cqParkSliceFor(*state_);
     std::unique_lock<std::mutex> g(state_->lock);
@@ -961,12 +960,13 @@ class Aggregator {
   /// pending() count -- the drain scheduler's helped-body flush gate.
   std::uint64_t bufferedEnqueues() const noexcept { return buffered_enqueues_; }
 
-  /// The *effective* batch threshold. Starts at the configured value; under
-  /// TuningMode::adaptive the task aggregator resizes it toward the
-  /// amortization knee at each flush observation (see runtime/tuner.hpp).
-  /// Hand-made aggregators (explicit ops_per_batch) and static mode keep
-  /// the configured value for the whole run. The backpressure overflow
-  /// valve (4x) tracks this effective value, not the config.
+  /// The *effective* batch threshold. Starts at the configured value; the
+  /// task aggregator resizes it toward the amortization knee at each
+  /// threshold/age flush observation, inside [tuner_batch_min,
+  /// tuner_batch_max] (see runtime/tuner.hpp). Hand-made aggregators
+  /// (explicit ops_per_batch) keep the configured value for the whole run.
+  /// The backpressure overflow valve (4x) tracks this effective value, not
+  /// the config.
   std::size_t opsPerBatch() const noexcept { return ops_per_batch_; }
 
   /// The adaptive batch-sizing policy state (diagnostics and tests): gap
@@ -1015,9 +1015,9 @@ class Aggregator {
   std::size_t ops_per_batch_;
   bool configured_;
   std::uint64_t max_batch_age_ns_ = 0;
-  /// Adaptive batch sizing (armed at adoptRuntime for the task aggregator
-  /// under TuningMode::adaptive; inert otherwise). flush() feeds it each
-  /// shipped batch and republishes ops_per_batch_/max_batch_age_ns_.
+  /// Adaptive batch sizing (armed at adoptRuntime for the task aggregator;
+  /// inert for hand-made ones). flush() feeds it each shipped batch and
+  /// republishes ops_per_batch_/max_batch_age_ns_.
   tuner::BatchTuner tuner_;
   /// Earliest (first_op_time + max age) across non-empty buckets; enqueues
   /// only pay the full aged-bucket sweep once this has passed.

@@ -30,27 +30,10 @@ const char* toString(RemoteRetirePolicy policy) noexcept {
   switch (policy) {
     case RemoteRetirePolicy::scatter:
       return "scatter";
-    case RemoteRetirePolicy::per_op_am:
-      return "per-op-am";
     case RemoteRetirePolicy::aggregated:
       return "aggregated";
   }
   return "?";
-}
-
-RemoteRetirePolicy parseRemoteRetirePolicy(const std::string& text,
-                                           RemoteRetirePolicy def) {
-  std::string lower(text);
-  std::transform(lower.begin(), lower.end(), lower.begin(),
-                 [](unsigned char c) { return std::tolower(c); });
-  if (lower == "scatter") return RemoteRetirePolicy::scatter;
-  if (lower == "per-op-am" || lower == "per_op_am" || lower == "perop") {
-    return RemoteRetirePolicy::per_op_am;
-  }
-  if (lower == "aggregated" || lower == "agg") {
-    return RemoteRetirePolicy::aggregated;
-  }
-  return def;
 }
 
 const char* toString(ReclaimMode mode) noexcept {
@@ -69,25 +52,6 @@ ReclaimMode parseReclaimMode(const std::string& text, ReclaimMode def) {
                  [](unsigned char c) { return std::tolower(c); });
   if (lower == "ebr" || lower == "epoch") return ReclaimMode::ebr;
   if (lower == "interval" || lower == "ibr") return ReclaimMode::interval;
-  return def;
-}
-
-const char* toString(TuningMode mode) noexcept {
-  switch (mode) {
-    case TuningMode::static_:
-      return "static";
-    case TuningMode::adaptive:
-      return "adaptive";
-  }
-  return "?";
-}
-
-TuningMode parseTuningMode(const std::string& text, TuningMode def) {
-  std::string lower(text);
-  std::transform(lower.begin(), lower.end(), lower.begin(),
-                 [](unsigned char c) { return std::tolower(c); });
-  if (lower == "static" || lower == "off") return TuningMode::static_;
-  if (lower == "adaptive" || lower == "on") return TuningMode::adaptive;
   return def;
 }
 
@@ -115,9 +79,6 @@ RuntimeConfig RuntimeConfig::fromEnv() {
   if (const char* v = envOrNull("PGASNB_DELAY_SCALE")) {
     cfg.latency.delay_scale = std::strtod(v, nullptr);
   }
-  if (const char* v = envOrNull("PGASNB_REMOTE_RETIRE")) {
-    cfg.remote_retire = parseRemoteRetirePolicy(v, cfg.remote_retire);
-  }
   if (const char* v = envOrNull("PGASNB_RETIRE_BATCH")) {
     cfg.retire_batch_size =
         static_cast<std::uint32_t>(std::strtoul(v, nullptr, 0));
@@ -132,9 +93,6 @@ RuntimeConfig RuntimeConfig::fromEnv() {
   if (const char* v = envOrNull("PGASNB_CQ_PARK_SLICE")) {
     cfg.cq_park_slice_us =
         static_cast<std::uint32_t>(std::strtoul(v, nullptr, 0));
-  }
-  if (const char* v = envOrNull("PGASNB_TUNING")) {
-    cfg.tuning_mode = parseTuningMode(v, cfg.tuning_mode);
   }
   if (const char* v = envOrNull("PGASNB_TUNER_BATCH_MIN")) {
     cfg.tuner_batch_min =
@@ -171,7 +129,6 @@ std::string RuntimeConfig::describe() const {
      << " comm=" << toString(comm_mode)
      << " retire=" << toString(remote_retire)
      << " reclaim=" << toString(reclaim_mode)
-     << " tuning=" << toString(tuning_mode)
      << " drain_cap=" << drain_deferred_cap
      << " rh_resize_load=" << rh_resize_load
      << " rh_migrate_chunk=" << rh_migrate_chunk

@@ -34,22 +34,14 @@ CommMode parseCommMode(const std::string& text, CommMode def = CommMode::none);
 ///   * scatter    - paper baseline: push into the *local* limbo list; the
 ///                  reclaim pass sorts objects by owner and bulk-transfers
 ///                  each bucket (communication deferred to reclaim time).
-///   * per_op_am  - one active message per retire, inserted into the
-///                  owner's limbo list immediately (the naive async path).
 ///   * aggregated - per-task batching + comm::Aggregator: retires coalesce
 ///                  into one batched AM per destination (default).
 enum class RemoteRetirePolicy : std::uint8_t {
   scatter,
-  per_op_am,
   aggregated,
 };
 
 const char* toString(RemoteRetirePolicy policy) noexcept;
-
-/// Parses "scatter"/"per-op-am"/"aggregated" (case-insensitive).
-RemoteRetirePolicy parseRemoteRetirePolicy(
-    const std::string& text,
-    RemoteRetirePolicy def = RemoteRetirePolicy::aggregated);
 
 /// Which reclamation protocol DistDomain-style structures should default
 /// to in harnesses that honor it (benches, stress tests):
@@ -68,30 +60,6 @@ const char* toString(ReclaimMode mode) noexcept;
 /// Parses "ebr"/"interval" (case-insensitive); falls back to `def`.
 ReclaimMode parseReclaimMode(const std::string& text,
                              ReclaimMode def = ReclaimMode::ebr);
-
-/// Whether the runtime's self-tuning control loop (runtime/tuner.hpp) is
-/// closed:
-///   * static_  - every knob keeps its configured value for the whole run:
-///                aggregator batch threshold/age, CompletionQueue park
-///                slice, and uniform-random steal-victim rotation behave
-///                exactly as they did before the tuner existed.
-///   * adaptive - the runtime observes itself and retunes: each task
-///                Aggregator resizes its batch threshold (and age cutoff)
-///                toward the amortization knee implied by the EWMA of
-///                observed per-op enqueue gaps (Hart et al., IPDPS'06);
-///                DrainGroup steals pick victims by published ready depth
-///                (power-of-two-choices); CompletionQueue park slices track
-///                the EWMA of completion inter-arrival times.
-enum class TuningMode : std::uint8_t {
-  static_,
-  adaptive,
-};
-
-const char* toString(TuningMode mode) noexcept;
-
-/// Parses "static"/"adaptive" (case-insensitive); falls back to `def`.
-TuningMode parseTuningMode(const std::string& text,
-                           TuningMode def = TuningMode::adaptive);
 
 struct RuntimeConfig {
   /// Number of simulated locales (compute nodes). The pointer-compression
@@ -146,16 +114,13 @@ struct RuntimeConfig {
   /// batches. 0 = uncapped (no throttling).
   std::uint32_t drain_deferred_cap = 4096;
 
-  /// Self-tuning control loop (see TuningMode). `adaptive` closes the
-  /// feedback loop over the comm counters; `static` preserves the exact
-  /// pre-tuner behavior of every knob above.
-  TuningMode tuning_mode = TuningMode::adaptive;
-
-  /// Adaptive batch sizing: clamp bounds for the effective batch threshold
-  /// a task Aggregator may tune itself to. The configured
-  /// aggregator_ops_per_batch stays the starting point either way; resizes
+  /// Adaptive batch sizing (runtime/tuner.hpp): clamp bounds for the
+  /// effective batch threshold a task Aggregator may tune itself to. The
+  /// configured aggregator_ops_per_batch stays the starting point; resizes
   /// never leave [tuner_batch_min, tuner_batch_max]. min 0 is treated as 1;
-  /// max below min is raised to min.
+  /// max below min is raised to min. Pinning min == max ==
+  /// aggregator_ops_per_batch holds the threshold and age cutoff at their
+  /// configured values for the whole run.
   std::uint32_t tuner_batch_min = 8;
   std::uint32_t tuner_batch_max = 1024;
 
@@ -180,13 +145,14 @@ struct RuntimeConfig {
   std::size_t arena_bytes_per_locale = std::size_t{64} << 20;
 
   /// Reads PGASNB_NUM_LOCALES, PGASNB_COMM_MODE, PGASNB_WORKERS,
-  /// PGASNB_INJECT_DELAYS, PGASNB_DELAY_SCALE, PGASNB_REMOTE_RETIRE,
-  /// PGASNB_RECLAIM_MODE, PGASNB_INTERVAL_ERA_FREQ, PGASNB_RETIRE_BATCH,
+  /// PGASNB_INJECT_DELAYS, PGASNB_DELAY_SCALE, PGASNB_RECLAIM_MODE,
+  /// PGASNB_INTERVAL_ERA_FREQ, PGASNB_RETIRE_BATCH,
   /// PGASNB_AGG_OPS_PER_BATCH, PGASNB_AGG_MAX_BATCH_AGE,
-  /// PGASNB_CQ_PARK_SLICE, PGASNB_DRAIN_DEFERRED_CAP, PGASNB_TUNING,
+  /// PGASNB_CQ_PARK_SLICE, PGASNB_DRAIN_DEFERRED_CAP,
   /// PGASNB_TUNER_BATCH_MIN, PGASNB_TUNER_BATCH_MAX,
   /// PGASNB_RH_RESIZE_LOAD, PGASNB_RH_MIGRATE_CHUNK on top of the
-  /// defaults.
+  /// defaults. The remote-retire policy has no variable: it is chosen in
+  /// code (cfg.remote_retire).
   static RuntimeConfig fromEnv();
 
   std::string describe() const;

@@ -138,17 +138,16 @@ class DrainGroup {
   }
 
   /// Steal one ready completion from any enrolled sibling other than
-  /// `self` (which may be null for an anonymous stealer). In static tuning
-  /// mode victims are probed in randomized rotation order so concurrent
-  /// stealers spread instead of hammering one queue. In adaptive mode
-  /// (setTuningAdaptive) the steal is load-aware: two distinct victims are
-  /// sampled and the one with the deeper published ready depth is tried
-  /// first (power-of-two-choices; outstanding watches break ties), falling
-  /// back to the randomized rotation when the depths tie or the pick raced
-  /// empty -- so stealers drain the deepest backlog first. The stolen
-  /// completion leaves the victim's outstanding count exactly like an
-  /// owner pop (releasing its blocked consumers when it was the last one).
-  /// Never blocks; the caller folds `out.join` into its own clock.
+  /// `self` (which may be null for an anonymous stealer). The steal is
+  /// load-aware: two distinct victims are sampled and the one with the
+  /// deeper published ready depth is tried first (power-of-two-choices;
+  /// outstanding watches break ties), falling back to a randomized
+  /// rotation -- so concurrent stealers spread instead of hammering one
+  /// queue -- when the depths tie or the pick raced empty. Stealers thus
+  /// drain the deepest backlog first. The stolen completion leaves the
+  /// victim's outstanding count exactly like an owner pop (releasing its
+  /// blocked consumers when it was the last one). Never blocks; the caller
+  /// folds `out.join` into its own clock.
   bool stealReady(const detail::CqShared* self, detail::ReadyCompletion& out) {
     auto& victims = siblingScratch();
     snapshotSiblings(self, victims);
@@ -156,7 +155,7 @@ class DrainGroup {
     if (!victims.empty()) {
       const std::size_t n = victims.size();
       const std::size_t start = stealRng().nextBelow(n);
-      if (tuning_adaptive_.load(std::memory_order_relaxed) && n >= 2) {
+      if (n >= 2) {
         // Two choices: `start` plus one other distinct victim.
         std::size_t other = stealRng().nextBelow(n - 1);
         if (other >= start) ++other;
@@ -303,18 +302,6 @@ class DrainGroup {
     return deferred_cap_;
   }
 
-  /// Switch steal-victim selection between randomized rotation (false, the
-  /// pre-tuner behavior, bit-for-bit) and the load-aware two-choice pick
-  /// (true). Wired by the Runtime from RuntimeConfig::tuning_mode, like
-  /// setDeferredCap.
-  void setTuningAdaptive(bool adaptive) noexcept {
-    tuning_adaptive_.store(adaptive, std::memory_order_relaxed);
-  }
-
-  bool tuningAdaptive() const noexcept {
-    return tuning_adaptive_.load(std::memory_order_relaxed);
-  }
-
   /// True once the queue is at half the cap or beyond: producers start
   /// throttling early enough that batches already in flight land under the
   /// cap itself.
@@ -417,7 +404,6 @@ class DrainGroup {
   std::vector<std::weak_ptr<detail::CqShared>> queues_;
   std::deque<std::function<void()>> deferred_;
   std::size_t deferred_cap_ = 0;
-  std::atomic<bool> tuning_adaptive_{false};
   std::function<void()> wake_hook_;
 };
 

@@ -4,6 +4,7 @@
 
 #include <atomic>
 
+#include "atomic/pointer_compression.hpp"
 #include "util/check.hpp"
 
 namespace pgasnb {
@@ -21,6 +22,9 @@ Runtime::Runtime(RuntimeConfig config)
                                                  std::memory_order_relaxed) +
                   1) {
   PGASNB_CHECK_MSG(config_.num_locales >= 1, "need at least one locale");
+  PGASNB_CHECK_MSG(config_.num_locales <= kMaxCompressedLocales,
+                   "num_locales exceeds the 2^16 locales pointer compression "
+                   "can address");
   PGASNB_CHECK_MSG(config_.workers_per_locale >= 1,
                    "need at least one worker per locale");
 
@@ -45,8 +49,6 @@ Runtime::Runtime(RuntimeConfig config)
         l, heap_base_ + static_cast<std::size_t>(l) * per_locale_bytes_,
         per_locale_bytes_, config_.workers_per_locale));
     locales_.back()->drainGroup().setDeferredCap(config_.drain_deferred_cap);
-    locales_.back()->drainGroup().setTuningAdaptive(config_.tuning_mode ==
-                                                    TuningMode::adaptive);
   }
   // Threads are started only after the locale table is complete: progress
   // threads and workers call Runtime::get() and locale() freely.

@@ -1,6 +1,6 @@
 // Runtime-facing half of the self-tuning control loop: the park-slice
-// policy needs the active RuntimeConfig (base slice + tuning mode), so it
-// lives here rather than in the std-only tuner.hpp.
+// policy needs the active RuntimeConfig (base slice), so it lives here
+// rather than in the std-only tuner.hpp.
 
 #include "runtime/tuner.hpp"
 
@@ -12,15 +12,9 @@
 namespace pgasnb::comm::detail {
 
 std::chrono::microseconds cqParkSliceFor(CqShared& q) noexcept {
-  std::uint32_t base = RuntimeConfig{}.cq_park_slice_us;
-  bool adaptive = false;
-  if (Runtime::active()) {
-    const RuntimeConfig& cfg = Runtime::get().config();
-    base = cfg.cq_park_slice_us;
-    adaptive = cfg.tuning_mode == TuningMode::adaptive;
-  }
-  if (base == 0) base = 1;
-  if (!adaptive) return std::chrono::microseconds(base);
+  const std::uint32_t base = Runtime::active()
+                                 ? Runtime::get().config().cq_park_slice_us
+                                 : RuntimeConfig{}.cq_park_slice_us;
   const std::uint32_t slice = tuner::scaledParkSliceUs(
       q.ewma_gap_ns.load(std::memory_order_relaxed), base);
   // Count decisions, not probes: a parker re-reading the same slice is

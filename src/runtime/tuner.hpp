@@ -25,9 +25,11 @@
 // Everything here is plain arithmetic on one thread's state -- the classes
 // are not thread-safe and not runtime-dependent (std only), so the policies
 // are unit-testable without a Runtime. The wiring (who observes, who reads
-// the decisions, the TuningMode gate that keeps `static` mode bit-for-bit
-// identical to the pre-tuner behavior) lives in comm.{hpp,cpp} and
-// drain_group.hpp.
+// the decisions, which aggregators adapt at all) lives in comm.{hpp,cpp}
+// and drain_group.hpp. The loop is always closed; a caller that wants a
+// fixed batch threshold pins the clamp (tuner_batch_min ==
+// tuner_batch_max == aggregator_ops_per_batch), which holds a task
+// aggregator's threshold and age cutoff at their configured values.
 #pragma once
 
 #include <algorithm>
@@ -86,10 +88,11 @@ class Ewma {
 /// band, so the threshold converges within a few batches of a workload
 /// shift without flapping between adjacent sizes on a steady workload.
 ///
-/// In static mode (adaptive=false) observeBatch() is a no-op and the
-/// effective values stay exactly the configured base -- including a base
-/// outside the clamp bounds (hand-tuned aggregators keep their numbers
-/// bit-for-bit).
+/// With adaptive=false (hand-made aggregators) observeBatch() is a no-op
+/// and the effective values stay exactly the configured base -- including
+/// a base outside the clamp bounds. With min_batch == max_batch ==
+/// base_batch every target equals the current threshold, so observeBatch()
+/// never moves the threshold or the age cutoff either.
 class BatchTuner {
  public:
   struct Config {
@@ -115,7 +118,7 @@ class BatchTuner {
   /// nanoseconds from first enqueue to ship. Returns true when the
   /// observation moved the effective threshold (callers publish the resize
   /// to the counters). Single-op batches carry no gap information and are
-  /// ignored; in static mode this never does anything.
+  /// ignored; with adaptive=false this never does anything.
   bool observeBatch(std::size_t ops, std::uint64_t span_ns) noexcept {
     if (!cfg_.adaptive || ops < 2) return false;
     const double gap = std::max(

@@ -180,7 +180,6 @@ TEST_F(BackpressureTest, OverflowValveTracksTheAdaptiveThreshold) {
   // With base 8 shrunk to 2, a held bucket must ship at 4 * 2 = 8 buffered
   // ops -- under the old behavior it would sit on 4 * 8 = 32.
   RuntimeConfig cfg = testing::testConfig(2, CommMode::none, /*workers=*/1);
-  cfg.tuning_mode = TuningMode::adaptive;
   cfg.aggregator_ops_per_batch = 8;
   cfg.tuner_batch_min = 2;
   runtime_ = std::make_unique<Runtime>(cfg);

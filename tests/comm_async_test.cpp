@@ -233,12 +233,9 @@ TEST_F(CommAsyncTest, CompletionQueueDrainsInFifoCompletionOrder) {
 }
 
 TEST_F(CommAsyncTest, StealAndContinuationCountersSnapshotAndReset) {
-  // Runs under the adaptive tuner regardless of the suite-wide PGASNB_TUNING
-  // leg: the test drives tuner decisions and asserts their counters/gauges
+  // The test drives tuner decisions and asserts their counters/gauges
   // round-trip through snapshot and reset with everything else.
-  RuntimeConfig cfg = testing::testConfig(2);
-  cfg.tuning_mode = TuningMode::adaptive;
-  runtime_ = std::make_unique<Runtime>(cfg);
+  startRuntime(2);
   // One steal between two enrolled queues: everything lands in `other`,
   // so nextAny must take it from there.
   comm::CompletionQueue mine;
@@ -517,7 +514,7 @@ TEST_F(CommAsyncTest, RetireCountDivisibleByBatchSizeStillShipsOnUnpin) {
   domain.destroy();
 }
 
-/// All three retire policies must agree on observable behavior: everything
+/// Both retire policies must agree on observable behavior: everything
 /// deferred, everything reclaimed on its owner, nothing freed early.
 class RetirePolicyTest
     : public ::testing::TestWithParam<RemoteRetirePolicy> {};
@@ -550,14 +547,9 @@ TEST_P(RetirePolicyTest, CrossLocaleRetiresReclaimEverywhere) {
 
 INSTANTIATE_TEST_SUITE_P(Policies, RetirePolicyTest,
                          ::testing::Values(RemoteRetirePolicy::scatter,
-                                           RemoteRetirePolicy::per_op_am,
                                            RemoteRetirePolicy::aggregated),
                          [](const auto& info) {
-                           std::string name = toString(info.param);
-                           for (auto& c : name) {
-                             if (c == '-') c = '_';
-                           }
-                           return name;
+                           return std::string(toString(info.param));
                          });
 
 // --- async data-structure operations ----------------------------------------

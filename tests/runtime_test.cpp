@@ -115,6 +115,12 @@ TEST_F(RuntimeAddressTest, LocaleTableBounds) {
   EXPECT_DEATH((void)runtime_->locale(2), "out of range");
 }
 
+TEST(RuntimeLifecycle, LocaleCountBeyondPointerCompressionRejected) {
+  // Locale ids must fit the compressed-pointer locale field; a larger count
+  // fails at construction, before the heap is reserved or threads start.
+  EXPECT_DEATH({ Runtime rt(testConfig(70'000)); }, "pointer compression");
+}
+
 TEST(RuntimeLifecycle, SecondRuntimeRejected) {
   Runtime rt(testConfig(1));
   EXPECT_DEATH({ Runtime second(testConfig(1)); }, "already active");

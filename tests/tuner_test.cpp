@@ -1,7 +1,7 @@
 // The self-tuning control loop (ISSUE 10): EWMA arithmetic, the batch
 // tuner's amortization-knee convergence and clamps, park-slice scaling,
-// the two-choice steal pick, and the TuningMode gate that keeps `static`
-// mode bit-for-bit identical to the pre-tuner knobs.
+// the two-choice steal pick, and the pinned clamp that holds a task
+// aggregator at its configured threshold.
 #include <atomic>
 #include <cstdint>
 
@@ -130,7 +130,7 @@ TEST(BatchTunerTest, ClampsToMaxOnHotProduction) {
   EXPECT_EQ(t.effectiveBatch(), 96u);
 }
 
-TEST(BatchTunerTest, StaticModeNeverMoves) {
+TEST(BatchTunerTest, NonAdaptiveTunerNeverMoves) {
   BatchTuner::Config cfg = adaptiveConfig();
   cfg.adaptive = false;
   cfg.base_batch = 4;  // outside [min, max] on purpose: kept bit-for-bit
@@ -225,7 +225,6 @@ std::shared_ptr<comm::detail::CqShared> madeReady(std::size_t count,
 TEST(TwoChoiceStealTest, AdaptivePickDrainsTheDeeperSiblingFirst) {
   comm::resetCounters();
   comm::DrainGroup group;
-  group.setTuningAdaptive(true);
   auto deep = madeReady(3, 100);
   auto shallow = madeReady(1, 900);
   group.enroll(deep);
@@ -250,56 +249,45 @@ TEST(TwoChoiceStealTest, AdaptivePickDrainsTheDeeperSiblingFirst) {
   EXPECT_EQ(after.cq_stolen, 3u);
 }
 
-TEST(TwoChoiceStealTest, StaticModeStealsWithoutDepthGuidance) {
-  comm::resetCounters();
-  comm::DrainGroup group;  // tuning_adaptive defaults to false
-  auto deep = madeReady(3, 100);
-  auto shallow = madeReady(1, 900);
-  group.enroll(deep);
-  group.enroll(shallow);
-  comm::detail::ReadyCompletion out;
-  for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(group.stealReady(nullptr, out));
-  }
-  EXPECT_FALSE(group.stealReady(nullptr, out));
-  const comm::Counters snap = comm::counters();
-  EXPECT_EQ(snap.cq_stolen, 4u);
-  EXPECT_EQ(snap.steal_depth_hits, 0u);
-  EXPECT_EQ(snap.steal_random_fallbacks, 0u);
-}
-
 // --- runtime wiring ---------------------------------------------------------
 
-TEST_F(TunerTest, StaticModeKeepsTheConfiguredKnobsBitForBit) {
+TEST_F(TunerTest, PinnedClampHoldsTheConfiguredThresholdAndAge) {
+  // min == max == base: every target the tuner can compute is the current
+  // threshold, so a task aggregator ships fixed-size batches with a fixed
+  // age cutoff. fig8's one-AM-per-retire row and fig_tuning_ablation's
+  // hand-tuned grid both rely on this.
   RuntimeConfig cfg = testing::testConfig(2);
-  cfg.tuning_mode = TuningMode::static_;
+  cfg.aggregator_ops_per_batch = 32;
+  cfg.tuner_batch_min = 32;
+  cfg.tuner_batch_max = 32;
   runtime_ = std::make_unique<Runtime>(cfg);
   comm::Aggregator& agg = comm::taskAggregator();
   agg.enqueue(1, [] {});  // first enqueue adopts the new runtime's config
-  EXPECT_FALSE(agg.batchTuner().adaptive());
-  EXPECT_EQ(agg.opsPerBatch(), cfg.aggregator_ops_per_batch);
-  // Sparse production that would drag an adaptive aggregator to its
-  // minimum: the static threshold must not budge.
+  EXPECT_TRUE(agg.batchTuner().adaptive());
+  EXPECT_EQ(agg.opsPerBatch(), 32u);
+  const std::uint64_t age = agg.batchTuner().effectiveAgeNs();
+  EXPECT_EQ(age, cfg.aggregator_max_batch_age_ns);
+  // Sparse production that drags an unpinned aggregator to its minimum
+  // (AdaptiveTaskAggregatorShrinksOnSparseProduction): the pinned
+  // threshold and age cutoff must not budge.
   std::uint64_t t = sim::now();
-  for (int round = 0; round < 4; ++round) {
+  for (int round = 0; round < 12; ++round) {
     for (std::size_t i = 0; i < agg.opsPerBatch(); ++i) {
       t += 1'000'000;
       sim::setNow(t);
       agg.enqueue(1, [] {});
     }
+    agg.flushAll();
   }
-  agg.flushAll();
-  EXPECT_EQ(agg.opsPerBatch(), cfg.aggregator_ops_per_batch);
-  const comm::Counters snap = comm::counters();
-  EXPECT_EQ(snap.tuner_batch_resizes, 0u);
-  EXPECT_EQ(snap.tuner_slice_adjusts, 0u);
-  EXPECT_EQ(snap.steal_depth_hits, 0u);
-  EXPECT_EQ(snap.steal_random_fallbacks, 0u);
+  EXPECT_TRUE(agg.batchTuner().gapEwma().seeded());
+  EXPECT_EQ(agg.opsPerBatch(), 32u);
+  EXPECT_EQ(agg.batchTuner().effectiveBatch(), 32u);
+  EXPECT_EQ(agg.batchTuner().effectiveAgeNs(), age);
+  EXPECT_EQ(comm::counters().tuner_batch_resizes, 0u);
 }
 
 TEST_F(TunerTest, AdaptiveTaskAggregatorShrinksOnSparseProduction) {
   RuntimeConfig cfg = testing::testConfig(2);
-  cfg.tuning_mode = TuningMode::adaptive;
   runtime_ = std::make_unique<Runtime>(cfg);
   comm::Aggregator& agg = comm::taskAggregator();
   agg.enqueue(1, [] {});  // first enqueue adopts the new runtime's config
@@ -324,10 +312,8 @@ TEST_F(TunerTest, AdaptiveTaskAggregatorShrinksOnSparseProduction) {
   EXPECT_EQ(snap.tuner_effective_batch, agg.opsPerBatch());
 }
 
-TEST_F(TunerTest, HandMadeAggregatorsStayStaticUnderAdaptiveMode) {
-  RuntimeConfig cfg = testing::testConfig(2);
-  cfg.tuning_mode = TuningMode::adaptive;
-  runtime_ = std::make_unique<Runtime>(cfg);
+TEST_F(TunerTest, HandMadeAggregatorsKeepTheirThreshold) {
+  startRuntime(2);
   comm::Aggregator agg(16);  // explicit threshold: a hand-tuned instrument
   EXPECT_FALSE(agg.batchTuner().adaptive());
   std::uint64_t t = sim::now();
@@ -347,7 +333,6 @@ TEST_F(TunerTest, MultiLocaleAdaptationRunStaysCoherent) {
   // siblings steal and park adaptively. Exercises the telemetry publishes
   // (ready_depth, ewma_gap_ns, last_slice_us) against concurrent readers.
   RuntimeConfig cfg = testing::testConfig(4, CommMode::none, 2);
-  cfg.tuning_mode = TuningMode::adaptive;
   runtime_ = std::make_unique<Runtime>(cfg);
   std::atomic<std::uint64_t> ran{0};
   coforallLocales([&] {
