@@ -133,8 +133,8 @@ class DistStack {
   /// Non-blocking pop via operation shipping: the whole pop loop runs on
   /// the stack's home locale -- head read, node snapshot and CAS are all
   /// locale-local there -- under the progress thread's *cached* epoch guard
-  /// (one token registration per (progress thread, domain), pinned per
-  /// handler; see DistDomain::threadGuard). The handle resolves to the
+  /// (one token registration per (progress thread, domain), pinned once
+  /// per AM service; see DistDomain::threadGuard). The handle resolves to the
   /// popped value, or nullopt if the stack was empty at linearization.
   comm::Handle<std::optional<T>> popAsync(Guard& guard) {
     PGASNB_CHECK_MSG(guard.pinned(),

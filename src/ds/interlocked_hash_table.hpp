@@ -144,7 +144,7 @@ class InterlockedHashTable {
   // Each op ships to the key's owning locale as ONE async AM and returns a
   // handle immediately; the handler runs under the progress thread's cached
   // epoch guard (DistDomain::threadGuard -- one token registration per
-  // (progress thread, domain), pinned per handler). Local keys run in place
+  // (progress thread, domain), pinned once per AM service). Local keys run in place
   // and return an already-ready handle. These give the workload harness the
   // same handle-based interface as RobinHoodMap, so both tables can be
   // driven through comm::OpWindow joins.

@@ -671,9 +671,9 @@ class RobinHoodMap {
   // --- guard plumbing ------------------------------------------------------
 
   /// Run `fn(guard)` under a pinned Domain guard. Progress threads reuse
-  /// their thread-cached guard (pin/unpin per op instead of a token
-  /// registration); task threads pin a fresh guard. Do not nest on a
-  /// progress thread: the inner unpin would strip the outer protection.
+  /// their thread-cached guard (one pin per AM service, shared by every op
+  /// of the batch, instead of a token registration per op); task threads
+  /// pin a fresh guard.
   template <typename Fn>
   auto withGuard(Fn&& fn) const {
     if constexpr (Domain::kDistributed) {

@@ -41,6 +41,7 @@
 #include "epoch/epoch_manager.hpp"
 #include "epoch/local_epoch_manager.hpp"
 #include "epoch/reclaim_stats.hpp"
+#include "runtime/active_message.hpp"
 #include "util/backoff.hpp"
 
 namespace pgasnb {
@@ -128,15 +129,34 @@ class BasicGuard {
 using LocalGuard = BasicGuard<LocalEpochToken>;
 using DistGuard = BasicGuard<EpochToken>;
 
-/// RAII pin/unpin of an (attached, typically cached) guard around a scope.
-/// The AM-handler spelling of the guard protocol: progress threads wrap
-/// each handler body in a PinScope over their thread-cached guard, paying
-/// a pin/unpin per handler instead of a token registration per message.
+/// RAII pin of an attached (typically thread-cached) guard around a scope.
+/// The AM-handler spelling of the guard protocol, with two boundaries:
+///   * Inside an AM service on a progress thread (AmServiceScope), the AM
+///     service is the pin boundary: the first scope pins the guard and
+///     registers its unpin as a service-end hook, so a batch of handlers
+///     pays one pin/unpin per (service, domain), the unpin landing before
+///     the service's completion is stamped. The guard must outlive the
+///     service; the thread-cached guard (threadGuard()) does.
+///   * Everywhere else the scope itself is the boundary: pin at entry,
+///     unpin at exit.
+/// Scopes nest: one that finds the guard already pinned neither pins nor
+/// unpins, so an inner scope never strips an outer scope's protection.
 template <typename GuardT>
 class PinScope {
  public:
-  explicit PinScope(GuardT& guard) : guard_(guard) { guard_.pin(); }
-  ~PinScope() { guard_.unpin(); }
+  explicit PinScope(GuardT& guard) : guard_(guard) {
+    if (guard_.pinned()) return;
+    guard_.pin();
+    if (AmServiceScope::active()) {
+      AmServiceScope::atEnd(
+          [](void* g) { static_cast<GuardT*>(g)->unpin(); }, &guard_);
+    } else {
+      owns_pin_ = true;
+    }
+  }
+  ~PinScope() {
+    if (owns_pin_) guard_.unpin();
+  }
   PinScope(const PinScope&) = delete;
   PinScope& operator=(const PinScope&) = delete;
 
@@ -144,6 +164,7 @@ class PinScope {
 
  private:
   GuardT& guard_;
+  bool owns_pin_ = false;
 };
 
 namespace detail {
@@ -267,7 +288,8 @@ class DistDomain {
 
   /// The calling thread's cached attached guard for this domain (one token
   /// registration per (thread, domain), reused across AM handlers). Wrap
-  /// uses in a PinScope: `PinScope<DistGuard> pin(domain.threadGuard());`.
+  /// uses in a PinScope: `PinScope<DistGuard> pin(domain.threadGuard());`
+  /// -- one pin per AM service, however many handlers of the batch use it.
   /// destroy() drops every progress thread's cache entry for this domain.
   /// Progress threads only (checked): task threads must use pin()/attach().
   Guard& threadGuard() const { return detail::threadCachedGuard(manager_); }

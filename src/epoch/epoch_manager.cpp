@@ -16,8 +16,9 @@ namespace pgasnb {
 // append loop, DistStack::popAsync's pop loop) needs an epoch pin on the
 // progress thread. Registering a fresh token per message costs pool atomics
 // and allocated-list churn on the hot path; instead each thread keeps one
-// *attached* guard per domain and pins/unpins it around each handler --
-// Fraser-style cheap per-operation pinning restored for handlers.
+// *attached* guard per domain, and PinScope pins it once per AM service --
+// the handler plus its whole batch -- unpinning at the service's end
+// (quiescent-state style: the service is the natural boundary).
 //
 // Lifetime: entries are keyed by (runtime generation, privatization id).
 // EpochManager::destroy() broadcasts dropThreadCachedGuards() through every
@@ -401,7 +402,7 @@ std::uint64_t epochAdvance(Privatized<EpochManagerImpl> handle) {
     if (epochTryReclaim(handle)) break;
     // Lost the election or the scan found a lagging pinned token; both are
     // transient under the engine's boundary protocol (all engine guards
-    // are unpinned between collectives, handler guards unpin per AM).
+    // are unpinned between collectives, handler guards unpin at the end of each AM service).
     backoff.pause();
   }
   return inst.global_->epoch.read();

@@ -1,11 +1,50 @@
 #include "runtime/active_message.hpp"
 
 #include <algorithm>
+#include <utility>
+#include <vector>
 
 #include "runtime/runtime.hpp"
 #include "runtime/sim_clock.hpp"
+#include "util/check.hpp"
 
 namespace pgasnb {
+
+namespace {
+
+struct ServiceState {
+  bool active = false;
+  std::vector<std::pair<AmServiceScope::Hook, void*>> hooks;
+};
+
+ServiceState& serviceState() {
+  thread_local ServiceState state;
+  return state;
+}
+
+}  // namespace
+
+AmServiceScope::AmServiceScope() {
+  ServiceState& state = serviceState();
+  PGASNB_DCHECK(!state.active && state.hooks.empty());
+  state.active = true;
+}
+
+AmServiceScope::~AmServiceScope() {
+  ServiceState& state = serviceState();
+  // Leave the service first: code a hook runs is outside the batch.
+  state.active = false;
+  for (const auto& [hook, arg] : state.hooks) hook(arg);
+  state.hooks.clear();  // keeps its capacity: no allocation per service
+}
+
+bool AmServiceScope::active() noexcept { return serviceState().active; }
+
+void AmServiceScope::atEnd(Hook hook, void* arg) {
+  ServiceState& state = serviceState();
+  PGASNB_DCHECK(state.active);
+  state.hooks.emplace_back(hook, arg);
+}
 
 ProgressThread::ProgressThread(std::uint32_t locale_id, AmQueue& queue)
     : locale_id_(locale_id), queue_(queue), thread_([this] { run(); }) {}
@@ -30,13 +69,16 @@ void ProgressThread::run() {
     const std::uint64_t start = std::max(arrival, busy_until_);
     sim::setNow(start);
     sim::charge(lat.am_service_ns);
-    if (req.fn) req.fn();
-    // Aggregated payload: the batch already paid its one wire+service
-    // charge above; each op costs only its CPU time at the target.
-    for (auto& op : req.batch) {
-      sim::charge(lat.cpu_atomic_ns);
-      op();
-    }
+    {
+      AmServiceScope service;
+      if (req.fn) req.fn();
+      // Aggregated payload: the batch already paid its one wire+service
+      // charge above; each op costs only its CPU time at the target.
+      for (auto& op : req.batch) {
+        sim::charge(lat.cpu_atomic_ns);
+        op();
+      }
+    }  // service-end hooks (batch-scoped unpins) charge inside the service
     const std::uint64_t end = sim::now();
     busy_until_ = end;
     serviced_.fetch_add(1, std::memory_order_relaxed);

@@ -36,6 +36,31 @@ struct AmRequest {
   std::function<void(std::uint64_t end_sim_time)> on_complete;
 };
 
+/// The AM service the calling progress thread is running: one AmRequest,
+/// its handler plus its whole batch. ProgressThread::run opens one scope per
+/// request. Code inside it may defer work to the service's end with
+/// atEnd(); the hooks run after the last op and before the service-end time
+/// is stamped, so what they charge lands inside the service and the
+/// request's handles resolve only after every hook has run. PinScope uses
+/// this to make the service the pin boundary (epoch/domain.hpp).
+class AmServiceScope {
+ public:
+  using Hook = void (*)(void* arg);
+
+  AmServiceScope();
+  /// Ends the service: runs the registered hooks in registration order.
+  ~AmServiceScope();
+  AmServiceScope(const AmServiceScope&) = delete;
+  AmServiceScope& operator=(const AmServiceScope&) = delete;
+
+  /// True while the calling thread is inside an AM service (and not yet
+  /// running its end hooks).
+  static bool active() noexcept;
+  /// Run `hook(arg)` when the calling thread's service ends. `arg` must
+  /// outlive the service. Requires active().
+  static void atEnd(Hook hook, void* arg);
+};
+
 class AmQueue {
  public:
   void push(AmRequest&& req) {

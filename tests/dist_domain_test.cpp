@@ -1,7 +1,11 @@
-// Distributed domains and arrays: index math properties and forall loops.
+// Distributed domains and arrays: index math properties and forall loops;
+// reclaim-domain guards in AM handlers: nested PinScopes, one pin per AM
+// service, and epoch advances under streaming batches.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "test_support.hpp"
@@ -165,6 +169,180 @@ TEST_F(DistArrayTest, SingleLocaleDegenerateCase) {
         sum.fetch_add(static_cast<int>(i));
       });
   EXPECT_EQ(sum.load(), 45);
+}
+
+// --- handler guards: PinScope nesting and the per-service pin ----------------
+
+class HandlerGuardTest : public RuntimeTest {};
+
+TEST_F(HandlerGuardTest, NestedPinScopesKeepTheOuterPin) {
+  startRuntime(2);
+  DistDomain domain = DistDomain::create();
+  {
+    // Task thread: the scope is the pin boundary.
+    DistGuard guard = domain.attach();
+    {
+      PinScope<DistGuard> outer(guard);
+      { PinScope<DistGuard> inner(guard); }
+      EXPECT_TRUE(guard.pinned())
+          << "the inner scope must not strip the outer scope's pin";
+    }
+    EXPECT_FALSE(guard.pinned());
+  }
+  // Progress thread: the AM service is the boundary, so the cached guard is
+  // quiescent once the service that pinned it has ended.
+  bool pinned_after_inner = false;
+  comm::amSync(1, [&pinned_after_inner, domain] {
+    DistGuard& guard = domain.threadGuard();
+    PinScope<DistGuard> outer(guard);
+    { PinScope<DistGuard> inner(guard); }
+    pinned_after_inner = guard.pinned();
+  });
+  EXPECT_TRUE(pinned_after_inner);
+  bool pinned_after_service = true;
+  comm::amSync(1, [&pinned_after_service, domain] {
+    pinned_after_service = domain.threadGuard().pinned();
+  });
+  EXPECT_FALSE(pinned_after_service);
+  domain.destroy();
+}
+
+/// Ship `n` closures to locale 1 in one hand-made batch, each calling
+/// `op(i)`, and return the batch's completion time minus its send time.
+template <typename Op>
+std::uint64_t timeOneBatch(std::size_t n, Op op) {
+  comm::Aggregator agg(/*ops_per_batch=*/64);
+  std::vector<comm::Handle<>> handles;
+  for (std::size_t i = 0; i < n; ++i) {
+    handles.push_back(agg.enqueueHandle(1, [op, i] { op(i); }));
+  }
+  // The previous batch was joined, so locale 1's channel is idle by now:
+  // service starts at arrival and the span is deterministic.
+  const std::uint64_t sent = sim::now();
+  agg.flush(1);
+  for (auto& handle : handles) handle.wait();
+  for (const auto& handle : handles) {
+    EXPECT_EQ(handle.completionTime(), handles.front().completionTime());
+  }
+  return handles.front().completionTime() - sent;
+}
+
+TEST_F(HandlerGuardTest, AggregatedBatchSharesOnePinPerService) {
+  startRuntime(2);
+  DistDomain domain = DistDomain::create();
+  // Register locale 1's cached guard up front: the timed batches then pay
+  // only pin and unpin.
+  comm::amSync(1, [domain] { EXPECT_FALSE(domain.threadGuard().pinned()); });
+  const std::uint64_t cpu = runtime_->config().latency.cpu_atomic_ns;
+  for (const std::size_t n : {std::size_t{1}, std::size_t{16}}) {
+    std::vector<bool> pinned(n, false);
+    std::vector<std::uint64_t> epochs(n, kEpochQuiescent);
+    const std::uint64_t with_scope =
+        timeOneBatch(n, [domain, &pinned, &epochs](std::size_t i) {
+          DistGuard& guard = domain.threadGuard();
+          PinScope<DistGuard> scope(guard);
+          pinned[i] = guard.pinned();
+          epochs[i] = guard.epoch();
+        });
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_TRUE(pinned[i]) << "n=" << n << " op " << i;
+      EXPECT_NE(epochs[i], kEpochQuiescent);
+      EXPECT_EQ(epochs[i], epochs[0]) << "n=" << n << " op " << i;
+    }
+    bool pinned_after = true;
+    comm::amSync(1, [&pinned_after, domain] {
+      pinned_after = domain.threadGuard().pinned();
+    });
+    EXPECT_FALSE(pinned_after) << "the service end must unpin, n=" << n;
+    const std::uint64_t without_scope = timeOneBatch(n, [](std::size_t) {});
+    // One pin (publish + re-validate) and one unpin for the whole batch.
+    EXPECT_EQ(with_scope, without_scope + 3 * cpu) << "n=" << n;
+  }
+  domain.destroy();
+}
+
+// --- epoch advances under streaming handler batches ---------------------------
+
+template <typename Domain>
+class StreamingAdvanceTest : public RuntimeTest {};
+
+using HandlerGuardDomains = ::testing::Types<DistDomain, IntervalDomain>;
+TYPED_TEST_SUITE(StreamingAdvanceTest, HandlerGuardDomains);
+
+TYPED_TEST(StreamingAdvanceTest, AdvancesReturnWhileBatchesStream) {
+  using Map = RobinHoodMap<std::uint64_t, TypeParam>;
+  constexpr int kAdvances = 50;
+  constexpr int kWindow = 64;
+  constexpr std::size_t kKeys = 64;
+  constexpr std::size_t kFreshKeys = 512;
+  this->startRuntime(2);
+  TypeParam domain = TypeParam::create();
+  // A small segment on locale 1 that doubles several times while the
+  // stream runs, so its handlers also retire old tables under the pin.
+  auto map = Map::create(
+      64, domain, RobinHoodOptions{.resize_load = 0.85, .migrate_chunk = 8});
+  std::vector<std::uint64_t> keys;
+  std::vector<std::uint64_t> fresh;
+  for (std::uint64_t k = 1; fresh.size() < kFreshKeys; ++k) {
+    if (map.ownerOfKey(k) != 1) continue;
+    (keys.size() < kKeys ? keys : fresh).push_back(k);
+  }
+  for (const std::uint64_t k : keys) ASSERT_TRUE(map.insert(k, k * 7));
+
+  std::atomic<bool> advancing{true};
+  std::atomic<int> advances{0};
+  std::atomic<std::uint64_t> bad_finds{0};
+  std::atomic<std::uint64_t> windows{0};
+  const auto* keys_ptr = &keys;
+  const auto* fresh_ptr = &fresh;
+  coforallLocales([&, map, domain, keys_ptr, fresh_ptr] {
+    if (Runtime::here() == 1) {
+      for (int i = 0; i < kAdvances; ++i) {
+        domain.advance();
+        advances.fetch_add(1, std::memory_order_relaxed);
+      }
+      advancing.store(false, std::memory_order_release);
+      return;
+    }
+    // Locale 0 streams windows of aggregated ops to owner 1 until the
+    // advancer is done (and at least a few windows either way).
+    std::size_t next_fresh = 0;
+    std::uint64_t step = 0;
+    while (advancing.load(std::memory_order_acquire) ||
+           windows.load(std::memory_order_relaxed) < 4) {
+      std::vector<comm::Handle<std::optional<std::uint64_t>>> finds;
+      {
+        comm::OpWindow window;
+        for (int j = 0; j < kWindow; ++j, ++step) {
+          const std::uint64_t key = (*keys_ptr)[step % kKeys];
+          if (step % 8 == 0) {
+            map.putAsyncAggregated(key, key * 7);
+          } else if (step % 8 == 1 && next_fresh < fresh_ptr->size()) {
+            const std::uint64_t k = (*fresh_ptr)[next_fresh++];
+            map.insertAsyncAggregated(k, k * 7);
+          } else {
+            finds.push_back(map.findAsyncAggregated(key));
+          }
+        }
+      }
+      for (auto& find : finds) {
+        if (find.value() == std::nullopt) {
+          bad_finds.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+      windows.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+  EXPECT_EQ(advances.load(), kAdvances);
+  EXPECT_EQ(bad_finds.load(), 0u);
+  EXPECT_GE(windows.load(), 4u);
+  map.destroy();
+  domain.clear();
+  const ReclaimStats stats = domain.stats();
+  EXPECT_GT(stats.deferred, 0u) << "the resizes retire their old tables";
+  EXPECT_EQ(stats.pending(), 0u)
+      << "clear() must reclaim every retired table";
+  domain.destroy();
 }
 
 }  // namespace
