@@ -357,8 +357,9 @@ class RobinHoodMap {
   // --- asynchronous surface (handle-returning) -----------------------------
   //
   // Remote keys ship one op to the owner's progress thread and return
-  // immediately; local keys run inline (the handle is already ready).
-  // Join with wait()/value(), a comm::CompletionQueue, or an OpWindow.
+  // immediately; local keys run inline at issue (the handle is already
+  // ready). Join with wait()/value(), a comm::CompletionQueue, or an
+  // OpWindow.
 
   comm::Handle<bool> insertAsync(std::uint64_t key, const V& value) const {
     const std::uint64_t vbits = packValue(value);
@@ -412,7 +413,11 @@ class RobinHoodMap {
   // charge per batch per destination instead of per op, handles of one
   // batch resolving together. Issued inside a comm::OpWindow they enroll
   // automatically; the window's close (or any wait/drain) auto-flushes, so
-  // no manual flushAll() is ever needed.
+  // no manual flushAll() is ever needed. Inside a window, own-locale keys
+  // buffer too and run inline on this thread once the window's remote
+  // batches have shipped, so a sync op does not observe an aggregated op
+  // of an open window -- on any key -- until that op or the window is
+  // joined. Per-key FIFO holds within the task.
 
   comm::Handle<bool> insertAsyncAggregated(std::uint64_t key,
                                            const V& value) const {
@@ -462,8 +467,11 @@ class RobinHoodMap {
   /// group in a single handler pass under a single guard pin -- the
   /// per-destination cost is one batch share regardless of how many keys
   /// hit that locale, which is what makes skewed (hot-owner) traffic
-  /// cheap. The returned handle completes when every group has; `out` must
-  /// stay alive and untouched until then.
+  /// cheap. The own-locale group rides the aggregator too; the closing
+  /// whenAll ships the remote groups first, so inside a window that group
+  /// runs inline while they are in flight, before findBatch returns. The
+  /// returned handle completes when every group has; `out` must stay alive
+  /// and untouched until then.
   comm::Handle<> findBatch(std::span<const std::uint64_t> keys,
                            std::span<std::optional<V>> out) const {
     PGASNB_CHECK_MSG(keys.size() == out.size(),
@@ -482,8 +490,12 @@ class RobinHoodMap {
       std::vector<comm::Handle<>> handles;
       const std::uint32_t here = Runtime::here();
       auto map = *this;
-      for (std::uint32_t loc = 0; loc < num_locales_; ++loc) {
+      // Destinations from here+1 around to here: whenAll ships the remote
+      // groups before the own-locale group runs inline.
+      for (std::uint32_t step = 1; step <= num_locales_; ++step) {
+        const std::uint32_t loc = (here + step) % num_locales_;
         if (groups[loc].empty()) continue;
+        const auto weight = static_cast<std::uint64_t>(groups[loc].size());
         auto probe_group = [map, keys, out,
                             idxs = std::move(groups[loc])] {
           Segment& seg = map.segments_.local();
@@ -497,11 +509,6 @@ class RobinHoodMap {
             }
           });
         };
-        if (loc == here) {
-          probe_group();
-          continue;
-        }
-        const auto weight = static_cast<std::uint64_t>(keys.size());
         handles.push_back(comm::taskAggregator().enqueueHandle(
             loc, std::move(probe_group), weight));
       }
@@ -1237,7 +1244,8 @@ class RobinHoodMap {
   }
 
   /// Ship `op(map, segment)` -> R to the owner as one async AM; local
-  /// owners run inline and return a ready handle.
+  /// owners run inline at issue and return a ready handle (unlike
+  /// shipAggregated, whose own-locale ops a window defers).
   template <typename R, typename Op>
   comm::Handle<R> shipValueOp(std::uint64_t key, Op op) const {
     if constexpr (Domain::kDistributed) {
@@ -1255,25 +1263,23 @@ class RobinHoodMap {
   }
 
   /// Aggregated flavor of shipValueOp: the op rides the calling task's
-  /// Aggregator (one batched AM per destination) and its handle resolves
-  /// with the batch. Local owners run inline.
+  /// Aggregator, which alone decides how it runs -- in a batched AM to a
+  /// remote owner (resolving with the batch), or inline on this thread for
+  /// an own-locale key (after the window's remote batches ship, or at
+  /// once outside a window).
   template <typename R, typename Op>
   comm::Handle<R> shipAggregated(std::uint64_t key, Op op) const {
     if constexpr (Domain::kDistributed) {
-      const std::uint32_t owner = ownerOf(key);
-      if (owner != Runtime::here()) {
-        auto state = std::make_shared<comm::detail::HandleState<R>>();
-        auto* raw = state.get();
-        auto map = *this;
-        comm::taskAggregator().enqueueWithCore(
-            owner,
-            [map, raw, op = std::move(op)] {
-              raw->value = op(map, map.segments_.local());
-            },
-            state);
-        return comm::Handle<R>(std::move(state));
-      }
-      return comm::readyValueHandle(op(*this, segments_.local()));
+      auto state = std::make_shared<comm::detail::HandleState<R>>();
+      auto* raw = state.get();
+      auto map = *this;
+      comm::taskAggregator().enqueueWithCore(
+          ownerOf(key),
+          [map, raw, op = std::move(op)] {
+            raw->value = op(map, map.segments_.local());
+          },
+          state);
+      return comm::Handle<R>(std::move(state));
     } else {
       return comm::readyValueHandle(op(*this, *local_segment_));
     }

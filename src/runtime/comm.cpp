@@ -347,8 +347,6 @@ void OpWindow::join() {
                      "OpWindow closed out of LIFO nesting order");
     PGASNB_CHECK_MSG(owner_ == std::this_thread::get_id(),
                      "OpWindow is bound to the thread that opened it");
-    t_current_window = parent_;
-    open_ = false;
   }
   // Flush gate: only meaningful while the runtime the ops were issued under
   // is still the active one; otherwise the buffers were (or will be)
@@ -358,8 +356,14 @@ void OpWindow::join() {
   if (live) {
     // Ship everything this task still buffers -- owned aggregated handles
     // and fire-and-forget ops (retires) alike. This is the auto-flush that
-    // replaces the manual flushAll() the pre-window API required.
+    // replaces the manual flushAll() the pre-window API required. The
+    // window is still innermost here, so handle ops that the own-locale run
+    // issues enroll in it and are joined below.
     taskAggregator().flushAll();
+  }
+  if (open_) {
+    t_current_window = parent_;
+    open_ = false;
   }
   if (cores_.empty()) return;
   std::uint64_t max_join = 0;
@@ -726,15 +730,23 @@ void Aggregator::enqueueWithCore(std::uint32_t loc, std::function<void()> op,
                                  std::shared_ptr<detail::HandleCore> core,
                                  std::uint64_t op_weight) {
   adoptRuntime();
-  if (loc == Runtime::here()) {
-    // Local ops never buffer: run in place (Chapel aggregators do the same).
+  PGASNB_CHECK_MSG(loc < buckets_.size(), "aggregator: locale out of range");
+  // Only ops riding the *task* aggregator auto-enroll: that is the one
+  // aggregator a window close may legally flush. A hand-made Aggregator
+  // keeps its own flush discipline (enroll its handles explicitly with
+  // add() only after flushing it yourself).
+  OpWindow* window = this == &taskAggregator() ? OpWindow::current() : nullptr;
+  Bucket& bucket = buckets_[loc];
+  const bool local = loc == Runtime::here();
+  if (local && (window == nullptr || taskContext().progress_thread)) {
+    // No window to defer into: run in place (Chapel aggregators do the
+    // same), after any own-locale ops still buffered, so per-destination
+    // FIFO holds.
+    if (!bucket.ops.empty()) runInline(loc);
     op();
     if (core != nullptr) detail::completeCore(*core, sim::now());
     return;
   }
-  PGASNB_CHECK_MSG(loc < buckets_.size(), "aggregator: locale out of range");
-  g_counters.ops_aggregated.fetch_add(op_weight, std::memory_order_relaxed);
-  Bucket& bucket = buckets_[loc];
   if (bucket.ops.empty()) {
     bucket.first_op_time = sim::now();
     if (max_batch_age_ns_ != 0) {
@@ -743,27 +755,20 @@ void Aggregator::enqueueWithCore(std::uint32_t loc, std::function<void()> op,
     }
   }
   bucket.ops.push_back(std::move(op));
+  bucket.weight += op_weight;
   ++buffered_enqueues_;
   if (core != nullptr) {
-    core->wire_return_ns = Runtime::get().config().latency.am_wire_ns;
     // Mark the op as buffered-here so join paths (Handle::wait, whenAll,
     // OpWindow::join) can ship its batch instead of spinning forever, and
     // enroll it into the innermost open window on this thread, if any.
     core->buffered_loc = loc;
     core->buffered_in.store(this, std::memory_order_release);
-    bucket.cores.push_back(core);
-    // Only ops riding the *task* aggregator auto-enroll: that is the one
-    // aggregator a window close may legally flush. A hand-made Aggregator
-    // keeps its own flush discipline (enroll its handles explicitly with
-    // add() only after flushing it yourself).
-    if (this == &taskAggregator()) {
-      if (OpWindow* window = OpWindow::current()) {
-        window->enroll(std::move(core));
-      }
-    }
+    if (window != nullptr) window->enroll(core);
   }
+  bucket.cores.push_back(std::move(core));
   ++total_pending_;
-  if (bucket.ops.size() >= ops_per_batch_ && !holdForBackpressure(loc)) {
+  if (bucket.ops.size() >= ops_per_batch_ &&
+      (local || !holdForBackpressure(loc))) {
     flushForCause(loc, FlushCause::threshold);
   }
   // O(1) age check per enqueue: the full bucket sweep only runs once the
@@ -800,9 +805,15 @@ void Aggregator::flushForCause(std::uint32_t loc, FlushCause cause) {
   Runtime& rt = Runtime::get();
   PGASNB_CHECK_MSG(rt.generation() == runtime_generation_,
                    "aggregator flush across runtime instances");
+  if (loc == Runtime::here()) {
+    runInline(loc);
+    return;
+  }
   Bucket& bucket = buckets_[loc];
   total_pending_ -= bucket.ops.size();
   bump(g_counters.am_batched);
+  g_counters.ops_aggregated.fetch_add(bucket.weight, std::memory_order_relaxed);
+  bucket.weight = 0;
   // Feed threshold/age-shipped batches to the tuner: ops and the simulated
   // span from first enqueue to ship. Explicit flushes carry no rate signal
   // (see FlushCause) and are not observed; neither is anything shipped
@@ -823,8 +834,11 @@ void Aggregator::flushForCause(std::uint32_t loc, FlushCause cause) {
   // The ops are in flight from here on: nobody should try to flush them
   // out of this aggregator again.
   for (const auto& core : bucket.cores) {
+    if (core == nullptr) continue;
+    core->wire_return_ns = rt.config().latency.am_wire_ns;
     core->buffered_in.store(nullptr, std::memory_order_release);
   }
+  std::erase(bucket.cores, nullptr);
   AmRequest req;
   req.batch = std::move(bucket.ops);
   req.send_time = sim::now();
@@ -842,8 +856,35 @@ void Aggregator::flushForCause(std::uint32_t loc, FlushCause cause) {
   sim::chargeModelOnly(rt.config().latency.cpu_atomic_ns);
 }
 
+void Aggregator::runInline(std::uint32_t loc) {
+  Bucket batch;
+  std::swap(batch, buckets_[loc]);
+  total_pending_ -= batch.ops.size();
+  for (std::size_t i = 0; i < batch.ops.size(); ++i) {
+    batch.ops[i]();
+    if (const auto& core = batch.cores[i]) {
+      core->buffered_in.store(nullptr, std::memory_order_release);
+      detail::completeCore(*core, sim::now());
+    }
+  }
+  // Hand the vectors' storage back unless the run buffered new ops here.
+  batch.ops.clear();
+  batch.cores.clear();
+  batch.weight = 0;
+  if (buckets_[loc].ops.empty()) std::swap(batch, buckets_[loc]);
+}
+
 void Aggregator::flushAll() {
-  for (std::uint32_t loc = 0; loc < buckets_.size(); ++loc) flush(loc);
+  // Remote buckets first: the calling locale's bucket runs inline, on this
+  // thread, while they are on the wire. That run may buffer new ops, so
+  // repeat until nothing is left.
+  const std::uint32_t here = Runtime::here();
+  while (total_pending_ != 0) {
+    for (std::uint32_t loc = 0; loc < buckets_.size(); ++loc) {
+      if (loc != here) flush(loc);
+    }
+    flush(here);
+  }
 }
 
 void Aggregator::flushAged() {

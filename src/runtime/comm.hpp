@@ -899,8 +899,19 @@ Handle<> getAsync(void* dst, std::uint32_t src_locale, const void* src,
 /// RuntimeConfig::aggregator_max_batch_age_ns in simulated time (checked
 /// at each enqueue -- an under-filled bucket no longer waits for unpin),
 /// on flush()/flushAll()/flushAged(), on destruction, and -- via the epoch
-/// layer -- when a guard unpins. Ops destined for the calling locale run
-/// inline.
+/// layer -- when a guard unpins.
+///
+/// Ops destined for the calling locale never become an AM. Inside an open
+/// OpWindow, the task aggregator buffers them in the calling locale's own
+/// bucket like any other op; that bucket runs inline on the calling thread
+/// when it is flushed -- by flushAll() *after* every remote bucket has
+/// shipped (so the local work overlaps the batches' round trip), by its
+/// own threshold or age cutoff, or by a wait on one of its handles. Each
+/// such op completes at the simulated time it finishes, with no return
+/// wire, and counts toward neither am_batched/ops_aggregated nor
+/// backpressure or the batch tuner. Everywhere else -- hand-made
+/// aggregators, progress threads, enqueues outside a window -- they run in
+/// place at enqueue. Own-locale ops, like shipped ones, must not throw.
 class Aggregator {
  public:
   /// `ops_per_batch` == 0 means "adopt RuntimeConfig::aggregator_ops_per_batch".
@@ -926,7 +937,8 @@ class Aggregator {
   /// flush -- or automatically when its handle is waited, drained, or owned
   /// by a closing OpWindow (on the task aggregator, joining an unshipped op
   /// can no longer deadlock). Handles issued while an OpWindow is open on
-  /// this thread enroll into it.
+  /// this thread enroll into it. An own-locale op's handle resolves alone,
+  /// when its inline run finishes (see the class comment).
   Handle<> enqueueHandle(std::uint32_t loc, std::function<void()> op,
                          std::uint64_t op_weight = 1);
 
@@ -939,7 +951,10 @@ class Aggregator {
 
   /// Ship the pending batch for one destination / for all destinations.
   /// Charges one sender-side injection cost per non-empty bucket shipped;
-  /// service/wire costs accrue to the batch's completion time.
+  /// service/wire costs accrue to the batch's completion time. The calling
+  /// locale's bucket runs inline instead, charging its ops to the caller's
+  /// clock; flushAll() runs it last and repeats until nothing is buffered,
+  /// so ops buffered by that run ship before it returns.
   void flush(std::uint32_t loc);
   void flushAll();
 
@@ -974,11 +989,19 @@ class Aggregator {
   const tuner::BatchTuner& batchTuner() const noexcept { return tuner_; }
 
  private:
+  /// Whether a bucket ships or runs inline is decided when it flushes, not
+  /// at enqueue: a thread helping a TaskGroup join can run another
+  /// locale's task inside an open window. Counters and return wire are
+  /// therefore set at flush time.
   struct Bucket {
     std::vector<std::function<void()>> ops;
-    /// Handle cores riding this batch (resolved together at batch end);
-    /// parallel to a *subset* of ops -- fire-and-forget ops carry none.
+    /// Index-parallel to ops: op i's handle core, null for fire-and-forget
+    /// ops. A shipped batch resolves its cores together at batch end; an
+    /// inline run resolves each as its op finishes.
     std::vector<std::shared_ptr<detail::HandleCore>> cores;
+    /// Sum of the buffered ops' weights (counted in ops_aggregated when
+    /// the bucket ships).
+    std::uint64_t weight = 0;
     /// Simulated time the oldest currently-buffered op was enqueued.
     std::uint64_t first_op_time = 0;
   };
@@ -1003,6 +1026,11 @@ class Aggregator {
 
   /// flush(loc) with an attributed cause (internal call sites).
   void flushForCause(std::uint32_t loc, FlushCause cause);
+
+  /// Run the calling locale's bucket `loc` inline, in FIFO order, resolving
+  /// each op's core at its own finish time. The batch is moved out first,
+  /// so an op may re-enter this aggregator.
+  void runInline(std::uint32_t loc);
 
   /// Backpressure: true when a threshold-full bucket for `loc` should keep
   /// buffering because the destination's deferred-continuation queue is
@@ -1050,12 +1078,14 @@ Aggregator& taskAggregator();
 /// Closing the window -- join(), or the destructor, including during
 /// exception unwinding -- ships every batch the calling task still has
 /// buffered (aggregated pops/pushes *and* fire-and-forget retires riding
-/// the task aggregator) and then waits for every owned operation, folding
-/// the **max** join-ready time of the set into the caller's simulated
-/// clock: one batch-then-join step, the discipline the aggregated-retire
-/// path uses, generalized to all remote ops. Together with the wait()-time
-/// auto-flush this removes the manual-flushAll() footgun by construction:
-/// no join path can block on an unshipped batch.
+/// the task aggregator), then runs the own-locale ops the window buffered
+/// inline while those batches are in flight, and then waits for every
+/// owned operation, folding the **max** join-ready time of the set into
+/// the caller's simulated clock: one batch-then-join step, the discipline
+/// the aggregated-retire path uses, generalized to all remote ops.
+/// Together with the wait()-time auto-flush this removes the
+/// manual-flushAll() footgun by construction: no join path can block on an
+/// unshipped batch.
 ///
 /// Windows nest LIFO: ops enroll into the innermost open window, an inner
 /// join leaves outer ownership intact, and closing out of order is a

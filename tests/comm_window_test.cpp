@@ -329,6 +329,124 @@ TEST_F(CommWindowTest, ExplicitJoinIsIdempotentAndReleasesTheScope) {
   EXPECT_EQ(ran.load(), 2);
 }
 
+// --- own-locale ops inside a window -----------------------------------------
+
+TEST_F(CommWindowTest, OwnLocaleOpWaitsForCloseOrItsOwnValue) {
+  startRuntime(2);
+  sim::setNow(0);
+  constexpr std::uint64_t kCost = 300;
+  comm::Aggregator& agg = comm::taskAggregator();
+  comm::OpWindow window;
+  int ran = 0;
+  auto deferred = agg.enqueueHandle(0, [&ran] {
+    sim::charge(kCost);
+    ++ran;
+  });
+  auto state = std::make_shared<comm::detail::HandleState<int>>();
+  auto* raw = state.get();
+  agg.enqueueWithCore(
+      0,
+      [raw] {
+        sim::charge(kCost);
+        raw->value = 42;
+      },
+      state);
+  comm::Handle<int> valued(state);
+  EXPECT_FALSE(deferred.ready()) << "buffered until the window closes";
+  EXPECT_FALSE(valued.ready());
+  EXPECT_EQ(ran, 0);
+  EXPECT_EQ(agg.pendingFor(0), 2u);
+  EXPECT_EQ(window.inFlight(), 2u) << "own-locale ops enroll too";
+  EXPECT_EQ(sim::now(), 0u) << "buffering charges nothing";
+
+  // value() runs the own-locale bucket inline, in FIFO order; each op
+  // completes at its own finish time, with no return wire.
+  EXPECT_EQ(valued.value(), 42);
+  EXPECT_EQ(ran, 1);
+  EXPECT_EQ(deferred.completionTime(), kCost);
+  EXPECT_EQ(valued.completionTime(), 2 * kCost);
+  EXPECT_EQ(deferred.state()->wire_return_ns, 0u);
+  EXPECT_EQ(valued.state()->wire_return_ns, 0u);
+  EXPECT_EQ(sim::now(), 2 * kCost);
+  window.join();
+  EXPECT_EQ(sim::now(), 2 * kCost);
+  const auto c = comm::counters();
+  EXPECT_EQ(c.am_batched, 0u) << "the own-locale bucket never becomes an AM";
+  EXPECT_EQ(c.ops_aggregated, 0u);
+}
+
+TEST_F(CommWindowTest, CloseShipsRemoteBatchBeforeRunningLocalOps) {
+  startRuntime(2);
+  sim::setNow(0);
+  const LatencyModel& lat = runtime_->config().latency;
+  constexpr int kLocal = 4;
+  constexpr std::uint64_t kCost = 500;
+  comm::Aggregator& agg = comm::taskAggregator();
+  comm::Handle<> remote;
+  std::vector<comm::Handle<>> local;
+  {
+    comm::OpWindow window;
+    remote = agg.enqueueHandle(1, [] {});
+    for (int i = 0; i < kLocal; ++i) {
+      local.push_back(agg.enqueueHandle(0, [] { sim::charge(kCost); }));
+    }
+  }
+  // The batch left at time 0, before any local work, and its only cost
+  // before the local run is the one injection charge.
+  const std::uint64_t shipped = lat.cpu_atomic_ns;
+  EXPECT_EQ(remote.completionTime(),
+            lat.am_wire_ns + lat.am_service_ns + lat.cpu_atomic_ns);
+  for (int i = 0; i < kLocal; ++i) {
+    EXPECT_EQ(local[i].completionTime(), shipped + (i + 1) * kCost);
+  }
+  const std::uint64_t local_end = shipped + kLocal * kCost;
+  const std::uint64_t remote_join = remote.completionTime() + lat.am_wire_ns;
+  ASSERT_LT(local_end, remote_join) << "the local run hides in the round trip";
+  EXPECT_EQ(sim::now(), std::max(local_end, remote_join))
+      << "close ends at the max of local work and the remote join, not the sum";
+  EXPECT_EQ(comm::counters().am_batched, 1u);
+  EXPECT_EQ(comm::counters().ops_aggregated, 1u);
+}
+
+TEST_F(CommWindowTest, OwnLocaleOpsRunAtIssueOutsideTheWindowPath) {
+  startRuntime(2);
+  const auto ranInPlace = [](comm::Aggregator& agg, std::uint32_t loc) {
+    bool ran = false;
+    auto h = agg.enqueueHandle(loc, [&ran] { ran = true; });
+    return ran && h.ready() && agg.pending() == 0;
+  };
+  EXPECT_TRUE(ranInPlace(comm::taskAggregator(), 0)) << "no window open";
+  {
+    comm::OpWindow window;
+    comm::Aggregator hand_made(64);
+    EXPECT_TRUE(ranInPlace(hand_made, 0)) << "a hand-made aggregator";
+  }
+  bool on_progress = false;
+  comm::amSync(1, [&] {
+    comm::OpWindow window;
+    on_progress = ranInPlace(comm::taskAggregator(), 1);
+  });
+  EXPECT_TRUE(on_progress) << "a progress thread";
+}
+
+TEST_F(CommWindowTest, RemoteOpIssuedByTheLocalRunShipsBeforeCloseReturns) {
+  startRuntime(2);
+  comm::Aggregator& agg = comm::taskAggregator();
+  std::atomic<int> remote_ran{0};
+  comm::Handle<> inner;
+  {
+    comm::OpWindow window;
+    agg.enqueueHandle(0, [&] {
+      inner = comm::taskAggregator().enqueueHandle(
+          1, [&remote_ran] { remote_ran.fetch_add(1); });
+    });
+  }
+  ASSERT_TRUE(inner.valid()) << "the own-locale op ran at close";
+  EXPECT_TRUE(inner.ready()) << "its remote op shipped and was joined";
+  EXPECT_EQ(remote_ran.load(), 1);
+  EXPECT_EQ(agg.pending(), 0u);
+}
+
 // --- MPMC CompletionQueue ----------------------------------------------------
 
 TEST_F(CommWindowTest, MultiConsumerDrainDeliversEachCompletionOnce) {

@@ -238,9 +238,105 @@ TEST_P(RobinHoodModeTest, FindBatchGroupsKeysByOwner) {
 INSTANTIATE_TEST_SUITE_P(Sweep, RobinHoodModeTest, PGASNB_RUNTIME_PARAMS,
                          pgasnb::testing::paramName);
 
-// --- cross-locale contention ------------------------------------------------
+// --- own-locale keys inside a window ------------------------------------------
 
 class RobinHoodTest : public RuntimeTest {};
+
+/// The first `n` keys (from 1 up) whose owner is `loc`.
+std::vector<std::uint64_t> keysOwnedBy(const RobinHoodMap<std::uint64_t>& map,
+                                       std::uint32_t loc, std::size_t n) {
+  std::vector<std::uint64_t> keys;
+  for (std::uint64_t k = 1; keys.size() < n; ++k) {
+    if (map.ownerOfKey(k) == loc) keys.push_back(k);
+  }
+  return keys;
+}
+
+TEST_F(RobinHoodTest, OwnLocaleAggregatedOpsKeepPerKeyFifoInAWindow) {
+  startRuntime(2);
+  DistDomain domain = DistDomain::create();
+  auto map = RobinHoodMap<std::uint64_t>::create(512, domain);
+  const std::uint64_t k = keysOwnedBy(map, Runtime::here(), 1).front();
+  comm::Handle<bool> first, second;
+  comm::Handle<std::optional<std::uint64_t>> found;
+  {
+    comm::OpWindow window;
+    first = map.putAsyncAggregated(k, 1);
+    second = map.putAsyncAggregated(k, 2);
+    found = map.findAsyncAggregated(k);
+    EXPECT_FALSE(found.ready()) << "own-locale ops buffer in a window";
+    EXPECT_FALSE(map.find(k).has_value())
+        << "a sync op does not observe an unjoined aggregated op";
+  }
+  EXPECT_TRUE(first.value()) << "the first put inserts";
+  EXPECT_FALSE(second.value()) << "the second put overwrites";
+  ASSERT_TRUE(found.value().has_value());
+  EXPECT_EQ(*found.value(), 2u) << "per-key FIFO: the find runs last";
+  map.destroy();
+  domain.destroy();
+}
+
+TEST_F(RobinHoodTest, OwnLocaleInsertWindowAcrossResizeKeepsInvariants) {
+  startRuntime(2);
+  DistDomain domain = DistDomain::create();
+  // 128-slot segments: 300 own-locale inserts cross the 0.85 threshold
+  // twice, so the migrations start, finish and retire their old tables
+  // inside the window's own-locale runs (at the batch threshold and at
+  // close).
+  auto map = RobinHoodMap<std::uint64_t>::create(
+      256, domain, RobinHoodOptions{.resize_load = 0.85, .migrate_chunk = 8});
+  const std::vector<std::uint64_t> keys = keysOwnedBy(map, Runtime::here(), 300);
+  std::vector<comm::Handle<bool>> inserted;
+  {
+    comm::OpWindow window;
+    for (const std::uint64_t k : keys) {
+      inserted.push_back(map.insertAsyncAggregated(k, k * 5));
+    }
+  }
+  for (auto& h : inserted) EXPECT_TRUE(h.value());
+  EXPECT_GE(map.stats().resizes, 2u);
+  for (const std::uint64_t k : keys) {
+    const auto v = map.find(k);
+    ASSERT_TRUE(v.has_value()) << "k=" << k;
+    EXPECT_EQ(*v, k * 5);
+  }
+  EXPECT_TRUE(assertRobinHoodInvariants(map));
+  map.destroy();
+  domain.destroy();
+}
+
+TEST_F(RobinHoodTest, FindBatchCountsOnlyRemoteKeysAsAggregated) {
+  startRuntime(4);
+  DistDomain domain = DistDomain::create();
+  auto map = RobinHoodMap<std::uint64_t>::create(1024, domain);
+  constexpr std::uint64_t kN = 200;
+  std::vector<std::uint64_t> keys;
+  std::uint64_t remote = 0;
+  for (std::uint64_t k = 0; k < kN; ++k) {
+    ASSERT_TRUE(map.insert(k, k + 1));
+    keys.push_back(k);
+    if (map.ownerOfKey(k) != Runtime::here()) ++remote;
+  }
+  ASSERT_GT(remote, 0u);
+  ASSERT_LT(remote, kN);
+  std::vector<std::optional<std::uint64_t>> out(keys.size());
+  const auto before = comm::counters();
+  {
+    comm::OpWindow window;
+    map.findBatch(keys, out).wait();
+  }
+  const auto after = comm::counters();
+  EXPECT_EQ(after.ops_aggregated - before.ops_aggregated, remote)
+      << "each group weighs its own key count; the own-locale group none";
+  for (std::uint64_t k = 0; k < kN; ++k) {
+    ASSERT_TRUE(out[k].has_value()) << "k=" << k;
+    EXPECT_EQ(*out[k], k + 1);
+  }
+  map.destroy();
+  domain.destroy();
+}
+
+// --- cross-locale contention ------------------------------------------------
 
 TEST_F(RobinHoodTest, ExactlyOnceInsertUnderCrossLocaleContention) {
   startRuntime(4);
