@@ -5,10 +5,10 @@
 // domain is cleared. The aggregated path coalesces retires per
 // destination (guard batches -> comm::Aggregator -> one batched AM
 // carrying a vector payload, bulk limbo insert at the receiver). The
-// per-op-am row is the same path with every batch size pinned to 1
-// (retire_batch_size, aggregator_ops_per_batch and the tuner clamp): one
-// AM per retire, the naive async strawman. Scatter is the PR-1 baseline:
-// communication deferred to reclaim time.
+// per-op-am row is the same path with both batch sizes pinned to 1
+// (retire_batch_size and aggregator_ops_per_batch): one AM per retire,
+// the naive async strawman. Scatter is the PR-1 baseline: communication
+// deferred to reclaim time.
 //
 // Acceptance (ISSUE 2): at 8 locales the aggregated path must inject >= 4x
 // fewer AMs (am_sync + am_async + am_batched) than per-op-am, at lower
@@ -48,8 +48,6 @@ PolicyResult runPolicy(const Row& row, std::uint32_t locales,
   if (row.one_per_batch) {
     cfg.retire_batch_size = 1;
     cfg.aggregator_ops_per_batch = 1;
-    cfg.tuner_batch_min = 1;
-    cfg.tuner_batch_max = 1;
   }
   Runtime rt(cfg);
   DistDomain domain = DistDomain::create();

@@ -27,7 +27,7 @@ export PGASNB_DRAIN_DEFERRED_CAP="${PGASNB_DRAIN_DEFERRED_CAP:-4096}"
 
 BENCHES=("$@")
 if [[ ${#BENCHES[@]} -eq 0 ]]; then
-  BENCHES=(fig4_sparse_reclaim fig8_aggregated_retire fig9_async_pop ablation_scatter_list ycsb_like epoch_engine fig_tuning_ablation)
+  BENCHES=(fig4_sparse_reclaim fig8_aggregated_retire fig9_async_pop ablation_scatter_list ycsb_like epoch_engine)
 fi
 
 mkdir -p "$OUT_DIR"

@@ -3,7 +3,7 @@
 #
 #   scripts/check_docs.sh          # check README.md + docs/*.md
 #
-# Two checks, both hard failures:
+# Three checks, all hard failures:
 #   1. Every fenced ```cpp block is extracted into a generated TU (one per
 #      markdown file; each block becomes the body of its own function,
 #      #include lines hoisted to the top) and compiled with
@@ -12,6 +12,9 @@
 #      no top-level definitions.
 #   2. Every intra-repo markdown link target (relative [text](path) links,
 #      #anchors stripped) must exist on disk.
+#   3. The "Environment variables" table in docs/API.md must list exactly
+#      the PGASNB_* variables RuntimeConfig::fromEnv() reads
+#      (envOrNull("PGASNB_...") in src/runtime/config.cpp).
 #
 # CI runs this on every push/PR (the `docs` job); run it locally before
 # touching docs/.
@@ -87,7 +90,20 @@ for md in "${DOCS[@]}"; do
   done < <(strip_fenced_blocks "$md" | grep -oE '\]\([^)]+\)' | sed -E 's/^\]\(//; s/\)$//')
 done
 
+# --- 3. environment-variable table -------------------------------------------
+
+read_vars=$(grep -oE 'envOrNull\("PGASNB_[A-Z0-9_]+"\)' src/runtime/config.cpp |
+            grep -oE 'PGASNB_[A-Z0-9_]+' | sort -u)
+documented_vars=$(awk '/^## / { in_env = ($0 == "## Environment variables") }
+                       in_env && /^\| `PGASNB_/' docs/API.md |
+                  grep -oE 'PGASNB_[A-Z0-9_]+' | sort -u)
+if [[ -z "$read_vars" || "$read_vars" != "$documented_vars" ]]; then
+  echo "check_docs: ENV TABLE MISMATCH between docs/API.md and src/runtime/config.cpp:" >&2
+  diff <(echo "$documented_vars") <(echo "$read_vars") | sed 's/^/  /' >&2 || true
+  status=1
+fi
+
 if [[ "$status" -eq 0 ]]; then
-  echo "check_docs: OK (snippets compile, links resolve)"
+  echo "check_docs: OK (snippets compile, links resolve, env table matches)"
 fi
 exit "$status"

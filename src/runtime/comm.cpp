@@ -24,12 +24,6 @@ struct AtomicCounters {
   std::atomic<std::uint64_t> continuations_stolen{0};
   std::atomic<std::uint64_t> backpressure_stalls{0};
   std::atomic<std::uint64_t> deferred_peak{0};
-  std::atomic<std::uint64_t> tuner_batch_resizes{0};
-  std::atomic<std::uint64_t> tuner_slice_adjusts{0};
-  std::atomic<std::uint64_t> steal_depth_hits{0};
-  std::atomic<std::uint64_t> steal_random_fallbacks{0};
-  std::atomic<std::uint64_t> tuner_effective_batch{0};
-  std::atomic<std::uint64_t> tuner_park_slice_us{0};
   std::atomic<std::uint64_t> puts{0};
   std::atomic<std::uint64_t> gets{0};
   std::atomic<std::uint64_t> dcas_local{0};
@@ -246,32 +240,12 @@ void spinHelpUntilDone(HandleCore& core) {
   }
 }
 
-std::chrono::microseconds cqParkSlice() noexcept {
-  std::uint32_t us = 200;
-  if (Runtime::active()) us = Runtime::get().config().cq_park_slice_us;
-  return std::chrono::microseconds(us == 0 ? 1 : us);
-}
-
 void noteAmAsync() noexcept { bump(g_counters.am_async); }
 void noteHandlesChained() noexcept { bump(g_counters.handles_chained); }
 void noteCqDrained() noexcept { bump(g_counters.cq_drained); }
 void noteCqStolen() noexcept { bump(g_counters.cq_stolen); }
 void noteContinuationStolen() noexcept {
   bump(g_counters.continuations_stolen);
-}
-
-void noteStealDepthHit() noexcept { bump(g_counters.steal_depth_hits); }
-void noteStealFallback() noexcept { bump(g_counters.steal_random_fallbacks); }
-
-void noteTunerBatchResize(std::size_t effective_batch) noexcept {
-  bump(g_counters.tuner_batch_resizes);
-  g_counters.tuner_effective_batch.store(effective_batch,
-                                         std::memory_order_relaxed);
-}
-
-void noteTunerSliceAdjust(std::uint32_t slice_us) noexcept {
-  bump(g_counters.tuner_slice_adjusts);
-  g_counters.tuner_park_slice_us.store(slice_us, std::memory_order_relaxed);
 }
 
 void noteDeferredDepth(std::size_t depth) noexcept {
@@ -698,20 +672,7 @@ void Aggregator::adoptRuntime() {
       ops_per_batch_ = cfg.aggregator_ops_per_batch;
     }
     if (ops_per_batch_ == 0) ops_per_batch_ = 1;
-    // (Re)arm the adaptive batch-sizing policy for this runtime generation.
-    // Only the thread's *task* aggregator adapts ("each task Aggregator"):
-    // a hand-made Aggregator with an explicit threshold is a hand-tuned
-    // instrument and keeps its number bit-for-bit.
-    tuner::BatchTuner::Config tc;
-    tc.base_batch = ops_per_batch_;
-    tc.base_age_ns = max_batch_age_ns_;
-    tc.min_batch = cfg.tuner_batch_min;
-    tc.max_batch = cfg.tuner_batch_max;
-    tc.batch_overhead_ns = cfg.latency.am_wire_ns + cfg.latency.am_service_ns;
-    tc.adaptive = !configured_ && this == &taskAggregator();
-    tuner_.reset(tc);
   }
-  if (ops_per_batch_ == 0) ops_per_batch_ = 1;
 }
 
 void Aggregator::enqueue(std::uint32_t loc, std::function<void()> op,
@@ -769,7 +730,7 @@ void Aggregator::enqueueWithCore(std::uint32_t loc, std::function<void()> op,
   ++total_pending_;
   if (bucket.ops.size() >= ops_per_batch_ &&
       (local || !holdForBackpressure(loc))) {
-    flushForCause(loc, FlushCause::threshold);
+    flush(loc);
   }
   // O(1) age check per enqueue: the full bucket sweep only runs once the
   // earliest deadline across all buckets has actually passed.
@@ -797,10 +758,6 @@ bool Aggregator::holdForBackpressure(std::uint32_t loc) {
 }
 
 void Aggregator::flush(std::uint32_t loc) {
-  flushForCause(loc, FlushCause::explicit_);
-}
-
-void Aggregator::flushForCause(std::uint32_t loc, FlushCause cause) {
   if (loc >= buckets_.size() || buckets_[loc].ops.empty()) return;
   Runtime& rt = Runtime::get();
   PGASNB_CHECK_MSG(rt.generation() == runtime_generation_,
@@ -814,23 +771,6 @@ void Aggregator::flushForCause(std::uint32_t loc, FlushCause cause) {
   bump(g_counters.am_batched);
   g_counters.ops_aggregated.fetch_add(bucket.weight, std::memory_order_relaxed);
   bucket.weight = 0;
-  // Feed threshold/age-shipped batches to the tuner: ops and the simulated
-  // span from first enqueue to ship. Explicit flushes carry no rate signal
-  // (see FlushCause) and are not observed; neither is anything shipped
-  // while an OpWindow is open on this thread -- window-joined ops are
-  // flushed and joined at window close whatever the threshold says, so
-  // their production gaps would only pollute the streaming-rate EWMA with
-  // another phase's shape. When an observation moves the amortization
-  // knee, adopt the new threshold/age for every later batch (the
-  // backpressure valve in holdForBackpressure tracks it automatically).
-  if (cause != FlushCause::explicit_ && OpWindow::current() == nullptr &&
-      tuner_.adaptive() &&
-      tuner_.observeBatch(bucket.ops.size(),
-                          sim::now() - bucket.first_op_time)) {
-    ops_per_batch_ = tuner_.effectiveBatch();
-    max_batch_age_ns_ = tuner_.effectiveAgeNs();
-    detail::noteTunerBatchResize(ops_per_batch_);
-  }
   // The ops are in flight from here on: nobody should try to flush them
   // out of this aggregator again.
   for (const auto& core : bucket.cores) {
@@ -896,7 +836,7 @@ void Aggregator::flushAged() {
     if (bucket.ops.empty()) continue;
     const std::uint64_t deadline = bucket.first_op_time + max_batch_age_ns_;
     if (now >= deadline) {
-      flushForCause(loc, FlushCause::aged);
+      flush(loc);
     } else {
       next = std::min(next, deadline);
     }
@@ -929,18 +869,6 @@ Counters counters() noexcept {
       g_counters.backpressure_stalls.load(std::memory_order_relaxed);
   snapshot.deferred_peak =
       g_counters.deferred_peak.load(std::memory_order_relaxed);
-  snapshot.tuner_batch_resizes =
-      g_counters.tuner_batch_resizes.load(std::memory_order_relaxed);
-  snapshot.tuner_slice_adjusts =
-      g_counters.tuner_slice_adjusts.load(std::memory_order_relaxed);
-  snapshot.steal_depth_hits =
-      g_counters.steal_depth_hits.load(std::memory_order_relaxed);
-  snapshot.steal_random_fallbacks =
-      g_counters.steal_random_fallbacks.load(std::memory_order_relaxed);
-  snapshot.tuner_effective_batch =
-      g_counters.tuner_effective_batch.load(std::memory_order_relaxed);
-  snapshot.tuner_park_slice_us =
-      g_counters.tuner_park_slice_us.load(std::memory_order_relaxed);
   snapshot.puts = g_counters.puts.load(std::memory_order_relaxed);
   snapshot.gets = g_counters.gets.load(std::memory_order_relaxed);
   snapshot.dcas_local = g_counters.dcas_local.load(std::memory_order_relaxed);
@@ -962,12 +890,6 @@ void resetCounters() noexcept {
   g_counters.continuations_stolen.store(0, std::memory_order_relaxed);
   g_counters.backpressure_stalls.store(0, std::memory_order_relaxed);
   g_counters.deferred_peak.store(0, std::memory_order_relaxed);
-  g_counters.tuner_batch_resizes.store(0, std::memory_order_relaxed);
-  g_counters.tuner_slice_adjusts.store(0, std::memory_order_relaxed);
-  g_counters.steal_depth_hits.store(0, std::memory_order_relaxed);
-  g_counters.steal_random_fallbacks.store(0, std::memory_order_relaxed);
-  g_counters.tuner_effective_batch.store(0, std::memory_order_relaxed);
-  g_counters.tuner_park_slice_us.store(0, std::memory_order_relaxed);
   g_counters.puts.store(0, std::memory_order_relaxed);
   g_counters.gets.store(0, std::memory_order_relaxed);
   g_counters.dcas_local.store(0, std::memory_order_relaxed);

@@ -62,7 +62,6 @@
 
 #include "runtime/drain_group.hpp"
 #include "runtime/runtime.hpp"
-#include "runtime/tuner.hpp"
 #include "util/backoff.hpp"
 #include "util/check.hpp"
 
@@ -186,46 +185,10 @@ void spinHelpUntilDone(HandleCore& core);
 /// cap is 0.
 void throttleDeferredBacklog();
 
-/// The bounded parking slice consumers wait per probe round
-/// (RuntimeConfig::cq_park_slice_us; 200us without a runtime, never 0).
-std::chrono::microseconds cqParkSlice() noexcept;
-
-/// Per-queue parking slice (runtime/tuner.cpp): the configured base slice
-/// scaled to the queue's observed completion inter-arrival EWMA and
-/// clamped to [base/8 (>= 1), 4x base] -- hot queues poll tightly, quiet
-/// queues sleep; an unseeded EWMA keeps the base. Slice *changes* are
-/// counted in tuner_slice_adjusts.
-std::chrono::microseconds cqParkSliceFor(CqShared& q) noexcept;
-
-/// Tuner counter hooks (counters live in comm.cpp): a published adaptive
-/// batch resize (records the new effective size too) and an adaptive
-/// park-slice change (records the new slice).
-void noteTunerBatchResize(std::size_t effective_batch) noexcept;
-void noteTunerSliceAdjust(std::uint32_t slice_us) noexcept;
-
-/// Record one completion push into `q`'s arrival telemetry: publishes the
-/// new ready depth and folds the wall-clock gap since the previous push
-/// into the queue's inter-arrival EWMA (alpha 1/8). Caller holds q.lock.
-inline void noteCqPushLocked(CqShared& q) noexcept {
-  q.ready_depth.store(static_cast<std::uint32_t>(q.ready.size()),
-                      std::memory_order_relaxed);
-  const auto now_ns = static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-  if (q.last_push_wall_ns != 0 && now_ns > q.last_push_wall_ns) {
-    const std::uint64_t gap = now_ns - q.last_push_wall_ns;
-    const std::uint64_t prev = q.ewma_gap_ns.load(std::memory_order_relaxed);
-    // Integer EWMA, alpha 1/8; never decays a seeded value back to the
-    // "unseeded" 0 sentinel.
-    std::uint64_t next = prev == 0 ? gap
-                         : gap >= prev ? prev + (gap - prev) / 8
-                                       : prev - (prev - gap) / 8;
-    if (next == 0) next = 1;
-    q.ewma_gap_ns.store(next, std::memory_order_relaxed);
-  }
-  q.last_push_wall_ns = now_ns;
-}
+/// The bounded parking slice a CompletionQueue consumer waits per probe
+/// round (wall clock) before re-probing for steals and deferred
+/// continuations.
+inline constexpr std::chrono::microseconds kCqParkSlice{200};
 
 // Counter hooks for the header-only combinators (the counters themselves
 // live in comm.cpp).
@@ -615,18 +578,12 @@ class CompletionQueue {
     {
       std::lock_guard<std::mutex> g(state_->lock);
       ++state_->outstanding;
-      state_->outstanding_hint.store(
-          static_cast<std::uint32_t>(state_->outstanding),
-          std::memory_order_relaxed);
     }
     detail::addCompletionWaiter(
         *h.state(), [s = state_, tag](std::uint64_t join) {
           {
             std::lock_guard<std::mutex> g(s->lock);
             s->ready.push_back({tag, join});
-            // Publish depth + fold the push inter-arrival gap for the
-            // self-tuning control loop (two-choice steals, park slices).
-            detail::noteCqPushLocked(*s);
           }
           s->cv.notify_all();
         });
@@ -659,13 +616,7 @@ class CompletionQueue {
     if (state_->ready.empty()) return false;
     const auto [tag, join] = state_->ready.front();
     state_->ready.pop_front();
-    state_->ready_depth.store(
-        static_cast<std::uint32_t>(state_->ready.size()),
-        std::memory_order_relaxed);
     const bool drained_out = --state_->outstanding == 0;
-    state_->outstanding_hint.store(
-        static_cast<std::uint32_t>(state_->outstanding),
-        std::memory_order_relaxed);
     g.unlock();
     // Release sibling consumers blocked on the now-impossible "more work
     // will arrive" predicate.
@@ -722,14 +673,13 @@ class CompletionQueue {
       // queue must sleep, not busy-probe its victims. The park probe
       // doubles as the "any sibling outstanding?" half of the termination
       // predicate (one registry snapshot instead of two).
-      if (group->parkOnAnySibling(state_.get(),
-                                  detail::cqParkSliceFor(*state_))) {
+      if (group->parkOnAnySibling(state_.get(), detail::kCqParkSlice)) {
         continue;
       }
       if (!group->hasDeferred()) return std::nullopt;  // group quiescent
       // Deferred work exists but we could not run it (another thread
       // raced us to the body): bounded sleep, never a hot loop.
-      std::this_thread::sleep_for(detail::cqParkSlice());
+      std::this_thread::sleep_for(detail::kCqParkSlice);
     }
   }
 
@@ -754,12 +704,10 @@ class CompletionQueue {
 
   /// One bounded parking slice on this queue's condition variable (woken
   /// early by a completion landing here or the outstanding count reaching
-  /// 0). The slice is per-queue: the tuner scales it to the queue's
-  /// observed completion inter-arrival EWMA (cqParkSliceFor).
+  /// 0).
   void park() {
-    const auto slice = detail::cqParkSliceFor(*state_);
     std::unique_lock<std::mutex> g(state_->lock);
-    state_->cv.wait_for(g, slice, [&] {
+    state_->cv.wait_for(g, detail::kCqParkSlice, [&] {
       return !state_->ready.empty() || state_->outstanding == 0;
     });
   }
@@ -909,9 +857,9 @@ Handle<> getAsync(void* dst, std::uint32_t src_locale, const void* src,
 /// own threshold or age cutoff, or by a wait on one of its handles. Each
 /// such op completes at the simulated time it finishes, with no return
 /// wire, and counts toward neither am_batched/ops_aggregated nor
-/// backpressure or the batch tuner. Everywhere else -- hand-made
-/// aggregators, progress threads, enqueues outside a window -- they run in
-/// place at enqueue. Own-locale ops, like shipped ones, must not throw.
+/// backpressure. Everywhere else -- hand-made aggregators, progress
+/// threads, enqueues outside a window -- they run in place at enqueue.
+/// Own-locale ops, like shipped ones, must not throw.
 class Aggregator {
  public:
   /// `ops_per_batch` == 0 means "adopt RuntimeConfig::aggregator_ops_per_batch".
@@ -975,18 +923,10 @@ class Aggregator {
   /// pending() count -- the drain scheduler's helped-body flush gate.
   std::uint64_t bufferedEnqueues() const noexcept { return buffered_enqueues_; }
 
-  /// The *effective* batch threshold. Starts at the configured value; the
-  /// task aggregator resizes it toward the amortization knee at each
-  /// threshold/age flush observation, inside [tuner_batch_min,
-  /// tuner_batch_max] (see runtime/tuner.hpp). Hand-made aggregators
-  /// (explicit ops_per_batch) keep the configured value for the whole run.
-  /// The backpressure overflow valve (4x) tracks this effective value, not
-  /// the config.
+  /// The batch threshold: the explicit ops_per_batch, or else
+  /// RuntimeConfig::aggregator_ops_per_batch (adopted at first use). The
+  /// backpressure overflow valve ships a bucket at 4x this.
   std::size_t opsPerBatch() const noexcept { return ops_per_batch_; }
-
-  /// The adaptive batch-sizing policy state (diagnostics and tests): gap
-  /// EWMA, clamp bounds, whether this aggregator adapts at all.
-  const tuner::BatchTuner& batchTuner() const noexcept { return tuner_; }
 
  private:
   /// Whether a bucket ships or runs inline is decided when it flushes, not
@@ -1010,23 +950,6 @@ class Aggregator {
   /// runtime generation (their closures reference dead objects).
   void adoptRuntime();
 
-  /// Why a bucket is shipping. Only threshold and age flushes inform the
-  /// batch tuner: they mark a bucket whose fill rate was measured against
-  /// the current threshold (full before the age budget, or aged out with
-  /// room left). An explicit flush (manual flush/flushAll, OpWindow close,
-  /// guard unpin, destruction) ships whatever happens to be buffered --
-  /// the bucket's span says nothing about the producer's rate, and ops
-  /// riding a closing window never paid a buffering delay worth shrinking
-  /// the threshold over. For the same reason flushForCause() also skips
-  /// the tuner while an OpWindow is open on the thread, whatever the
-  /// cause: windowed phases ship at window close regardless, so their
-  /// gaps describe a different regime than the streaming traffic the
-  /// threshold exists for.
-  enum class FlushCause { threshold, aged, explicit_ };
-
-  /// flush(loc) with an attributed cause (internal call sites).
-  void flushForCause(std::uint32_t loc, FlushCause cause);
-
   /// Run the calling locale's bucket `loc` inline, in FIFO order, resolving
   /// each op's core at its own finish time. The batch is moved out first,
   /// so an op may re-enter this aggregator.
@@ -1043,10 +966,6 @@ class Aggregator {
   std::size_t ops_per_batch_;
   bool configured_;
   std::uint64_t max_batch_age_ns_ = 0;
-  /// Adaptive batch sizing (armed at adoptRuntime for the task aggregator;
-  /// inert for hand-made ones). flush() feeds it each shipped batch and
-  /// republishes ops_per_batch_/max_batch_age_ns_.
-  tuner::BatchTuner tuner_;
   /// Earliest (first_op_time + max age) across non-empty buckets; enqueues
   /// only pay the full aged-bucket sweep once this has passed.
   std::uint64_t next_age_deadline_ = kNoDeadline;
@@ -1177,19 +1096,9 @@ struct Counters {
                                            ///< deferred queue
   std::uint64_t deferred_peak = 0;         ///< deepest any locale's deferred
                                            ///< queue has been (high-water)
-  std::uint64_t tuner_batch_resizes = 0;   ///< adaptive batch-threshold
-                                           ///< publishes (task aggregators)
-  std::uint64_t tuner_slice_adjusts = 0;   ///< adaptive park-slice changes
-                                           ///< across all CompletionQueues
-  std::uint64_t steal_depth_hits = 0;      ///< two-choice steals that landed
-                                           ///< on the deeper-scored victim
-  std::uint64_t steal_random_fallbacks = 0;///< two-choice rounds that fell
-                                           ///< back to randomized rotation
-                                           ///< (tie or pick raced empty)
-  std::uint64_t tuner_effective_batch = 0; ///< gauge: last published
-                                           ///< effective batch threshold
-  std::uint64_t tuner_park_slice_us = 0;   ///< gauge: last adaptive park
-                                           ///< slice computed (us)
+  std::uint64_t tuner_batch_resizes = 0;   ///< always 0: batch thresholds
+                                           ///< are fixed; kept because
+                                           ///< benchmark/ still reads it
   std::uint64_t puts = 0;
   std::uint64_t gets = 0;
   std::uint64_t dcas_local = 0;

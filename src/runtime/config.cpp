@@ -90,18 +90,6 @@ RuntimeConfig RuntimeConfig::fromEnv() {
   if (const char* v = envOrNull("PGASNB_AGG_MAX_BATCH_AGE")) {
     cfg.aggregator_max_batch_age_ns = std::strtoull(v, nullptr, 0);
   }
-  if (const char* v = envOrNull("PGASNB_CQ_PARK_SLICE")) {
-    cfg.cq_park_slice_us =
-        static_cast<std::uint32_t>(std::strtoul(v, nullptr, 0));
-  }
-  if (const char* v = envOrNull("PGASNB_TUNER_BATCH_MIN")) {
-    cfg.tuner_batch_min =
-        static_cast<std::uint32_t>(std::strtoul(v, nullptr, 0));
-  }
-  if (const char* v = envOrNull("PGASNB_TUNER_BATCH_MAX")) {
-    cfg.tuner_batch_max =
-        static_cast<std::uint32_t>(std::strtoul(v, nullptr, 0));
-  }
   if (const char* v = envOrNull("PGASNB_RECLAIM_MODE")) {
     cfg.reclaim_mode = parseReclaimMode(v, cfg.reclaim_mode);
   }

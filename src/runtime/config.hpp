@@ -92,19 +92,11 @@ struct RuntimeConfig {
   /// AM is injected (0 is treated as 1).
   std::uint32_t aggregator_ops_per_batch = 64;
 
-  /// comm::Aggregator adaptive flush: an under-filled bucket ships once its
+  /// comm::Aggregator age flush: an under-filled bucket ships once its
   /// oldest buffered op is this many *simulated* nanoseconds old (checked
   /// at each enqueue and on flushAged()), instead of waiting for
   /// batch-full/unpin. 0 disables age-based flushing.
   std::uint64_t aggregator_max_batch_age_ns = 100'000;
-
-  /// Completion-surface parking slice (*wall-clock* microseconds): how long
-  /// a CompletionQueue consumer (next/nextAny) parks per slice
-  /// before re-probing for steals / deferred continuations. Smaller = more
-  /// responsive stealing, more wakeups; 0 is clamped to 1. (Idle locale
-  /// workers don't poll on this -- they block on their task queue and are
-  /// woken by the drain group's wake hook.)
-  std::uint32_t cq_park_slice_us = 200;
 
   /// Backpressure: per-locale cap on the DrainGroup's deferred-continuation
   /// queue (ExecPolicy::worker continuations parked for that locale's
@@ -113,16 +105,6 @@ struct RuntimeConfig {
   /// queue reaches half this depth, so the bound holds despite in-flight
   /// batches. 0 = uncapped (no throttling).
   std::uint32_t drain_deferred_cap = 4096;
-
-  /// Adaptive batch sizing (runtime/tuner.hpp): clamp bounds for the
-  /// effective batch threshold a task Aggregator may tune itself to. The
-  /// configured aggregator_ops_per_batch stays the starting point; resizes
-  /// never leave [tuner_batch_min, tuner_batch_max]. min 0 is treated as 1;
-  /// max below min is raised to min. Pinning min == max ==
-  /// aggregator_ops_per_batch holds the threshold and age cutoff at their
-  /// configured values for the whole run.
-  std::uint32_t tuner_batch_min = 8;
-  std::uint32_t tuner_batch_max = 1024;
 
   /// RobinHoodMap: per-segment load factor that starts an incremental
   /// doubling (shadow table + chunked migration). <= 0 disables resize, so
@@ -148,11 +130,10 @@ struct RuntimeConfig {
   /// PGASNB_INJECT_DELAYS, PGASNB_DELAY_SCALE, PGASNB_RECLAIM_MODE,
   /// PGASNB_INTERVAL_ERA_FREQ, PGASNB_RETIRE_BATCH,
   /// PGASNB_AGG_OPS_PER_BATCH, PGASNB_AGG_MAX_BATCH_AGE,
-  /// PGASNB_CQ_PARK_SLICE, PGASNB_DRAIN_DEFERRED_CAP,
-  /// PGASNB_TUNER_BATCH_MIN, PGASNB_TUNER_BATCH_MAX,
-  /// PGASNB_RH_RESIZE_LOAD, PGASNB_RH_MIGRATE_CHUNK on top of the
-  /// defaults. The remote-retire policy has no variable: it is chosen in
-  /// code (cfg.remote_retire).
+  /// PGASNB_DRAIN_DEFERRED_CAP, PGASNB_RH_RESIZE_LOAD,
+  /// PGASNB_RH_MIGRATE_CHUNK on top of the defaults (docs/API.md lists
+  /// them with their fields and defaults). The remote-retire policy has
+  /// no variable: it is chosen in code (cfg.remote_retire).
   static RuntimeConfig fromEnv();
 
   std::string describe() const;

@@ -20,16 +20,15 @@
 //
 // The group itself never blocks: stealing and deferred execution are
 // try-operations; *bounded parking* between attempts lives in the consumer
-// loops (CompletionQueue::next/nextAny, sliced by
-// RuntimeConfig::cq_park_slice_us). Idle locale workers block on their
-// task queue instead and are woken by defer()'s wake hook, so a quiet
-// locale costs nothing.
+// loops (CompletionQueue::next/nextAny park for comm.hpp's constant
+// 200us detail::kCqParkSlice). Idle locale workers block on their task
+// queue instead and are woken by defer()'s wake hook, so a quiet locale
+// costs nothing.
 //
 // This header is runtime-free on purpose (std only): `Locale` embeds a
 // DrainGroup, and the comm layer reaches it through the Runtime.
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -64,23 +63,6 @@ struct CqShared {
   std::condition_variable cv;
   std::deque<ReadyCompletion> ready;
   std::size_t outstanding = 0;
-
-  // --- load/arrival telemetry published for the self-tuning control loop
-  // (ISSUE 10). Writers update under `lock`; readers (two-choice victim
-  // scoring in stealReady, park-slice scaling in cqParkSliceFor) are
-  // lock-free, so these mirror the locked state as relaxed atomics.
-  /// == ready.size(): the depth a stealer scores victims by.
-  std::atomic<std::uint32_t> ready_depth{0};
-  /// == outstanding: breaks two-choice ties (deeper expected future work).
-  std::atomic<std::uint32_t> outstanding_hint{0};
-  /// EWMA of the *wall-clock* gap between consecutive completion pushes
-  /// (ns; 0 = unseeded). Adaptive park slices scale to this.
-  std::atomic<std::uint64_t> ewma_gap_ns{0};
-  /// Wall-clock ns of the last completion push (guarded by `lock`).
-  std::uint64_t last_push_wall_ns = 0;
-  /// Last park slice computed for this queue (us); lets the slice policy
-  /// count *changes* (tuner_slice_adjusts) instead of every probe.
-  std::atomic<std::uint32_t> last_slice_us{0};
 };
 
 // Counter hooks (the process-wide comm counters live in comm.cpp).
@@ -89,10 +71,6 @@ void noteContinuationStolen() noexcept;
 /// Reports the deferred-queue depth observed right after a defer();
 /// maintains the deferred_peak high-water counter.
 void noteDeferredDepth(std::size_t depth) noexcept;
-/// Two-choice steal telemetry: a depth-guided pick that stole vs a round
-/// that fell back to randomized rotation (tie, or the pick raced empty).
-void noteStealDepthHit() noexcept;
-void noteStealFallback() noexcept;
 
 }  // namespace detail
 
@@ -138,13 +116,9 @@ class DrainGroup {
   }
 
   /// Steal one ready completion from any enrolled sibling other than
-  /// `self` (which may be null for an anonymous stealer). The steal is
-  /// load-aware: two distinct victims are sampled and the one with the
-  /// deeper published ready depth is tried first (power-of-two-choices;
-  /// outstanding watches break ties), falling back to a randomized
-  /// rotation -- so concurrent stealers spread instead of hammering one
-  /// queue -- when the depths tie or the pick raced empty. Stealers thus
-  /// drain the deepest backlog first. The stolen completion leaves the
+  /// `self` (which may be null for an anonymous stealer). Victims are tried
+  /// in a rotation from a random start, so concurrent stealers spread
+  /// instead of hammering one queue. The stolen completion leaves the
   /// victim's outstanding count exactly like an owner pop (releasing its
   /// blocked consumers when it was the last one). Never blocks; the caller
   /// folds `out.join` into its own clock.
@@ -155,29 +129,8 @@ class DrainGroup {
     if (!victims.empty()) {
       const std::size_t n = victims.size();
       const std::size_t start = stealRng().nextBelow(n);
-      if (n >= 2) {
-        // Two choices: `start` plus one other distinct victim.
-        std::size_t other = stealRng().nextBelow(n - 1);
-        if (other >= start) ++other;
-        const std::size_t pick = deeperOf(victims, start, other);
-        if (pick != n) {
-          if (tryStealFrom(*victims[pick], out)) {
-            detail::noteStealDepthHit();
-            stolen = true;
-          } else {
-            detail::noteStealFallback();  // pick raced empty: rotate
-          }
-        } else {
-          detail::noteStealFallback();  // tie: rotate
-        }
-      }
-      if (!stolen) {
-        for (std::size_t i = 0; i < n; ++i) {
-          if (tryStealFrom(*victims[(start + i) % n], out)) {
-            stolen = true;
-            break;
-          }
-        }
+      for (std::size_t i = 0; i < n && !stolen; ++i) {
+        stolen = tryStealFrom(*victims[(start + i) % n], out);
       }
     }
     victims.clear();
@@ -321,47 +274,20 @@ class DrainGroup {
   }
 
  private:
-  /// Pop the head of `victim` if it has anything ready, mirroring the pop
-  /// into the published telemetry. Exactly the owner-pop/steal protocol:
-  /// the completion leaves the outstanding count, and the last one out
-  /// releases blocked consumers.
+  /// Pop the head of `victim` if it has anything ready. Exactly the
+  /// owner-pop/steal protocol: the completion leaves the outstanding count,
+  /// and the last one out releases blocked consumers.
   static bool tryStealFrom(detail::CqShared& victim,
                            detail::ReadyCompletion& out) {
     std::unique_lock<std::mutex> g(victim.lock);
     if (victim.ready.empty()) return false;
     out = victim.ready.front();
     victim.ready.pop_front();
-    victim.ready_depth.store(static_cast<std::uint32_t>(victim.ready.size()),
-                             std::memory_order_relaxed);
     const bool drained_out = --victim.outstanding == 0;
-    victim.outstanding_hint.store(
-        static_cast<std::uint32_t>(victim.outstanding),
-        std::memory_order_relaxed);
     g.unlock();
     if (drained_out) victim.cv.notify_all();
     detail::noteCqStolen();
     return true;
-  }
-
-  /// Index of the two-choice victim with the deeper published ready depth
-  /// (outstanding watches break ties); `victims.size()` when both scores
-  /// tie -- the caller's randomized rotation takes over.
-  static std::size_t deeperOf(
-      const std::vector<std::shared_ptr<detail::CqShared>>& victims,
-      std::size_t a, std::size_t b) {
-    const std::uint32_t da =
-        victims[a]->ready_depth.load(std::memory_order_relaxed);
-    const std::uint32_t db =
-        victims[b]->ready_depth.load(std::memory_order_relaxed);
-    if (da != db) return da > db ? a : b;
-    if (da != 0) {
-      const std::uint32_t oa =
-          victims[a]->outstanding_hint.load(std::memory_order_relaxed);
-      const std::uint32_t ob =
-          victims[b]->outstanding_hint.load(std::memory_order_relaxed);
-      if (oa != ob) return oa > ob ? a : b;
-    }
-    return victims.size();
   }
 
   static Xoshiro256& stealRng() {

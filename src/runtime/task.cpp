@@ -26,6 +26,17 @@ bool TaskQueue::tryPop(TaskItem& out) {
   return true;
 }
 
+bool TaskQueue::tryTake(const TaskState* state, TaskItem& out) {
+  std::lock_guard<std::mutex> guard(lock_);
+  const auto it =
+      std::find_if(queue_.begin(), queue_.end(),
+                   [&](const TaskItem& i) { return i.state.get() == state; });
+  if (it == queue_.end()) return false;
+  out = std::move(*it);
+  queue_.erase(it);
+  return true;
+}
+
 bool TaskQueue::popOrWaitFor(TaskItem& out, const std::atomic<bool>& stop,
                              std::chrono::microseconds slice,
                              const std::function<bool()>* extra_wake) {
@@ -58,7 +69,7 @@ std::size_t TaskQueue::sizeApprox() const {
 
 void executeTaskInline(TaskItem& item) {
   TaskContext saved = taskContext();
-  taskContext().here = item.locale;
+  taskContext().here = item.state->locale;
   taskContext().sim_now = item.start_time;
   try {
     item.fn();
@@ -66,7 +77,6 @@ void executeTaskInline(TaskItem& item) {
     item.state->error = std::current_exception();
   }
   item.state->end_time = sim::now();
-  item.state->locale = item.locale;
   item.state->done.store(true, std::memory_order_release);
   taskContext() = saved;
 }
@@ -86,10 +96,10 @@ void TaskGroup::spawnOn(std::uint32_t loc, std::function<void()> fn) {
   PGASNB_CHECK_MSG(loc < rt.numLocales(), "spawnOn: locale out of range");
   const LatencyModel& lat = rt.config().latency;
   auto state = std::make_shared<TaskState>();
+  state->locale = loc;
 
   TaskItem item;
   item.fn = std::move(fn);
-  item.locale = loc;
   item.state = state;
   const bool remote = loc != Runtime::here();
   item.start_time = sim::now() + (remote ? lat.am_wire_ns + lat.remote_task_spawn_ns
@@ -106,8 +116,15 @@ void TaskGroup::wait() {
   const LatencyModel& lat = rt.config().latency;
   const std::uint32_t my_locale = Runtime::here();
 
-  // Join with helping: while any child is outstanding, execute queued tasks
-  // (own locale first, then round-robin) instead of blocking the thread.
+  // Join with helping: run every child a worker has not popped yet inline.
+  // A child that is gone from its queue has started elsewhere and never
+  // comes back, so one pass suffices.
+  for (const auto& st : states_) {
+    TaskItem mine;
+    if (rt.taskQueue(st->locale).tryTake(st.get(), mine)) {
+      executeTaskInline(mine);
+    }
+  }
   std::size_t next_unfinished = 0;
   Backoff backoff;
   while (true) {
@@ -116,20 +133,8 @@ void TaskGroup::wait() {
       ++next_unfinished;
     }
     if (next_unfinished == states_.size()) break;
-
-    TaskItem stolen;
-    bool found = rt.taskQueue(my_locale).tryPop(stolen);
-    if (!found) {
-      for (std::uint32_t l = 0; l < rt.numLocales() && !found; ++l) {
-        if (l == my_locale) continue;
-        found = rt.taskQueue(l).tryPop(stolen);
-      }
-    }
-    if (found) {
-      executeTaskInline(stolen);
-      backoff.reset();
-    } else if (comm::detail::helpOneDeferred()) {
-      // No queued task to help with: execute a deferred worker
+    if (comm::detail::helpOneDeferred()) {
+      // No child left to run here: execute a deferred worker
       // continuation instead of burning the spin budget (the helper also
       // flushes whatever the body buffered into this thread's aggregator
       // and excludes progress threads itself).

@@ -8,9 +8,11 @@
 //   * coforallHere(n, f)    - n tasks on the current locale
 //
 // Each locale has a small pool of persistent worker threads. A blocked
-// TaskGroup::wait() *helps*: it steals queued tasks (own locale first) and
-// executes them inline, so nested coforalls can never deadlock regardless of
-// pool size, and the two physical cores stay busy.
+// TaskGroup::wait() *helps*: it takes its own still-queued children out of
+// their locales' queues and executes them inline, so nested coforalls can
+// never deadlock regardless of pool size. It never runs a foreign task: one
+// that waits on the joiner's caller would then sit beneath it on the same
+// stack and never finish.
 //
 // Simulated time: a child task starts at parent_now + spawn cost (+ wire if
 // cross-locale) and the join folds max(child end + return wire) back into
@@ -34,14 +36,13 @@ namespace pgasnb {
 struct TaskState {
   std::atomic<bool> done{false};
   std::uint64_t end_time = 0;  // valid once done is true (release/acquire)
-  std::uint32_t locale = 0;
+  std::uint32_t locale = 0;    // the task's locale, set at spawn
   std::exception_ptr error;
 };
 
 struct TaskItem {
   std::function<void()> fn;
   std::uint64_t start_time = 0;
-  std::uint32_t locale = 0;
   std::shared_ptr<TaskState> state;
 };
 
@@ -49,6 +50,9 @@ class TaskQueue {
  public:
   void push(TaskItem&& item);
   bool tryPop(TaskItem& out);
+  /// Remove the queued item whose state is `state`, if it has not been
+  /// popped yet. A TaskGroup join uses this to run its own children.
+  bool tryTake(const TaskState* state, TaskItem& out);
   /// Bounded blocking pop: parks at most `slice`, woken early by pushes,
   /// stop, or -- when `extra_wake` is non-null -- that predicate turning
   /// true under a notifyAll() (worker threads pass "the drain group has

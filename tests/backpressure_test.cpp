@@ -174,64 +174,6 @@ TEST_F(BackpressureTest, AggregatorHoldsBatchesForASaturatedDestination) {
   spinUntil([&] { return ran.load() == 5 * static_cast<int>(kBatch); });
 }
 
-TEST_F(BackpressureTest, OverflowValveTracksTheAdaptiveThreshold) {
-  // ISSUE 10 regression: the 4x overflow valve must scale with the
-  // *effective* (tuner-adjusted) batch threshold, not the configured base.
-  // With base 8 shrunk to 2, a held bucket must ship at 4 * 2 = 8 buffered
-  // ops -- under the old behavior it would sit on 4 * 8 = 32.
-  RuntimeConfig cfg = testing::testConfig(2, CommMode::none, /*workers=*/1);
-  cfg.aggregator_ops_per_batch = 8;
-  cfg.tuner_batch_min = 2;
-  runtime_ = std::make_unique<Runtime>(cfg);
-
-  // Phase 1: sparse production (1 ms per op) walks the task aggregator's
-  // threshold down to the clamp floor.
-  comm::Aggregator& agg = comm::taskAggregator();
-  std::atomic<int> ran{0};
-  std::uint64_t t = sim::now();
-  for (int i = 0; i < 32; ++i) {
-    t += 1'000'000;
-    sim::setNow(t);
-    agg.enqueue(1, [&ran] { ran.fetch_add(1); });
-  }
-  agg.flushAll();
-  ASSERT_EQ(agg.opsPerBatch(), 2u) << "tuner must have reached the floor";
-  spinUntil([&] { return ran.load() == 32; });
-
-  // Phase 2: pin locale 1's only worker and saturate its deferred queue so
-  // threshold flushes are declined.
-  std::atomic<bool> pinned{false};
-  std::atomic<bool> release{false};
-  TaskGroup pin_worker;
-  pin_worker.spawnOn(1, [&pinned, &release] {
-    pinned.store(true);
-    while (!release.load()) std::this_thread::yield();
-  });
-  spinUntil([&] { return pinned.load(); });
-  comm::DrainGroup& dest = Runtime::get().locale(1).drainGroup();
-  dest.setDeferredCap(8);
-  std::atomic<int> stuck{0};
-  for (int i = 0; i < 4; ++i) dest.defer([&stuck] { stuck.fetch_add(1); });
-  ASSERT_TRUE(dest.saturated());
-
-  // No sim-clock gaps now, so the age flush stays out of the picture: the
-  // bucket holds past the 2-op threshold and ships exactly at the valve.
-  std::size_t buffered = 0;
-  while (buffered < 64) {
-    agg.enqueue(1, [&ran] { ran.fetch_add(1); });
-    ++buffered;
-    if (agg.pendingFor(1) == 0) break;
-  }
-  EXPECT_EQ(buffered, 4u * agg.opsPerBatch())
-      << "the valve must track the effective threshold";
-  EXPECT_GE(comm::counters().backpressure_stalls, 1u);
-
-  release.store(true);
-  pin_worker.wait();
-  spinUntil([&] { return stuck.load() == 4; });
-  spinUntil([&] { return ran.load() == 32 + static_cast<int>(buffered); });
-}
-
 TEST_F(BackpressureTest, ExplicitFlushShipsAHeldBatch) {
   // Forward-progress guarantee: flush()/flushAll() bypass the hold.
   startRuntime(2, CommMode::none, /*workers=*/1);

@@ -233,8 +233,8 @@ TEST_F(CommAsyncTest, CompletionQueueDrainsInFifoCompletionOrder) {
 }
 
 TEST_F(CommAsyncTest, StealAndContinuationCountersSnapshotAndReset) {
-  // The test drives tuner decisions and asserts their counters/gauges
-  // round-trip through snapshot and reset with everything else.
+  // The drain-scheduler counters round-trip through snapshot and reset
+  // with everything else.
   startRuntime(2);
   // One steal between two enrolled queues: everything lands in `other`,
   // so nextAny must take it from there.
@@ -253,32 +253,15 @@ TEST_F(CommAsyncTest, StealAndContinuationCountersSnapshotAndReset) {
       .then([&ran] { ran.fetch_add(1); }, comm::ExecPolicy::worker)
       .wait();
   EXPECT_EQ(ran.load(), 1);
-  // One tuner decision: sparse aggregated production (1 ms gaps) forces a
-  // batch resize, which also publishes the effective-batch gauge.
-  comm::Aggregator& agg = comm::taskAggregator();
-  std::uint64_t t = sim::now();
-  for (int i = 0; i < 16; ++i) {
-    t += 1'000'000;
-    sim::setNow(t);
-    agg.enqueue(1, [] {});
-  }
-  agg.flushAll();
   const comm::Counters snap = comm::counters();
   EXPECT_EQ(snap.cq_stolen, 1u);
   EXPECT_GE(snap.continuations_stolen, 1u);
-  EXPECT_GE(snap.tuner_batch_resizes, 1u);
-  EXPECT_EQ(snap.tuner_effective_batch, agg.opsPerBatch());
+  EXPECT_GE(snap.cq_drained, 1u);
   comm::resetCounters();
   const comm::Counters zeroed = comm::counters();
   EXPECT_EQ(zeroed.cq_stolen, 0u);
   EXPECT_EQ(zeroed.continuations_stolen, 0u);
   EXPECT_EQ(zeroed.cq_drained, 0u);
-  EXPECT_EQ(zeroed.tuner_batch_resizes, 0u);
-  EXPECT_EQ(zeroed.tuner_slice_adjusts, 0u);
-  EXPECT_EQ(zeroed.steal_depth_hits, 0u);
-  EXPECT_EQ(zeroed.steal_random_fallbacks, 0u);
-  EXPECT_EQ(zeroed.tuner_effective_batch, 0u);
-  EXPECT_EQ(zeroed.tuner_park_slice_us, 0u);
 }
 
 TEST_F(CommAsyncTest, CompletionQueueWatchAfterCompletionStillDelivers) {
@@ -428,6 +411,58 @@ TEST_F(CommAsyncTest, AggregatorAgeFlushDisabledWhenKnobIsZero) {
   EXPECT_EQ(agg.pendingFor(1), 2u) << "age flushing off: only threshold/flush ship";
   EXPECT_EQ(comm::counters().am_batched, 0u);
   agg.flushAll();
+}
+
+// Sparse production (one op per simulated millisecond) outside any window
+// must not move the task aggregator's threshold: every batch ships at the
+// configured threshold or once its oldest op reaches the configured age.
+TEST_F(CommAsyncTest, TaskAggregatorKeepsItsConfiguredThresholdOnSparseProduction) {
+  struct Shape {
+    std::uint32_t ops_per_batch;
+    std::uint64_t max_age_ns;
+  };
+  // The defaults (1 ms gaps age out every batch at two ops), then an age
+  // budget wide enough that every batch fills to the threshold.
+  for (const Shape shape : {Shape{64, 100'000}, Shape{16, 50'000'000}}) {
+    RuntimeConfig cfg = testConfig(2);
+    cfg.aggregator_ops_per_batch = shape.ops_per_batch;
+    cfg.aggregator_max_batch_age_ns = shape.max_age_ns;
+    runtime_.reset();
+    runtime_ = std::make_unique<Runtime>(cfg);
+    comm::resetCounters();
+    comm::Aggregator& agg = comm::taskAggregator();
+    std::uint64_t t = sim::now();
+    std::uint64_t first_op_time = 0;
+    std::uint64_t shipped_ops = 0;
+    std::uint64_t batches = 0;
+    for (int round = 0; round < 12; ++round) {
+      for (std::uint32_t i = 0; i < shape.ops_per_batch; ++i) {
+        t += 1'000'000;
+        sim::setNow(t);
+        const std::size_t before = agg.pendingFor(1);
+        if (before == 0) first_op_time = t;
+        agg.enqueue(1, [] {});
+        ASSERT_EQ(agg.opsPerBatch(), shape.ops_per_batch);
+        if (agg.pendingFor(1) != 0) continue;
+        // This enqueue shipped the bucket: at the threshold, or aged.
+        const std::size_t size = before + 1;
+        EXPECT_TRUE(size == shape.ops_per_batch ||
+                    t - first_op_time >= shape.max_age_ns)
+            << "batch of " << size << " shipped before threshold or age";
+        shipped_ops += size;
+        ++batches;
+      }
+    }
+    agg.flushAll();
+    EXPECT_EQ(agg.opsPerBatch(), shape.ops_per_batch);
+    EXPECT_EQ(shipped_ops, 12u * shape.ops_per_batch)
+        << "nothing left for the closing flush";
+    if (shape.max_age_ns > shape.ops_per_batch * 1'000'000ull) {
+      EXPECT_EQ(batches, 12u) << "every batch fills to the threshold";
+    }
+    EXPECT_EQ(comm::counters().am_batched, batches);
+    comm::quiesceAmQueues();
+  }
 }
 
 TEST_F(CommAsyncTest, AggregatorDestructorFlushes) {

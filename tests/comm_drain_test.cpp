@@ -3,13 +3,12 @@
 // nextAny), mid-window OpWindow::drain (release of finished ops, nesting,
 // max-fold parity with a bare join), deferred
 // ExecPolicy::worker continuations (off the progress thread, executor-side
-// sim-clock charging, monadic flattening, helping waits), the
-// cq_park_slice_us knob, and a workers-x-locales stealing work-queue
-// sweep (the full sweep is the `-L stress` variant).
+// sim-clock charging, monadic flattening, helping waits), and a
+// workers-x-locales stealing work-queue sweep (the full sweep is the
+// `-L stress` variant).
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdlib>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -486,15 +485,6 @@ TEST_F(CommDrainTest, IdleWorkersExecuteDeferredContinuations) {
   spinUntil([&] { return ran.load() == 1; });
   EXPECT_EQ(ran.load(), 1);
   EXPECT_GE(comm::counters().continuations_stolen, 1u);
-}
-
-// --- the parking-slice knob --------------------------------------------------
-
-TEST(CommDrainConfigTest, ParkSliceKnobDefaultsAndParsesFromEnv) {
-  EXPECT_EQ(RuntimeConfig{}.cq_park_slice_us, 200u);
-  ::setenv("PGASNB_CQ_PARK_SLICE", "750", 1);
-  EXPECT_EQ(RuntimeConfig::fromEnv().cq_park_slice_us, 750u);
-  ::unsetenv("PGASNB_CQ_PARK_SLICE");
 }
 
 // --- stealing work-queue sweep ----------------------------------------------

@@ -2,8 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "test_support.hpp"
@@ -140,6 +142,55 @@ TEST_F(TaskTest, DeepTaskFanOut) {
     });
   });
   EXPECT_EQ(total.load(), 2 * 4 * 4);
+}
+
+TEST_F(TaskTest, JoinRunsOnlyItsOwnChildren) {
+  // A join must not run a foreign queued task: here that task (S) spins
+  // until the joiner's own child (C) has run, so running S beneath the
+  // join would wait on itself. Both workers are pinned, so the join is
+  // the only thread that can run C. A rescue thread breaks the cycle after
+  // 5 s so a failing join fails the test instead of hanging it.
+  startRuntime(2, CommMode::none, 1);
+  std::atomic<int> pinned{0};
+  std::atomic<bool> release{false};
+  TaskGroup pins;
+  for (std::uint32_t l = 0; l < 2; ++l) {
+    pins.spawnOn(l, [&pinned, &release] {
+      pinned.fetch_add(1);
+      while (!release.load()) std::this_thread::yield();
+    });
+  }
+  while (pinned.load() != 2) std::this_thread::yield();
+
+  std::atomic<bool> flag{false};
+  std::atomic<bool> rescued{false};
+  std::thread rescue([&flag, &rescued] {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (!flag.load()) {
+      if (std::chrono::steady_clock::now() >= deadline) {
+        rescued.store(true);
+        flag.store(true);
+        return;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
+
+  TaskGroup foreign;
+  foreign.spawnOn(0, [&flag] {
+    while (!flag.load()) std::this_thread::yield();
+  });
+  TaskGroup own;
+  own.spawnOn(1, [&flag] { flag.store(true); });
+  own.wait();
+  EXPECT_FALSE(rescued.load())
+      << "the join ran the foreign task that waits on its own child";
+
+  rescue.join();
+  release.store(true);
+  pins.wait();
+  foreign.wait();
 }
 
 TEST_F(TaskTest, ManySequentialOnStatements) {
