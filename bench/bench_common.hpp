@@ -151,10 +151,10 @@ struct BenchOptions {
 
 /// Runtime config for benchmark runs: physical delay injection ON so the
 /// wall column reflects the interconnect model too. Starts from fromEnv()
-/// so the reclamation/backpressure knobs (PGASNB_RECLAIM_MODE,
-/// PGASNB_INTERVAL_ERA_FREQ, PGASNB_DRAIN_DEFERRED_CAP, aggregator
-/// batching, ...) are sweepable from the environment --
-/// scripts/bench_json.sh pins their defaults per recorded run. The sweep
+/// so the reclamation and batching knobs (PGASNB_INTERVAL_ERA_FREQ,
+/// PGASNB_RETIRE_BATCH, PGASNB_AGG_OPS_PER_BATCH, ...) are sweepable from
+/// the environment -- scripts/bench_json.sh pins the era frequency per
+/// recorded run. The sweep
 /// parameters below (locales, workers, comm mode, delay model) are the
 /// bench's own axes and always override the environment. The remote-retire
 /// policy has no variable: a bench that compares policies sets

@@ -1,5 +1,5 @@
 // Distributed work queue: a global-view DistStack as a task bag, consumed
-// by a *locale-wide stealing drain* over per-worker completion queues.
+// by the workers of every locale through one shared completion queue.
 //
 //   ./examples/dist_workqueue [--locales=N] [--items=K] [--workers=W]
 //                             [--comm=ugni|none]
@@ -7,16 +7,14 @@
 // Locale 0 seeds a bag of integration subintervals with aggregated async
 // pushes issued inside a comm::OpWindow -- the whole seed is a handful of
 // batched AMs, and closing the window ships + joins them with no manual
-// flushAll() anywhere. Every locale then runs W worker tasks, each owning
-// a CompletionQueue ENROLLED in the locale's DrainGroup: a window of
-// popAsync operations stays in flight per worker, the home locale's
-// progress thread pushes each completion into the issuing worker's queue,
-// and a worker drains with nextAny() -- its own queue first, then a
-// *steal* from any sibling's (randomized victim order, bounded parking).
-// A worker that finishes its share keeps the locale busy by draining its
-// siblings' backlogs; reissues land in the stealer's queue, so work
-// migrates toward the less-loaded workers. No spin-polling, no shared
-// queue bottleneck: the DrainGroup is the locale's consumer surface. The
+// flushAll() anywhere. Every locale then keeps a table of popAsync
+// operations in flight, all watched by ONE CompletionQueue per locale: the
+// bag's home progress thread pushes each completion into that queue, and
+// the locale's W worker tasks drain it with next() (MPMC: every
+// completion reaches exactly one worker). A worker reissues the drained
+// slot's pop first and integrates the item second, so the next pop
+// overlaps the compute. Whichever worker is free takes the next
+// completion, so the load balances without any per-worker queue. The
 // DistDomain reclaims the work-item nodes while consumers race.
 #include <algorithm>
 #include <cmath>
@@ -79,58 +77,52 @@ int main(int argc, char** argv) {
     }
   }  // window closes: batch shipped + joined; the bag is fully seeded
 
-  // Consume, locale-wide stealing drain style: each worker keeps its share
-  // of a SHARED slot table in flight through its OWN enrolled queue and
-  // drains with nextAny(). A stolen tag may index any slot; the slot is
-  // touched only by the worker that drained it (the queue/steal locks
-  // order reissue-write -> watch -> drain-read), and its reissue is
-  // watched into the *stealer's* queue -- the migration that keeps every
-  // worker fed. nextAny() returns nullopt once the whole group looks
-  // quiescent; each worker reissues BEFORE computing so that window is
-  // tiny (an idle sibling catching it exits early, which costs
-  // parallelism, never items -- the reissuing workers drain the rest).
-  // At least one in-flight slot per worker, so no worker starts with an
-  // empty share and quits before its siblings have anything to steal.
+  // Consume: the locale primes a table of in-flight pops, all watched by
+  // the locale's one shared queue under their slot index as tag. A worker
+  // that drains a tag owns that slot until it rewatches it (the queue lock
+  // orders reissue-write -> watch -> drain-read). next() returns nullopt
+  // once nothing is outstanding; each worker reissues BEFORE computing so
+  // the drained->rewatched gap stays tiny (an idle sibling catching it
+  // exits early, which costs parallelism, never items -- the reissuing
+  // workers drain the rest).
   const std::uint64_t window_slots = std::max<std::uint64_t>(8, workers);
   const comm::Counters before = comm::counters();
   std::atomic<std::uint64_t> items_done{0};
   std::vector<CachePadded<std::atomic<double>>> partial(cfg.num_locales);
   coforallLocales([&, domain, bag] {
     std::vector<comm::Handle<std::optional<WorkItem>>> slots(window_slots);
+    comm::CompletionQueue cq;
+    {
+      auto guard = domain.pin();
+      for (std::uint64_t s = 0; s < window_slots; ++s) {
+        slots[s] = bag->popAsync(guard);
+        cq.watch(slots[s], s);
+      }
+    }
     std::atomic<bool> bag_drained{false};
 
     std::vector<CachePadded<std::atomic<double>>> worker_sum(workers);
     std::atomic<std::uint64_t> locale_count{0};
     coforallHere(workers, [&](std::uint32_t w) {
       auto guard = domain.attach();
-      comm::CompletionQueue cq;
-      cq.enrollLocal();  // steal victim for -- and stealer from -- siblings
-      // Prime this worker's share of the slot table (round-robin split).
-      for (std::uint64_t s = w; s < window_slots; s += workers) {
-        guard.pin();
-        slots[s] = bag->popAsync(guard);
-        guard.unpin();
-        cq.watch(slots[s], s);
-      }
       double sum = 0.0;
       std::uint64_t count = 0;
-      while (auto slot = cq.nextAny()) {  // own queue first, then steal
+      while (auto slot = cq.next()) {
         // Copy the payload out: the reissue below overwrites the slot.
         const std::optional<WorkItem> item = slots[*slot].value();
         if (!item.has_value()) {
           // The bag was empty at this pop's linearization; pops only
-          // remove, so it stays empty -- stop reissuing, let the rest of
-          // the group's windows drain (any worker may consume them).
+          // remove, so it stays empty -- stop reissuing and let the
+          // locale's remaining pops drain.
           bag_drained.store(true, std::memory_order_relaxed);
           continue;
         }
-        // Reissue FIRST, compute second: the pop overlaps the integration
-        // and the drained->rewatched quiescence window stays tiny.
+        // Reissue FIRST, compute second: the pop overlaps the integration.
         if (!bag_drained.load(std::memory_order_relaxed)) {
           guard.pin();
           slots[*slot] = bag->popAsync(guard);
           guard.unpin();
-          cq.watch(slots[*slot], *slot);  // reissue lands in MY queue
+          cq.watch(slots[*slot], *slot);
         }
         sum += integrate(*item);
         ++count;
@@ -138,7 +130,7 @@ int main(int argc, char** argv) {
       }
       worker_sum[w]->store(sum, std::memory_order_relaxed);
       locale_count.fetch_add(count, std::memory_order_relaxed);
-    });  // queues unenroll from the DrainGroup as the workers return
+    });
 
     double locale_sum = 0.0;
     for (auto& s : worker_sum) locale_sum += s->load(std::memory_order_relaxed);
@@ -155,11 +147,10 @@ int main(int argc, char** argv) {
               cfg.num_locales, workers,
               static_cast<unsigned long long>(items),
               static_cast<unsigned long long>(items_done.load()));
-  std::printf("drained %llu completions, %llu via sibling steals\n",
+  std::printf("drained %llu completions from %u shared queues\n",
               static_cast<unsigned long long>(after.cq_drained -
                                               before.cq_drained),
-              static_cast<unsigned long long>(after.cq_stolen -
-                                              before.cq_stolen));
+              cfg.num_locales);
   std::printf("integral of 4/(1+x^2) on [0,1] = %.12f (pi = %.12f)\n", pi,
               M_PI);
 

@@ -18,12 +18,10 @@ BUILD_DIR="${PGASNB_BUILD_DIR:-build}"
 OUT_DIR="${PGASNB_BENCH_OUT:-.}"
 BENCH_ARGS="${PGASNB_BENCH_ARGS:---quick}"
 
-# Reclamation/backpressure knobs: pin the defaults explicitly so recorded
-# runs are reproducible even if the config defaults move later. Override
-# any of them in the environment to sweep.
-export PGASNB_RECLAIM_MODE="${PGASNB_RECLAIM_MODE:-epoch}"
+# Reclamation knob: pin the default explicitly so recorded runs are
+# reproducible even if the config default moves later. Override it in the
+# environment to sweep.
 export PGASNB_INTERVAL_ERA_FREQ="${PGASNB_INTERVAL_ERA_FREQ:-128}"
-export PGASNB_DRAIN_DEFERRED_CAP="${PGASNB_DRAIN_DEFERRED_CAP:-4096}"
 
 BENCHES=("$@")
 if [[ ${#BENCHES[@]} -eq 0 ]]; then

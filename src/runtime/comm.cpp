@@ -20,10 +20,6 @@ struct AtomicCounters {
   std::atomic<std::uint64_t> ops_aggregated{0};
   std::atomic<std::uint64_t> handles_chained{0};
   std::atomic<std::uint64_t> cq_drained{0};
-  std::atomic<std::uint64_t> cq_stolen{0};
-  std::atomic<std::uint64_t> continuations_stolen{0};
-  std::atomic<std::uint64_t> backpressure_stalls{0};
-  std::atomic<std::uint64_t> deferred_peak{0};
   std::atomic<std::uint64_t> puts{0};
   std::atomic<std::uint64_t> gets{0};
   std::atomic<std::uint64_t> dcas_local{0};
@@ -110,8 +106,6 @@ Handle<T> injectAmHandle(std::uint32_t loc,
 }
 
 /// Innermost open window on this thread (LIFO nesting chain via parent_).
-/// Lives up here so detail::helpOneDeferred can mask it around foreign
-/// deferred bodies.
 thread_local OpWindow* t_current_window = nullptr;
 
 /// Join-ready time of a completed core: completion + return wire.
@@ -183,96 +177,14 @@ void flushIfBuffered(HandleCore& core) {
 
 void flushTaskAggregatorForDrain() { taskAggregator().flushAll(); }
 
-DrainGroup* localDrainGroup() noexcept {
-  if (!Runtime::active()) return nullptr;
-  return &Runtime::get().locale(Runtime::here()).drainGroup();
-}
-
-void deferContinuationTo(std::uint32_t loc, std::function<void()> run) {
-  Runtime::get().locale(loc).drainGroup().defer(std::move(run));
-}
-
-bool helpOneDeferred() {
-  // Progress threads never execute deferred bodies -- routing them off the
-  // AM service path is the whole point of ExecPolicy::worker.
-  if (taskContext().progress_thread) return false;
-  DrainGroup* group = localDrainGroup();
-  if (group == nullptr) return false;
-  // Mask any OpWindow the *helping* thread has open: the deferred body
-  // belongs to a foreign chain, and aggregated ops it issues must not
-  // auto-enroll into a window whose owner never issued them (the close
-  // would max-fold an unrelated chain's join time). RAII so a throwing
-  // body cannot leave the thread's window enrollment broken for good.
-  struct MaskAndFlush {
-    OpWindow* saved = t_current_window;
-    std::uint64_t enqueues_before = taskAggregator().bufferedEnqueues();
-    MaskAndFlush() { t_current_window = nullptr; }
-    ~MaskAndFlush() {
-      // The body may have buffered aggregated ops into THIS thread's task
-      // aggregator. The task that waits on them cannot flush a foreign
-      // aggregator (flushIfBuffered's ownership rule), and this thread may
-      // now park indefinitely -- ship before anything strands. Gated on
-      // the *monotone* buffered-enqueue count (not pending(), which an
-      // intervening auto-flush can coincidentally restore): a body that
-      // buffers nothing triggers no flush, so the helper's own partial
-      // batches survive the common help case. When the body DID buffer,
-      // flushAll necessarily ships the helper's partial batches along --
-      // stranding a foreign chain's ops would be worse than the lost
-      // batching.
-      Aggregator& agg = taskAggregator();
-      if (agg.bufferedEnqueues() != enqueues_before && agg.pending() != 0) {
-        agg.flushAll();
-      }
-      t_current_window = saved;
-    }
-  } scope;
-  return group->runOneDeferred();
-}
-
-void spinHelpUntilDone(HandleCore& core) {
+void spinUntilDone(const HandleCore& core) {
   Backoff backoff;
-  while (core.done.load(std::memory_order_acquire) == 0) {
-    if (helpOneDeferred()) {
-      backoff.reset();
-      continue;
-    }
-    backoff.pause();
-  }
+  while (core.done.load(std::memory_order_acquire) == 0) backoff.pause();
 }
 
 void noteAmAsync() noexcept { bump(g_counters.am_async); }
 void noteHandlesChained() noexcept { bump(g_counters.handles_chained); }
 void noteCqDrained() noexcept { bump(g_counters.cq_drained); }
-void noteCqStolen() noexcept { bump(g_counters.cq_stolen); }
-void noteContinuationStolen() noexcept {
-  bump(g_counters.continuations_stolen);
-}
-
-void noteDeferredDepth(std::size_t depth) noexcept {
-  std::uint64_t cur = g_counters.deferred_peak.load(std::memory_order_relaxed);
-  while (cur < depth && !g_counters.deferred_peak.compare_exchange_weak(
-                            cur, depth, std::memory_order_relaxed)) {
-  }
-}
-
-void throttleDeferredBacklog() {
-  if (!Runtime::active() || taskContext().progress_thread) return;
-  DrainGroup* group = localDrainGroup();
-  if (group == nullptr || !group->saturated()) return;
-  // Reentrancy guard: helpOneDeferred runs foreign bodies, and a body that
-  // itself routes worker continuations must not recursively throttle.
-  static thread_local bool throttling = false;
-  if (throttling) return;
-  throttling = true;
-  bump(g_counters.backpressure_stalls);
-  // Work the backlog down below the throttle mark before producing more.
-  // Bounded: every iteration that keeps looping retired one deferred body,
-  // and a progress thread (which cannot help) never reaches here.
-  while (group->saturated()) {
-    if (!helpOneDeferred()) break;
-  }
-  throttling = false;
-}
 
 }  // namespace detail
 
@@ -346,11 +258,10 @@ void OpWindow::join() {
       if (!live) continue;  // op died with its runtime: nothing to wait for
       // Auto-enrolled ops were shipped by the flushAll above; an add()-ed
       // handle may hang off a then()-chain whose root still sits in this
-      // task's aggregator -- walk and ship it, then spin (helping with
-      // deferred continuations) for service, identical semantics to
-      // wait() on that handle.
+      // task's aggregator -- walk and ship it, then spin for service,
+      // identical semantics to wait() on that handle.
       detail::flushIfBuffered(*core);
-      detail::spinHelpUntilDone(*core);
+      detail::spinUntilDone(*core);
     }
     max_join = std::max(max_join, joinReadyTime(*core));
   }
@@ -717,7 +628,6 @@ void Aggregator::enqueueWithCore(std::uint32_t loc, std::function<void()> op,
   }
   bucket.ops.push_back(std::move(op));
   bucket.weight += op_weight;
-  ++buffered_enqueues_;
   if (core != nullptr) {
     // Mark the op as buffered-here so join paths (Handle::wait, whenAll,
     // OpWindow::join) can ship its batch instead of spinning forever, and
@@ -728,33 +638,10 @@ void Aggregator::enqueueWithCore(std::uint32_t loc, std::function<void()> op,
   }
   bucket.cores.push_back(std::move(core));
   ++total_pending_;
-  if (bucket.ops.size() >= ops_per_batch_ &&
-      (local || !holdForBackpressure(loc))) {
-    flush(loc);
-  }
+  if (bucket.ops.size() >= ops_per_batch_) flush(loc);
   // O(1) age check per enqueue: the full bucket sweep only runs once the
   // earliest deadline across all buckets has actually passed.
   if (sim::now() >= next_age_deadline_) flushAged();
-}
-
-bool Aggregator::holdForBackpressure(std::uint32_t loc) {
-  // Destination throttle: a threshold-full bucket is *held* (keeps
-  // buffering) while the destination's deferred-continuation queue is
-  // saturated, so a stalled locale stops receiving new batches instead of
-  // having its queue grow without bound. Only the threshold path defers to
-  // this -- aged and explicit flushes always ship (forward progress), and
-  // a bucket that reaches 4x the batch threshold ships regardless so one
-  // slow destination cannot pin unbounded memory in the sender.
-  if (!Runtime::active()) return false;
-  Bucket& bucket = buckets_[loc];
-  if (bucket.ops.size() >= std::size_t{4} * ops_per_batch_) return false;
-  if (!Runtime::get().locale(loc).drainGroup().saturated()) return false;
-  if (bucket.ops.size() == ops_per_batch_) {
-    // First decline for this episode; later holds of the same bucket are
-    // the same stall, not new ones.
-    bump(g_counters.backpressure_stalls);
-  }
-  return true;
 }
 
 void Aggregator::flush(std::uint32_t loc) {
@@ -862,13 +749,6 @@ Counters counters() noexcept {
   snapshot.handles_chained =
       g_counters.handles_chained.load(std::memory_order_relaxed);
   snapshot.cq_drained = g_counters.cq_drained.load(std::memory_order_relaxed);
-  snapshot.cq_stolen = g_counters.cq_stolen.load(std::memory_order_relaxed);
-  snapshot.continuations_stolen =
-      g_counters.continuations_stolen.load(std::memory_order_relaxed);
-  snapshot.backpressure_stalls =
-      g_counters.backpressure_stalls.load(std::memory_order_relaxed);
-  snapshot.deferred_peak =
-      g_counters.deferred_peak.load(std::memory_order_relaxed);
   snapshot.puts = g_counters.puts.load(std::memory_order_relaxed);
   snapshot.gets = g_counters.gets.load(std::memory_order_relaxed);
   snapshot.dcas_local = g_counters.dcas_local.load(std::memory_order_relaxed);
@@ -886,10 +766,6 @@ void resetCounters() noexcept {
   g_counters.ops_aggregated.store(0, std::memory_order_relaxed);
   g_counters.handles_chained.store(0, std::memory_order_relaxed);
   g_counters.cq_drained.store(0, std::memory_order_relaxed);
-  g_counters.cq_stolen.store(0, std::memory_order_relaxed);
-  g_counters.continuations_stolen.store(0, std::memory_order_relaxed);
-  g_counters.backpressure_stalls.store(0, std::memory_order_relaxed);
-  g_counters.deferred_peak.store(0, std::memory_order_relaxed);
   g_counters.puts.store(0, std::memory_order_relaxed);
   g_counters.gets.store(0, std::memory_order_relaxed);
   g_counters.dcas_local.store(0, std::memory_order_relaxed);

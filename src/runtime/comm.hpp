@@ -21,11 +21,9 @@
 // flushes and joins them at the max simulated time -- see the class below
 // and docs/ARCHITECTURE.md for the lifecycle.
 //
-// Consumption is scheduled locale-wide: every locale owns a `DrainGroup`
-// (runtime/drain_group.hpp) that registers sibling CompletionQueues
-// (`enrollLocal()` + steal-from-any `nextAny()` draining) and executes
-// `then(fn, ExecPolicy::worker)` continuation bodies on task threads so
-// heavy bodies stay off the progress threads' AM service path.
+// Completions are consumed on one path: `then(fn)` runs on the completing
+// thread, waits spin, and workers that share work share one MPMC
+// `CompletionQueue`.
 //
 // This is the layer where CommMode matters:
 //
@@ -60,7 +58,6 @@
 #include <utility>
 #include <vector>
 
-#include "runtime/drain_group.hpp"
 #include "runtime/runtime.hpp"
 #include "util/backoff.hpp"
 #include "util/check.hpp"
@@ -158,37 +155,30 @@ void flushIfBuffered(HandleCore& core);
 /// Aggregator lives below).
 void flushTaskAggregatorForDrain();
 
-/// The calling locale's DrainGroup, or nullptr when no runtime is active.
-DrainGroup* localDrainGroup() noexcept;
-
-/// Queue `run` into locale `loc`'s DrainGroup for execution by one of its
-/// task threads (the ExecPolicy::worker deferral hook). Enqueue-only.
-void deferContinuationTo(std::uint32_t loc, std::function<void()> run);
-
-/// Execute one deferred continuation of the calling locale's DrainGroup,
-/// if the caller is a task thread and one is pending. Progress threads
-/// never run deferred bodies (that would put them back on the AM service
-/// path); for them -- and without a runtime -- this is a no-op.
-bool helpOneDeferred();
-
-/// Spin until `core` completes, executing deferred drain-group
-/// continuations between probes: a waiter parked on a worker-policy
-/// continuation must be able to run the body itself instead of
-/// deadlocking on an idle locale.
-void spinHelpUntilDone(HandleCore& core);
-
-/// Issue-side backpressure gate: when the calling locale's DrainGroup is
-/// saturated (deferred queue at or past half its cap), a task thread about
-/// to defer more work first helps drain the backlog below the throttle
-/// mark (counted once in backpressure_stalls). No-op on progress threads
-/// (they must never run deferred bodies), without a runtime, or when the
-/// cap is 0.
-void throttleDeferredBacklog();
+/// Spin (with backoff) until `core` completes.
+void spinUntilDone(const HandleCore& core);
 
 /// The bounded parking slice a CompletionQueue consumer waits per probe
-/// round (wall clock) before re-probing for steals and deferred
-/// continuations.
+/// round (wall clock) before re-checking its queue.
 inline constexpr std::chrono::microseconds kCqParkSlice{200};
+
+/// One drainable completion: the watcher's tag plus the operation's
+/// join-ready simulated time (completion + return wire, ready to max-fold).
+struct ReadyCompletion {
+  std::uint64_t tag = 0;
+  std::uint64_t join = 0;
+};
+
+/// The shared state behind a CompletionQueue; watched handles hold it, so
+/// it outlives a queue dropped with watches outstanding. `outstanding`
+/// counts watched-but-not-yet-drained completions; `ready` items are
+/// included in it (a watch only leaves the count when popped).
+struct CqShared {
+  mutable std::mutex lock;
+  std::condition_variable cv;
+  std::deque<ReadyCompletion> ready;
+  std::size_t outstanding = 0;
+};
 
 // Counter hooks for the header-only combinators (the counters themselves
 // live in comm.cpp).
@@ -197,22 +187,6 @@ void noteHandlesChained() noexcept;
 void noteCqDrained() noexcept;
 
 }  // namespace detail
-
-/// Where a `then` continuation body executes:
-///   * completer -- on whichever thread completes the parent (a progress
-///     thread for remote AMs), under a sim::TimeScope pinned to the
-///     parent's join-ready time. Cheap transforms belong here.
-///   * worker    -- deferred into the *issuing* locale's DrainGroup: the
-///     completing progress thread only enqueues, and a task thread of that
-///     locale (an idle worker, a helping join, or any comm wait/park loop)
-///     executes the body later. The executor folds the parent's join-ready
-///     time at steal time and then charges its *own* sim clock -- heavy
-///     bodies stay off the AM service path.
-///
-/// Continuation bodies must not throw under either policy: the executing
-/// thread is never the chain's owner, so there is nobody to catch it
-/// (worker-policy bodies fail fast with a checked abort).
-enum class ExecPolicy : std::uint8_t { completer, worker };
 
 template <typename T = void>
 class Handle;
@@ -260,31 +234,12 @@ struct WhenAllCtl {
   std::atomic<std::uint64_t> max_join{0};
 };
 
-/// Wrap a continuation body into a completion waiter according to the
-/// ExecPolicy. `body` is invoked with the host thread's clock already
-/// positioned on the chain's timeline and must complete the derived core
-/// itself:
-///   * completer: run inline on the completing thread under a TimeScope
-///     pinned to the parent's join-ready time (host clock undisturbed).
-///   * worker: enqueue into the issuing locale's DrainGroup; the executing
-///     task thread max-folds the join-ready time into its own clock first,
-///     so the body's charges extend the executor's timeline. Falls back to
-///     completer semantics when no runtime is active.
+/// Wrap a continuation body into a completion waiter: it runs inline on
+/// the completing thread under a TimeScope pinned to the parent's
+/// join-ready time (host clock undisturbed). `body` must complete the
+/// derived core itself.
 template <typename Body>
-std::function<void(std::uint64_t)> routeContinuation(ExecPolicy policy,
-                                                     Body body) {
-  if (policy == ExecPolicy::worker && Runtime::active()) {
-    const std::uint32_t issuer = Runtime::here();
-    // Backpressure: a producer racing ahead of this locale's drainers
-    // works the backlog down before adding to it.
-    throttleDeferredBacklog();
-    return [issuer, body = std::move(body)](std::uint64_t join) mutable {
-      deferContinuationTo(issuer, [body = std::move(body), join]() mutable {
-        sim::joinAtLeast(join);
-        body();
-      });
-    };
-  }
+std::function<void(std::uint64_t)> routeContinuation(Body body) {
   return [body = std::move(body)](std::uint64_t join) mutable {
     sim::TimeScope at(join);
     body();
@@ -328,10 +283,7 @@ class Handle {
   void wait() {
     PGASNB_CHECK_MSG(valid(), "wait() on an invalid comm::Handle");
     detail::flushIfBuffered(*state_);
-    // Spin *with helping*: the waiter executes deferred drain-group
-    // continuations between probes, so waiting on a worker-policy
-    // continuation can never deadlock on an idle locale.
-    detail::spinHelpUntilDone(*state_);
+    detail::spinUntilDone(*state_);
     sim::joinAtLeast(completionTime() + state_->wire_return_ns);
   }
 
@@ -353,26 +305,20 @@ class Handle {
   /// completes, invoked with the result (`const T&`; nothing for void
   /// handles). Returns a handle for the continuation's own completion.
   ///
-  /// Sim-clock semantics depend on the ExecPolicy. Under the default
-  /// (`ExecPolicy::completer`) the continuation executes on the thread
-  /// that completed the parent (a progress thread for remote AMs; the
-  /// caller for already-complete handles) under a sim::TimeScope pinned
-  /// to the parent's join-ready time, so everything it charges -- and
-  /// every async op it issues -- extends the *chain's* timeline, not the
-  /// host thread's. Under `ExecPolicy::worker` the body is deferred into
-  /// the issuing locale's DrainGroup instead: the completing progress
-  /// thread only enqueues, and the task thread that eventually runs the
-  /// body max-folds the parent's join-ready time at steal time and then
-  /// charges its own clock. If `fn` returns a `Handle<U>` the chain
-  /// flattens either way: the derived handle resolves when the *inner*
-  /// operation does, so each hop of an async chain pays its own wire +
-  /// service charge.
+  /// The continuation executes on the thread that completed the parent (a
+  /// progress thread for remote AMs; the caller for already-complete
+  /// handles) under a sim::TimeScope pinned to the parent's join-ready
+  /// time, so everything it charges -- and every async op it issues --
+  /// extends the *chain's* timeline, not the host thread's. If `fn`
+  /// returns a `Handle<U>` the chain flattens: the derived handle resolves
+  /// when the *inner* operation does, so each hop of an async chain pays
+  /// its own wire + service charge.
   ///
-  /// Completer continuations must not block (they may run on a progress
-  /// thread); issue async ops and chain further, or use
-  /// `ExecPolicy::worker` for heavy bodies.
+  /// Continuations must not block or throw (they may run on a progress
+  /// thread, which has nobody to catch an exception); issue async ops and
+  /// chain further instead.
   template <typename F>
-  auto then(F&& fn, ExecPolicy policy = ExecPolicy::completer) {
+  auto then(F&& fn) {
     PGASNB_CHECK_MSG(valid(), "then() on an invalid comm::Handle");
     using R = typename detail::then_result<std::decay_t<F>, T>::type;
     detail::noteHandlesChained();
@@ -383,8 +329,8 @@ class Handle {
       detail::addCompletionWaiter(
           *state_,
           detail::routeContinuation(
-              policy, [parent = state_, derived,
-                       fn = std::decay_t<F>(std::forward<F>(fn))]() mutable {
+              [parent = state_, derived,
+               fn = std::decay_t<F>(std::forward<F>(fn))]() mutable {
                 R inner = detail::invokeContinuation<T>(fn, *parent);
                 PGASNB_CHECK_MSG(
                     inner.valid(),
@@ -406,8 +352,8 @@ class Handle {
       detail::addCompletionWaiter(
           *state_,
           detail::routeContinuation(
-              policy, [parent = state_, derived,
-                       fn = std::decay_t<F>(std::forward<F>(fn))]() mutable {
+              [parent = state_, derived,
+               fn = std::decay_t<F>(std::forward<F>(fn))]() mutable {
                 detail::invokeContinuation<T>(fn, *parent);
                 detail::completeCore(*derived, sim::now());
               }));
@@ -418,8 +364,8 @@ class Handle {
       detail::addCompletionWaiter(
           *state_,
           detail::routeContinuation(
-              policy, [parent = state_, derived,
-                       fn = std::decay_t<F>(std::forward<F>(fn))]() mutable {
+              [parent = state_, derived,
+               fn = std::decay_t<F>(std::forward<F>(fn))]() mutable {
                 derived->value = detail::invokeContinuation<T>(fn, *parent);
                 detail::completeCore(*derived, sim::now());
               }));
@@ -510,64 +456,25 @@ Handle<> whenAll(std::vector<Handle<T>>& handles) {
 /// Completions arrive in completion order, which for a single destination
 /// is the progress thread's FIFO (busy_until) service order.
 ///
-/// The queue is **MPMC**: producers (progress threads) may be many, and
-/// since PR 4 so may consumers -- N worker tasks per locale can share one
-/// queue, each blocking in next() and waking per completion; every drained
-/// completion is delivered to exactly one consumer, which folds its join
-/// time. `enrollLocal()` + `nextAny()` add work-stealing across the whole
-/// locale: the queue registers with its locale's DrainGroup and a consumer
-/// steals a ready completion from *any* enrolled sibling when its own
-/// queue runs empty (randomized victim order, bounded parking). Watched
-/// handles keep the queue's shared state alive, so dropping the queue
-/// with watches outstanding is safe -- the late completions are simply
-/// discarded (and the destructor unenrolls from the drain group).
+/// The queue is **MPMC**: producers (progress threads) may be many, and so
+/// may consumers -- N worker tasks of a locale share one queue, each
+/// blocking in next() and waking per completion; every drained completion
+/// is delivered to exactly one consumer, which folds its join time. This is
+/// how a locale's workers share work: one queue, one tag namespace (tags
+/// index a shared slot table), and any worker may drain and reissue any
+/// slot. Watched handles keep the queue's shared state alive, so dropping
+/// the queue with watches outstanding is safe -- the late completions are
+/// simply discarded.
 ///
 /// A consumer about to block first ships anything buffered in its *own*
 /// task Aggregator, so draining a window of aggregated ops needs no manual
 /// flushAll(). (An op buffered by a *different* task still needs that task
-/// to flush -- its wait()/OpWindow close does so automatically.) While
-/// parked, consumers also execute deferred worker continuations of their
-/// locale, so a drained handle chain can never deadlock on its own body.
+/// to flush -- its wait()/OpWindow close does so automatically.)
 class CompletionQueue {
  public:
   CompletionQueue() : state_(std::make_shared<detail::CqShared>()) {}
   CompletionQueue(const CompletionQueue&) = delete;
   CompletionQueue& operator=(const CompletionQueue&) = delete;
-  ~CompletionQueue() {
-    if (group_ != nullptr && Runtime::active() &&
-        Runtime::get().generation() == group_generation_) {
-      group_->unenroll(state_.get());
-    }
-  }
-
-  /// Register this queue with the calling locale's DrainGroup, making it a
-  /// steal victim for -- and its consumers stealers from -- every sibling
-  /// queue enrolled on the locale. All queues enrolled on one locale share
-  /// ONE tag namespace: a stolen completion surfaces from the stealer's
-  /// nextAny() with the tag the victim's watcher chose (see
-  /// DrainGroup::enroll). Idempotent per runtime generation; requires an
-  /// active runtime. The destructor unenrolls (same generation only).
-  void enrollLocal() {
-    PGASNB_CHECK_MSG(Runtime::active(),
-                     "CompletionQueue::enrollLocal needs an active runtime");
-    DrainGroup* group = detail::localDrainGroup();
-    if (group == nullptr) return;
-    // Re-enroll after a runtime restart even when the new locale's group
-    // landed at the old address: pointer identity alone cannot prove the
-    // registration survived.
-    const std::uint64_t generation = Runtime::get().generation();
-    if (group == group_ && generation == group_generation_) return;
-    // Moving to a different group of the SAME runtime (enrollLocal called
-    // from another locale): drop the old registration first -- a queue
-    // must never be a steal victim in two groups at once, tag namespaces
-    // are per locale. A dead runtime's group is simply forgotten.
-    if (group_ != nullptr && generation == group_generation_) {
-      group_->unenroll(state_.get());
-    }
-    group->enroll(state_);
-    group_ = group;
-    group_generation_ = generation;
-  }
 
   /// Register `h`; its completion will surface from next()/tryNext() (on
   /// exactly one consumer) as `tag`. Non-blocking, charges nothing; an
@@ -595,7 +502,14 @@ class CompletionQueue {
   /// completion's tag, or nullopt once nothing is outstanding (at which
   /// point every blocked sibling consumer is released too). Before
   /// parking, ships anything still buffered in the calling task's
-  /// Aggregator and helps with deferred worker continuations.
+  /// Aggregator.
+  ///
+  /// Termination is a racy snapshot: with consumers that REISSUE after
+  /// draining (pop -> watch), the queue can look momentarily empty inside
+  /// one consumer's drained->rewatched gap, letting an idle sibling return
+  /// nullopt early. No completion is ever lost -- the reissuing consumers
+  /// drain what remains -- but rewatch *before* heavy compute when
+  /// full-width parallelism matters.
   std::optional<std::uint64_t> next() {
     for (;;) {
       std::uint64_t tag = 0;
@@ -604,7 +518,6 @@ class CompletionQueue {
       // About to go idle: a watched op still sitting in our own aggregator
       // would never ship (we are its only flusher) -- send it now.
       detail::flushTaskAggregatorForDrain();
-      if (detail::helpOneDeferred()) continue;
       park();
     }
   }
@@ -627,62 +540,6 @@ class CompletionQueue {
     return true;
   }
 
-  /// Locale-wide work-stealing drain: pop from this queue when something
-  /// is ready, otherwise steal a ready completion from any sibling of the
-  /// group this queue is **enrolled in** (`enrollLocal()`; without an
-  /// enrollment -- or after that runtime died -- nextAny degrades to a
-  /// plain next()-style drain of the own queue: a queue the group has no
-  /// record of must neither steal sibling tags it cannot interpret nor
-  /// wait on a group it is invisible to). Runs deferred worker
-  /// continuations while idle and parks in bounded slices while this
-  /// queue or any sibling has watches outstanding; returns nullopt once
-  /// the whole group has nothing ready, outstanding, or deferred. Stolen
-  /// joins fold into the stealer's clock, like any drain.
-  ///
-  /// Termination is a racy snapshot: with consumers that REISSUE after
-  /// draining (pop -> compute -> watch), the group can look momentarily
-  /// quiescent inside one consumer's drained->rewatched gap, letting an
-  /// idle sibling return nullopt early. No completion is ever lost -- the
-  /// reissuing consumers drain what remains -- but rewatch *before* heavy
-  /// compute when full-width parallelism matters.
-  std::optional<std::uint64_t> nextAny() {
-    DrainGroup* group = enrolledGroup();
-    for (;;) {
-      std::uint64_t tag = 0;
-      if (tryNext(tag)) return tag;
-      if (group != nullptr) {
-        detail::ReadyCompletion stolen;
-        if (group->stealReady(state_.get(), stolen)) {
-          detail::noteCqDrained();
-          sim::joinAtLeast(stolen.join);
-          return stolen.tag;
-        }
-      }
-      // Help in BOTH branches: even an unenrolled consumer may be waiting
-      // on a completion whose worker-policy body only it can run.
-      if (detail::helpOneDeferred()) continue;
-      detail::flushTaskAggregatorForDrain();
-      // Park where work can still appear: on our own queue while it has
-      // outstanding watches...
-      if (outstanding() != 0) {
-        park();
-        continue;
-      }
-      if (group == nullptr) return std::nullopt;
-      // ...else on a producing sibling -- a stealer with an empty own
-      // queue must sleep, not busy-probe its victims. The park probe
-      // doubles as the "any sibling outstanding?" half of the termination
-      // predicate (one registry snapshot instead of two).
-      if (group->parkOnAnySibling(state_.get(), detail::kCqParkSlice)) {
-        continue;
-      }
-      if (!group->hasDeferred()) return std::nullopt;  // group quiescent
-      // Deferred work exists but we could not run it (another thread
-      // raced us to the body): bounded sleep, never a hot loop.
-      std::this_thread::sleep_for(detail::kCqParkSlice);
-    }
-  }
-
   /// Watched-but-not-yet-drained completions (racy snapshot, like any
   /// concurrent size).
   std::size_t outstanding() const {
@@ -691,17 +548,6 @@ class CompletionQueue {
   }
 
  private:
-  /// The group this queue is enrolled in, or nullptr when never enrolled
-  /// or when the runtime it enrolled under is no longer the active one
-  /// (the pointer would dangle into a dead Locale).
-  DrainGroup* enrolledGroup() const noexcept {
-    if (group_ == nullptr || !Runtime::active() ||
-        Runtime::get().generation() != group_generation_) {
-      return nullptr;
-    }
-    return group_;
-  }
-
   /// One bounded parking slice on this queue's condition variable (woken
   /// early by a completion landing here or the outstanding count reaching
   /// 0).
@@ -713,8 +559,6 @@ class CompletionQueue {
   }
 
   std::shared_ptr<detail::CqShared> state_;
-  DrainGroup* group_ = nullptr;            // non-null once enrolled
-  std::uint64_t group_generation_ = 0;     // runtime generation at enroll
 };
 
 // --- remote execution -------------------------------------------------
@@ -856,8 +700,8 @@ Handle<> getAsync(void* dst, std::uint32_t src_locale, const void* src,
 /// shipped (so the local work overlaps the batches' round trip), by its
 /// own threshold or age cutoff, or by a wait on one of its handles. Each
 /// such op completes at the simulated time it finishes, with no return
-/// wire, and counts toward neither am_batched/ops_aggregated nor
-/// backpressure. Everywhere else -- hand-made aggregators, progress
+/// wire, and counts toward neither am_batched nor ops_aggregated.
+/// Everywhere else -- hand-made aggregators, progress
 /// threads, enqueues outside a window -- they run in place at enqueue.
 /// Own-locale ops, like shipped ones, must not throw.
 class Aggregator {
@@ -917,15 +761,8 @@ class Aggregator {
     return loc < buckets_.size() ? buckets_[loc].ops.size() : 0;
   }
 
-  /// Monotone count of ops ever *buffered* here (never decremented at
-  /// flush). Comparing it across a code region answers "did this region
-  /// enqueue anything?" even when intervening auto-flushes restore the
-  /// pending() count -- the drain scheduler's helped-body flush gate.
-  std::uint64_t bufferedEnqueues() const noexcept { return buffered_enqueues_; }
-
   /// The batch threshold: the explicit ops_per_batch, or else
-  /// RuntimeConfig::aggregator_ops_per_batch (adopted at first use). The
-  /// backpressure overflow valve ships a bucket at 4x this.
+  /// RuntimeConfig::aggregator_ops_per_batch (adopted at first use).
   std::size_t opsPerBatch() const noexcept { return ops_per_batch_; }
 
  private:
@@ -955,12 +792,6 @@ class Aggregator {
   /// so an op may re-enter this aggregator.
   void runInline(std::uint32_t loc);
 
-  /// Backpressure: true when a threshold-full bucket for `loc` should keep
-  /// buffering because the destination's deferred-continuation queue is
-  /// saturated (see RuntimeConfig::drain_deferred_cap). Aged and explicit
-  /// flushes bypass this, and a bucket at 4x the threshold always ships.
-  bool holdForBackpressure(std::uint32_t loc);
-
   static constexpr std::uint64_t kNoDeadline = ~std::uint64_t{0};
 
   std::size_t ops_per_batch_;
@@ -971,7 +802,6 @@ class Aggregator {
   std::uint64_t next_age_deadline_ = kNoDeadline;
   std::uint64_t runtime_generation_ = 0;
   std::size_t total_pending_ = 0;
-  std::uint64_t buffered_enqueues_ = 0;
   std::vector<Bucket> buckets_;
 };
 
@@ -1015,8 +845,7 @@ Aggregator& taskAggregator();
 ///
 /// `drain()` folds the already-finished head of the batch mid-window, so
 /// the caller's compute overlaps the tail; the close then spin-joins only
-/// what is left (helping the locale's deferred continuations while it
-/// waits). Both steps use the same max-fold, so a window's model time does
+/// what is left. Both steps use the same max-fold, so a window's model time does
 /// not depend on how often it was drained. No queue sits behind any of
 /// this: completion is read straight off the owned cores' `done` flags.
 class OpWindow {
@@ -1087,18 +916,14 @@ struct Counters {
   std::uint64_t handles_chained = 0; ///< combinator handles (then/whenAll)
   std::uint64_t cq_drained = 0;      ///< completions popped from CompletionQueues
                                      ///< (OpWindow::drain does not count)
-  std::uint64_t cq_stolen = 0;       ///< completions taken from a sibling queue
-                                     ///< (DrainGroup::stealReady)
-  std::uint64_t continuations_stolen = 0;  ///< deferred ExecPolicy::worker
-                                           ///< bodies executed by task threads
-  std::uint64_t backpressure_stalls = 0;   ///< throttle engagements: issuers
-                                           ///< held/helped on a saturated
-                                           ///< deferred queue
-  std::uint64_t deferred_peak = 0;         ///< deepest any locale's deferred
-                                           ///< queue has been (high-water)
-  std::uint64_t tuner_batch_resizes = 0;   ///< always 0: batch thresholds
-                                           ///< are fixed; kept because
-                                           ///< benchmark/ still reads it
+  /// Always 0: the machinery that fed these is gone (the batch tuner,
+  /// sibling-queue stealing, deferred worker continuations and their
+  /// backpressure). They stay because benchmark/ still reads them.
+  std::uint64_t tuner_batch_resizes = 0;
+  std::uint64_t cq_stolen = 0;
+  std::uint64_t continuations_stolen = 0;
+  std::uint64_t backpressure_stalls = 0;
+  std::uint64_t deferred_peak = 0;
   std::uint64_t puts = 0;
   std::uint64_t gets = 0;
   std::uint64_t dcas_local = 0;

@@ -43,24 +43,6 @@ enum class RemoteRetirePolicy : std::uint8_t {
 
 const char* toString(RemoteRetirePolicy policy) noexcept;
 
-/// Which reclamation protocol DistDomain-style structures should default
-/// to in harnesses that honor it (benches, stress tests):
-///   * ebr      - the paper's epoch-based manager (EpochManager).
-///   * interval - interval-based reclamation (epoch/interval_manager.hpp):
-///                birth-era tagged blocks plus per-guard [lo, hi]
-///                reservations; a lagging pinned guard holds back only the
-///                garbage its interval covers, not all reclamation.
-enum class ReclaimMode : std::uint8_t {
-  ebr,
-  interval,
-};
-
-const char* toString(ReclaimMode mode) noexcept;
-
-/// Parses "ebr"/"interval" (case-insensitive); falls back to `def`.
-ReclaimMode parseReclaimMode(const std::string& text,
-                             ReclaimMode def = ReclaimMode::ebr);
-
 struct RuntimeConfig {
   /// Number of simulated locales (compute nodes). The pointer-compression
   /// scheme supports up to 2^16; see atomic/pointer_compression.hpp.
@@ -75,9 +57,6 @@ struct RuntimeConfig {
 
   /// Cross-locale retire routing (see RemoteRetirePolicy).
   RemoteRetirePolicy remote_retire = RemoteRetirePolicy::aggregated;
-
-  /// Reclamation protocol for mode-aware harnesses (see ReclaimMode).
-  ReclaimMode reclaim_mode = ReclaimMode::ebr;
 
   /// Interval manager: bump the shared era clock every N retires per locale
   /// (Hart-style retire-path amortization), so reservations age out even
@@ -97,14 +76,6 @@ struct RuntimeConfig {
   /// at each enqueue and on flushAged()), instead of waiting for
   /// batch-full/unpin. 0 disables age-based flushing.
   std::uint64_t aggregator_max_batch_age_ns = 100'000;
-
-  /// Backpressure: per-locale cap on the DrainGroup's deferred-continuation
-  /// queue (ExecPolicy::worker continuations parked for that locale's
-  /// workers). Issuers start throttling -- holding aggregator batches to a
-  /// saturated destination, helping drain before deferring more -- once the
-  /// queue reaches half this depth, so the bound holds despite in-flight
-  /// batches. 0 = uncapped (no throttling).
-  std::uint32_t drain_deferred_cap = 4096;
 
   /// RobinHoodMap: per-segment load factor that starts an incremental
   /// doubling (shadow table + chunked migration). <= 0 disables resize, so
@@ -127,10 +98,9 @@ struct RuntimeConfig {
   std::size_t arena_bytes_per_locale = std::size_t{64} << 20;
 
   /// Reads PGASNB_NUM_LOCALES, PGASNB_COMM_MODE, PGASNB_WORKERS,
-  /// PGASNB_INJECT_DELAYS, PGASNB_DELAY_SCALE, PGASNB_RECLAIM_MODE,
-  /// PGASNB_INTERVAL_ERA_FREQ, PGASNB_RETIRE_BATCH,
-  /// PGASNB_AGG_OPS_PER_BATCH, PGASNB_AGG_MAX_BATCH_AGE,
-  /// PGASNB_DRAIN_DEFERRED_CAP, PGASNB_RH_RESIZE_LOAD,
+  /// PGASNB_INJECT_DELAYS, PGASNB_DELAY_SCALE, PGASNB_INTERVAL_ERA_FREQ,
+  /// PGASNB_RETIRE_BATCH, PGASNB_AGG_OPS_PER_BATCH,
+  /// PGASNB_AGG_MAX_BATCH_AGE, PGASNB_RH_RESIZE_LOAD,
   /// PGASNB_RH_MIGRATE_CHUNK on top of the defaults (docs/API.md lists
   /// them with their fields and defaults). The remote-retire policy has
   /// no variable: it is chosen in code (cfg.remote_retire).

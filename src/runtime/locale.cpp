@@ -1,9 +1,7 @@
 #include "runtime/locale.hpp"
 
 #include <chrono>
-#include <functional>
 
-#include "runtime/comm.hpp"
 #include "runtime/sim_clock.hpp"
 
 namespace pgasnb {
@@ -19,10 +17,6 @@ Locale::Locale(std::uint32_t id, std::byte* arena_base,
 Locale::~Locale() { stopThreads(); }
 
 void Locale::startThreads() {
-  // Deferred continuations wake parked workers through the task queue's
-  // cv (workerLoop's wait predicate includes "deferred work pending"), so
-  // an idle locale blocks at zero cost instead of polling.
-  drain_group_.setWakeHook([this] { task_queue_.notifyAll(); });
   progress_ = std::make_unique<ProgressThread>(id_, am_queue_);
   workers_.reserve(num_workers_);
   for (std::uint32_t w = 0; w < num_workers_; ++w) {
@@ -42,31 +36,15 @@ void Locale::stopThreads() {
 
 void Locale::workerLoop() {
   taskContext().here = id_;
-  // An idle worker doubles as the locale's drain scheduler: between tasks
-  // it executes deferred continuations (then(fn, ExecPolicy::worker)
-  // bodies the progress threads enqueued into the drain group) on its own
-  // sim clock. Parking is event-driven -- task pushes and defer()'s wake
-  // hook both poke the task queue's cv -- with a long fallback slice as a
-  // safety net, so a quiet locale does not poll.
+  // Parking is event-driven -- task pushes and stop poke the task queue's
+  // cv -- with a long fallback slice as a safety net, so a quiet locale
+  // does not poll.
   constexpr auto kIdleFallback = std::chrono::seconds(1);
-  const std::function<bool()> deferred_pending = [this] {
-    return drain_group_.hasDeferred();
-  };
   TaskItem item;
   for (;;) {
-    if (task_queue_.tryPop(item)) {
+    if (task_queue_.popOrWaitFor(item, stop_, kIdleFallback)) {
       executeTaskInline(item);
       item = TaskItem{};  // release closure state before blocking
-      continue;
-    }
-    // comm-layer helper rather than drain_group_.runOneDeferred(): it also
-    // ships anything the body buffered into this thread's task aggregator
-    // and masks no-longer-relevant window state.
-    if (comm::detail::helpOneDeferred()) continue;
-    if (task_queue_.popOrWaitFor(item, stop_, kIdleFallback,
-                                 &deferred_pending)) {
-      executeTaskInline(item);
-      item = TaskItem{};
     } else if (stop_.load(std::memory_order_acquire)) {
       return;  // stopped and the queue is drained
     }

@@ -48,7 +48,6 @@ Runtime::Runtime(RuntimeConfig config)
     locales_.push_back(std::make_unique<Locale>(
         l, heap_base_ + static_cast<std::size_t>(l) * per_locale_bytes_,
         per_locale_bytes_, config_.workers_per_locale));
-    locales_.back()->drainGroup().setDeferredCap(config_.drain_deferred_cap);
   }
   // Threads are started only after the locale table is complete: progress
   // threads and workers call Runtime::get() and locale() freely.

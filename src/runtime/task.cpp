@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "runtime/comm.hpp"
 #include "runtime/runtime.hpp"
 #include "runtime/sim_clock.hpp"
 #include "util/backoff.hpp"
@@ -18,14 +17,6 @@ void TaskQueue::push(TaskItem&& item) {
   cv_.notify_one();
 }
 
-bool TaskQueue::tryPop(TaskItem& out) {
-  std::lock_guard<std::mutex> guard(lock_);
-  if (queue_.empty()) return false;
-  out = std::move(queue_.front());
-  queue_.pop_front();
-  return true;
-}
-
 bool TaskQueue::tryTake(const TaskState* state, TaskItem& out) {
   std::lock_guard<std::mutex> guard(lock_);
   const auto it =
@@ -38,12 +29,10 @@ bool TaskQueue::tryTake(const TaskState* state, TaskItem& out) {
 }
 
 bool TaskQueue::popOrWaitFor(TaskItem& out, const std::atomic<bool>& stop,
-                             std::chrono::microseconds slice,
-                             const std::function<bool()>* extra_wake) {
+                             std::chrono::microseconds slice) {
   std::unique_lock<std::mutex> guard(lock_);
   cv_.wait_for(guard, slice, [&] {
-    return !queue_.empty() || stop.load(std::memory_order_acquire) ||
-           (extra_wake != nullptr && (*extra_wake)());
+    return !queue_.empty() || stop.load(std::memory_order_acquire);
   });
   if (queue_.empty()) return false;
   out = std::move(queue_.front());
@@ -52,9 +41,8 @@ bool TaskQueue::popOrWaitFor(TaskItem& out, const std::atomic<bool>& stop,
 }
 
 void TaskQueue::notifyAll() {
-  // The states this broadcast signals (stop_, the drain group's deferred
-  // queue) are NOT guarded by lock_, so without this empty critical
-  // section the notify could land between a waiter's predicate check and
+  // The state this broadcast signals (stop_) is NOT guarded by lock_, so
+  // without this empty critical section the notify could land between a waiter's predicate check and
   // its block and be lost: acquiring lock_ orders us after any in-progress
   // predicate evaluation, so the waiter is either already blocked (and our
   // notify wakes it) or will see the new state when it evaluates.
@@ -133,15 +121,7 @@ void TaskGroup::wait() {
       ++next_unfinished;
     }
     if (next_unfinished == states_.size()) break;
-    if (comm::detail::helpOneDeferred()) {
-      // No child left to run here: execute a deferred worker
-      // continuation instead of burning the spin budget (the helper also
-      // flushes whatever the body buffered into this thread's aggregator
-      // and excludes progress threads itself).
-      backoff.reset();
-    } else {
-      backoff.pause();
-    }
+    backoff.pause();
   }
 
   // Fold children's completion times into this task's clock and surface the

@@ -49,19 +49,14 @@ struct TaskItem {
 class TaskQueue {
  public:
   void push(TaskItem&& item);
-  bool tryPop(TaskItem& out);
   /// Remove the queued item whose state is `state`, if it has not been
   /// popped yet. A TaskGroup join uses this to run its own children.
   bool tryTake(const TaskState* state, TaskItem& out);
-  /// Bounded blocking pop: parks at most `slice`, woken early by pushes,
-  /// stop, or -- when `extra_wake` is non-null -- that predicate turning
-  /// true under a notifyAll() (worker threads pass "the drain group has
-  /// deferred continuations", and the group's wake hook does the notify).
-  /// Returns false whenever nothing was popped (timeout, stop, or an
-  /// extra_wake wakeup); the caller inspects its own conditions.
+  /// Bounded blocking pop: parks at most `slice`, woken early by pushes or
+  /// stop. Returns false whenever nothing was popped (timeout or stop);
+  /// the caller inspects its own conditions.
   bool popOrWaitFor(TaskItem& out, const std::atomic<bool>& stop,
-                    std::chrono::microseconds slice,
-                    const std::function<bool()>* extra_wake = nullptr);
+                    std::chrono::microseconds slice);
   void notifyAll();
   std::size_t sizeApprox() const;
 

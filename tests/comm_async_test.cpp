@@ -232,36 +232,28 @@ TEST_F(CommAsyncTest, CompletionQueueDrainsInFifoCompletionOrder) {
   EXPECT_EQ(comm::counters().cq_drained, 2u);
 }
 
-TEST_F(CommAsyncTest, StealAndContinuationCountersSnapshotAndReset) {
-  // The drain-scheduler counters round-trip through snapshot and reset
-  // with everything else.
+TEST_F(CommAsyncTest, DrainAndContinuationCountersSnapshotAndReset) {
+  // A drain and a then() count where they always did; the four fields
+  // whose machinery is gone (stealing, deferred continuations,
+  // backpressure) stay in the snapshot and read 0.
   startRuntime(2);
-  // One steal between two enrolled queues: everything lands in `other`,
-  // so nextAny must take it from there.
-  comm::CompletionQueue mine;
-  comm::CompletionQueue other;
-  mine.enrollLocal();
-  other.enrollLocal();
-  auto h = comm::amAsyncHandle(1, [] {});
-  h.wait();
-  other.watch(h, 1);
-  ASSERT_TRUE(mine.nextAny().has_value());
-  // One stolen continuation: the worker-policy body is deferred into the
-  // drain group and executed by a task thread (the waiter helps).
+  comm::CompletionQueue cq;
+  cq.watch(comm::amAsyncHandle(1, [] {}), 1);
+  ASSERT_TRUE(cq.next().has_value());
   std::atomic<int> ran{0};
-  comm::amAsyncHandle(1, [] {})
-      .then([&ran] { ran.fetch_add(1); }, comm::ExecPolicy::worker)
-      .wait();
+  comm::amAsyncHandle(1, [] {}).then([&ran] { ran.fetch_add(1); }).wait();
   EXPECT_EQ(ran.load(), 1);
   const comm::Counters snap = comm::counters();
-  EXPECT_EQ(snap.cq_stolen, 1u);
-  EXPECT_GE(snap.continuations_stolen, 1u);
-  EXPECT_GE(snap.cq_drained, 1u);
+  EXPECT_EQ(snap.cq_drained, 1u);
+  EXPECT_EQ(snap.handles_chained, 1u);
+  EXPECT_EQ(snap.cq_stolen, 0u);
+  EXPECT_EQ(snap.continuations_stolen, 0u);
+  EXPECT_EQ(snap.backpressure_stalls, 0u);
+  EXPECT_EQ(snap.deferred_peak, 0u);
   comm::resetCounters();
   const comm::Counters zeroed = comm::counters();
-  EXPECT_EQ(zeroed.cq_stolen, 0u);
-  EXPECT_EQ(zeroed.continuations_stolen, 0u);
   EXPECT_EQ(zeroed.cq_drained, 0u);
+  EXPECT_EQ(zeroed.handles_chained, 0u);
 }
 
 TEST_F(CommAsyncTest, CompletionQueueWatchAfterCompletionStillDelivers) {
