@@ -3,11 +3,11 @@
 //
 // Every locale retires `objs` objects owned by *other* locales, then the
 // domain is cleared. The aggregated path coalesces retires per
-// destination (guard batches -> comm::Aggregator -> one batched AM
-// carrying a vector payload, bulk limbo insert at the receiver). The
-// per-op-am row is the same path with both batch sizes pinned to 1
-// (retire_batch_size and aggregator_ops_per_batch): one AM per retire,
-// the naive async strawman. Scatter is the PR-1 baseline: communication
+// destination in one buffer: each retire joins a run in the task's
+// comm::Aggregator, up to aggregator_ops_per_batch retires ship as one
+// batched AM, and the receiver bulk-inserts the run into its limbo list.
+// The per-op-am row is the same path with aggregator_ops_per_batch
+// pinned to 1: one AM per retire, the naive async strawman. Scatter is the PR-1 baseline: communication
 // deferred to reclaim time.
 //
 // Acceptance (ISSUE 2): at 8 locales the aggregated path must inject >= 4x
@@ -45,10 +45,7 @@ PolicyResult runPolicy(const Row& row, std::uint32_t locales,
   RuntimeConfig cfg =
       bench::benchConfig(locales, CommMode::none, tasks_per_locale);
   cfg.remote_retire = row.policy;
-  if (row.one_per_batch) {
-    cfg.retire_batch_size = 1;
-    cfg.aggregator_ops_per_batch = 1;
-  }
+  if (row.one_per_batch) cfg.aggregator_ops_per_batch = 1;
   Runtime rt(cfg);
   DistDomain domain = DistDomain::create();
   const comm::Counters before = comm::counters();

@@ -95,11 +95,6 @@ class BasicGuard {
   /// threshold, unpin(), release(), and tryReclaim().
   void flush() { token_.flush(); }
 
-  /// Cross-locale retires buffered in this guard but not yet shipped.
-  std::size_t pendingRetires() const noexcept {
-    return token_.pendingRetires();
-  }
-
   /// Protected read for domain-generic traversals: evaluate `load` under
   /// this guard's protection and return its result. EBR tokens pass the
   /// call through (a pinned token already protects every load); the
@@ -397,7 +392,6 @@ concept ReclaimDomain = requires(D d, const D cd, typename D::Guard g,
   { g.retire(node) };
   { g.retireRaw(obj, del) };
   { g.flush() };
-  { g.pendingRetires() } -> std::convertible_to<std::size_t>;
   { g.tryReclaim() } -> std::convertible_to<bool>;
   {
     g.protect([] { return static_cast<int*>(nullptr); })

@@ -164,14 +164,14 @@ void EpochManagerImpl::deferDelete(Token* token, void* obj,
 }
 
 void EpochManagerImpl::insertRemoteRetires(
-    const std::vector<ScatterEntry>& entries) {
+    const std::vector<comm::RetireEntry>& entries) {
   if (entries.empty()) return;
   // Acquire and pre-link the whole chain privately, then publish it with
   // one exchange: a batch of N retires costs the same number of limbo-list
   // atomics as a single retire.
   LimboNode* first = nullptr;
   LimboNode* last = nullptr;
-  for (const ScatterEntry& entry : entries) {
+  for (const comm::RetireEntry& entry : entries) {
     LimboNode* node = node_pool_.acquire(entry.obj, entry.deleter);
     if (first == nullptr) {
       first = node;
@@ -196,7 +196,7 @@ void EpochManagerImpl::scatterLimboList(std::uint32_t index) {
   while (node != nullptr) {
     LimboNode* next = LimboList::next(node);
     const std::uint32_t owner = rt.localeOfAddress(node->obj);
-    objs_to_delete_[owner].push_back(ScatterEntry{node->obj, node->deleter});
+    objs_to_delete_[owner].push_back({node->obj, node->deleter});
     node_pool_.release(node);
     node = next;
     ++count;
@@ -207,7 +207,7 @@ void EpochManagerImpl::scatterLimboList(std::uint32_t index) {
 void EpochManagerImpl::deleteBucketFor(std::uint32_t dest) {
   PGASNB_DCHECK(dest == Runtime::here());
   auto& bucket = objs_to_delete_[dest];
-  for (const ScatterEntry& entry : bucket) {
+  for (const comm::RetireEntry& entry : bucket) {
     entry.deleter(entry.obj);
   }
 }
@@ -241,6 +241,7 @@ void EpochManagerImpl::resetStatsHere() {
 // ---------------------------------------------------------------------------
 
 void EpochToken::deferDeleteRaw(void* obj, ObjectDeleter deleter) {
+  PGASNB_CHECK_MSG(token_ != nullptr, "retire() on an invalid guard");
   checkHome();
   Runtime& rt = Runtime::get();
   const std::uint32_t owner = rt.localeOfAddress(obj);
@@ -252,45 +253,24 @@ void EpochToken::deferDeleteRaw(void* obj, ObjectDeleter deleter) {
     return;
   }
   PGASNB_CHECK_MSG(pinned(), "deferDelete requires a pinned token");
-  // Aggregated: buffer per destination, ship batches through the task's
-  // comm::Aggregator once the batch fills (or at unpin/release/tryReclaim).
-  if (pending_remote_.empty()) pending_remote_.resize(rt.numLocales());
-  auto& bucket = pending_remote_[owner];
-  bucket.push_back({obj, deleter});
+  // Aggregated: the retire joins the owner's run in the task's
+  // comm::Aggregator, which ships at its threshold (or at unpin/release/
+  // tryReclaim). Charged first, so a threshold flush stamps this send time.
   sim::chargeModelOnly(rt.config().latency.cpu_atomic_ns);
-  if (bucket.size() >= rt.config().retire_batch_size) enqueueBucket(owner);
-}
-
-void EpochToken::enqueueBucket(std::uint32_t dest) {
-  auto& bucket = pending_remote_[dest];
-  if (bucket.empty()) return;
-  const std::uint64_t weight = bucket.size();
-  auto handle = handle_;
-  comm::taskAggregator().enqueue(
-      dest,
-      [handle, entries = std::move(bucket)] {
-        handle.local().insertRemoteRetires(entries);
+  routed_remote_ = true;
+  comm::taskAggregator().enqueueRetire(
+      owner,
+      [](void* impl, const std::vector<comm::RetireEntry>& run) {
+        static_cast<EpochManagerImpl*>(impl)->insertRemoteRetires(run);
       },
-      weight);
-  bucket.clear();  // moved-from: back to a known-empty state
+      handle_.instanceOn(owner), {obj, deleter});
 }
 
 void EpochToken::flush() {
-  // A never-resized pending_remote_ means this token never routed a retire
-  // through the aggregated path: nothing of ours can be buffered anywhere.
-  if (token_ == nullptr || pending_remote_.empty()) return;
+  // A token that never routed a retire has nothing of its own buffered, so
+  // it leaves the aggregator (and the ops other code buffered there) alone.
+  if (token_ == nullptr || !routed_remote_) return;
   checkHome();
-  for (std::uint32_t dest = 0; dest < pending_remote_.size(); ++dest) {
-    if (pending_remote_[dest].empty()) continue;
-    enqueueBucket(dest);
-  }
-  // Push the batches onto the wire now -- UNCONDITIONALLY. Even when every
-  // bucket drained via the threshold path (retire count divisible by the
-  // batch size), those closures are still sitting in the task's aggregator
-  // below *its* threshold; skipping this flush strands them in the worker's
-  // thread-local buffer until thread exit, where the destructor flush can
-  // land after the domain's instances are destroyed. Flush-on-unpin means
-  // a quiescent guard leaves nothing buffered on this task, period.
   comm::taskAggregator().flushAll();
 }
 

@@ -98,18 +98,13 @@ class EpochManagerImpl {
   /// Wait-free: node recycle + one exchange + one store.
   void deferDelete(Token* token, void* obj, ObjectDeleter deleter);
 
-  struct ScatterEntry {
-    void* obj;
-    ObjectDeleter deleter;
-  };
-
-  /// Insert a batch of aggregated retires shipped from another locale into
+  /// Insert a run of aggregated retires shipped from another locale into
   /// this locale's current-epoch limbo list: acquires limbo nodes for every
   /// entry, pre-links them, and splices the chain with ONE exchange
   /// (LimboList::pushChain). Runs on the progress thread. Inserting at the
   /// *receiver's* epoch is safe regardless of sender lag: it can only delay
   /// the objects past more grace periods, never fewer.
-  void insertRemoteRetires(const std::vector<ScatterEntry>& entries);
+  void insertRemoteRetires(const std::vector<comm::RetireEntry>& entries);
 
   // --- reclamation machinery (called by free functions below) -----------
 
@@ -148,7 +143,7 @@ class EpochManagerImpl {
   LimboNodePool<detail::ArenaLimboNodeAlloc> node_pool_;
   TokenPool<detail::ArenaTokenAlloc> tokens_;
 
-  std::vector<std::vector<ScatterEntry>> objs_to_delete_;
+  std::vector<std::vector<comm::RetireEntry>> objs_to_delete_;
 
   // statistics (relaxed; summed across locales for reports)
   std::atomic<std::uint64_t> deferred_{0};
@@ -181,8 +176,8 @@ class EpochManager;
 /// RAII token handle (the paper wraps tokens in a managed class so scope
 /// exit unregisters them -- this is the C++ equivalent, which makes the
 /// `forall ... with (var tok = manager.acquireToken())` pattern safe).
-/// It also owns the task's aggregated-retire buffers: cross-locale retires
-/// coalesce here and ship through the comm::Aggregator in batches.
+/// A cross-locale retire buffers only in the task's comm::Aggregator, as
+/// part of a run of retires bound for its owner.
 ///
 /// A token is bound to the locale and OS thread that registered it: the
 /// underlying Token lives in that locale's pool, and buffered retires ride
@@ -199,9 +194,9 @@ class EpochToken {
     token_ = other.token_;
     home_ = other.home_;
     owner_thread_ = other.owner_thread_;
-    pending_remote_ = std::move(other.pending_remote_);
+    routed_remote_ = other.routed_remote_;
     other.token_ = nullptr;
-    other.pending_remote_.clear();
+    other.routed_remote_ = false;
     return *this;
   }
   EpochToken(const EpochToken&) = delete;
@@ -211,10 +206,13 @@ class EpochToken {
 
   bool valid() const noexcept { return token_ != nullptr; }
 
-  void pin() { handle_.local().pin(token_); }
-  /// Leave the epoch. First ships every buffered remote retire and drains
-  /// the task's comm::Aggregator -- flush-on-unpin is what guarantees an
-  /// aggregated retire cannot be stranded past its guard's lifetime.
+  void pin() {
+    PGASNB_CHECK_MSG(token_ != nullptr, "pin() on an invalid guard");
+    handle_.local().pin(token_);
+  }
+  /// Leave the epoch. First drains the task's comm::Aggregator (see
+  /// flush()) -- flush-on-unpin is what guarantees an aggregated retire
+  /// cannot be stranded past its guard's lifetime.
   void unpin() {
     // No-op on an invalid (released/moved-from) token: already quiescent.
     if (token_ == nullptr) return;
@@ -243,15 +241,9 @@ class EpochToken {
   void deferDeleteRaw(void* obj, ObjectDeleter deleter);
 
   /// Ship buffered cross-locale retires now (normally automatic: batch
-  /// threshold, unpin, release, tryReclaim).
+  /// threshold, unpin, release, tryReclaim): flushes the whole task
+  /// aggregator once this token has routed a retire through it.
   void flush();
-
-  /// Buffered-but-unshipped cross-locale retires (tests/diagnostics).
-  std::size_t pendingRetires() const noexcept {
-    std::size_t n = 0;
-    for (const auto& bucket : pending_remote_) n += bucket.size();
-    return n;
-  }
 
   /// Protected read: pass-through under EBR (a pinned token protects every
   /// load); the interval manager's token widens its reservation here. See
@@ -283,10 +275,7 @@ class EpochToken {
   /// privatized instances) died before the caching thread: the token pool
   /// the Token lives in is already gone, so unregistering would be a
   /// use-after-free; the Token's memory went down with the arena.
-  void abandon() noexcept {
-    token_ = nullptr;
-    pending_remote_.clear();
-  }
+  void abandon() noexcept { token_ = nullptr; }
 
  private:
   friend class EpochManager;
@@ -296,7 +285,6 @@ class EpochToken {
         home_(Runtime::here()),
         owner_thread_(std::this_thread::get_id()) {}
 
-  void enqueueBucket(std::uint32_t dest);
   /// The token must be used on its registering locale AND OS thread:
   /// handle_.local() resolves per-calling-locale, and threshold-shipped
   /// batch closures live in the *enqueueing thread's* thread-local
@@ -311,8 +299,8 @@ class EpochToken {
   Token* token_ = nullptr;
   std::uint32_t home_ = 0;                ///< registering locale
   std::thread::id owner_thread_;          ///< registering OS thread
-  /// Aggregated-retire buffers, one per destination locale (lazily sized).
-  std::vector<std::vector<EpochManagerImpl::ScatterEntry>> pending_remote_;
+  /// Set by the first retire routed through the task aggregator.
+  bool routed_remote_ = false;
 };
 
 /// Global-view EpochManager handle. Trivially copyable record-wrapper:

@@ -181,7 +181,7 @@ struct RetiredRecord {
   std::uint64_t retire;
 };
 
-using ScatterBuckets = std::vector<std::vector<IntervalManagerImpl::ScatterEntry>>;
+using ScatterBuckets = std::vector<std::vector<comm::RetireEntry>>;
 
 /// Nested bulk delete: ship each owner's scatter bucket to its locale and
 /// delete there (identical shape and cost model to the EBR scatter path).
@@ -198,7 +198,7 @@ void bulkDeleteScattered(const ScatterBuckets& buckets) {
     if (dest != src && !bucket.empty()) {
       sim::charge(lat.bulkCost(bucket.size() * sizeof(void*) * 2));
     }
-    for (const IntervalManagerImpl::ScatterEntry& entry : bucket) {
+    for (const comm::RetireEntry& entry : bucket) {
       entry.deleter(entry.obj);
     }
   });
@@ -301,7 +301,7 @@ bool intervalTryReclaim(Privatized<IntervalManagerImpl> handle) {
             li.node_pool_.acquire(rec.obj, rec.deleter, rec.birth, rec.retire));
       } else {
         to_delete[rt.localeOfAddress(rec.obj)].push_back(
-            IntervalManagerImpl::ScatterEntry{rec.obj, rec.deleter});
+            comm::RetireEntry{rec.obj, rec.deleter});
         ++freed;
       }
     }
@@ -340,7 +340,7 @@ void intervalClearAll(Privatized<IntervalManagerImpl> handle) {
     while (node != nullptr) {
       LimboNode* next = LimboList::next(node);
       to_delete[rt.localeOfAddress(node->obj)].push_back(
-          IntervalManagerImpl::ScatterEntry{node->obj, node->deleter});
+          comm::RetireEntry{node->obj, node->deleter});
       li.node_pool_.release(node);
       node = next;
       ++count;

@@ -133,13 +133,6 @@ class IntervalManagerImpl {
   void deferRetire(Token* token, void* obj, ObjectDeleter deleter,
                    std::uint64_t birth);
 
-  /// A freeable block bucketed by owner during a scan. Buckets live in the
-  /// scan's own frame (scans may overlap; see intervalTryReclaim).
-  struct ScatterEntry {
-    void* obj;
-    ObjectDeleter deleter;
-  };
-
   /// Count `n` fresh retires and raise the max_pending high-water mark.
   void notePendingAfterDefer(std::uint64_t n) noexcept {
     const std::uint64_t deferred =
@@ -207,7 +200,10 @@ class IntervalToken {
 
   bool valid() const noexcept { return token_ != nullptr; }
 
-  void pin() { handle_.local().pin(token_); }
+  void pin() {
+    PGASNB_CHECK_MSG(token_ != nullptr, "pin() on an invalid guard");
+    handle_.local().pin(token_);
+  }
   void unpin() {
     if (token_ == nullptr) return;
     handle_.local().unpin(token_);
@@ -225,6 +221,7 @@ class IntervalToken {
   /// is read back from the block header. May target any locale's object.
   template <typename T>
   void deferDelete(T* obj) {
+    PGASNB_CHECK_MSG(token_ != nullptr, "retire() on an invalid guard");
     checkHome();
     handle_.local().deferRetire(token_, obj, &interval_detail::blockDeleter<T>,
                                 interval_detail::blockOf(obj)->birth);
@@ -234,13 +231,13 @@ class IntervalToken {
   /// means "unknown, assume ancient": the block is freed only once every
   /// live reservation was pinned after the retire.
   void deferDeleteRaw(void* obj, ObjectDeleter deleter) {
+    PGASNB_CHECK_MSG(token_ != nullptr, "retire() on an invalid guard");
     checkHome();
     handle_.local().deferRetire(token_, obj, deleter, /*birth=*/0);
   }
 
   /// Interval retires are never buffered; parity with EpochToken.
   void flush() noexcept {}
-  std::size_t pendingRetires() const noexcept { return 0; }
 
   /// Protected read (the IBR read protocol): widen the reservation's upper
   /// bound to the current era, run the load, and retry if the era moved

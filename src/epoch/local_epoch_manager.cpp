@@ -17,7 +17,10 @@ LocalEpochToken& LocalEpochToken::operator=(LocalEpochToken&& other) noexcept {
   return *this;
 }
 
-void LocalEpochToken::pin() { manager_->pin(token_); }
+void LocalEpochToken::pin() {
+  PGASNB_CHECK_MSG(token_ != nullptr, "pin() on an invalid guard");
+  manager_->pin(token_);
+}
 
 void LocalEpochToken::unpin() noexcept {
   // No-op on an invalid (released/moved-from) token: it is already
@@ -27,6 +30,7 @@ void LocalEpochToken::unpin() noexcept {
 }
 
 void LocalEpochToken::deferDeleteRaw(void* obj, ObjectDeleter deleter) {
+  PGASNB_CHECK_MSG(token_ != nullptr, "retire() on an invalid guard");
   manager_->deferDelete(token_, obj, deleter);
 }
 

@@ -53,7 +53,6 @@ class LocalEpochToken {
   /// Shared-memory retires are never buffered; parity with EpochToken so
   /// the guard surface is domain-generic.
   void flush() noexcept {}
-  std::size_t pendingRetires() const noexcept { return 0; }
 
   /// Protected read: under EBR a pinned token already protects every load
   /// (nothing retired since the pin can be freed while it stays pinned), so

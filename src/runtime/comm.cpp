@@ -586,9 +586,25 @@ void Aggregator::adoptRuntime() {
   }
 }
 
-void Aggregator::enqueue(std::uint32_t loc, std::function<void()> op,
-                         std::uint64_t op_weight) {
-  enqueueWithCore(loc, std::move(op), nullptr, op_weight);
+void Aggregator::enqueue(std::uint32_t loc, std::function<void()> op) {
+  enqueueWithCore(loc, std::move(op), nullptr);
+}
+
+void Aggregator::enqueueRetire(std::uint32_t loc, RetireSink sink,
+                               void* target, RetireEntry entry) {
+  adoptRuntime();
+  PGASNB_CHECK_MSG(loc < buckets_.size() && loc != Runtime::here(),
+                   "aggregator: a retire goes to another locale");
+  Bucket& bucket = buckets_[loc];
+  RetireRun* run =
+      bucket.ops.empty() ? nullptr : bucket.ops.back().target<RetireRun>();
+  if (run == nullptr || run->target != target) {
+    enqueueWithCore(loc, RetireRun{sink, target, {entry}}, nullptr);
+    return;
+  }
+  run->entries.push_back(entry);
+  ++bucket.weight;
+  shipIfDue(loc);
 }
 
 Handle<> Aggregator::enqueueHandle(std::uint32_t loc, std::function<void()> op,
@@ -638,7 +654,11 @@ void Aggregator::enqueueWithCore(std::uint32_t loc, std::function<void()> op,
   }
   bucket.cores.push_back(std::move(core));
   ++total_pending_;
-  if (bucket.ops.size() >= ops_per_batch_) flush(loc);
+  shipIfDue(loc);
+}
+
+void Aggregator::shipIfDue(std::uint32_t loc) {
+  if (buckets_[loc].weight >= ops_per_batch_) flush(loc);
   // O(1) age check per enqueue: the full bucket sweep only runs once the
   // earliest deadline across all buckets has actually passed.
   if (sim::now() >= next_age_deadline_) flushAged();

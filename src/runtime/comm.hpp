@@ -680,13 +680,23 @@ Handle<> getAsync(void* dst, std::uint32_t src_locale, const void* src,
 
 // --- aggregation ----------------------------------------------------------
 
+/// A retired object and the deleter that frees it on its owning locale.
+struct RetireEntry {
+  void* obj;
+  void (*deleter)(void*);
+};
+
+/// Hands a run of retires, in enqueue order, to domain instance `target`.
+using RetireSink = void (*)(void* target, const std::vector<RetireEntry>& run);
+
 /// Coalesces fire-and-forget operations destined for the same locale into
 /// batched active messages (Chapel's unordered/aggregated ops): one wire
 /// latency + one service charge per batch, one CPU charge per op at the
 /// target. Per-destination FIFO order is preserved; cross-destination order
 /// is not. Not thread-safe -- use one per task (see taskAggregator()).
 ///
-/// Buffered ops are shipped when a destination reaches `ops_per_batch`,
+/// Buffered ops are shipped when a destination's weight (one per op or
+/// retire; an enqueueHandle may name more) reaches `ops_per_batch`,
 /// when the oldest buffered op for a destination exceeds
 /// RuntimeConfig::aggregator_max_batch_age_ns in simulated time (checked
 /// at each enqueue -- an under-filled bucket no longer waits for unpin),
@@ -715,11 +725,15 @@ class Aggregator {
   Aggregator& operator=(const Aggregator&) = delete;
 
   /// Buffer `op` for `loc` (fire-and-forget; charges nothing until the
-  /// batch ships). `op_weight` is the number of logical operations the
-  /// closure performs (a pre-batched retire closure carries many); it
-  /// feeds the ops_aggregated counter and nothing else.
-  void enqueue(std::uint32_t loc, std::function<void()> op,
-               std::uint64_t op_weight = 1);
+  /// batch ships).
+  void enqueue(std::uint32_t loc, std::function<void()> op);
+
+  /// Buffer one retire for `loc`, another locale (checked). It extends the
+  /// bucket's last op if that is a run for the same `target`, else opens a
+  /// new run; a run ships as one op calling `sink(target, run)` on `loc`.
+  /// Each retire weighs one (threshold and ops_aggregated).
+  void enqueueRetire(std::uint32_t loc, RetireSink sink, void* target,
+                     RetireEntry entry);
 
   /// Buffer `op` and get a completion handle: it resolves when the batched
   /// AM carrying the op has been serviced. All handles riding one batch
@@ -730,7 +744,8 @@ class Aggregator {
   /// by a closing OpWindow (on the task aggregator, joining an unshipped op
   /// can no longer deadlock). Handles issued while an OpWindow is open on
   /// this thread enroll into it. An own-locale op's handle resolves alone,
-  /// when its inline run finishes (see the class comment).
+  /// when its inline run finishes (see the class comment). `op_weight`
+  /// counts the logical ops the closure performs (a findBatch group).
   Handle<> enqueueHandle(std::uint32_t loc, std::function<void()> op,
                          std::uint64_t op_weight = 1);
 
@@ -755,7 +770,7 @@ class Aggregator {
   /// automatically on enqueue; exposed for drain loops that go idle.
   void flushAged();
 
-  /// Buffered (not yet shipped) closures, total / per destination.
+  /// Buffered (not yet shipped) closures, a run of retires counting one.
   std::size_t pending() const noexcept { return total_pending_; }
   std::size_t pendingFor(std::uint32_t loc) const noexcept {
     return loc < buckets_.size() ? buckets_[loc].ops.size() : 0;
@@ -776,16 +791,28 @@ class Aggregator {
     /// ops. A shipped batch resolves its cores together at batch end; an
     /// inline run resolves each as its op finishes.
     std::vector<std::shared_ptr<detail::HandleCore>> cores;
-    /// Sum of the buffered ops' weights (counted in ops_aggregated when
-    /// the bucket ships).
+    /// Sum of the buffered ops' weights: compared to ops_per_batch, and
+    /// counted in ops_aggregated when the bucket ships.
     std::uint64_t weight = 0;
     /// Simulated time the oldest currently-buffered op was enqueued.
     std::uint64_t first_op_time = 0;
   };
 
+  /// The op a run of retires rides as; named so enqueueRetire can find an
+  /// open run at the bucket's tail through std::function::target.
+  struct RetireRun {
+    RetireSink sink;
+    void* target;
+    std::vector<RetireEntry> entries;
+    void operator()() const { sink(target, entries); }
+  };
+
   /// Bind to the active runtime; discards stale buffers from a previous
   /// runtime generation (their closures reference dead objects).
   void adoptRuntime();
+
+  /// The threshold check for `loc`, then the age check for every bucket.
+  void shipIfDue(std::uint32_t loc);
 
   /// Run the calling locale's bucket `loc` inline, in FIFO order, resolving
   /// each op's core at its own finish time. The batch is moved out first,

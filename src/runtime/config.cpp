@@ -60,10 +60,6 @@ RuntimeConfig RuntimeConfig::fromEnv() {
   if (const char* v = envOrNull("PGASNB_DELAY_SCALE")) {
     cfg.latency.delay_scale = std::strtod(v, nullptr);
   }
-  if (const char* v = envOrNull("PGASNB_RETIRE_BATCH")) {
-    cfg.retire_batch_size =
-        static_cast<std::uint32_t>(std::strtoul(v, nullptr, 0));
-  }
   if (const char* v = envOrNull("PGASNB_AGG_OPS_PER_BATCH")) {
     cfg.aggregator_ops_per_batch =
         static_cast<std::uint32_t>(std::strtoul(v, nullptr, 0));

@@ -63,12 +63,8 @@ struct RuntimeConfig {
   /// between explicit tryReclaim() calls. 0 = only tryReclaim advances.
   std::uint32_t interval_era_freq = 128;
 
-  /// Aggregated retires: entries buffered per (guard, destination) before
-  /// the batch is handed to the task's comm::Aggregator.
-  std::uint32_t retire_batch_size = 64;
-
-  /// comm::Aggregator: closures buffered per destination before a batched
-  /// AM is injected (0 is treated as 1).
+  /// comm::Aggregator: ops or aggregated retires buffered per destination
+  /// before a batched AM is injected (0 is treated as 1).
   std::uint32_t aggregator_ops_per_batch = 64;
 
   /// comm::Aggregator age flush: an under-filled bucket ships once its
@@ -99,10 +95,9 @@ struct RuntimeConfig {
 
   /// Reads PGASNB_NUM_LOCALES, PGASNB_COMM_MODE, PGASNB_WORKERS,
   /// PGASNB_INJECT_DELAYS, PGASNB_DELAY_SCALE, PGASNB_INTERVAL_ERA_FREQ,
-  /// PGASNB_RETIRE_BATCH, PGASNB_AGG_OPS_PER_BATCH,
-  /// PGASNB_AGG_MAX_BATCH_AGE, PGASNB_RH_RESIZE_LOAD,
-  /// PGASNB_RH_MIGRATE_CHUNK on top of the defaults (docs/API.md lists
-  /// them with their fields and defaults). The remote-retire policy has
+  /// PGASNB_AGG_OPS_PER_BATCH, PGASNB_AGG_MAX_BATCH_AGE,
+  /// PGASNB_RH_RESIZE_LOAD, PGASNB_RH_MIGRATE_CHUNK on top of the defaults
+  /// (docs/API.md lists them with their fields and defaults). The remote-retire policy has
   /// no variable: it is chosen in code (cfg.remote_retire).
   static RuntimeConfig fromEnv();
 

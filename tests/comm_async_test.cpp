@@ -480,15 +480,16 @@ TEST_F(CommAsyncTest, GuardUnpinFlushesBufferedRetires) {
     guard.pin();
     guard.retire(gnewOn<Tracked>(1));
     guard.retire(gnewOn<Tracked>(1));
-    // Still buffered in the guard: nothing deferred anywhere yet.
-    EXPECT_EQ(guard.pendingRetires(), 2u);
+    // Both ride one run in the task aggregator: nothing deferred anywhere.
+    EXPECT_EQ(comm::taskAggregator().pendingFor(1), 1u);
     EXPECT_EQ(domain.stats().deferred, 0u);
     guard.unpin();
-    EXPECT_EQ(guard.pendingRetires(), 0u) << "unpin must flush";
+    EXPECT_EQ(comm::taskAggregator().pending(), 0u) << "unpin must flush";
     comm::amSync(1, [] {});  // FIFO drain of the batched AM
     EXPECT_EQ(domain.stats().deferred, 2u)
         << "flushed retires land in the owner's limbo list";
-    EXPECT_GE(comm::counters().am_batched, 1u);
+    EXPECT_EQ(comm::counters().am_batched, 1u);
+    EXPECT_EQ(comm::counters().ops_aggregated, 2u) << "each retire counts";
   }
   EXPECT_EQ(Tracked::live.load(), 2) << "retire defers, never frees eagerly";
   domain.clear();
@@ -499,14 +500,15 @@ TEST_F(CommAsyncTest, GuardUnpinFlushesBufferedRetires) {
 TEST_F(CommAsyncTest, RetireBatchThresholdShipsWithoutUnpin) {
   RuntimeConfig cfg = testConfig(2);
   cfg.remote_retire = RemoteRetirePolicy::aggregated;
-  cfg.retire_batch_size = 4;
-  cfg.aggregator_ops_per_batch = 1;  // ship each batch closure immediately
+  cfg.aggregator_ops_per_batch = 4;  // the threshold counts retires
   runtime_ = std::make_unique<Runtime>(cfg);
   DistDomain domain = DistDomain::create();
   {
     auto guard = domain.pin();
     for (int i = 0; i < 4; ++i) guard.retire(gnewOn<Tracked>(1));
-    EXPECT_EQ(guard.pendingRetires(), 0u) << "threshold reached: shipped";
+    EXPECT_EQ(comm::taskAggregator().pendingFor(1), 0u)
+        << "threshold reached: shipped";
+    EXPECT_EQ(comm::counters().am_batched, 1u);
     comm::amSync(1, [] {});
     EXPECT_EQ(domain.stats().deferred, 4u);
   }
@@ -515,27 +517,85 @@ TEST_F(CommAsyncTest, RetireBatchThresholdShipsWithoutUnpin) {
   domain.destroy();
 }
 
-TEST_F(CommAsyncTest, RetireCountDivisibleByBatchSizeStillShipsOnUnpin) {
-  // Regression: when the retire count is an exact multiple of
-  // retire_batch_size, every bucket drains via the threshold path and the
-  // guard's own buffers are empty at reset -- but the batch closures are
-  // still sitting in the task aggregator below *its* threshold. The reset
-  // flush must ship them anyway, or they strand in the thread-local buffer
-  // past the domain's lifetime.
+TEST_F(CommAsyncTest, NoRetireStrandsPastGuardReset) {
+  // Whether the retire count is a multiple of the threshold (every batch
+  // ships at the threshold) or not (a partial run is still buffered), the
+  // guard's reset must leave nothing in the thread-local aggregator: a
+  // stranded run would ship only at thread exit, after the domain's
+  // instances are gone.
   RuntimeConfig cfg = testConfig(2);
   cfg.remote_retire = RemoteRetirePolicy::aggregated;
-  cfg.retire_batch_size = 4;
-  cfg.aggregator_ops_per_batch = 64;  // closures alone never trip it
+  cfg.aggregator_ops_per_batch = 4;
   runtime_ = std::make_unique<Runtime>(cfg);
   DistDomain domain = DistDomain::create();
+  for (const std::uint64_t n : {8u, 9u}) {
+    comm::resetCounters();
+    const std::uint64_t before = domain.stats().deferred;
+    {
+      auto guard = domain.pin();
+      for (std::uint64_t i = 0; i < n; ++i) guard.retire(gnewOn<Tracked>(1));
+    }  // guard reset: flushAll()
+    EXPECT_EQ(comm::taskAggregator().pending(), 0u) << "n=" << n;
+    comm::quiesceAmQueues();
+    EXPECT_EQ(domain.stats().deferred - before, n) << "n=" << n;
+    EXPECT_EQ(comm::counters().am_batched, (n + 3) / 4) << "n=" << n;
+  }
+  domain.clear();
+  EXPECT_EQ(Tracked::live.load(), 0);
+  domain.destroy();
+}
+
+TEST_F(CommAsyncTest, RetiresOfTwoDomainsShareOneBatch) {
+  RuntimeConfig cfg = testConfig(2);
+  cfg.remote_retire = RemoteRetirePolicy::aggregated;
+  runtime_ = std::make_unique<Runtime>(cfg);
+  DistDomain a = DistDomain::create();
+  DistDomain b = DistDomain::create();
+  {
+    auto ga = a.pin();
+    auto gb = b.pin();
+    ga.retire(gnewOn<Tracked>(1));
+    ga.retire(gnewOn<Tracked>(1));
+    gb.retire(gnewOn<Tracked>(1));
+    ga.retire(gnewOn<Tracked>(1));
+    // Runs [a a] [b] [a]: a retire extends only the run at the tail.
+    EXPECT_EQ(comm::taskAggregator().pendingFor(1), 3u);
+    ga.unpin();
+    EXPECT_EQ(comm::taskAggregator().pending(), 0u);
+  }
+  comm::quiesceAmQueues();
+  EXPECT_EQ(comm::counters().am_batched, 1u) << "both domains, one AM";
+  EXPECT_EQ(comm::counters().ops_aggregated, 4u);
+  EXPECT_EQ(a.stats().deferred, 3u);
+  EXPECT_EQ(b.stats().deferred, 1u);
+  b.clear();
+  EXPECT_EQ(Tracked::live.load(), 3) << "b's limbo list held only b's retire";
+  a.clear();
+  EXPECT_EQ(Tracked::live.load(), 0);
+  a.destroy();
+  b.destroy();
+}
+
+TEST_F(CommAsyncTest, PlainOpBetweenRetiresKeepsItsFifoPlace) {
+  RuntimeConfig cfg = testConfig(2);
+  cfg.remote_retire = RemoteRetirePolicy::aggregated;
+  runtime_ = std::make_unique<Runtime>(cfg);
+  DistDomain domain = DistDomain::create();
+  std::atomic<std::uint64_t> seen{~std::uint64_t{0}};
   {
     auto guard = domain.pin();
-    for (int i = 0; i < 8; ++i) guard.retire(gnewOn<Tracked>(1));
-    EXPECT_EQ(guard.pendingRetires(), 0u) << "all buckets drained at threshold";
-  }  // guard reset: must flushAll() the aggregator despite empty buckets
+    guard.retire(gnewOn<Tracked>(1));
+    comm::taskAggregator().enqueue(1, [domain, &seen] {
+      seen.store(domain.manager().implHere().statsSnapshot().deferred);
+    });
+    guard.retire(gnewOn<Tracked>(1));
+    EXPECT_EQ(comm::taskAggregator().pendingFor(1), 3u)
+        << "the op closes the first run; the second retire opens another";
+  }
   comm::quiesceAmQueues();
-  EXPECT_EQ(domain.stats().deferred, 8u)
-      << "threshold-shipped batches must not strand in the aggregator";
+  EXPECT_EQ(seen.load(), 1u)
+      << "the op must run after the retire before it, before the one after";
+  EXPECT_EQ(domain.stats().deferred, 2u);
   domain.clear();
   EXPECT_EQ(Tracked::live.load(), 0);
   domain.destroy();

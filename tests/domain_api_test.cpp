@@ -112,6 +112,18 @@ TYPED_TEST(DomainApiTest, InvalidGuardIsQuiescentNotUb) {
   EXPECT_FALSE(guard.valid());
   EXPECT_FALSE(guard.pinned());
   EXPECT_EQ(guard.epoch(), kEpochQuiescent);
+  // pin() and retire() cannot be made harmless -- a silent no-op would leave
+  // the caller unprotected -- so both fail a check instead of dereferencing
+  // the null token: on a default-constructed guard and on a moved-from one.
+  EXPECT_DEATH(guard.pin(), "invalid guard");
+  EXPECT_DEATH(guard.retire(TypeParam::template make<Tracked>()),
+               "invalid guard");
+  auto pinned = this->domain().pin();
+  auto moved = std::move(pinned);
+  EXPECT_FALSE(pinned.valid());
+  EXPECT_DEATH(pinned.pin(), "invalid guard");
+  EXPECT_DEATH(pinned.retire(TypeParam::template make<Tracked>()),
+               "invalid guard");
 }
 
 TYPED_TEST(DomainApiTest, RetireDefersAndClearReclaims) {

@@ -74,8 +74,6 @@ const EnvKnob kEnvKnobs[] = {
      0.25},
     {"PGASNB_INTERVAL_ERA_FREQ", "7",
      [](const RuntimeConfig& c) -> double { return c.interval_era_freq; }, 7},
-    {"PGASNB_RETIRE_BATCH", "5",
-     [](const RuntimeConfig& c) -> double { return c.retire_batch_size; }, 5},
     {"PGASNB_AGG_OPS_PER_BATCH", "11",
      [](const RuntimeConfig& c) -> double {
        return c.aggregator_ops_per_batch;
