@@ -1,11 +1,14 @@
 // Distributed domains and arrays: index math properties and forall loops;
 // reclaim-domain guards in AM handlers: nested PinScopes, one pin per AM
-// service, and epoch advances under streaming batches.
+// service, epoch advances under streaming batches, the progress-thread guard
+// cache, and the model charges of the reclaim path.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
 #include <optional>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "test_support.hpp"
@@ -343,6 +346,107 @@ TYPED_TEST(StreamingAdvanceTest, AdvancesReturnWhileBatchesStream) {
   EXPECT_EQ(stats.pending(), 0u)
       << "clear() must reclaim every retired table";
   domain.destroy();
+}
+
+// --- the progress-thread guard cache -----------------------------------------
+
+template <typename Domain>
+class GuardCacheTest : public RuntimeTest {};
+TYPED_TEST_SUITE(GuardCacheTest, HandlerGuardDomains);
+
+/// Locale `l`'s token pool of `domain` (white-box).
+template <typename Domain>
+std::uint64_t tokensAllocatedOn(const Domain& domain, std::uint32_t l) {
+  if constexpr (std::is_same_v<Domain, DistDomain>) {
+    return domain.manager().implOn(l)->tokens_.allocatedCount();
+  } else {
+    return domain.implOn(l)->tokens_.allocatedCount();
+  }
+}
+
+TYPED_TEST(GuardCacheTest, OneRegistrationPerProgressThreadAndDomain) {
+  this->startRuntime(2);
+  TypeParam domain = TypeParam::create();
+  for (int i = 0; i < 3; ++i) {
+    comm::amSync(1, [domain] {
+      PinScope<typename TypeParam::Guard> pin(domain.threadGuard());
+      EXPECT_TRUE(pin.guard().pinned());
+    });
+  }
+  EXPECT_EQ(tokensAllocatedOn(domain, 1), 1u)
+      << "three services must reuse one cached registration";
+  // destroy() drops every progress thread's entry while the pools are
+  // alive; a later domain then registers once in its own pool.
+  domain.destroy();
+  TypeParam second = TypeParam::create();
+  comm::amSync(1, [second] {
+    PinScope<typename TypeParam::Guard> pin(second.threadGuard());
+  });
+  EXPECT_EQ(tokensAllocatedOn(second, 1), 1u);
+  second.destroy();
+  // Progress-thread exit runs the cache's teardown: no entry may be left
+  // pointing at a destroyed instance.
+  this->runtime_.reset();
+}
+
+// --- the reclaim path's model charges ----------------------------------------
+
+template <typename Domain>
+class ReclaimChargeTest : public RuntimeTest {};
+TYPED_TEST_SUITE(ReclaimChargeTest, HandlerGuardDomains);
+
+/// Retire `n` objects round-robin over locales 0-2 under one pinned guard.
+template <typename Domain>
+void retireRoundRobin(Domain& domain, int n) {
+  auto guard = domain.pin();
+  for (int i = 0; i < n; ++i) {
+    guard.retire(Domain::template makeOn<std::uint64_t>(
+        static_cast<std::uint32_t>(i % 3), static_cast<std::uint64_t>(i)));
+  }
+}
+
+TYPED_TEST(ReclaimChargeTest, ModelTimeOfRetireReclaimAdvanceClear) {
+  // Model time after each step of a fixed retire/tryReclaim/advance/clear
+  // program. The charges are part of the simulation's cost model: a
+  // refactor of the reclaim path must keep every amount and its order.
+  constexpr bool kDist = std::is_same_v<TypeParam, DistDomain>;
+  const std::vector<std::pair<CommMode, std::vector<std::uint64_t>>> cases = {
+      {CommMode::none,
+       kDist ? std::vector<std::uint64_t>{575, 16950, 33325, 49700, 66075,
+                                          82975, 97325}
+             : std::vector<std::uint64_t>{825, 23600, 46375, 69150, 91925,
+                                          115300, 129550}},
+      {CommMode::ugni,
+       kDist ? std::vector<std::uint64_t>{575, 21250, 41925, 62600, 83275,
+                                          107700, 122050}
+             : std::vector<std::uint64_t>{825, 23600, 46375, 69150, 91925,
+                                          115300, 129550}},
+  };
+  for (const auto& [mode, expected] : cases) {
+    SCOPED_TRACE(toString(mode));
+    this->runtime_ = std::make_unique<Runtime>(testing::testConfig(3, mode));
+    TypeParam domain = TypeParam::create();
+    const std::uint64_t t0 = sim::now();
+    std::vector<std::uint64_t> seen;
+    retireRoundRobin(domain, 10);
+    seen.push_back(sim::now() - t0);
+    for (int i = 0; i < 4; ++i) {
+      domain.tryReclaim();
+      seen.push_back(sim::now() - t0);
+    }
+    retireRoundRobin(domain, 7);
+    domain.advance();
+    seen.push_back(sim::now() - t0);
+    domain.clear();
+    seen.push_back(sim::now() - t0);
+    EXPECT_EQ(seen, expected);
+    const ReclaimStats stats = domain.stats();
+    EXPECT_EQ(stats.deferred, 17u);
+    EXPECT_EQ(stats.reclaimed, 17u);
+    EXPECT_EQ(stats.advances, 5u);
+    domain.destroy();
+    this->runtime_.reset();
+  }
 }
 
 }  // namespace
