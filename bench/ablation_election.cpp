@@ -40,7 +40,7 @@ int main(int argc, char** argv) {
     {  // without the local election: every attempt hits the global flag
       Runtime rt(benchConfig(locales, CommMode::none, opts.tasks_per_locale));
       DistDomain domain = DistDomain::create();
-      GlobalEpoch& global = domain.manager().implHere().global();
+      GlobalEpoch& global = *domain.implHere().global_;
       const std::uint32_t tasks = opts.tasks_per_locale;
       const auto m = timed([&] {
         coforallLocales([&global, tasks, iters_per_task] {

@@ -151,10 +151,9 @@ struct BenchOptions {
 
 /// Runtime config for benchmark runs: physical delay injection ON so the
 /// wall column reflects the interconnect model too. Starts from fromEnv()
-/// so the reclamation and batching knobs (PGASNB_INTERVAL_ERA_FREQ,
-/// PGASNB_AGG_OPS_PER_BATCH, PGASNB_AGG_MAX_BATCH_AGE, ...) are sweepable
-/// from the environment -- scripts/bench_json.sh pins the era frequency per
-/// recorded run. The sweep parameters below (locales, workers, comm mode, delay model) are the
+/// so the batching knobs (PGASNB_AGG_OPS_PER_BATCH,
+/// PGASNB_AGG_MAX_BATCH_AGE, ...) are sweepable from the environment. The
+/// sweep parameters below (locales, workers, comm mode, delay model) are the
 /// bench's own axes and always override the environment. The remote-retire
 /// policy has no variable: a bench that compares policies sets
 /// cfg.remote_retire itself (fig8, ablation_scatter_list).

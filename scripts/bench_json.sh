@@ -18,11 +18,6 @@ BUILD_DIR="${PGASNB_BUILD_DIR:-build}"
 OUT_DIR="${PGASNB_BENCH_OUT:-.}"
 BENCH_ARGS="${PGASNB_BENCH_ARGS:---quick}"
 
-# Reclamation knob: pin the default explicitly so recorded runs are
-# reproducible even if the config default moves later. Override it in the
-# environment to sweep.
-export PGASNB_INTERVAL_ERA_FREQ="${PGASNB_INTERVAL_ERA_FREQ:-128}"
-
 BENCHES=("$@")
 if [[ ${#BENCHES[@]} -eq 0 ]]; then
   BENCHES=(fig4_sparse_reclaim fig8_aggregated_retire fig9_async_pop ablation_scatter_list ycsb_like epoch_engine)

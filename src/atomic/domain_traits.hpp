@@ -1,9 +1,10 @@
 // domain_traits: maps a reclaim domain to its atomic building blocks.
 //
 // The paper pairs each reclamation flavour with an atomic flavour: the
-// distributed EpochManager with AtomicObject (compressed wide pointers,
-// network atomics) and the LocalEpochManager with LocalAtomicObject (plain
-// processor atomics, "opting out" of the network). This shim encodes that
+// distributed epoch manager (DistDomain) with AtomicObject (compressed wide
+// pointers, network atomics) and the local one (LocalDomain) with
+// LocalAtomicObject (plain processor atomics, "opting out" of the
+// network). This shim encodes that
 // pairing once, so a Domain-generic data structure picks the right head
 // word type from its Domain parameter alone.
 #pragma once

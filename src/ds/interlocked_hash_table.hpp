@@ -1,17 +1,17 @@
 // InterlockedHashTable: a non-blocking hash map over any reclaim domain.
 //
 // The paper's conclusion reports a port of the Interlocked Hash Table
-// [Jenkins et al., PACT'17] built on AtomicObject + EpochManager as
-// "complete and awaiting release"; this module is that application, built
-// from this library's own pieces:
+// [Jenkins et al., PACT'17] built on AtomicObject + EpochManager (here
+// DistDomain) as "complete and awaiting release"; this module is that
+// application, built from this library's own pieces:
 //
 //   * buckets are lock-free ordered lists (HarrisList<.., Domain>);
 //   * under DistDomain, buckets are distributed cyclically across locales,
 //     each living entirely in its owner's arena so every list operation
 //     uses cheap processor atomics ("opting out" of network atomics, as
 //     the paper recommends); operations are shipped to the bucket's owner
-//     as short active messages and node reclamation goes through the
-//     distributed EpochManager;
+//     as short active messages and node reclamation goes through
+//     DistDomain;
 //   * under LocalDomain, the same body degenerates to a single-shard
 //     shared-memory hash map executed in place -- no runtime required.
 #pragma once

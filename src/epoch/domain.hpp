@@ -14,11 +14,11 @@
 //   }                                   // unpin + unregister at scope exit
 //
 // Three models of the `ReclaimDomain` concept are provided:
-//   * LocalDomain -- wraps LocalEpochManager; runtime-free shared-memory
-//     EBR for ordinary multithreaded programs.
-//   * DistDomain  -- wraps the privatized distributed EpochManager; a
+//   * LocalDomain -- the paper's LocalEpochManager: runtime-free
+//     shared-memory EBR for ordinary multithreaded programs.
+//   * DistDomain  -- the paper's privatized distributed EpochManager; a
 //     trivially copyable record-wrapper handle, capture it by value in
-//     forall/coforall lambdas exactly like EpochManager.
+//     forall/coforall lambdas.
 //   * IntervalDomain (epoch/interval_manager.hpp) -- interval-based
 //     reclamation over the same guard surface; bounded garbage under a
 //     stalled pinned guard (docs/ARCHITECTURE.md, "Choosing a
@@ -29,100 +29,24 @@
 // allocation (`Domain::make<N>()` / `Domain::destroyNode()` /
 // `Domain::retireNode()`), replacing the per-structure node policies.
 //
-// The managers expose acquireToken() as the low-level entry the domains
-// build on; application code never touches tokens directly. (Migrating
-// from the historical token-registration API? docs/API.md has the table.)
+// A guard is the task's registration (the paper's token): pin()/attach()
+// register it in the domain, its destructor unregisters it.
 #pragma once
 
 #include <concepts>
 #include <cstdint>
+#include <memory>
 #include <utility>
+#include <vector>
 
 #include "epoch/epoch_manager.hpp"
 #include "epoch/local_epoch_manager.hpp"
 #include "epoch/reclaim_stats.hpp"
 #include "runtime/active_message.hpp"
+#include "runtime/task.hpp"
 #include "util/backoff.hpp"
 
 namespace pgasnb {
-
-/// RAII epoch guard over either token flavour. Constructing a guard from a
-/// freshly registered token pins it; destruction unpins and unregisters
-/// (the token's own RAII). Move-only, like the tokens.
-template <typename TokenT>
-class BasicGuard {
- public:
-  BasicGuard() = default;
-  explicit BasicGuard(TokenT token, bool pin_now = true)
-      : token_(std::move(token)) {
-    if (pin_now && token_.valid()) token_.pin();
-  }
-  BasicGuard(BasicGuard&&) noexcept = default;
-  BasicGuard& operator=(BasicGuard&&) noexcept = default;
-  BasicGuard(const BasicGuard&) = delete;
-  BasicGuard& operator=(const BasicGuard&) = delete;
-
-  /// False once moved-from or released.
-  bool valid() const noexcept { return token_.valid(); }
-
-  // --- epoch introspection ------------------------------------------------
-  bool pinned() const noexcept { return token_.pinned(); }
-  /// The epoch this guard is pinned in; kEpochQuiescent when unpinned.
-  std::uint64_t epoch() const noexcept { return token_.epoch(); }
-
-  /// Temporarily leave the epoch (e.g. between phases of a long task) and
-  /// re-enter it. pin() is idempotent. Unpinning flushes any buffered
-  /// cross-locale retires (aggregated-retire policy) before going
-  /// quiescent.
-  void pin() { token_.pin(); }
-  void unpin() { token_.unpin(); }
-
-  // --- deferred reclamation ----------------------------------------------
-  /// Defer deletion of `obj` until no task can still hold a reference.
-  /// Requires the guard to be pinned.
-  template <typename T>
-  void retire(T* obj) {
-    token_.deferDelete(obj);
-  }
-  /// Custom-deleter escape hatch (for a DistDomain the deleter runs on the
-  /// object's owning locale).
-  void retireRaw(void* obj, ObjectDeleter deleter) {
-    token_.deferDeleteRaw(obj, deleter);
-  }
-
-  /// Ship any buffered cross-locale retires now (DistDomain aggregated
-  /// policy; a no-op for LocalDomain). Happens automatically at batch
-  /// threshold, unpin(), release(), and tryReclaim().
-  void flush() { token_.flush(); }
-
-  /// Protected read for domain-generic traversals: evaluate `load` under
-  /// this guard's protection and return its result. EBR tokens pass the
-  /// call through (a pinned token already protects every load); the
-  /// interval token (epoch/interval_manager.hpp) widens its reservation's
-  /// upper bound to the current era first and re-runs `load` if the era
-  /// moved mid-read. Wrap every traversal load of a shared node pointer;
-  /// reads of an already-protected snapshot need no wrapping.
-  template <typename F>
-  auto protect(F&& load) {
-    return token_.protect(std::forward<F>(load));
-  }
-
-  /// Attempt an epoch advance + reclamation; non-blocking, returns true
-  /// iff this call won the election and advanced the epoch.
-  bool tryReclaim() { return token_.tryReclaim(); }
-
-  /// Early unregistration (otherwise the destructor does it).
-  void release() { token_.reset(); }
-
-  /// The wrapped legacy token (white-box access for tests).
-  TokenT& token() noexcept { return token_; }
-
- private:
-  TokenT token_;
-};
-
-using LocalGuard = BasicGuard<LocalEpochToken>;
-using DistGuard = BasicGuard<EpochToken>;
 
 /// RAII pin of an attached (typically thread-cached) guard around a scope.
 /// The AM-handler spelling of the guard protocol, with two boundaries:
@@ -163,22 +87,154 @@ class PinScope {
 };
 
 namespace detail {
-/// The calling thread's cached attached guard for `manager`: one token
+
+// ---------------------------------------------------------------------------
+// Per-thread cached guards (progress-thread handler pins)
+// ---------------------------------------------------------------------------
+//
+// An AM handler that dereferences protected nodes (MsQueue::enqueueAsync's
+// append loop, DistStack::popAsync's pop loop) needs a pin on the progress
+// thread. Registering a fresh guard per message costs pool atomics and
+// allocated-list churn on the hot path; instead each thread keeps one
+// *attached* guard per domain, and PinScope pins it once per AM service --
+// the handler plus its whole batch -- unpinning at the service's end
+// (quiescent-state style: the service is the natural boundary).
+//
+// Lifetime: entries are keyed by (runtime generation, privatization id).
+// A distributed domain's destroy() broadcasts dropThreadCachedGuards()
+// through every AM queue, so each progress thread unregisters its cached
+// guard while the token pools are still alive. Entries that outlive their
+// runtime (leaked domains, teardown races) are *abandoned* -- the pool died
+// with the arena, so unregistering would be a use-after-free.
+
+template <typename GuardT>
+struct CachedGuards {
+  struct Entry {
+    std::uint64_t generation;
+    std::size_t pid;
+    GuardT guard;
+  };
+  // unique_ptr entries: handed-out guard references stay stable across
+  // later insertions/erasures (a handler can touch several domains).
+  std::vector<std::unique_ptr<Entry>> entries;
+
+  ~CachedGuards() {
+    for (auto& entry : entries) {
+      if (!Runtime::active() ||
+          Runtime::get().generation() != entry->generation) {
+        entry->guard.abandon();
+      }
+      // Otherwise the guard's destructor unregisters normally (the domain
+      // is still alive on a live runtime).
+    }
+  }
+
+  static CachedGuards& here() {
+    thread_local CachedGuards cache;
+    return cache;
+  }
+};
+
+/// The calling progress thread's cached attached guard for `domain`: one
 /// registration per (OS thread, domain), created lazily and reused across
-/// AM handlers. Entries are dropped by EpochManager::destroy()'s
-/// progress-thread broadcast (before the token pools die) and at thread
-/// exit. Intended for progress threads -- the guard is bound to the
-/// registering thread and locale like any EpochToken.
-DistGuard& threadCachedGuard(const EpochManager& manager);
-/// Drop every cache entry for the domain identified by `pid` on the
-/// calling thread (unregisters the tokens; the instances must still be
-/// alive). EpochManager::destroy() broadcasts this to every progress
-/// thread.
-void dropThreadCachedGuards(std::size_t pid);
+/// AM handlers. The guard is bound to the registering thread and locale
+/// like any guard.
+template <typename Domain>
+typename Domain::Guard& threadCachedGuard(const Domain& domain) {
+  // Progress threads only: destroy()'s drop broadcast reaches exactly the
+  // progress threads, so an entry created on a task thread would outlive
+  // its domain and, at thread exit, unregister into a destroyed instance.
+  PGASNB_CHECK_MSG(taskContext().progress_thread,
+                   "threadGuard(): cached guards are progress-thread state; "
+                   "use domain.pin()/attach() from tasks");
+  using Cache = CachedGuards<typename Domain::Guard>;
+  auto& entries = Cache::here().entries;
+  const std::uint64_t gen = Runtime::get().generation();
+  const std::size_t pid = domain.privatizationId();
+  // Sweep entries from dead runtimes while we're here (their token pools
+  // are gone -- abandon, never unregister).
+  std::erase_if(entries, [gen](const auto& entry) {
+    if (entry->generation == gen) return false;
+    entry->guard.abandon();
+    return true;
+  });
+  for (auto& entry : entries) {
+    if (entry->pid == pid && entry->guard.valid()) return entry->guard;
+  }
+  entries.push_back(std::make_unique<typename Cache::Entry>(
+      typename Cache::Entry{gen, pid, domain.attach()}));
+  return entries.back()->guard;
+}
+
+/// Collective half of a distributed domain's destroy(): drop every progress
+/// thread's cache entry for the domain `pid` (the guard destructors
+/// unregister) *before* the per-locale instances and their token pools die.
+/// The broadcast must traverse the AM queues -- amProgressHandle, never
+/// amSync's local fast path -- because the thread_local cache lives on the
+/// progress thread, not on whichever task thread runs destroy().
+template <typename GuardT>
+void dropThreadCachedGuards(std::size_t pid) {
+  const std::uint32_t n = Runtime::get().numLocales();
+  std::vector<comm::Handle<>> drops;
+  drops.reserve(n);
+  for (std::uint32_t l = 0; l < n; ++l) {
+    drops.push_back(comm::amProgressHandle(l, [pid] {
+      std::erase_if(CachedGuards<GuardT>::here().entries,
+                    [pid](const auto& entry) { return entry->pid == pid; });
+    }));
+  }
+  comm::waitAll(drops);
+}
+
+/// Blocking phase-boundary advance, one loop for every domain: retry
+/// tryReclaim (with backoff) until currentEpoch() has moved past its value
+/// at entry, then return the new epoch. Epochs cycle 1..kNumEpochs, so the
+/// move is detected by *change*, not ordering; a concurrent advancer
+/// changing it also satisfies the caller (the boundary needs the epoch to
+/// have moved, not to have moved by us). Requires eventual quiescence --
+/// every registered guard quiescent or pinned in the current epoch -- or
+/// the advance spins forever. Lost elections and lagging pins are
+/// transient under the engine's boundary protocol (all engine guards are
+/// unpinned between collectives, handler guards unpin at the end of each
+/// AM service).
+template <typename Domain>
+std::uint64_t advanceEpoch(Domain& domain) {
+  const std::uint64_t entry = domain.currentEpoch();
+  Backoff backoff;
+  while (domain.currentEpoch() == entry) {
+    if (domain.tryReclaim()) break;
+    backoff.pause();
+  }
+  return domain.currentEpoch();
+}
+
+/// Every locale's counter block of a distributed domain, summed (diagnostic;
+/// quiescent-exact).
+template <typename Domain>
+ReclaimStats sumLocaleStats(const Domain& domain) {
+  ReclaimStats total;
+  for (std::uint32_t l = 0; l < Runtime::get().numLocales(); ++l) {
+    total += domain.implOn(l)->counters_.snapshot();
+  }
+  return total;
+}
+
+/// Zero every locale's counter block (counters only; quiescent point).
+template <typename Domain>
+void resetLocaleStats(const Domain& domain) {
+  for (std::uint32_t l = 0; l < Runtime::get().numLocales(); ++l) {
+    domain.implOn(l)->counters_.reset();
+  }
+}
+
 }  // namespace detail
 
-/// Shared-memory reclaim domain: plain C++ threads, heap nodes, no runtime
-/// required. Non-copyable; pass by reference, like the manager it wraps.
+/// Shared-memory reclaim domain (the paper's LocalEpochManager): plain C++
+/// threads, heap nodes, no runtime required. It functions like DistDomain
+/// but has no global epoch and takes no remote objects into consideration.
+/// Guards and limbo nodes come from the heap; deferred objects are deleted
+/// with their registered deleter on the reclaiming thread. Non-copyable;
+/// pass by reference.
 class LocalDomain {
  public:
   using Guard = LocalGuard;
@@ -192,41 +248,33 @@ class LocalDomain {
   static constexpr bool kBlocksOnLaggingPin = true;
 
   LocalDomain() = default;
+  ~LocalDomain() { clear(); }
   LocalDomain(const LocalDomain&) = delete;
   LocalDomain& operator=(const LocalDomain&) = delete;
 
   bool valid() const noexcept { return true; }
 
   /// Register the calling task and enter the current epoch.
-  Guard pin() { return Guard(manager_.acquireToken(), /*pin_now=*/true); }
+  Guard pin() { return Guard(this, /*pin_now=*/true); }
   /// Register without pinning (for tasks that toggle pin()/unpin()).
-  Guard attach() { return Guard(manager_.acquireToken(), /*pin_now=*/false); }
+  Guard attach() { return Guard(this, /*pin_now=*/false); }
 
-  bool tryReclaim() { return manager_.tryReclaim(); }
-  /// Blocking phase-boundary advance: retries tryReclaim (with backoff)
-  /// until the epoch has moved past the value observed at entry, then
-  /// returns the new epoch. Epochs cycle 1..kNumEpochs, so the move is
-  /// detected by change, not ordering. Requires eventual quiescence --
-  /// every registered token quiescent or pinned in the current epoch --
-  /// or the advance spins forever. The batch engine issues this at phase
-  /// boundaries, where it guarantees exactly that.
-  std::uint64_t advance() {
-    const std::uint64_t entry = manager_.currentEpoch();
-    Backoff backoff;
-    while (manager_.currentEpoch() == entry) {
-      if (manager_.tryReclaim()) break;
-      backoff.pause();
-    }
-    return manager_.currentEpoch();
-  }
+  /// Advance the epoch and reclaim the list two epochs behind, if every
+  /// registered guard is quiescent or in the current epoch. Non-blocking:
+  /// losers of the one-flag election return immediately.
+  bool tryReclaim();
+  /// Blocking phase-boundary advance (detail::advanceEpoch); the batch
+  /// engine issues it at phase boundaries, where it guarantees the
+  /// quiescence it requires.
+  std::uint64_t advance() { return detail::advanceEpoch(*this); }
   /// Reclaim everything; caller guarantees no concurrent use.
-  void clear() { manager_.clear(); }
+  void clear();
   std::uint64_t currentEpoch() const noexcept {
-    return manager_.currentEpoch();
+    return epoch_.load(std::memory_order_seq_cst);
   }
-  ReclaimStats stats() const { return manager_.stats(); }
+  ReclaimStats stats() const { return counters_.snapshot(); }
   /// Zero the statistics (counters only; call at a quiescent point).
-  void resetStats() { manager_.resetStats(); }
+  void resetStats() { counters_.reset(); }
 
   // --- node hooks (used by the Domain-generic data structures) ------------
   template <typename N, typename... Args>
@@ -242,16 +290,34 @@ class LocalDomain {
     guard.retire(n);
   }
 
-  /// White-box access for tests/benches.
-  LocalEpochManager& manager() noexcept { return manager_; }
-
  private:
-  LocalEpochManager manager_;
+  friend class LocalGuard;
+
+  struct HeapLimboNodeAlloc {
+    static LimboNode* alloc() { return new LimboNode; }
+    static void free(LimboNode* n) { delete n; }
+  };
+  struct HeapTokenAlloc {
+    static Token* alloc() { return new Token; }
+    static void free(Token* t) { delete t; }
+  };
+
+  void pin(Token* token) noexcept;
+  void deferDelete(Token* token, void* obj, ObjectDeleter deleter);
+  void reclaimList(std::uint32_t index);
+
+  std::atomic<std::uint64_t> epoch_{1};
+  std::atomic<std::uint64_t> is_setting_epoch_{0};
+  LimboList limbo_[kNumEpochs];
+  LimboNodePool<HeapLimboNodeAlloc> node_pool_;
+  TokenPool<HeapTokenAlloc> tokens_;
+  ReclaimCounters counters_;
 };
 
-/// Distributed reclaim domain: a trivially copyable record-wrapper over the
-/// privatized EpochManager. Capture by value in task lambdas; every call
-/// resolves against the executing locale's instance.
+/// Distributed reclaim domain (the paper's EpochManager): a trivially
+/// copyable record-wrapper over one privatized EpochManagerImpl per locale
+/// and the GlobalEpoch on locale 0. Capture by value in task lambdas; every
+/// call resolves against the executing locale's instance.
 class DistDomain {
  public:
   using Guard = DistGuard;
@@ -263,44 +329,43 @@ class DistDomain {
 
   DistDomain() = default;  // invalid handle; use create()
 
-  /// Collective: one privatized instance per locale + the global epoch.
-  static DistDomain create() {
-    DistDomain d;
-    d.manager_ = EpochManager::create();
-    return d;
-  }
-  /// Collective teardown: reclaims everything, destroys all instances.
-  void destroy() { manager_.destroy(); }
+  /// Collective: the global epoch (locale 0) plus one privatized instance
+  /// per locale.
+  static DistDomain create();
+  /// Collective teardown: reclaims everything, drops every progress
+  /// thread's cached guard, then destroys the per-locale instances and the
+  /// global epoch.
+  void destroy();
 
-  bool valid() const noexcept { return manager_.valid(); }
+  bool valid() const noexcept { return handle_.valid(); }
 
-  /// Register the calling task (token bound to the calling locale) and
+  /// Register the calling task (guard bound to the calling locale) and
   /// enter the current epoch.
-  Guard pin() const { return Guard(manager_.acquireToken(), /*pin_now=*/true); }
-  Guard attach() const {
-    return Guard(manager_.acquireToken(), /*pin_now=*/false);
-  }
+  Guard pin() const { return Guard(handle_, /*pin_now=*/true); }
+  Guard attach() const { return Guard(handle_, /*pin_now=*/false); }
 
-  /// The calling thread's cached attached guard for this domain (one token
+  /// The calling thread's cached attached guard for this domain (one
   /// registration per (thread, domain), reused across AM handlers). Wrap
   /// uses in a PinScope: `PinScope<DistGuard> pin(domain.threadGuard());`
   /// -- one pin per AM service, however many handlers of the batch use it.
   /// destroy() drops every progress thread's cache entry for this domain.
   /// Progress threads only (checked): task threads must use pin()/attach().
-  Guard& threadGuard() const { return detail::threadCachedGuard(manager_); }
+  Guard& threadGuard() const { return detail::threadCachedGuard(*this); }
 
-  bool tryReclaim() const { return manager_.tryReclaim(); }
+  bool tryReclaim() const { return detail::epochTryReclaim(handle_); }
   /// Blocking phase-boundary advance (paper's opportunistic tryReclaim
-  /// made structural): drives the reclamation protocol until the global
-  /// epoch has moved, returns the new epoch. Same quiescence requirement
-  /// as LocalDomain::advance(); the batch engine (engine/epoch_engine.hpp)
-  /// issues this at every phase boundary, after fencing the AM queues.
-  std::uint64_t advance() const { return manager_.advance(); }
-  void clear() const { manager_.clear(); }
-  std::uint64_t currentEpoch() const { return manager_.currentGlobalEpoch(); }
-  ReclaimStats stats() const { return manager_.stats(); }
+  /// made structural, detail::advanceEpoch): returns the new epoch. The
+  /// batch engine (engine/epoch_engine.hpp) issues this at every phase
+  /// boundary, after fencing the AM queues.
+  std::uint64_t advance() const { return detail::advanceEpoch(*this); }
+  /// Reclaim everything across all epochs. Caller guarantees no concurrent
+  /// use (paper's `clear`).
+  void clear() const { detail::epochClearAll(handle_); }
+  std::uint64_t currentEpoch() const { return global_->epoch.read(); }
+  /// Summed statistics across locales (diagnostic; quiescent-exact).
+  ReclaimStats stats() const { return detail::sumLocaleStats(*this); }
   /// Zero the statistics on every locale (counters only; quiescent point).
-  void resetStats() const { manager_.resetStats(); }
+  void resetStats() const { detail::resetLocaleStats(*this); }
 
   // --- node hooks ---------------------------------------------------------
   /// Nodes live in the calling locale's arena; reclamation ships each node
@@ -325,10 +390,17 @@ class DistDomain {
   }
 
   /// White-box access for tests/benches.
-  EpochManager manager() const noexcept { return manager_; }
+  EpochManagerImpl& implHere() const { return handle_.local(); }
+  EpochManagerImpl* implOn(std::uint32_t locale) const {
+    return handle_.instanceOn(locale);
+  }
+  /// Stable per-domain identity (the privatization slot); keys the
+  /// per-thread cached-guard registry.
+  std::size_t privatizationId() const noexcept { return handle_.id(); }
 
  private:
-  EpochManager manager_;
+  Privatized<EpochManagerImpl> handle_;
+  GlobalEpoch* global_ = nullptr;
 };
 
 /// How a data structure holds on to its domain: distributed domains are

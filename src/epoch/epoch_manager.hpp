@@ -1,18 +1,18 @@
-// EpochManager: distributed, lock-free Epoch-Based Reclamation
-// (paper Sec. II.B-C, Fig. 1-2, Listing 4).
+// The distributed epoch manager behind DistDomain: lock-free Epoch-Based
+// Reclamation across locales (paper Sec. II.B-C, Fig. 1-2, Listing 4).
 //
 // Structure
 // ---------
-// * One privatized instance per locale (record-wrapped handle => zero
-//   communication to reach the local instance, even inside distributed
-//   forall loops).
-// * Each instance has three limbo lists -- the epochs e-1, e, e+1 -- a
-//   locale-private epoch cache, a local election flag, a token pool, and a
-//   scatter array used to sort deferred objects by owning locale before
-//   bulk deletion.
+// * One privatized EpochManagerImpl per locale (record-wrapped handle =>
+//   zero communication to reach the local instance, even inside
+//   distributed forall loops).
+// * Each instance has the limbo lists, a locale-private epoch cache, a
+//   local election flag and a token pool.
 // * A single GlobalEpoch object lives on locale 0 so all locales reach
 //   consensus on one centralized epoch; it is accessed with network
 //   atomics (RDMA in CommMode::ugni).
+// * A DistGuard (the paper's token) is one registration in the pool of the
+//   locale that created it.
 //
 // Reclamation protocol (tryReclaim, Listing 4)
 // --------------------------------------------
@@ -22,8 +22,8 @@
 //    token is quiescent or pinned in the current global epoch.
 // 3. if safe: advance the global epoch, then on every locale update the
 //    epoch cache, pop the limbo list that is now two epochs old in one
-//    exchange, scatter its objects by owner locale, and bulk-delete each
-//    bucket on its owner.
+//    exchange, scatter its objects by owner locale into scan-private
+//    buckets, and bulk-delete each bucket on its owner.
 #pragma once
 
 #include <atomic>
@@ -67,26 +67,37 @@ void arenaDeleter(void* p) {
   Runtime::get().deleteLocal(static_cast<T*>(p));
 }
 
+/// Objects to free, bucketed by owning locale.
+using ScatterBuckets = std::vector<std::vector<comm::RetireEntry>>;
+
+/// Pop `list`, append each object to its owner's bucket and recycle the
+/// nodes into `pool`; returns the number of objects moved.
+std::uint64_t scatterList(LimboList& list,
+                          LimboNodePool<ArenaLimboNodeAlloc>& pool,
+                          ScatterBuckets& buckets);
+
+/// "Bulk transfer and delete" (Listing 4): a nested coforall ships each
+/// owner's bucket to its locale in one transfer and runs the deleters
+/// there. Both distributed domains reclaim through it. The buckets are
+/// scan-private, so scans that overlap share no mutable state.
+void bulkDeleteScattered(const ScatterBuckets& buckets);
+
 }  // namespace detail
 
-/// Per-locale privatized instance. Users never touch this directly; it is
-/// public only for tests and the benchmark harness.
+/// Per-locale privatized instance of a DistDomain. Users never touch this
+/// directly; it is public only for tests and the benchmark harness.
 class EpochManagerImpl {
  public:
-  EpochManagerImpl(GlobalEpoch* global, std::uint32_t num_locales)
-      : global_(global), objs_to_delete_(num_locales) {
+  explicit EpochManagerImpl(GlobalEpoch* global) : global_(global) {
     locale_epoch_.store(global->epoch.peek(), std::memory_order_relaxed);
   }
 
-  ~EpochManagerImpl();
+  ~EpochManagerImpl() {
+    for (auto& list : limbo_) node_pool_.destroyList(list);
+  }
 
   EpochManagerImpl(const EpochManagerImpl&) = delete;
   EpochManagerImpl& operator=(const EpochManagerImpl&) = delete;
-
-  // --- token operations (called via EpochToken) -------------------------
-
-  Token* registerToken() { return tokens_.acquire(); }
-  void unregisterToken(Token* token);
 
   /// Enter the locale's current epoch. Re-validates the epoch cache after
   /// publishing (hardening of the paper's pin; see DESIGN.md) so a pinned
@@ -106,34 +117,6 @@ class EpochManagerImpl {
   /// the objects past more grace periods, never fewer.
   void insertRemoteRetires(const std::vector<comm::RetireEntry>& entries);
 
-  // --- reclamation machinery (called by free functions below) -----------
-
-  /// Pop the limbo list `index` and scatter its objects into
-  /// objs_to_delete_ buckets keyed by owning locale; recycles the nodes.
-  void scatterLimboList(std::uint32_t index);
-
-  /// Delete every object in `objs_to_delete_[dest]`; must run on `dest`.
-  void deleteBucketFor(std::uint32_t dest);
-
-  void clearScatter() {
-    for (auto& bucket : objs_to_delete_) bucket.clear();
-  }
-
-  /// Count `n` fresh deferrals and raise the max_pending high-water mark.
-  void notePendingAfterDefer(std::uint64_t n) noexcept {
-    const std::uint64_t deferred =
-        deferred_.fetch_add(n, std::memory_order_relaxed) + n;
-    detail::raiseMax(max_pending_,
-                     deferred - reclaimed_.load(std::memory_order_relaxed));
-  }
-
-  GlobalEpoch& global() noexcept { return *global_; }
-
-  ReclaimStats statsSnapshot() const;
-  /// Zero this locale's statistics (counters only; see
-  /// LocalEpochManager::resetStats for the quiescence caveat).
-  void resetStatsHere();
-
   // Fields are accessed directly by the reclaim driver in epoch_manager.cpp
   // and by white-box tests; this type is an implementation detail.
   GlobalEpoch* global_;
@@ -142,54 +125,33 @@ class EpochManagerImpl {
   LimboList limbo_[kNumEpochs];
   LimboNodePool<detail::ArenaLimboNodeAlloc> node_pool_;
   TokenPool<detail::ArenaTokenAlloc> tokens_;
-
-  std::vector<std::vector<comm::RetireEntry>> objs_to_delete_;
-
-  // statistics (relaxed; summed across locales for reports)
-  std::atomic<std::uint64_t> deferred_{0};
-  std::atomic<std::uint64_t> reclaimed_{0};
-  std::atomic<std::uint64_t> advances_{0};
-  std::atomic<std::uint64_t> elections_lost_local_{0};
-  std::atomic<std::uint64_t> elections_lost_global_{0};
-  std::atomic<std::uint64_t> scans_unsafe_{0};
-  std::atomic<std::uint64_t> max_pending_{0};
+  ReclaimCounters counters_;  // summed across locales for reports
 };
 
 namespace detail {
 /// Listing 4: attempt to advance the global epoch and reclaim. Returns
 /// true iff the epoch advanced.
 bool epochTryReclaim(Privatized<EpochManagerImpl> handle);
-/// Phase-boundary advance: drive epochTryReclaim (with backoff) until the
-/// global epoch has moved past the value observed at entry; returns the
-/// new epoch. Blocking -- the *structural* advance the batch engine issues
-/// at phase boundaries, as opposed to the opportunistic tryReclaim.
-/// Requires eventual quiescence: every registered token must be (or
-/// become) quiescent or pinned in the current epoch, or the scan never
-/// turns safe and this spins forever.
-std::uint64_t epochAdvance(Privatized<EpochManagerImpl> handle);
 /// Reclaim everything in every epoch; caller guarantees quiescence.
 void epochClearAll(Privatized<EpochManagerImpl> handle);
 }  // namespace detail
 
-class EpochManager;
-
-/// RAII token handle (the paper wraps tokens in a managed class so scope
-/// exit unregisters them -- this is the C++ equivalent, which makes the
-/// `forall ... with (var tok = manager.acquireToken())` pattern safe).
-/// A cross-locale retire buffers only in the task's comm::Aggregator, as
-/// part of a run of retires bound for its owner.
+/// A task's registration in a DistDomain and its RAII epoch guard: scope
+/// exit unregisters (the paper's `forall ... with (var tok = ...)` pattern,
+/// made safe). A cross-locale retire buffers only in the task's
+/// comm::Aggregator, as part of a run of retires bound for its owner.
 ///
-/// A token is bound to the locale and OS thread that registered it: the
+/// A guard is bound to the locale and OS thread that registered it: the
 /// underlying Token lives in that locale's pool, and buffered retires ride
 /// the registering thread's thread-local aggregator. Moving it within the
 /// task is fine; retiring through it or flushing it from a different
-/// locale or thread is not (debug-checked).
-class EpochToken {
+/// locale or thread is not (debug-checked). Move-only.
+class DistGuard {
  public:
-  EpochToken() = default;
-  EpochToken(EpochToken&& other) noexcept { *this = std::move(other); }
-  EpochToken& operator=(EpochToken&& other) noexcept {
-    reset();
+  DistGuard() = default;
+  DistGuard(DistGuard&& other) noexcept { *this = std::move(other); }
+  DistGuard& operator=(DistGuard&& other) noexcept {
+    release();
     handle_ = other.handle_;
     token_ = other.token_;
     home_ = other.home_;
@@ -199,13 +161,16 @@ class EpochToken {
     other.routed_remote_ = false;
     return *this;
   }
-  EpochToken(const EpochToken&) = delete;
-  EpochToken& operator=(const EpochToken&) = delete;
+  DistGuard(const DistGuard&) = delete;
+  DistGuard& operator=(const DistGuard&) = delete;
 
-  ~EpochToken() { reset(); }
+  ~DistGuard() { release(); }
 
+  /// False once moved-from or released.
   bool valid() const noexcept { return token_ != nullptr; }
 
+  /// Enter the current epoch; idempotent. Temporarily leaving and
+  /// re-entering (unpin()/pin()) suits a long task between phases.
   void pin() {
     PGASNB_CHECK_MSG(token_ != nullptr, "pin() on an invalid guard");
     handle_.local().pin(token_);
@@ -214,48 +179,53 @@ class EpochToken {
   /// flush()) -- flush-on-unpin is what guarantees an aggregated retire
   /// cannot be stranded past its guard's lifetime.
   void unpin() {
-    // No-op on an invalid (released/moved-from) token: already quiescent.
+    // No-op on an invalid (released/moved-from) guard: already quiescent.
     if (token_ == nullptr) return;
     flush();
     handle_.local().unpin(token_);
   }
-  /// An invalid (default-constructed or moved-from) token is quiescent.
+  /// An invalid (default-constructed or moved-from) guard is quiescent.
   bool pinned() const noexcept { return token_ != nullptr && token_->pinned(); }
+  /// The epoch this guard is pinned in; kEpochQuiescent when unpinned.
   std::uint64_t epoch() const noexcept {
     return token_ == nullptr
                ? kEpochQuiescent
                : token_->local_epoch.load(std::memory_order_relaxed);
   }
 
-  /// Defer deletion of an object allocated with gnew/gnewOn. May target any
-  /// locale's object; local (and scatter-policy) retires go into the local
-  /// limbo list, cross-locale retires are routed per
+  /// Defer deletion of an object allocated with gnew/gnewOn until no task
+  /// can still hold a reference; requires the guard to be pinned. May
+  /// target any locale's object: local (and scatter-policy) retires go
+  /// into the local limbo list, cross-locale retires are routed per
   /// RuntimeConfig::remote_retire (aggregated through the task's
   /// comm::Aggregator by default).
   template <typename T>
-  void deferDelete(T* obj) {
-    deferDeleteRaw(obj, &detail::arenaDeleter<T>);
+  void retire(T* obj) {
+    retireRaw(obj, &detail::arenaDeleter<T>);
   }
 
   /// Custom-deleter escape hatch (deleter runs on the object's owner).
-  void deferDeleteRaw(void* obj, ObjectDeleter deleter);
+  void retireRaw(void* obj, ObjectDeleter deleter);
 
   /// Ship buffered cross-locale retires now (normally automatic: batch
   /// threshold, unpin, release, tryReclaim): flushes the whole task
-  /// aggregator once this token has routed a retire through it.
+  /// aggregator once this guard has routed a retire through it.
   void flush();
 
-  /// Protected read: pass-through under EBR (a pinned token protects every
-  /// load); the interval manager's token widens its reservation here. See
-  /// BasicGuard::protect (epoch/domain.hpp).
+  /// Protected read for domain-generic traversals: evaluate `load` under
+  /// this guard's protection and return its result. A pinned EBR guard
+  /// already protects every load, so this passes the call through; the
+  /// interval guard widens its reservation first (IntervalGuard::protect).
+  /// Wrap every traversal load of a shared node pointer; reads of an
+  /// already-protected snapshot need no wrapping.
   template <typename F>
   auto protect(F&& load) {
     return std::forward<F>(load)();
   }
 
-  /// Attempt a reclamation from this task (paper: "intended to be invoked
-  /// on the token or EpochManager"). False on an invalid token (mirrors
-  /// the LocalEpochToken hardening).
+  /// Attempt an epoch advance + reclamation; non-blocking, true iff this
+  /// call won the election and advanced the epoch. False on an invalid
+  /// guard.
   bool tryReclaim() {
     if (token_ == nullptr) return false;
     flush();
@@ -263,29 +233,33 @@ class EpochToken {
   }
 
   /// Early unregistration (otherwise the destructor does it).
-  void reset() {
+  void release() {
     if (token_ == nullptr) return;
     flush();
-    handle_.local().unregisterToken(token_);
+    handle_.local().unpin(token_);
+    handle_.local().tokens_.release(token_);
     token_ = nullptr;
   }
 
-  /// Internal: forget the underlying token WITHOUT unregistering it. Used
-  /// by the progress-thread guard cache when the runtime (or the domain's
+  /// Internal: forget the registration WITHOUT unregistering it. Used by
+  /// the progress-thread guard cache when the runtime (or the domain's
   /// privatized instances) died before the caching thread: the token pool
   /// the Token lives in is already gone, so unregistering would be a
   /// use-after-free; the Token's memory went down with the arena.
   void abandon() noexcept { token_ = nullptr; }
 
  private:
-  friend class EpochManager;
-  EpochToken(Privatized<EpochManagerImpl> handle, Token* token)
+  friend class DistDomain;
+  /// Register in the calling locale's pool (DistDomain::pin()/attach()).
+  DistGuard(Privatized<EpochManagerImpl> handle, bool pin_now)
       : handle_(handle),
-        token_(token),
+        token_(handle.local().tokens_.acquire()),
         home_(Runtime::here()),
-        owner_thread_(std::this_thread::get_id()) {}
+        owner_thread_(std::this_thread::get_id()) {
+    if (pin_now) pin();
+  }
 
-  /// The token must be used on its registering locale AND OS thread:
+  /// The guard must be used on its registering locale AND OS thread:
   /// handle_.local() resolves per-calling-locale, and threshold-shipped
   /// batch closures live in the *enqueueing thread's* thread-local
   /// aggregator -- flushing from another thread drains the wrong buffer
@@ -301,66 +275,6 @@ class EpochToken {
   std::thread::id owner_thread_;          ///< registering OS thread
   /// Set by the first retire routed through the task aggregator.
   bool routed_remote_ = false;
-};
-
-/// Global-view EpochManager handle. Trivially copyable record-wrapper:
-/// capture it by value in forall/coforall lambdas and every call resolves
-/// to the privatized instance of the executing locale.
-class EpochManager {
- public:
-  EpochManager() = default;  // invalid handle; use create()
-
-  /// Collective: creates the global epoch (locale 0) and one privatized
-  /// instance per locale.
-  static EpochManager create();
-
-  /// Collective teardown: reclaims all deferred objects, then destroys the
-  /// per-locale instances and the global epoch.
-  void destroy();
-
-  bool valid() const noexcept { return handle_.valid(); }
-
-  /// Register the calling task; the token is bound to the calling locale.
-  /// Low-level entry used by DistDomain::pin()/attach() -- application code
-  /// should program against Guards (epoch/domain.hpp).
-  EpochToken acquireToken() const {
-    return EpochToken(handle_, handle_.local().registerToken());
-  }
-
-  bool tryReclaim() const { return detail::epochTryReclaim(handle_); }
-
-  /// Blocking phase-boundary advance (see detail::epochAdvance): retries
-  /// tryReclaim until the global epoch moves, then returns the new epoch.
-  std::uint64_t advance() const { return detail::epochAdvance(handle_); }
-
-  /// Reclaim everything across all epochs. Caller guarantees no concurrent
-  /// use (paper's `clear`).
-  void clear() const { detail::epochClearAll(handle_); }
-
-  std::uint64_t currentGlobalEpoch() const {
-    return handle_.local().global().epoch.read();
-  }
-
-  /// Summed statistics across locales (diagnostic; quiescent-exact).
-  ReclaimStats stats() const;
-
-  /// Zero the statistics on every locale (counters only). Call at a
-  /// quiescent point -- typically right after clear().
-  void resetStats() const;
-
-  /// White-box access for tests/benches.
-  EpochManagerImpl& implHere() const { return handle_.local(); }
-  EpochManagerImpl* implOn(std::uint32_t locale) const {
-    return handle_.instanceOn(locale);
-  }
-
-  /// Stable per-domain identity (the privatization slot); keys the
-  /// per-thread cached-guard registry.
-  std::size_t privatizationId() const noexcept { return handle_.id(); }
-
- private:
-  Privatized<EpochManagerImpl> handle_;
-  GlobalEpoch* global_ = nullptr;
 };
 
 }  // namespace pgasnb

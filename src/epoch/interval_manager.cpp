@@ -1,10 +1,6 @@
 #include "epoch/interval_manager.hpp"
 
-#include <memory>
 #include <vector>
-
-#include "runtime/task.hpp"
-#include "util/backoff.hpp"
 
 namespace pgasnb {
 
@@ -14,95 +10,8 @@ std::atomic<std::uint64_t>& intervalEraClock() noexcept {
 }
 
 // ---------------------------------------------------------------------------
-// Per-thread cached guards (progress-thread handler pins)
-// ---------------------------------------------------------------------------
-//
-// Mirror of the EpochManager guard cache (epoch_manager.cpp): one attached
-// IntervalGuard per (thread, domain), keyed by (runtime generation,
-// privatization id), dropped by IntervalDomain::destroy()'s progress-thread
-// broadcast, abandoned when the runtime died first.
-
-namespace detail {
-
-namespace {
-
-struct CachedIntervalGuardEntry {
-  std::uint64_t generation = 0;
-  std::size_t pid = 0;
-  IntervalGuard guard;
-};
-
-struct IntervalGuardCache {
-  std::vector<std::unique_ptr<CachedIntervalGuardEntry>> entries;
-
-  ~IntervalGuardCache() {
-    for (auto& entry : entries) {
-      if (!Runtime::active() ||
-          Runtime::get().generation() != entry->generation) {
-        entry->guard.token().abandon();
-      }
-    }
-  }
-};
-
-IntervalGuardCache& intervalGuardCache() {
-  thread_local IntervalGuardCache cache;
-  return cache;
-}
-
-}  // namespace
-
-IntervalGuard& threadCachedIntervalGuard(const IntervalDomain& domain) {
-  PGASNB_CHECK_MSG(taskContext().progress_thread,
-                   "threadGuard(): cached guards are progress-thread state; "
-                   "use domain.pin()/attach() from tasks");
-  auto& entries = intervalGuardCache().entries;
-  const std::uint64_t gen = Runtime::get().generation();
-  const std::size_t pid = domain.privatizationId();
-  for (auto it = entries.begin(); it != entries.end();) {
-    if ((*it)->generation != gen) {
-      (*it)->guard.token().abandon();
-      it = entries.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  for (auto& entry : entries) {
-    if (entry->pid == pid && entry->guard.valid()) return entry->guard;
-  }
-  entries.push_back(
-      std::make_unique<CachedIntervalGuardEntry>(CachedIntervalGuardEntry{
-          gen, pid, IntervalGuard(domain.acquireToken(), /*pin_now=*/false)}));
-  return entries.back()->guard;
-}
-
-void dropThreadCachedIntervalGuards(std::size_t pid) {
-  auto& entries = intervalGuardCache().entries;
-  for (auto it = entries.begin(); it != entries.end();) {
-    if ((*it)->pid == pid) {
-      it = entries.erase(it);  // IntervalGuard dtor unregisters the token
-    } else {
-      ++it;
-    }
-  }
-}
-
-}  // namespace detail
-
-// ---------------------------------------------------------------------------
 // IntervalManagerImpl
 // ---------------------------------------------------------------------------
-
-IntervalManagerImpl::~IntervalManagerImpl() {
-  // Return stranded limbo nodes to the pool (payloads were reclaimed by
-  // destroy()'s clear(); skipping destroy() leaks them, as with EBR).
-  LimboNode* node = retired_.popAll();
-  while (node != nullptr) {
-    LimboNode* next = LimboList::next(node);
-    node_pool_.destroyNode(node);
-    node = next;
-  }
-}
 
 void IntervalManagerImpl::pin(Token* token) {
   if (token->pinned()) return;
@@ -130,39 +39,18 @@ void IntervalManagerImpl::deferRetire(Token* token, void* obj,
   const std::uint64_t retire_era = era.load(std::memory_order_seq_cst);
   LimboNode* node = node_pool_.acquire(obj, deleter, birth, retire_era);
   retired_.push(node);
-  notePendingAfterDefer(1);
+  counters_.noteDeferred(1);
   const LatencyModel& lat = Runtime::get().config().latency;
   // recycle-pop + exchange + link, all locale-local processor atomics
   sim::charge(lat.cpu_atomic_ns * 3);
   // Retire-path era amortization: reservations age out of long-running
   // workloads even if nobody calls tryReclaim.
-  if (era_freq_ != 0 &&
-      retires_since_era_.fetch_add(1, std::memory_order_relaxed) + 1 >=
-          era_freq_) {
+  if (retires_since_era_.fetch_add(1, std::memory_order_relaxed) + 1 >=
+      kEraFreq) {
     retires_since_era_.store(0, std::memory_order_relaxed);
     era.fetch_add(1, std::memory_order_seq_cst);
     sim::charge(lat.nic_atomic_ns);  // modeled FADD on the locale-0 era
   }
-}
-
-ReclaimStats IntervalManagerImpl::statsSnapshot() const {
-  ReclaimStats s;
-  s.deferred = deferred_.load(std::memory_order_relaxed);
-  s.reclaimed = reclaimed_.load(std::memory_order_relaxed);
-  s.advances = advances_.load(std::memory_order_relaxed);
-  s.elections_lost_local =
-      elections_lost_local_.load(std::memory_order_relaxed);
-  // No global election and no unsafe scans under IBR: both stay 0.
-  s.max_pending = max_pending_.load(std::memory_order_relaxed);
-  return s;
-}
-
-void IntervalManagerImpl::resetStatsHere() {
-  deferred_.store(0, std::memory_order_relaxed);
-  reclaimed_.store(0, std::memory_order_relaxed);
-  advances_.store(0, std::memory_order_relaxed);
-  elections_lost_local_.store(0, std::memory_order_relaxed);
-  max_pending_.store(0, std::memory_order_relaxed);
 }
 
 // ---------------------------------------------------------------------------
@@ -181,29 +69,6 @@ struct RetiredRecord {
   std::uint64_t retire;
 };
 
-using ScatterBuckets = std::vector<std::vector<comm::RetireEntry>>;
-
-/// Nested bulk delete: ship each owner's scatter bucket to its locale and
-/// delete there (identical shape and cost model to the EBR scatter path).
-/// The buckets are SCAN-PRIVATE -- there is no global election, so scans
-/// elected on different locales may overlap, and a shared per-instance
-/// bucket would race (concurrent push_back) and double-deliver blocks.
-void bulkDeleteScattered(const ScatterBuckets& buckets) {
-  const std::uint32_t src = Runtime::here();
-  auto* buckets_p = &buckets;  // coforall joins before the frame unwinds
-  coforallLocales([buckets_p, src] {
-    const LatencyModel& lat = Runtime::get().config().latency;
-    const std::uint32_t dest = Runtime::here();
-    const auto& bucket = (*buckets_p)[dest];
-    if (dest != src && !bucket.empty()) {
-      sim::charge(lat.bulkCost(bucket.size() * sizeof(void*) * 2));
-    }
-    for (const comm::RetireEntry& entry : bucket) {
-      entry.deleter(entry.obj);
-    }
-  });
-}
-
 }  // namespace
 
 bool intervalTryReclaim(Privatized<IntervalManagerImpl> handle) {
@@ -215,7 +80,7 @@ bool intervalTryReclaim(Privatized<IntervalManagerImpl> handle) {
   // they are independent and may overlap safely.
   sim::charge(lat.cpu_atomic_ns);
   if (inst.is_scanning_.exchange(1, std::memory_order_seq_cst) != 0) {
-    inst.elections_lost_local_.fetch_add(1, std::memory_order_relaxed);
+    inst.counters_.elections_lost_local.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
 
@@ -225,7 +90,7 @@ bool intervalTryReclaim(Privatized<IntervalManagerImpl> handle) {
   // retire eras past the snapshot.
   intervalEraClock().fetch_add(1, std::memory_order_seq_cst);
   sim::charge(lat.nic_atomic_ns);  // modeled FADD on the locale-0 era
-  inst.advances_.fetch_add(1, std::memory_order_relaxed);
+  inst.counters_.advances.fetch_add(1, std::memory_order_relaxed);
 
   const std::uint32_t num_locales = Runtime::get().numLocales();
 
@@ -305,24 +170,13 @@ bool intervalTryReclaim(Privatized<IntervalManagerImpl> handle) {
         ++freed;
       }
     }
-    li.reclaimed_.fetch_add(freed, std::memory_order_relaxed);
+    li.counters_.reclaimed.fetch_add(freed, std::memory_order_relaxed);
     bulkDeleteScattered(to_delete);
   });
 
   inst.is_scanning_.store(0, std::memory_order_seq_cst);
   sim::charge(lat.cpu_atomic_ns);
   return true;
-}
-
-std::uint64_t intervalAdvance(Privatized<IntervalManagerImpl> handle) {
-  const std::uint64_t entry =
-      intervalEraClock().load(std::memory_order_seq_cst);
-  Backoff backoff;
-  while (intervalEraClock().load(std::memory_order_seq_cst) == entry) {
-    if (intervalTryReclaim(handle)) break;
-    backoff.pause();  // lost the local election; the winner advances
-  }
-  return intervalEraClock().load(std::memory_order_seq_cst);
 }
 
 void intervalClearAll(Privatized<IntervalManagerImpl> handle) {
@@ -333,19 +187,10 @@ void intervalClearAll(Privatized<IntervalManagerImpl> handle) {
   comm::quiesceAmQueues();
   coforallLocales([handle] {
     IntervalManagerImpl& li = handle.local();
-    Runtime& rt = Runtime::get();
-    ScatterBuckets to_delete(rt.numLocales());
-    LimboNode* node = li.retired_.popAll();
-    std::uint64_t count = 0;
-    while (node != nullptr) {
-      LimboNode* next = LimboList::next(node);
-      to_delete[rt.localeOfAddress(node->obj)].push_back(
-          comm::RetireEntry{node->obj, node->deleter});
-      li.node_pool_.release(node);
-      node = next;
-      ++count;
-    }
-    li.reclaimed_.fetch_add(count, std::memory_order_relaxed);
+    ScatterBuckets to_delete(Runtime::get().numLocales());
+    li.counters_.reclaimed.fetch_add(
+        scatterList(li.retired_, li.node_pool_, to_delete),
+        std::memory_order_relaxed);
     bulkDeleteScattered(to_delete);
   });
 }
@@ -359,36 +204,8 @@ void intervalClearAll(Privatized<IntervalManagerImpl> handle) {
 void IntervalDomain::destroy() {
   if (!valid()) return;
   clear();
-  // Drop progress-thread cached guards before the token pools die (same
-  // AM-queue broadcast as EpochManager::destroy).
-  {
-    const std::size_t pid = handle_.id();
-    const std::uint32_t n = Runtime::get().numLocales();
-    std::vector<comm::Handle<>> drops;
-    drops.reserve(n);
-    for (std::uint32_t l = 0; l < n; ++l) {
-      drops.push_back(comm::amProgressHandle(
-          l, [pid] { detail::dropThreadCachedIntervalGuards(pid); }));
-    }
-    comm::waitAll(drops);
-  }
+  detail::dropThreadCachedGuards<Guard>(handle_.id());
   handle_.destroy();
-}
-
-ReclaimStats IntervalDomain::stats() const {
-  ReclaimStats total;
-  Runtime& rt = Runtime::get();
-  for (std::uint32_t l = 0; l < rt.numLocales(); ++l) {
-    total += implOn(l)->statsSnapshot();
-  }
-  return total;
-}
-
-void IntervalDomain::resetStats() const {
-  Runtime& rt = Runtime::get();
-  for (std::uint32_t l = 0; l < rt.numLocales(); ++l) {
-    implOn(l)->resetStatsHere();
-  }
 }
 
 }  // namespace pgasnb

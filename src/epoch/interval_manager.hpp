@@ -26,8 +26,8 @@
 // * tryReclaim never fails a scan: it advances the era, snapshots every
 //   locale's retired list (one exchange each), gathers all reservations,
 //   partitions each locale's snapshot against them, bulk-deletes the
-//   freeable blocks on their owning locales (the same scatter lists as
-//   the epoch manager), and re-defers the survivors.
+//   freeable blocks on their owning locales (detail::bulkDeleteScattered,
+//   shared with the epoch manager), and re-defers the survivors.
 //
 // Simulation note (deviation from a real PGAS): the era clock is a plain
 // process-wide atomic rather than a locale-0 DistAtomicU64. A per-protect
@@ -54,8 +54,6 @@
 #include "runtime/runtime.hpp"
 
 namespace pgasnb {
-
-class IntervalDomain;
 
 /// The process-wide monotone era clock (starts at 1; 0 marks "birth
 /// unknown" for retireRaw'd objects, kept maximally conservative). One
@@ -102,21 +100,16 @@ void blockDeleter(void* p) {
 /// mutable state (elections_lost_global stays 0 by construction).
 class IntervalManagerImpl {
  public:
-  IntervalManagerImpl()
-      : era_freq_(Runtime::get().config().interval_era_freq) {}
+  /// Retire-path era amortization: every kEraFreq retires on a locale bump
+  /// the shared era, so long-lived reservations age out even without
+  /// tryReclaim calls.
+  static constexpr std::uint64_t kEraFreq = 128;
 
-  ~IntervalManagerImpl();
+  IntervalManagerImpl() = default;
+  ~IntervalManagerImpl() { node_pool_.destroyList(retired_); }
 
   IntervalManagerImpl(const IntervalManagerImpl&) = delete;
   IntervalManagerImpl& operator=(const IntervalManagerImpl&) = delete;
-
-  // --- token operations (called via IntervalToken) ----------------------
-
-  Token* registerToken() { return tokens_.acquire(); }
-  void unregisterToken(Token* token) {
-    unpin(token);
-    tokens_.release(token);
-  }
 
   /// Publish the reservation [era, era]. Order matters for the scan: hi is
   /// stored before lo, and the scan reads lo first, so a nonzero lo
@@ -127,23 +120,10 @@ class IntervalManagerImpl {
   void unpin(Token* token) noexcept;
 
   /// Record [birth, now] for `obj` and push it on the retired list.
-  /// Wait-free: node recycle + one exchange. Every era_freq_ retires the
-  /// shared era is bumped (retire-path amortization) so long-lived
-  /// reservations age out even without tryReclaim calls.
+  /// Wait-free: node recycle + one exchange (plus the era bump every
+  /// kEraFreq retires).
   void deferRetire(Token* token, void* obj, ObjectDeleter deleter,
                    std::uint64_t birth);
-
-  /// Count `n` fresh retires and raise the max_pending high-water mark.
-  void notePendingAfterDefer(std::uint64_t n) noexcept {
-    const std::uint64_t deferred =
-        deferred_.fetch_add(n, std::memory_order_relaxed) + n;
-    detail::raiseMax(max_pending_,
-                     deferred - reclaimed_.load(std::memory_order_relaxed));
-  }
-
-  ReclaimStats statsSnapshot() const;
-  /// Zero this locale's statistics (counters only; quiescent point).
-  void resetStatsHere();
 
   // Fields are accessed directly by the reclaim driver in
   // interval_manager.cpp and by white-box tests.
@@ -153,14 +133,9 @@ class IntervalManagerImpl {
 
   std::atomic<std::uint64_t> is_scanning_{0};  // local FCFS election flag
   std::atomic<std::uint64_t> retires_since_era_{0};
-  std::uint32_t era_freq_;
-
-  // statistics (relaxed; summed across locales for reports)
-  std::atomic<std::uint64_t> deferred_{0};
-  std::atomic<std::uint64_t> reclaimed_{0};
-  std::atomic<std::uint64_t> advances_{0};
-  std::atomic<std::uint64_t> elections_lost_local_{0};
-  std::atomic<std::uint64_t> max_pending_{0};
+  /// Summed across locales for reports; elections_lost_global and
+  /// scans_unsafe stay 0 (no global election, no unsafe scan under IBR).
+  ReclaimCounters counters_;
 };
 
 namespace detail {
@@ -168,35 +143,33 @@ namespace detail {
 /// covers. Returns true iff this call won its locale's election (the era
 /// always advances on a win -- there is no unsafe scan under IBR).
 bool intervalTryReclaim(Privatized<IntervalManagerImpl> handle);
-/// Phase-boundary advance: tryReclaim until the era moves (with backoff
-/// on lost elections); returns the new era.
-std::uint64_t intervalAdvance(Privatized<IntervalManagerImpl> handle);
 /// Reclaim everything regardless of reservations; caller guarantees no
 /// concurrent use (drains the AM queues first, like epochClearAll).
 void intervalClearAll(Privatized<IntervalManagerImpl> handle);
 }  // namespace detail
 
-/// RAII token handle for the interval manager; same surface as EpochToken
-/// so BasicGuard (and every domain-generic structure) works unchanged.
-/// Interval retires always go to the *local* retired list -- reclamation
-/// ships freeable blocks home via the scatter lists (the paper's scatter
-/// baseline) -- so there is nothing to buffer or flush.
-class IntervalToken {
+/// A task's registration in an IntervalDomain and its RAII guard; same
+/// surface as DistGuard (epoch/epoch_manager.hpp), so every domain-generic
+/// structure works unchanged. Interval retires always go to the *local*
+/// retired list -- reclamation ships freeable blocks home via the scatter
+/// lists (the paper's scatter baseline) -- so there is nothing to buffer or
+/// flush. Move-only.
+class IntervalGuard {
  public:
-  IntervalToken() = default;
-  IntervalToken(IntervalToken&& other) noexcept { *this = std::move(other); }
-  IntervalToken& operator=(IntervalToken&& other) noexcept {
-    reset();
+  IntervalGuard() = default;
+  IntervalGuard(IntervalGuard&& other) noexcept { *this = std::move(other); }
+  IntervalGuard& operator=(IntervalGuard&& other) noexcept {
+    release();
     handle_ = other.handle_;
     token_ = other.token_;
     home_ = other.home_;
     other.token_ = nullptr;
     return *this;
   }
-  IntervalToken(const IntervalToken&) = delete;
-  IntervalToken& operator=(const IntervalToken&) = delete;
+  IntervalGuard(const IntervalGuard&) = delete;
+  IntervalGuard& operator=(const IntervalGuard&) = delete;
 
-  ~IntervalToken() { reset(); }
+  ~IntervalGuard() { release(); }
 
   bool valid() const noexcept { return token_ != nullptr; }
 
@@ -210,7 +183,7 @@ class IntervalToken {
   }
   bool pinned() const noexcept { return token_ != nullptr && token_->pinned(); }
   /// The reservation's lower bound (the era at pin time); kEpochQuiescent
-  /// when unpinned. Named epoch() for surface parity with the EBR tokens.
+  /// when unpinned. Named epoch() for surface parity with the EBR guards.
   std::uint64_t epoch() const noexcept {
     return token_ == nullptr
                ? kEpochQuiescent
@@ -220,7 +193,7 @@ class IntervalToken {
   /// Defer deletion of an IntervalDomain::make<T>() object; the birth era
   /// is read back from the block header. May target any locale's object.
   template <typename T>
-  void deferDelete(T* obj) {
+  void retire(T* obj) {
     PGASNB_CHECK_MSG(token_ != nullptr, "retire() on an invalid guard");
     checkHome();
     handle_.local().deferRetire(token_, obj, &interval_detail::blockDeleter<T>,
@@ -230,19 +203,19 @@ class IntervalToken {
   /// Custom-deleter escape hatch for objects without a birth tag. Birth 0
   /// means "unknown, assume ancient": the block is freed only once every
   /// live reservation was pinned after the retire.
-  void deferDeleteRaw(void* obj, ObjectDeleter deleter) {
+  void retireRaw(void* obj, ObjectDeleter deleter) {
     PGASNB_CHECK_MSG(token_ != nullptr, "retire() on an invalid guard");
     checkHome();
     handle_.local().deferRetire(token_, obj, deleter, /*birth=*/0);
   }
 
-  /// Interval retires are never buffered; parity with EpochToken.
+  /// Interval retires are never buffered; parity with DistGuard.
   void flush() noexcept {}
 
   /// Protected read (the IBR read protocol): widen the reservation's upper
   /// bound to the current era, run the load, and retry if the era moved
   /// mid-read -- on return, everything `load` observed is covered by
-  /// [lo, hi]. See BasicGuard::protect.
+  /// [lo, hi]. See DistGuard::protect.
   template <typename F>
   auto protect(F&& load) {
     PGASNB_DCHECK(pinned());
@@ -267,22 +240,28 @@ class IntervalToken {
     return detail::intervalTryReclaim(handle_);
   }
 
-  void reset() {
+  void release() {
     if (token_ == nullptr) return;
-    handle_.local().unregisterToken(token_);
+    handle_.local().unpin(token_);
+    handle_.local().tokens_.release(token_);
     token_ = nullptr;
   }
 
-  /// Forget the token WITHOUT unregistering (see EpochToken::abandon).
+  /// Forget the registration WITHOUT unregistering (see DistGuard::abandon).
   void abandon() noexcept { token_ = nullptr; }
 
  private:
   friend class IntervalDomain;
-  IntervalToken(Privatized<IntervalManagerImpl> handle, Token* token)
-      : handle_(handle), token_(token), home_(Runtime::here()) {}
+  /// Register in the calling locale's pool (IntervalDomain::pin()/attach()).
+  IntervalGuard(Privatized<IntervalManagerImpl> handle, bool pin_now)
+      : handle_(handle),
+        token_(handle.local().tokens_.acquire()),
+        home_(Runtime::here()) {
+    if (pin_now) pin();
+  }
 
-  /// handle_.local() resolves per-calling-locale: a token must be used on
-  /// its registering locale (no per-thread buffering, so unlike EpochToken
+  /// handle_.local() resolves per-calling-locale: a guard must be used on
+  /// its registering locale (no per-thread buffering, so unlike DistGuard
   /// any OS thread of that locale may use it).
   void checkHome() const { PGASNB_DCHECK(Runtime::here() == home_); }
 
@@ -290,16 +269,6 @@ class IntervalToken {
   Token* token_ = nullptr;
   std::uint32_t home_ = 0;  ///< registering locale
 };
-
-using IntervalGuard = BasicGuard<IntervalToken>;
-
-namespace detail {
-/// Progress-thread cached guard for interval domains (see
-/// threadCachedGuard in domain.hpp -- identical contract, separate
-/// registry because the guard type differs).
-IntervalGuard& threadCachedIntervalGuard(const IntervalDomain& domain);
-void dropThreadCachedIntervalGuards(std::size_t pid);
-}  // namespace detail
 
 /// Distributed interval-based reclaim domain: a trivially copyable
 /// record-wrapper handle, used exactly like DistDomain.
@@ -329,17 +298,18 @@ class IntervalDomain {
 
   bool valid() const noexcept { return handle_.valid(); }
 
-  Guard pin() const { return Guard(acquireToken(), /*pin_now=*/true); }
-  Guard attach() const { return Guard(acquireToken(), /*pin_now=*/false); }
+  Guard pin() const { return Guard(handle_, /*pin_now=*/true); }
+  Guard attach() const { return Guard(handle_, /*pin_now=*/false); }
 
   /// The calling thread's cached attached guard (progress threads only;
   /// see DistDomain::threadGuard -- same contract).
-  Guard& threadGuard() const { return detail::threadCachedIntervalGuard(*this); }
+  Guard& threadGuard() const { return detail::threadCachedGuard(*this); }
 
   bool tryReclaim() const { return detail::intervalTryReclaim(handle_); }
-  /// Blocking phase-boundary advance; under IBR a won election always
-  /// advances, so this only waits out concurrent scanners.
-  std::uint64_t advance() const { return detail::intervalAdvance(handle_); }
+  /// Blocking phase-boundary advance (detail::advanceEpoch); under IBR a
+  /// won election always advances, so this only waits out concurrent
+  /// scanners.
+  std::uint64_t advance() const { return detail::advanceEpoch(*this); }
   void clear() const { detail::intervalClearAll(handle_); }
   /// The current era (the interval analogue of the global epoch).
   std::uint64_t currentEpoch() const {
@@ -347,9 +317,9 @@ class IntervalDomain {
   }
   /// Summed statistics across locales. scans_unsafe and
   /// elections_lost_global are structurally zero for this domain.
-  ReclaimStats stats() const;
+  ReclaimStats stats() const { return detail::sumLocaleStats(*this); }
   /// Zero the statistics on every locale (counters only; quiescent point).
-  void resetStats() const;
+  void resetStats() const { detail::resetLocaleStats(*this); }
 
   // --- node hooks ---------------------------------------------------------
   /// Allocate a birth-tagged block in the calling locale's arena and
@@ -380,9 +350,6 @@ class IntervalDomain {
   }
 
   /// White-box access for tests/benches.
-  IntervalToken acquireToken() const {
-    return IntervalToken(handle_, handle_.local().registerToken());
-  }
   IntervalManagerImpl& implHere() const { return handle_.local(); }
   IntervalManagerImpl* implOn(std::uint32_t locale) const {
     return handle_.instanceOn(locale);

@@ -118,8 +118,8 @@ class LimboNodePool {
       Alloc::free(n);
       n = next;
     }
-    // Note: nodes currently sitting in limbo lists are returned by the
-    // owning manager before it destroys the pool.
+    // Nodes still sitting in limbo lists are returned by the owner's
+    // destructor (destroyList) before the pool dies.
   }
 
   LimboNode* acquire(void* obj, ObjectDeleter deleter, std::uint64_t birth = 0,
@@ -147,10 +147,18 @@ class LimboNodePool {
     }
   }
 
-  /// Return a node directly to the allocator (teardown path).
-  void destroyNode(LimboNode* node) noexcept {
-    Alloc::free(node);
-    outstanding_.fetch_sub(1, std::memory_order_relaxed);
+  /// Teardown: pop `list` and return its nodes directly to the allocator.
+  /// Their payloads are the owning domain's business: destroy()'s clear()
+  /// reclaimed them, and a domain never destroyed leaks them (exactly like
+  /// forgetting `delete` on an unmanaged class).
+  void destroyList(LimboList& list) noexcept {
+    LimboNode* node = list.popAll();
+    while (node != nullptr) {
+      LimboNode* next = LimboList::next(node);
+      Alloc::free(node);
+      outstanding_.fetch_sub(1, std::memory_order_relaxed);
+      node = next;
+    }
   }
 
   std::uint64_t outstanding() const noexcept {

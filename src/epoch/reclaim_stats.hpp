@@ -1,7 +1,7 @@
 // ReclaimStats: the one statistics record shared by every reclamation
 // domain (paper Sec. II.C exposes the same counters for both the
-// distributed EpochManager and the shared-memory LocalEpochManager; the
-// seed duplicated the struct per manager).
+// distributed and the shared-memory epoch manager), and ReclaimCounters,
+// the one block of atomics every domain instance counts into.
 //
 // Counter semantics:
 //   deferred   objects handed to retire()/deferDelete (not yet freed)
@@ -23,20 +23,6 @@
 #include <cstdint>
 
 namespace pgasnb {
-
-namespace detail {
-
-/// Lock-free fetch-max: raise `peak` to at least `value` (relaxed -- peaks
-/// feed diagnostics and quiescent-exact assertions, not synchronization).
-inline void raiseMax(std::atomic<std::uint64_t>& peak,
-                     std::uint64_t value) noexcept {
-  std::uint64_t cur = peak.load(std::memory_order_relaxed);
-  while (cur < value &&
-         !peak.compare_exchange_weak(cur, value, std::memory_order_relaxed)) {
-  }
-}
-
-}  // namespace detail
 
 struct ReclaimStats {
   std::uint64_t deferred = 0;
@@ -64,6 +50,51 @@ struct ReclaimStats {
     // is the right direction for "pending stayed bounded" assertions.
     max_pending += o.max_pending;
     return *this;
+  }
+};
+
+/// The live counters behind ReclaimStats: one block per LocalDomain, one per
+/// locale instance of a distributed domain. Relaxed throughout -- they feed
+/// diagnostics and quiescent-exact assertions, not synchronization.
+struct ReclaimCounters {
+  std::atomic<std::uint64_t> deferred{0};
+  std::atomic<std::uint64_t> reclaimed{0};
+  std::atomic<std::uint64_t> advances{0};
+  std::atomic<std::uint64_t> elections_lost_local{0};
+  std::atomic<std::uint64_t> elections_lost_global{0};
+  std::atomic<std::uint64_t> scans_unsafe{0};
+  std::atomic<std::uint64_t> max_pending{0};
+
+  /// Count `n` fresh deferrals and raise the max_pending high-water mark.
+  void noteDeferred(std::uint64_t n) noexcept {
+    const std::uint64_t total =
+        deferred.fetch_add(n, std::memory_order_relaxed) + n;
+    const std::uint64_t pending =
+        total - reclaimed.load(std::memory_order_relaxed);
+    std::uint64_t peak = max_pending.load(std::memory_order_relaxed);
+    while (peak < pending && !max_pending.compare_exchange_weak(
+                                 peak, pending, std::memory_order_relaxed)) {
+    }
+  }
+
+  ReclaimStats snapshot() const noexcept {
+    return {deferred.load(std::memory_order_relaxed),
+            reclaimed.load(std::memory_order_relaxed),
+            advances.load(std::memory_order_relaxed),
+            elections_lost_local.load(std::memory_order_relaxed),
+            elections_lost_global.load(std::memory_order_relaxed),
+            scans_unsafe.load(std::memory_order_relaxed),
+            max_pending.load(std::memory_order_relaxed)};
+  }
+
+  /// Zero every counter, the high-water mark included. Limbo lists and
+  /// tokens are untouched; call at a quiescent point (typically right after
+  /// clear()), since resetting while retires are pending skews pending().
+  void reset() noexcept {
+    for (auto* c : {&deferred, &reclaimed, &advances, &elections_lost_local,
+                    &elections_lost_global, &scans_unsafe, &max_pending}) {
+      c->store(0, std::memory_order_relaxed);
+    }
   }
 };
 

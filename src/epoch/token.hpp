@@ -1,8 +1,8 @@
 // Tokens: per-task epoch descriptors (paper Sec. II.C).
 //
-// A task must register with the EpochManager to obtain a token before
-// touching protected data; pinning enters the current epoch, unpinning
-// leaves it. Two token lists are kept per locale:
+// A task's guard (epoch/domain.hpp) is its registration: it holds a token
+// from its domain's pool before touching protected data; pinning enters the
+// current epoch, unpinning leaves it. Two token lists are kept per locale:
 //   * a free list (lock-free, ABA-protected Treiber stack) used by
 //     register/unregister, and
 //   * an append-only allocated list, which the epoch-advance scan walks.

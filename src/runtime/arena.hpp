@@ -2,7 +2,7 @@
 //
 // Every locale owns a contiguous slice of one big virtual reservation, so
 // (a) the owning locale of any arena pointer is computable in O(1) from its
-// address -- this is what makes wide pointers and the EpochManager's scatter
+// address -- this is what makes wide pointers and DistDomain's scatter
 // lists work -- and (b) deallocation can assert it runs on the owner locale,
 // which mirrors the paper's "remote deallocation would result in RPC".
 //

@@ -1,6 +1,6 @@
 // Collectives over all locales: barrier and simple reductions.
 //
-// The EpochManager's safety scan is an and-reduction executed *on* each
+// DistDomain's safety scan is an and-reduction executed *on* each
 // locale (Listing 4, `coforall ... with (&& reduce safeToReclaim)`); these
 // helpers give that loop a first-class spelling.
 #pragma once
@@ -58,7 +58,7 @@ class PendingAnd {
 
 /// Non-blocking flavor of allLocalesAnd: kicks one task per locale and
 /// returns immediately, letting the initiator overlap its own work with
-/// the scan (the EpochManager's safety scan uses this).
+/// the scan (DistDomain's safety scan uses this).
 PendingAnd allLocalesAndAsync(std::function<bool()> f);
 
 /// Epoch-boundary collective (the batch engine's boundary fence): ships

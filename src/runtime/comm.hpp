@@ -15,7 +15,7 @@
 // be *aggregated* (Chapel's unordered/aggregated operations): a per-task
 // `comm::Aggregator` coalesces them into one batched active message per
 // destination, paying one wire latency per batch instead of per op. The
-// distributed EpochManager routes cross-locale retires through this path.
+// DistDomain routes cross-locale retires through this path.
 // An `OpWindow` scopes a batch-then-join step over the aggregated surface:
 // ops issued inside the window are owned by it, and closing the window
 // flushes and joins them at the max simulated time -- see the class below

@@ -67,10 +67,6 @@ RuntimeConfig RuntimeConfig::fromEnv() {
   if (const char* v = envOrNull("PGASNB_AGG_MAX_BATCH_AGE")) {
     cfg.aggregator_max_batch_age_ns = std::strtoull(v, nullptr, 0);
   }
-  if (const char* v = envOrNull("PGASNB_INTERVAL_ERA_FREQ")) {
-    cfg.interval_era_freq =
-        static_cast<std::uint32_t>(std::strtoul(v, nullptr, 0));
-  }
   if (const char* v = envOrNull("PGASNB_RH_RESIZE_LOAD")) {
     cfg.rh_resize_load = std::strtod(v, nullptr);
   }

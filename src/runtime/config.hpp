@@ -58,11 +58,6 @@ struct RuntimeConfig {
   /// Cross-locale retire routing (see RemoteRetirePolicy).
   RemoteRetirePolicy remote_retire = RemoteRetirePolicy::aggregated;
 
-  /// Interval manager: bump the shared era clock every N retires per locale
-  /// (Hart-style retire-path amortization), so reservations age out even
-  /// between explicit tryReclaim() calls. 0 = only tryReclaim advances.
-  std::uint32_t interval_era_freq = 128;
-
   /// comm::Aggregator: ops or aggregated retires buffered per destination
   /// before a batched AM is injected (0 is treated as 1).
   std::uint32_t aggregator_ops_per_batch = 64;
@@ -94,7 +89,7 @@ struct RuntimeConfig {
   std::size_t arena_bytes_per_locale = std::size_t{64} << 20;
 
   /// Reads PGASNB_NUM_LOCALES, PGASNB_COMM_MODE, PGASNB_WORKERS,
-  /// PGASNB_INJECT_DELAYS, PGASNB_DELAY_SCALE, PGASNB_INTERVAL_ERA_FREQ,
+  /// PGASNB_INJECT_DELAYS, PGASNB_DELAY_SCALE,
   /// PGASNB_AGG_OPS_PER_BATCH, PGASNB_AGG_MAX_BATCH_AGE,
   /// PGASNB_RH_RESIZE_LOAD, PGASNB_RH_MIGRATE_CHUNK on top of the defaults
   /// (docs/API.md lists them with their fields and defaults). The remote-retire policy has

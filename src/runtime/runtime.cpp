@@ -104,7 +104,7 @@ void Runtime::deallocateLocal(void* p, std::size_t bytes) {
   const std::uint32_t owner = localeOfAddress(p);
   PGASNB_CHECK_MSG(owner == here(),
                    "deallocation must run on the owning locale (use "
-                   "onLocale or the EpochManager's scatter lists)");
+                   "onLocale or a reclaim domain's scatter lists)");
   locale(owner).arena().deallocate(p, bytes);
 }
 

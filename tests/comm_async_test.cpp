@@ -586,7 +586,7 @@ TEST_F(CommAsyncTest, PlainOpBetweenRetiresKeepsItsFifoPlace) {
     auto guard = domain.pin();
     guard.retire(gnewOn<Tracked>(1));
     comm::taskAggregator().enqueue(1, [domain, &seen] {
-      seen.store(domain.manager().implHere().statsSnapshot().deferred);
+      seen.store(domain.implHere().counters_.snapshot().deferred);
     });
     guard.retire(gnewOn<Tracked>(1));
     EXPECT_EQ(comm::taskAggregator().pendingFor(1), 3u)

@@ -354,16 +354,6 @@ template <typename Domain>
 class GuardCacheTest : public RuntimeTest {};
 TYPED_TEST_SUITE(GuardCacheTest, HandlerGuardDomains);
 
-/// Locale `l`'s token pool of `domain` (white-box).
-template <typename Domain>
-std::uint64_t tokensAllocatedOn(const Domain& domain, std::uint32_t l) {
-  if constexpr (std::is_same_v<Domain, DistDomain>) {
-    return domain.manager().implOn(l)->tokens_.allocatedCount();
-  } else {
-    return domain.implOn(l)->tokens_.allocatedCount();
-  }
-}
-
 TYPED_TEST(GuardCacheTest, OneRegistrationPerProgressThreadAndDomain) {
   this->startRuntime(2);
   TypeParam domain = TypeParam::create();
@@ -373,7 +363,7 @@ TYPED_TEST(GuardCacheTest, OneRegistrationPerProgressThreadAndDomain) {
       EXPECT_TRUE(pin.guard().pinned());
     });
   }
-  EXPECT_EQ(tokensAllocatedOn(domain, 1), 1u)
+  EXPECT_EQ(domain.implOn(1)->tokens_.allocatedCount(), 1u)
       << "three services must reuse one cached registration";
   // destroy() drops every progress thread's entry while the pools are
   // alive; a later domain then registers once in its own pool.
@@ -382,7 +372,7 @@ TYPED_TEST(GuardCacheTest, OneRegistrationPerProgressThreadAndDomain) {
   comm::amSync(1, [second] {
     PinScope<typename TypeParam::Guard> pin(second.threadGuard());
   });
-  EXPECT_EQ(tokensAllocatedOn(second, 1), 1u);
+  EXPECT_EQ(second.implOn(1)->tokens_.allocatedCount(), 1u);
   second.destroy();
   // Progress-thread exit runs the cache's teardown: no entry may be left
   // pointing at a destroyed instance.

@@ -50,7 +50,7 @@ TEST_P(EpochManagerModeTest, TryReclaimAdvancesGlobalEpoch) {
   EXPECT_EQ(domain.currentEpoch(), 3u);
   // Locale caches follow the global epoch.
   coforallLocales([domain] {
-    EXPECT_EQ(domain.manager().implHere().locale_epoch_.load(
+    EXPECT_EQ(domain.implHere().locale_epoch_.load(
                   std::memory_order_seq_cst),
               3u);
   });
@@ -157,7 +157,7 @@ TEST_P(EpochManagerModeTest, ElectionAllowsExactlyOneWinner) {
   });
   EXPECT_GE(wins.load(), 1);
   const std::uint64_t advances =
-      domain.manager().implOn(0)->global_->advances.load(
+      domain.implOn(0)->global_->advances.load(
           std::memory_order_relaxed);
   EXPECT_EQ(advances, static_cast<std::uint64_t>(wins.load()));
   EXPECT_EQ(domain.currentEpoch(),
@@ -225,7 +225,7 @@ TEST_F(EpochManagerTest, LosingLocalElectionReturnsImmediately) {
   startRuntime(1);
   DistDomain domain = DistDomain::create();
   // Simulate an in-flight reclaimer by holding the local flag.
-  EpochManagerImpl& impl = domain.manager().implHere();
+  EpochManagerImpl& impl = domain.implHere();
   impl.is_setting_epoch_.store(1, std::memory_order_seq_cst);
   EXPECT_FALSE(domain.tryReclaim());
   EXPECT_EQ(domain.stats().elections_lost_local, 1u);
@@ -237,7 +237,7 @@ TEST_F(EpochManagerTest, LosingLocalElectionReturnsImmediately) {
 TEST_F(EpochManagerTest, LosingGlobalElectionClearsLocalFlag) {
   startRuntime(2);
   DistDomain domain = DistDomain::create();
-  EpochManagerImpl& impl = domain.manager().implHere();
+  EpochManagerImpl& impl = domain.implHere();
   impl.global_->is_setting_epoch.write(1);
   EXPECT_FALSE(domain.tryReclaim());
   EXPECT_EQ(domain.stats().elections_lost_global, 1u);

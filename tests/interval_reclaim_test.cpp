@@ -92,23 +92,21 @@ TEST_F(IntervalGarbageBoundTest, StalledGuardBoundsIntervalPendingNotEbr) {
 }
 
 TEST_F(IntervalGarbageBoundTest, RetirePathEraAmortizationFreesWithoutScans) {
-  // With era_freq = 16, the 17th retire bumps the era on its own, so a
-  // fresh reservation pinned *after* a burst no longer covers it -- one
-  // scan then frees the burst even though nobody called tryReclaim while
-  // it was building up.
-  RuntimeConfig cfg = testing::testConfig(2);
-  cfg.interval_era_freq = 16;
-  runtime_ = std::make_unique<Runtime>(cfg);
+  // Every kEraFreq-th retire bumps the era on its own, so a fresh
+  // reservation pinned *after* a burst no longer covers it -- one scan
+  // then frees the burst even though nobody called tryReclaim while it
+  // was building up.
+  startRuntime(2);
   IntervalDomain domain = IntervalDomain::create();
   const std::uint64_t era_before = domain.currentEpoch();
   {
     auto guard = domain.pin();
-    for (int i = 0; i < 64; ++i) {
+    for (std::uint64_t i = 0; i < 2 * IntervalManagerImpl::kEraFreq; ++i) {
       guard.retire(IntervalDomain::make<Garbage>());
     }
   }
   EXPECT_GT(domain.currentEpoch(), era_before)
-      << "the retire path must advance the era every era_freq retires";
+      << "the retire path must advance the era every kEraFreq retires";
   EXPECT_TRUE(domain.tryReclaim());
   EXPECT_EQ(domain.stats().pending(), 0u);
   domain.destroy();

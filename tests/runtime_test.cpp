@@ -72,8 +72,6 @@ const EnvKnob kEnvKnobs[] = {
     {"PGASNB_DELAY_SCALE", "0.25",
      [](const RuntimeConfig& c) -> double { return c.latency.delay_scale; },
      0.25},
-    {"PGASNB_INTERVAL_ERA_FREQ", "7",
-     [](const RuntimeConfig& c) -> double { return c.interval_era_freq; }, 7},
     {"PGASNB_AGG_OPS_PER_BATCH", "11",
      [](const RuntimeConfig& c) -> double {
        return c.aggregator_ops_per_batch;
