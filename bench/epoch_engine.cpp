@@ -9,9 +9,10 @@
 //                  execute with serial spin-join windows. Every phase is a
 //                  separate all-locales collective; execute joins each
 //                  window_ops sub-batch before issuing the next.
-//   * pipelined -- one collective per epoch: each window's drain() folds
-//                  finished ops mid-batch, and each lane admits+initializes
-//                  epoch e+1 while e's tail is still in flight.
+//   * pipelined -- one collective per epoch: each lane issues epoch e in
+//                  window_ops slices; after each slice it ships the task
+//                  aggregator, admits+initializes the matching slice of
+//                  epoch e+1, and drains the window's finished head.
 //
 // Rows report per-epoch model-time throughput and issue->completion
 // latency percentiles (LatencyRecorder reset() per epoch window); the
@@ -19,8 +20,8 @@
 //
 // Acceptance (ISSUE 7): at 8 locales the pipelined schedule must complete
 // the same epochs in <= 1/1.3 the model time of the barriered baseline
-// (>= 1.3x speedup) -- the overlap hides next-epoch admit/initialize CPU
-// behind in-flight communication and skips the interior phase barriers.
+// (>= 1.3x speedup) -- next-epoch admit/initialize CPU runs while each
+// shipped slice is in flight, and the interior phase barriers are gone.
 // PASS/FAIL is printed and FAIL exits non-zero so CI can gate on it.
 //
 // --epoch-sweep runs the opt-in stress grid (locales x ops-per-epoch,

@@ -48,33 +48,36 @@ std::uint64_t opsForLane(std::uint64_t ops_per_epoch, std::uint32_t lane_id,
   return base + (lane_id < ops_per_epoch % n_lanes ? 1 : 0);
 }
 
-/// Admit phase for one lane: generate the slice, then partition it by
-/// owner locale -- the counting-sort flavor of the owner grouping
-/// RobinHoodMap::findBatch does with index buckets. Per-owner admit order
-/// is preserved (stable scatter), so per-destination FIFO semantics of the
-/// aggregated surface carry through. Charges admit CPU per op.
-void admitAndGroup(EpochClient& client, const EpochEngineConfig& cfg,
-                   std::uint64_t epoch, std::uint32_t lane_id,
-                   std::uint64_t count, std::vector<OpRecord>& out) {
-  out.clear();
-  out.reserve(count);
-  for (std::uint64_t k = 0; k < count; ++k) {
+/// Admit step for one lane: generate ops [begin, end) of the lane's slice
+/// in admit order, resolve their owners, and append them to `out`. Pure
+/// generation; charges admit CPU per admitted op.
+void admitOps(EpochClient& client, const EpochEngineConfig& cfg,
+              std::uint64_t epoch, std::uint32_t lane_id, std::uint64_t begin,
+              std::uint64_t end, std::vector<OpRecord>& out) {
+  const std::uint32_t n_loc = Runtime::get().numLocales();
+  for (std::uint64_t k = begin; k < end; ++k) {
     OpRecord op = client.admit(epoch, lane_id, k);
     op.owner = client.ownerOf(op);
-    out.push_back(op);
-  }
-  const std::uint32_t n_loc = Runtime::get().numLocales();
-  std::vector<std::uint64_t> cursor(n_loc + 1, 0);
-  for (const OpRecord& op : out) {
     PGASNB_CHECK_MSG(op.owner < n_loc,
                      "EpochClient::ownerOf returned an invalid locale");
-    ++cursor[op.owner + 1];
+    out.push_back(op);
   }
+  sim::charge((end - begin) * cfg.admit_cpu_ns_per_op);
+}
+
+/// Group step for one lane: partition its admitted ops by owner locale --
+/// the counting-sort flavor of the owner grouping RobinHoodMap::findBatch
+/// does with index buckets. Per-owner admit order is preserved (stable
+/// scatter), so per-destination FIFO semantics of the aggregated surface
+/// carry through.
+void groupByOwner(std::vector<OpRecord>& ops) {
+  const std::uint32_t n_loc = Runtime::get().numLocales();
+  std::vector<std::uint64_t> cursor(n_loc + 1, 0);
+  for (const OpRecord& op : ops) ++cursor[op.owner + 1];
   for (std::uint32_t l = 0; l < n_loc; ++l) cursor[l + 1] += cursor[l];
-  std::vector<OpRecord> grouped(out.size());
-  for (const OpRecord& op : out) grouped[cursor[op.owner]++] = op;
-  out.swap(grouped);
-  sim::charge(count * cfg.admit_cpu_ns_per_op);
+  std::vector<OpRecord> grouped(ops.size());
+  for (const OpRecord& op : ops) grouped[cursor[op.owner]++] = op;
+  ops.swap(grouped);
 }
 
 /// Initialize phase for one lane: the client stages under a guard pinned
@@ -102,40 +105,50 @@ void recordLatencies(Lane& lane) {
   lane.inflight.clear();
 }
 
-/// Pipelined execute for one lane: issue epoch e's staged ops into one
-/// window, draining its finished head every window_ops issues, overlap
-/// admit+initialize of e+1 with the in-flight tail, then close. One
-/// collective per epoch runs this on every lane.
+/// Pipelined execute for one lane: epoch e's staged ops go through one
+/// window in window_ops slices. After issuing a slice the lane ships the
+/// task aggregator, so the slice is in flight rather than buffered, then
+/// admits and initializes the matching slice of epoch e+1 (in admit order,
+/// under one guard pinned for the whole body) and drains the window's
+/// finished head. The staging CPU thus paces the issue, and no op waits in
+/// a bucket across more than one slice of staging. After the last slice
+/// the lane owner-partitions e+1 and closes the window. One collective per
+/// epoch runs this on every lane.
 void executeLanePipelined(DistDomain domain, EpochClient& client,
                           const EpochEngineConfig& cfg, std::uint64_t epoch,
                           std::uint32_t lane_id, std::uint64_t next_count,
-                          bool prepare_next, Lane& lane) {
+                          Lane& lane) {
   lane.latencies.clear();
   lane.inflight.clear();
   lane.inflight.reserve(lane.staged.size());
   lane.executed = lane.staged.size();
+  lane.next.reserve(next_count);
   {
+    DistGuard guard;  // staging guard; the window closes inside its pin
+    if (next_count > 0) guard = domain.pin();
     comm::OpWindow window;
-    std::uint64_t since_drain = 0;
-    for (OpRecord& op : lane.staged) {
-      op.issue_ns = sim::now();
-      OpTicket ticket = client.execute(epoch, op, window);
-      if (ticket.valid()) lane.inflight.emplace_back(op.issue_ns, ticket);
-      if (++since_drain >= cfg.window_ops) {
-        window.drain();  // absorb the finished head mid-window
-        since_drain = 0;
+    const std::uint64_t count = lane.staged.size();
+    for (std::uint64_t lo = 0; lo < std::max(count, next_count);
+         lo += cfg.window_ops) {
+      const std::uint64_t hi = lo + cfg.window_ops;
+      for (std::uint64_t i = lo; i < std::min(hi, count); ++i) {
+        OpRecord& op = lane.staged[i];
+        op.issue_ns = sim::now();
+        OpTicket ticket = client.execute(epoch, op, window);
+        if (ticket.valid()) lane.inflight.emplace_back(op.issue_ns, ticket);
       }
+      comm::taskAggregator().flushAll();
+      if (lo < next_count) {
+        const std::size_t first = lane.next.size();
+        admitOps(client, cfg, epoch + 1, lane_id, lo, std::min(hi, next_count),
+                 lane.next);
+        client.initialize(epoch + 1, guard,
+                          std::span<OpRecord>(lane.next).subspan(first));
+      }
+      window.drain();  // absorb the finished head mid-window
     }
-    // Cross-epoch overlap (Caracal's insert/execute pipelining): admit and
-    // initialize epoch e+1 while e's tail is still in flight. Pure local
-    // CPU + staging work; the drain in between absorbs ops that completed
-    // during the admit pass.
-    if (prepare_next) {
-      admitAndGroup(client, cfg, epoch + 1, lane_id, next_count, lane.next);
-      window.drain();
-      initializeLane(domain, client, epoch + 1, lane.next);
-    }
-  }  // close: ship buffered batches, spin-join the tail, one max-fold
+    groupByOwner(lane.next);
+  }  // close: ship buffered retires, spin-join the tail, one max-fold
   recordLatencies(lane);
   lane.staged.swap(lane.next);
   lane.next.clear();
@@ -220,11 +233,12 @@ std::vector<EpochStats> EpochEngine::run(std::uint64_t epochs) {
 
   if (config_.mode == PhaseMode::pipelined) {
     // Prologue: epoch 0's admit + initialize (there is nothing to overlap
-    // them with yet; from epoch 0 on they ride the previous execute).
+    // them with yet; from epoch 1 on they ride the previous execute).
     forEachLane([&](std::uint32_t lane_id, Lane& lane) {
-      admitAndGroup(client_, config_, /*epoch=*/0, lane_id,
-                    opsForLane(config_.ops_per_epoch, lane_id, n_lanes),
-                    lane.staged);
+      admitOps(client_, config_, /*epoch=*/0, lane_id, 0,
+               opsForLane(config_.ops_per_epoch, lane_id, n_lanes),
+               lane.staged);
+      groupByOwner(lane.staged);
       initializeLane(domain_, client_, /*epoch=*/0, lane.staged);
     });
   }
@@ -236,17 +250,20 @@ std::vector<EpochStats> EpochEngine::run(std::uint64_t epochs) {
       forEachLane([&](std::uint32_t lane_id, Lane& lane) {
         executeLanePipelined(
             domain_, client_, config_, e, lane_id,
-            opsForLane(config_.ops_per_epoch, lane_id, n_lanes),
-            prepare_next, lane);
+            prepare_next
+                ? opsForLane(config_.ops_per_epoch, lane_id, n_lanes)
+                : 0,
+            lane);
       });
     } else {
       // admit | barrier + advance | initialize | barrier + advance |
       // execute. The collective joins are the barriers; the advance makes
       // each phase boundary a reclamation boundary too.
       forEachLane([&](std::uint32_t lane_id, Lane& lane) {
-        admitAndGroup(client_, config_, e, lane_id,
-                      opsForLane(config_.ops_per_epoch, lane_id, n_lanes),
-                      lane.staged);
+        admitOps(client_, config_, e, lane_id, 0,
+                 opsForLane(config_.ops_per_epoch, lane_id, n_lanes),
+                 lane.staged);
+        groupByOwner(lane.staged);
       });
       domain_.advance();
       forEachLane([&](std::uint32_t, Lane& lane) {

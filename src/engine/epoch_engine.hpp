@@ -35,17 +35,20 @@
 //              baseline: every phase is a separate all-locales collective,
 //              and execute joins each sub-batch before issuing the next.
 //   pipelined  one collective per epoch: each lane issues epoch e's
-//              staged ops into one window, then -- while the tail of the
-//              batch is still in flight -- admits AND initializes epoch
-//              e+1 (Caracal's insert/execute overlap), draining finished
-//              ops between bursts, and finally closes the window.
+//              staged ops into one window in window_ops slices. After
+//              each slice it ships the task aggregator, admits and
+//              initializes the matching slice of epoch e+1 (Caracal's
+//              insert/execute overlap) under one guard pinned for the
+//              whole lane body, and drains finished ops. After the last
+//              slice it owner-partitions e+1 and closes the window.
 //              Phase boundaries are per-lane; the collective advance rides
 //              the epoch boundary.
 //
-// The pipelined schedule overlaps next-epoch CPU work with in-flight
-// communication and keeps every destination's service pipeline full, so
-// it beats the barriered baseline on model time (bench/epoch_engine.cpp
-// enforces >= 1.3x at 8 locales).
+// In the pipelined schedule the lane's staging CPU paces its issue: every
+// slice is in flight while the next slice of e+1 is staged, and no op
+// waits in a bucket across more than one slice of staging. With the
+// interior phase barriers gone it beats the barriered baseline on model
+// time (bench/epoch_engine.cpp enforces >= 1.3x at 8 locales).
 #pragma once
 
 #include <cstdint>
@@ -114,15 +117,21 @@ class EpochClient {
   virtual OpRecord admit(std::uint64_t epoch, std::uint32_t lane,
                          std::uint64_t k) = 0;
 
-  /// The owner locale of an admitted op; the admit phase partitions each
-  /// lane's slice by this (OpRecord::owner) before staging.
+  /// The owner locale of an admitted op; the engine partitions each lane's
+  /// slice by this (OpRecord::owner) before it is executed.
   virtual std::uint32_t ownerOf(const OpRecord& op) const = 0;
 
-  /// Initialize phase hook: allocate/stage per-op state for the epoch's
-  /// slice under `guard` (pinned for the duration of the call; unpinning
-  /// and flushing are the engine's business). Garbage retired here is
-  /// epoch-N garbage -- the boundary protocol reclaims it by N+1. Default:
-  /// nothing to stage.
+  /// Initialize phase hook: allocate/stage per-op state for the lane's
+  /// ops under `guard` (pinned for the duration of the call; unpinning
+  /// and flushing are the engine's business). The barriered schedule and
+  /// the pipelined epoch-0 prologue call it once per (epoch, lane) with the
+  /// whole slice, already owner-partitioned. The pipelined schedule calls
+  /// it several times per (epoch, lane), between the previous epoch's
+  /// issue slices: each call gets the next consecutive slice of up to
+  /// window_ops ops in admit order, all calls come before the owner
+  /// partitioning, and every call gets the same pinned guard. Garbage
+  /// retired here is epoch-N garbage -- the boundary protocol reclaims it
+  /// by N+1. Default: nothing to stage.
   virtual void initialize(std::uint64_t epoch, DistGuard& guard,
                           std::span<OpRecord> ops) {
     (void)epoch;
@@ -155,9 +164,10 @@ struct EpochEngineConfig {
   std::uint64_t ops_per_epoch = 1 << 13;
   /// Admit/execute lanes per locale (one coforallHere task each).
   std::uint32_t workers_per_locale = 2;
-  /// Execute-phase sub-batch: pipelined lanes drain their window every
-  /// `window_ops` issues; the barriered baseline spin-joins a fresh window
-  /// per `window_ops` slice.
+  /// Execute-phase sub-batch: pipelined lanes ship and drain their window
+  /// every `window_ops` issues and stage that many ops of the next epoch
+  /// in between; the barriered baseline spin-joins a fresh window per
+  /// `window_ops` slice.
   std::uint64_t window_ops = 64;
   PhaseMode mode = PhaseMode::pipelined;
   /// Reclamation advances per epoch boundary. >= 2 preserves the

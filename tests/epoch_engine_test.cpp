@@ -4,6 +4,7 @@
 // end of epoch N+1 (ReclaimStats-verified).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -207,6 +208,183 @@ INSTANTIATE_TEST_SUITE_P(
                       EngineCase{4, engine::PhaseMode::barriered},
                       EngineCase{4, engine::PhaseMode::pipelined}),
     engineCaseName);
+
+/// Records the pipelined schedule's staging order. An op carries its lane
+/// and admit index in `arg` (initialize and execute do not name the lane);
+/// each initialize call logs the admit indices it staged, whether its
+/// guard was pinned, and how many execute() calls of the previous epoch
+/// its lane had made by then. Each lane's log is touched only by that
+/// lane's task.
+class SliceOrderClient : public engine::EpochClient {
+ public:
+  struct InitCall {
+    std::vector<std::uint64_t> ks;      ///< admit indices, in span order
+    std::uint64_t executes_before = 0;  ///< lane's execute(epoch - 1) calls
+    bool pinned = false;
+  };
+
+  SliceOrderClient(std::uint32_t lanes, std::uint64_t epochs)
+      : executes_(lanes, std::vector<std::uint64_t>(epochs, 0)),
+        calls_(lanes, std::vector<std::vector<InitCall>>(epochs)) {}
+
+  engine::OpRecord admit(std::uint64_t epoch, std::uint32_t lane,
+                         std::uint64_t k) override {
+    engine::OpRecord op;
+    op.key = splitmix64((epoch << 32) ^ (std::uint64_t{lane} << 20) ^ k);
+    op.arg = (std::uint64_t{lane} << 32) | k;
+    return op;
+  }
+
+  std::uint32_t ownerOf(const engine::OpRecord& op) const override {
+    return static_cast<std::uint32_t>(op.key %
+                                      Runtime::get().numLocales());
+  }
+
+  void initialize(std::uint64_t epoch, DistGuard& guard,
+                  std::span<engine::OpRecord> ops) override {
+    if (ops.empty()) return;
+    const std::uint64_t lane = ops.front().arg >> 32;
+    InitCall call;
+    call.pinned = guard.pinned();
+    call.executes_before = epoch > 0 ? executes_[lane][epoch - 1] : 0;
+    for (const engine::OpRecord& op : ops) {
+      call.ks.push_back(op.arg & 0xffffffffu);
+    }
+    calls_[lane][epoch].push_back(std::move(call));
+  }
+
+  engine::OpTicket execute(std::uint64_t epoch, engine::OpRecord& op,
+                           comm::OpWindow& window) override {
+    (void)window;
+    ++executes_[op.arg >> 32][epoch];
+    return comm::taskAggregator().enqueueHandle(op.owner, [] {});
+  }
+
+  const std::vector<InitCall>& calls(std::uint32_t lane,
+                                     std::uint64_t epoch) const {
+    return calls_[lane][epoch];
+  }
+  std::uint64_t executes(std::uint32_t lane, std::uint64_t epoch) const {
+    return executes_[lane][epoch];
+  }
+
+ private:
+  std::vector<std::vector<std::uint64_t>> executes_;
+  std::vector<std::vector<std::vector<InitCall>>> calls_;
+};
+
+TEST(EpochEngineTest, PipelinedStagingInterleavesWithIssue) {
+  // Epoch e+1 is staged one window_ops slice at a time between e's issue
+  // slices: a lane's first initialize(e+1) call follows at most window_ops
+  // executes of e and precedes its last one, and the calls stage the
+  // lane's ops in admit order, each exactly once, under a pinned guard.
+  const std::uint64_t kOps = 200, kEpochs = 3, kWindow = 16;
+  for (std::uint32_t locales : {1u, 3u, 4u}) {
+    SCOPED_TRACE(std::to_string(locales) + " locales");
+    Runtime rt(pgasnb::testing::testConfig(locales));
+    DistDomain domain = DistDomain::create();
+    engine::EpochEngineConfig cfg;
+    cfg.ops_per_epoch = kOps;
+    cfg.workers_per_locale = 2;
+    cfg.window_ops = kWindow;
+    cfg.mode = engine::PhaseMode::pipelined;
+    const std::uint32_t n_lanes = locales * cfg.workers_per_locale;
+    SliceOrderClient client(n_lanes, kEpochs);
+    engine::EpochEngine eng(domain, client, cfg);
+    ASSERT_EQ(eng.run(kEpochs).size(), kEpochs);
+
+    for (std::uint32_t lane = 0; lane < n_lanes; ++lane) {
+      for (std::uint64_t e = 1; e < kEpochs; ++e) {
+        const auto& calls = client.calls(lane, e);
+        const std::uint64_t n = client.executes(lane, e - 1);
+        ASSERT_GT(n, kWindow) << "lane " << lane << " too small to slice";
+        ASSERT_GT(calls.size(), 1u)
+            << "lane " << lane << " staged epoch " << e << " in one call";
+        EXPECT_LE(calls.front().executes_before, kWindow)
+            << "lane " << lane << " issued past one slice before staging";
+        EXPECT_LT(calls.front().executes_before, n)
+            << "lane " << lane << " staged only after its last issue";
+        std::uint64_t next_k = 0;
+        for (const auto& call : calls) {
+          EXPECT_TRUE(call.pinned);
+          for (std::uint64_t k : call.ks) {
+            EXPECT_EQ(k, next_k) << "lane " << lane << " epoch " << e;
+            ++next_k;
+          }
+        }
+        EXPECT_EQ(next_k, client.executes(lane, e))
+            << "lane " << lane << " epoch " << e << " staged a wrong count";
+      }
+    }
+    domain.destroy();
+  }
+}
+
+/// Execute a no-op on the owner; initialize charges a fixed CPU cost per
+/// staged op, so a lane's staging of one epoch takes a known model time.
+class ChargedStagingClient : public engine::EpochClient {
+ public:
+  static constexpr std::uint64_t kStageNsPerOp = 10'000;
+
+  engine::OpRecord admit(std::uint64_t epoch, std::uint32_t lane,
+                         std::uint64_t k) override {
+    engine::OpRecord op;
+    op.key = splitmix64((epoch << 32) ^ (std::uint64_t{lane} << 20) ^ k);
+    return op;
+  }
+
+  std::uint32_t ownerOf(const engine::OpRecord& op) const override {
+    return static_cast<std::uint32_t>(op.key %
+                                      Runtime::get().numLocales());
+  }
+
+  void initialize(std::uint64_t epoch, DistGuard& guard,
+                  std::span<engine::OpRecord> ops) override {
+    (void)epoch;
+    (void)guard;
+    sim::charge(ops.size() * kStageNsPerOp);
+  }
+
+  engine::OpTicket execute(std::uint64_t epoch, engine::OpRecord& op,
+                           comm::OpWindow& window) override {
+    (void)epoch;
+    (void)window;
+    return comm::taskAggregator().enqueueHandle(op.owner, [] {});
+  }
+};
+
+TEST(EpochEngineTest, TailShipsBeforeStaging) {
+  // No op of epoch e waits in the task aggregator while the lane stages
+  // e+1: each slice ships before its staging starts, so every latency
+  // stays below the lane's total staging charge. (Were the tail's partial
+  // batches held until the window closes, they would wait through all of
+  // it.) One lane per locale: each progress thread then serves a single
+  // source, so no lane's batches queue behind another lane's later ones.
+  const std::uint64_t kOpsPerLane = 48, kEpochs = 3;
+  Runtime rt(pgasnb::testing::testConfig(2));
+  DistDomain domain = DistDomain::create();
+  engine::EpochEngineConfig cfg;
+  cfg.ops_per_epoch = 2 * kOpsPerLane;
+  cfg.workers_per_locale = 1;
+  cfg.window_ops = 16;
+  cfg.mode = engine::PhaseMode::pipelined;
+  cfg.keep_latency_samples = true;
+  ChargedStagingClient client;
+  engine::EpochEngine eng(domain, client, cfg);
+  auto stats = eng.run(kEpochs);
+
+  ASSERT_EQ(stats.size(), kEpochs);
+  const double staging_ns =
+      static_cast<double>(kOpsPerLane * ChargedStagingClient::kStageNsPerOp);
+  for (std::uint64_t e = 0; e + 1 < kEpochs; ++e) {  // the last stages none
+    ASSERT_EQ(stats[e].latencies_ns.size(), 2 * kOpsPerLane);
+    const double worst = *std::max_element(stats[e].latencies_ns.begin(),
+                                           stats[e].latencies_ns.end());
+    EXPECT_LT(worst, staging_ns)
+        << "epoch " << e << ": an op waited through the lane's staging";
+  }
+  domain.destroy();
+}
 
 }  // namespace
 }  // namespace pgasnb
