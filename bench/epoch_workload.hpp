@@ -25,6 +25,28 @@ struct BenchObject {
   std::uint64_t payload[2] = {0xAB, 0xCD};
 };
 
+/// Listing 5's `forall obj in objs with (var state = init())` over `objs`
+/// distributed cyclically (Chapel's `dmapped Cyclic`: element i belongs to
+/// locale i % L). Each locale runs `tasks_per_locale` tasks over the
+/// elements it owns; init() runs once per task, on the task's locale, and
+/// body(state, elem) once per element.
+template <typename T, typename Init, typename Body>
+void forallCyclic(std::vector<T>& objs, std::uint32_t tasks_per_locale,
+                  const Init& init, const Body& body) {
+  PGASNB_CHECK(tasks_per_locale >= 1);
+  const std::uint32_t n = Runtime::get().numLocales();
+  coforallLocales([&] {
+    const std::uint32_t l = Runtime::here();
+    const std::uint64_t count = (objs.size() + n - 1 - l) / n;
+    coforallHere(tasks_per_locale, [&](std::uint32_t t) {
+      auto state = init();
+      const std::uint64_t lo = count * t / tasks_per_locale;
+      const std::uint64_t hi = count * (t + 1) / tasks_per_locale;
+      for (std::uint64_t k = lo; k < hi; ++k) body(state, objs[l + k * n]);
+    });
+  });
+}
+
 /// Runs one (locales, mode) cell of a Figure 4/5/6 sweep and returns the
 /// measured deletion time (Listing 5's loop plus the final clear).
 ///
@@ -42,7 +64,7 @@ inline Measurement runEpochWorkload(std::uint32_t locales, CommMode mode,
   Domain domain = Domain::create();
 
   const std::uint64_t num_objects = wl.objs_per_locale * locales;
-  CyclicArray<BenchObject*> objs(num_objects);
+  std::vector<BenchObject*> objs(num_objects);
 
   // randomizeObjs: allocate each object either on its index's locale or,
   // with probability remote_pct, on a uniformly random other locale.
@@ -50,7 +72,7 @@ inline Measurement runEpochWorkload(std::uint32_t locales, CommMode mode,
     Xoshiro256 rng(12345);
     const double p_remote = wl.remote_pct / 100.0;
     for (std::uint64_t i = 0; i < num_objects; ++i) {
-      const std::uint32_t home = objs.domain().localeOf(i);
+      const auto home = static_cast<std::uint32_t>(i % locales);
       std::uint32_t target = home;
       if (locales > 1 && rng.nextBool(p_remote)) {
         target = static_cast<std::uint32_t>(rng.nextBelow(locales - 1));
@@ -62,13 +84,13 @@ inline Measurement runEpochWorkload(std::uint32_t locales, CommMode mode,
 
   const std::uint64_t reclaim_every = wl.reclaim_every;
   const Measurement m = timed([&] {
-    objs.forallTasks(
-        wl.tasks_per_locale,
+    forallCyclic(
+        objs, wl.tasks_per_locale,
         [domain] {
           return std::pair<typename Domain::Guard, std::uint64_t>(
               domain.attach(), 0);
         },
-        [reclaim_every](auto& state, std::uint64_t, BenchObject*& obj) {
+        [reclaim_every](auto& state, BenchObject*& obj) {
           auto& [guard, count] = state;
           guard.pin();
           guard.retire(obj);

@@ -13,6 +13,12 @@
 // progress thread); AtomicObject tracks atomic int in both modes, and the
 // ABA variant tracks the none lines because 16-byte atomics cannot ride
 // the NIC.
+//
+// The ABA series drives AtomicObject<T, true>'s read/write/compareAndSwap/
+// exchange, whose write and exchange are comm::dcas retry loops. It never
+// calls the paper's ABA write/exchange primitives, comm::dwrite and
+// comm::dexchange (AtomicObject::writeABA, AtomicObjectDcas), which no
+// figure reaches.
 #include "bench_common.hpp"
 
 namespace {

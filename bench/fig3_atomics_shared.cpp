@@ -6,6 +6,10 @@
 // linearly with tasks, as in the paper).
 //
 // Series (paper legend): "atomic int", "AtomicObject (ABA)", "AtomicObject".
+//
+// The ABA series is LocalAtomicObject<T, true>: shared-memory DCAS that
+// never calls the distributed ABA write/exchange primitives, comm::dwrite
+// and comm::dexchange, which no figure reaches.
 #include "bench_common.hpp"
 
 namespace {

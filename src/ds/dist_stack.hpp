@@ -84,30 +84,10 @@ class DistStack {
 
   /// Non-blocking push: the node is allocated here, then the head-CAS loop
   /// is *shipped to the stack's home locale* (where the head word lives, so
-  /// every CAS is a processor atomic instead of a remote round trip) and a
-  /// completion handle is returned. The value is visible to pops once the
-  /// handle is ready.
-  comm::Handle<> pushAsync(Guard& guard, T value) {
-    PGASNB_CHECK_MSG(guard.pinned(),
-                     "DistStack::pushAsync requires a pinned guard");
-    Node* node = Domain::template make<Node>();
-    node->value = value;
-    if constexpr (Domain::kDistributed) {
-      const std::uint32_t home = Runtime::get().localeOfAddress(this);
-      if (home != Runtime::here()) {
-        // Linking never dereferences popped nodes, so the handler needs no
-        // epoch pin of its own.
-        return comm::amAsyncHandle(home, [this, node] { linkNode(node); });
-      }
-    }
-    linkNode(node);
-    return comm::readyHandle();
-  }
-
-  /// Batched flavor of pushAsync: the shipped link loop rides the calling
-  /// task's comm::Aggregator, so a window of pushes pays one wire+service
-  /// charge per batch instead of per push (the head-CAS retry loop runs
-  /// entirely on the home locale, one op of a batch). The batch's handles
+  /// every CAS is a processor atomic instead of a remote round trip),
+  /// riding the calling task's comm::Aggregator: a window of pushes pays
+  /// one wire+service charge per batch instead of per push. The value is
+  /// visible to pops once the handle is ready. The batch's handles
   /// resolve together when it is serviced. Ships at batch-full / age /
   /// flush -- or automatically when the handle is waited/drained or an
   /// enclosing comm::OpWindow closes; no manual flushAll() needed. The
@@ -120,8 +100,8 @@ class DistStack {
     if constexpr (Domain::kDistributed) {
       const std::uint32_t home = Runtime::get().localeOfAddress(this);
       if (home != Runtime::here()) {
-        // Like pushAsync: linking never dereferences popped nodes, so the
-        // shipped handler needs no epoch pin of its own.
+        // Linking never dereferences popped nodes, so the shipped handler
+        // needs no epoch pin of its own.
         return comm::taskAggregator().enqueueHandle(
             home, [this, node] { linkNode(node); });
       }

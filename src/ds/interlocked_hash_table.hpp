@@ -144,10 +144,10 @@ class InterlockedHashTable {
   // Each op ships to the key's owning locale as ONE async AM and returns a
   // handle immediately; the handler runs under the progress thread's cached
   // epoch guard (DistDomain::threadGuard -- one token registration per
-  // (progress thread, domain), pinned once per AM service). Local keys run in place
-  // and return an already-ready handle. These give the workload harness the
-  // same handle-based interface as RobinHoodMap, so both tables can be
-  // driven through comm::OpWindow joins.
+  // (progress thread, domain), pinned once per AM service). Local keys run
+  // in place and return an already-ready handle. bench/ycsb_like drives
+  // these against RobinHoodMap's aggregated ops through comm::OpWindow
+  // joins.
 
   comm::Handle<bool> insertAsync(std::uint64_t key, const V& value) const {
     return shipOp<bool>(
@@ -160,20 +160,6 @@ class InterlockedHashTable {
     return shipOp<std::optional<V>>(
         key, [key](Shard& shard, std::uint64_t lb, Guard& guard) {
           return shard.buckets[lb].find(guard, key);
-        });
-  }
-
-  comm::Handle<bool> containsAsync(std::uint64_t key) const {
-    return shipOp<bool>(
-        key, [key](Shard& shard, std::uint64_t lb, Guard& guard) {
-          return shard.buckets[lb].find(guard, key).has_value();
-        });
-  }
-
-  comm::Handle<std::optional<V>> eraseAsync(std::uint64_t key) const {
-    return shipOp<std::optional<V>>(
-        key, [key](Shard& shard, std::uint64_t lb, Guard& guard) {
-          return shard.buckets[lb].remove(guard, key);
         });
   }
 

@@ -52,8 +52,7 @@
 //   * wait-free readers probe old-then-new under seqlock validation, with
 //     both table pointers read through `guard.protect()` -- the retired old
 //     table goes through the map's ReclaimDomain, so an in-flight reader
-//     (or findBatch snapshot) can keep probing a table that has already
-//     been swapped out.
+//     can keep probing a table that has already been swapped out.
 // Under a LocalDomain there is no progress thread, so migration advances
 // purely by piggybacking on mutations (including erase of an absent key) --
 // which is exactly what the deterministic tests want.
@@ -64,10 +63,10 @@
 // Every read path therefore runs under a Domain guard (progress threads
 // reuse their thread-cached guard; task threads pin per op).
 //
-// Async surface. Every op has handle-returning (`*Async`) and aggregated
-// (`*AsyncAggregated`, riding the calling task's comm::Aggregator and
-// enrolling in any open comm::OpWindow) variants, plus `findBatch`: one
-// batched lookup op per destination locale for windowed joins.
+// Async surface. insert, put, find and erase each have an aggregated
+// variant (`*AsyncAggregated`) that rides the calling task's
+// comm::Aggregator, returns a comm::Handle and enrolls in any open
+// comm::OpWindow.
 #pragma once
 
 #include <algorithm>
@@ -76,7 +75,6 @@
 #include <cstdint>
 #include <cstring>
 #include <optional>
-#include <span>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -354,62 +352,9 @@ class RobinHoodMap {
     return out;
   }
 
-  // --- asynchronous surface (handle-returning) -----------------------------
-  //
-  // Remote keys ship one op to the owner's progress thread and return
-  // immediately; local keys run inline at issue (the handle is already
-  // ready). Join with wait()/value(), a comm::CompletionQueue, or an
-  // OpWindow.
-
-  comm::Handle<bool> insertAsync(std::uint64_t key, const V& value) const {
-    const std::uint64_t vbits = packValue(value);
-    return shipValueOp<bool>(key, [key, vbits](RobinHoodMap map,
-                                               Segment& seg) {
-      return map.ownerPut(seg, key, vbits, /*assign=*/false) ==
-             PutOutcome::inserted;
-    });
-  }
-
-  comm::Handle<bool> putAsync(std::uint64_t key, const V& value) const {
-    const std::uint64_t vbits = packValue(value);
-    return shipValueOp<bool>(key, [key, vbits](RobinHoodMap map,
-                                               Segment& seg) {
-      return map.ownerPut(seg, key, vbits, /*assign=*/true) ==
-             PutOutcome::inserted;
-    });
-  }
-
-  comm::Handle<std::optional<V>> findAsync(std::uint64_t key) const {
-    return shipValueOp<std::optional<V>>(
-        key, [key](RobinHoodMap map, Segment& seg) {
-          std::optional<V> out;
-          if (auto bits = map.ownerFind(seg, key)) {
-            out = unpackValue(*bits);
-          }
-          return out;
-        });
-  }
-
-  comm::Handle<bool> containsAsync(std::uint64_t key) const {
-    return shipValueOp<bool>(key, [key](RobinHoodMap map, Segment& seg) {
-      return map.ownerFind(seg, key).has_value();
-    });
-  }
-
-  comm::Handle<std::optional<V>> eraseAsync(std::uint64_t key) const {
-    return shipValueOp<std::optional<V>>(
-        key, [key](RobinHoodMap map, Segment& seg) {
-          std::optional<V> out;
-          if (auto bits = map.ownerErase(seg, key)) {
-            out = unpackValue(*bits);
-          }
-          return out;
-        });
-  }
-
   // --- aggregated surface --------------------------------------------------
   //
-  // Same ops riding the calling task's comm::Aggregator: one wire+service
+  // The ops above riding the calling task's comm::Aggregator: one wire+service
   // charge per batch per destination instead of per op, handles of one
   // batch resolving together. Issued inside a comm::OpWindow they enroll
   // automatically; the window's close (or any wait/drain) auto-flushes, so
@@ -459,61 +404,6 @@ class RobinHoodMap {
           }
           return out;
         });
-  }
-
-  /// Batched lookup for windowed joins: `keys[i]`'s result lands in
-  /// `out[i]`. Keys are grouped by owning locale and each group ships as
-  /// ONE aggregated op (weight = group size) that probes every key of the
-  /// group in a single handler pass under a single guard pin -- the
-  /// per-destination cost is one batch share regardless of how many keys
-  /// hit that locale, which is what makes skewed (hot-owner) traffic
-  /// cheap. The own-locale group rides the aggregator too; the closing
-  /// whenAll ships the remote groups first, so inside a window that group
-  /// runs inline while they are in flight, before findBatch returns. The
-  /// returned handle completes when every group has; `out` must stay alive
-  /// and untouched until then.
-  comm::Handle<> findBatch(std::span<const std::uint64_t> keys,
-                           std::span<std::optional<V>> out) const {
-    PGASNB_CHECK_MSG(keys.size() == out.size(),
-                     "RobinHoodMap::findBatch spans must have equal size");
-    if constexpr (!Domain::kDistributed) {
-      for (std::size_t i = 0; i < keys.size(); ++i) {
-        out[i] = find(keys[i]);
-      }
-      return comm::readyHandle();
-    } else {
-      // Group key indices by owner.
-      std::vector<std::vector<std::uint32_t>> groups(num_locales_);
-      for (std::size_t i = 0; i < keys.size(); ++i) {
-        groups[ownerOf(keys[i])].push_back(static_cast<std::uint32_t>(i));
-      }
-      std::vector<comm::Handle<>> handles;
-      const std::uint32_t here = Runtime::here();
-      auto map = *this;
-      // Destinations from here+1 around to here: whenAll ships the remote
-      // groups before the own-locale group runs inline.
-      for (std::uint32_t step = 1; step <= num_locales_; ++step) {
-        const std::uint32_t loc = (here + step) % num_locales_;
-        if (groups[loc].empty()) continue;
-        const auto weight = static_cast<std::uint64_t>(groups[loc].size());
-        auto probe_group = [map, keys, out,
-                            idxs = std::move(groups[loc])] {
-          Segment& seg = map.segments_.local();
-          map.withGuard([&](auto& guard) {
-            for (const std::uint32_t i : idxs) {
-              std::optional<V> r;
-              if (auto bits = map.segFind(seg, keys[i], guard)) {
-                r = unpackValue(*bits);
-              }
-              out[i] = r;
-            }
-          });
-        };
-        handles.push_back(comm::taskAggregator().enqueueHandle(
-            loc, std::move(probe_group), weight));
-      }
-      return comm::whenAll(handles);
-    }
   }
 
   // --- introspection -------------------------------------------------------
@@ -1243,29 +1133,10 @@ class RobinHoodMap {
     }
   }
 
-  /// Ship `op(map, segment)` -> R to the owner as one async AM; local
-  /// owners run inline at issue and return a ready handle (unlike
-  /// shipAggregated, whose own-locale ops a window defers).
-  template <typename R, typename Op>
-  comm::Handle<R> shipValueOp(std::uint64_t key, Op op) const {
-    if constexpr (Domain::kDistributed) {
-      const std::uint32_t owner = ownerOf(key);
-      if (owner != Runtime::here()) {
-        auto map = *this;
-        return comm::amAsyncValue<R>(owner, [map, op = std::move(op)] {
-          return op(map, map.segments_.local());
-        });
-      }
-      return comm::readyValueHandle(op(*this, segments_.local()));
-    } else {
-      return comm::readyValueHandle(op(*this, *local_segment_));
-    }
-  }
-
-  /// Aggregated flavor of shipValueOp: the op rides the calling task's
-  /// Aggregator, which alone decides how it runs -- in a batched AM to a
-  /// remote owner (resolving with the batch), or inline on this thread for
-  /// an own-locale key (after the window's remote batches ship, or at
+  /// Run `op(map, segment)` -> R on the key's owner through the calling
+  /// task's Aggregator, which alone decides how it runs -- in a batched AM
+  /// to a remote owner (resolving with the batch), or inline on this thread
+  /// for an own-locale key (after the window's remote batches ship, or at
   /// once outside a window).
   template <typename R, typename Op>
   comm::Handle<R> shipAggregated(std::uint64_t key, Op op) const {

@@ -65,9 +65,8 @@ void admitOps(EpochClient& client, const EpochEngineConfig& cfg,
   sim::charge((end - begin) * cfg.admit_cpu_ns_per_op);
 }
 
-/// Group step for one lane: partition its admitted ops by owner locale --
-/// the counting-sort flavor of the owner grouping RobinHoodMap::findBatch
-/// does with index buckets. Per-owner admit order is preserved (stable
+/// Group step for one lane: partition its admitted ops by owner locale
+/// with a counting sort. Per-owner admit order is preserved (stable
 /// scatter), so per-destination FIFO semantics of the aggregated surface
 /// carry through.
 void groupByOwner(std::vector<OpRecord>& ops) {

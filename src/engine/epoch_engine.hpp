@@ -7,9 +7,9 @@
 //
 //   admit       generate the epoch's operations on per-(locale, worker)
 //               lanes and partition each lane's slice by owner locale
-//               (the same owner grouping RobinHoodMap::findBatch uses),
-//               so the execute phase's aggregated issues fill batches
-//               per destination instead of interleaving them;
+//               (a stable counting sort), so the execute phase's
+//               aggregated issues fill batches per destination instead
+//               of interleaving them;
 //   initialize  allocate/stage per-op state under a pinned epoch guard
 //               (the client's hook; staging garbage retired here rides
 //               the aggregated-retire path like any other retire);

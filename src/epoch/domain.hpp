@@ -92,9 +92,9 @@ namespace detail {
 // Per-thread cached guards (progress-thread handler pins)
 // ---------------------------------------------------------------------------
 //
-// An AM handler that dereferences protected nodes (MsQueue::enqueueAsync's
-// append loop, DistStack::popAsync's pop loop) needs a pin on the progress
-// thread. Registering a fresh guard per message costs pool atomics and
+// An AM handler that dereferences protected nodes (DistStack::popAsync's
+// pop loop, an InterlockedHashTable bucket walk) needs a pin on the
+// progress thread. Registering a fresh guard per message costs pool atomics and
 // allocated-list churn on the hot path; instead each thread keeps one
 // *attached* guard per domain, and PinScope pins it once per AM service --
 // the handler plus its whole batch -- unpinning at the service's end

@@ -100,8 +100,9 @@ class EpochManagerImpl {
   EpochManagerImpl& operator=(const EpochManagerImpl&) = delete;
 
   /// Enter the locale's current epoch. Re-validates the epoch cache after
-  /// publishing (hardening of the paper's pin; see DESIGN.md) so a pinned
-  /// token can lag the global epoch by at most one advance.
+  /// publishing (hardening of the paper's pin; see docs/ARCHITECTURE.md,
+  /// "Deviations from the paper") so a pinned token can lag the global
+  /// epoch by at most one advance.
   void pin(Token* token);
   void unpin(Token* token) noexcept;
 

@@ -13,7 +13,7 @@
 // node. The paper relies on phase disjointness; we additionally initialize
 // `next` to a sentinel and make the walker spin the (one-store) window out,
 // so even a straggler pushing during reclamation cannot lose nodes. See
-// DESIGN.md "Key invariants".
+// docs/ARCHITECTURE.md, "Deviations from the paper".
 //
 // Nodes are recycled through a lock-free Treiber stack protected by the
 // ABA-counter of LocalAtomicObject (paper Sec. II.C). Recycled nodes are

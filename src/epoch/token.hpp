@@ -21,27 +21,12 @@ namespace pgasnb {
 
 /// Epoch values are 1..kNumEpochs; 0 means "not in any epoch" (quiescent).
 ///
-/// SAFETY NOTE (deviation from the paper -- see DESIGN.md "Hardening").
-/// The paper maintains *three* limbo lists and retires an object into the
-/// list of the *token's pinned epoch*. Because a pinned token's epoch can
-/// lag the global epoch by one (it pinned before an advance, or read a
-/// stale locale cache), an object can be removed while the global epoch is
-/// L+1 yet retired to list L. Freeing list L at the advance to L+2 only
-/// requires every pinned token to be in {quiescent, L+1} -- so a reader
-/// pinned in L+1 that obtained a reference *before* the removal can still
-/// hold it when the object is freed: a use-after-free window. Fraser's
-/// original EBR avoids this by retiring to a fresh read of the *global*
-/// epoch, but a fresh global read per retire is exactly the communication
-/// the paper's locale-cached design exists to avoid.
-///
-/// We therefore keep the paper's cheap retire-to-token-epoch rule and add
-/// ONE extra grace period: four limbo lists, freeing list L at the advance
-/// to L+3. Holders of a reference removed at global g are pinned in
-/// {g-1, g} (subset of {L, L+1} since L >= g-1), and the advance to L+3
-/// requires all pinned tokens in {0, L+2} -- both holder classes are gone.
-/// A bonus: pushes into a list and its popAll can then never overlap, so
-/// the wait-free limbo list's phases are disjoint by construction, exactly
-/// as Listing 2 assumes.
+/// SAFETY NOTE (deviation from the paper). The paper keeps three limbo
+/// lists; with retires going to the *token's pinned* epoch, which may lag
+/// the global epoch by one, freeing list L at the advance to L+2 leaves a
+/// use-after-free window. Four lists, freeing list L at the advance to
+/// L+3, close it. The argument is in docs/ARCHITECTURE.md, "Deviations
+/// from the paper".
 inline constexpr std::uint64_t kEpochQuiescent = 0;
 inline constexpr std::uint64_t kNumEpochs = 4;
 

@@ -33,13 +33,14 @@
 //
 // Every data structure in ds/ takes the Domain as a template parameter, so
 // the same algorithm body serves both builds. The communication layer is
-// non-blocking underneath: hot ops have async variants returning a
-// comm::Handle<T>, fire-and-forget work (cross-locale retires above all)
-// is coalesced per destination by comm::Aggregator, and a comm::OpWindow
-// scopes batch-then-join over the aggregated ops (close = auto-flush +
-// join at the max sim-time). Drain completions -- with as many worker
-// tasks as you like -- through the MPMC comm::CompletionQueue. See
-// docs/API.md for the guide and docs/ARCHITECTURE.md for the layer map.
+// non-blocking underneath: operation-shipped ops (DistStack::popAsync, the
+// hash tables' *Async ops) return a comm::Handle<T>, the task's
+// comm::Aggregator coalesces cross-locale retires and the *AsyncAggregated
+// ops per destination, and a comm::OpWindow scopes batch-then-join over
+// the aggregated ops (close = auto-flush + join at the max sim-time).
+// Drain completions -- with as many worker tasks as you like -- through the
+// MPMC comm::CompletionQueue. See docs/API.md for the guide and
+// docs/ARCHITECTURE.md for the layer map.
 #pragma once
 
 #include "util/backoff.hpp"
@@ -56,7 +57,6 @@
 #include "runtime/task.hpp"
 #include "runtime/collectives.hpp"
 #include "runtime/privatization.hpp"
-#include "runtime/dist_domain.hpp"
 #include "runtime/wide_ptr.hpp"
 
 #include "atomic/aba.hpp"

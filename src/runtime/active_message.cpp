@@ -83,9 +83,9 @@ void ProgressThread::run() {
     busy_until_ = end;
     serviced_.fetch_add(1, std::memory_order_relaxed);
     if (req.on_complete) {
-      // Resolves the waiting handle(s) and runs any continuations chained
-      // onto them; continuations execute on this thread but under their own
-      // sim::TimeScope, so this channel's clock is unaffected.
+      // Resolves the waiting handle(s) and runs their completion waiters
+      // (whenAll groups, CompletionQueue pushes) on this thread; a waiter
+      // charges nothing, so this channel's clock is unaffected.
       req.on_complete(end);
     }
     req = AmRequest{};  // drop closure state before blocking again

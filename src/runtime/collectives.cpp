@@ -10,10 +10,6 @@
 
 namespace pgasnb {
 
-void barrierAllLocales() {
-  coforallLocales([] {});
-}
-
 bool PendingAnd::wait() {
   PGASNB_CHECK_MSG(valid(), "wait() on an invalid PendingAnd");
   group_->wait();
@@ -54,18 +50,6 @@ bool epochBoundaryCollective(const std::function<bool()>& f) {
   comm::taskAggregator().flushAll();
   comm::quiesceAmQueues();
   return allLocalesAndAsync(f).wait();
-}
-
-std::uint64_t allLocalesMin(const std::function<std::uint64_t()>& f) {
-  std::atomic<std::uint64_t> result{~std::uint64_t{0}};
-  coforallLocales([&] {
-    const std::uint64_t v = f();
-    std::uint64_t cur = result.load(std::memory_order_relaxed);
-    while (v < cur &&
-           !result.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-    }
-  });
-  return result.load(std::memory_order_relaxed);
 }
 
 std::uint64_t allLocalesSum(const std::function<std::uint64_t()>& f) {

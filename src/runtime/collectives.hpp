@@ -1,4 +1,5 @@
-// Collectives over all locales: barrier and simple reductions.
+// Collectives over all locales: and/sum reductions and the epoch-boundary
+// fence.
 //
 // DistDomain's safety scan is an and-reduction executed *on* each
 // locale (Listing 4, `coforall ... with (&& reduce safeToReclaim)`); these
@@ -13,9 +14,6 @@
 #include "runtime/task.hpp"
 
 namespace pgasnb {
-
-/// All-locales barrier (one task per locale, joined).
-void barrierAllLocales();
 
 /// Runs `f` once on every locale; returns the AND of the results.
 /// Short-circuiting is cooperative: once any locale produces `false`,
@@ -72,9 +70,6 @@ PendingAnd allLocalesAndAsync(std::function<bool()> f);
 /// decides it, and the reclamation advances that follow see every retire
 /// already sorted into a limbo list.
 bool epochBoundaryCollective(const std::function<bool()>& f);
-
-/// Runs `f` once on every locale; returns the minimum of the results.
-std::uint64_t allLocalesMin(const std::function<std::uint64_t()>& f);
 
 /// Runs `f` once on every locale; returns the sum of the results.
 std::uint64_t allLocalesSum(const std::function<std::uint64_t()>& f);

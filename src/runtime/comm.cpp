@@ -20,7 +20,6 @@ struct AtomicCounters {
   std::atomic<std::uint64_t> ops_aggregated{0};
   std::atomic<std::uint64_t> handles_chained{0};
   std::atomic<std::uint64_t> cq_drained{0};
-  std::atomic<std::uint64_t> puts{0};
   std::atomic<std::uint64_t> gets{0};
   std::atomic<std::uint64_t> dcas_local{0};
   std::atomic<std::uint64_t> dcas_remote{0};
@@ -88,21 +87,11 @@ inline U128 dexchangeHardware(U128* target, U128 desired) {
   return out;
 }
 
-/// A handle state completed at `join_time` (value, if any, already set).
-template <typename T>
-Handle<T> completedHandle(std::shared_ptr<detail::HandleState<T>> state,
-                          std::uint64_t join_time) {
-  detail::completeCore(*state, join_time);
-  return Handle<T>(std::move(state));
-}
-
-/// injectHandleAm + a typed Handle wrapper, for the comm-internal callers.
-template <typename T>
-Handle<T> injectAmHandle(std::uint32_t loc,
-                         std::shared_ptr<detail::HandleState<T>> state,
-                         std::function<void()> fn) {
+/// injectHandleAm + a Handle wrapper, for the comm-internal callers.
+Handle<> injectAmHandle(std::uint32_t loc, std::function<void()> fn) {
+  auto state = std::make_shared<detail::HandleState<void>>();
   detail::injectHandleAm(loc, state, std::move(fn));
-  return Handle<T>(std::move(state));
+  return Handle<>(std::move(state));
 }
 
 /// Innermost open window on this thread (LIFO nesting chain via parent_).
@@ -150,7 +139,7 @@ void injectHandleAm(std::uint32_t loc, std::shared_ptr<HandleCore> core,
   req.fn = std::move(fn);
   req.send_time = sim::now();
   // The callback owns the state: it stays alive until the progress thread
-  // has stored the completion time and run every chained continuation.
+  // has stored the completion time and run every completion waiter.
   req.on_complete = [core](std::uint64_t end) { completeCore(*core, end); };
   rt.locale(loc).amQueue().push(std::move(req));
   // Sender-side injection cost of a one-way message.
@@ -165,14 +154,7 @@ void flushIfBuffered(HandleCore& core) {
   // single-task) and liveness (a thread_local outlives every handle join
   // its thread performs). An op buffered by a different task stays put --
   // that task's own join/flush ships it.
-  if (agg != nullptr && agg == &taskAggregator()) {
-    agg->flush(core.buffered_loc);
-    return;
-  }
-  // Combinator-derived cores (then()-chains) are never buffered themselves;
-  // their completion hangs off the parent chain. Walk it so waiting on a
-  // derived handle ships the root op's batch too.
-  if (core.flush_parent != nullptr) flushIfBuffered(*core.flush_parent);
+  if (agg != nullptr && agg == &taskAggregator()) agg->flush(core.buffered_loc);
 }
 
 void flushTaskAggregatorForDrain() { taskAggregator().flushAll(); }
@@ -241,10 +223,9 @@ void OpWindow::join() {
       Runtime::active() && Runtime::get().generation() == runtime_generation_;
   if (live) {
     // Ship everything this task still buffers -- owned aggregated handles
-    // and fire-and-forget ops (retires) alike. This is the auto-flush that
-    // replaces the manual flushAll() the pre-window API required. The
-    // window is still innermost here, so handle ops that the own-locale run
-    // issues enroll in it and are joined below.
+    // and retires alike. This is the auto-flush that replaces a manual
+    // flushAll(). The window is still innermost here, so handle ops that
+    // the own-locale run issues enroll in it and are joined below.
     taskAggregator().flushAll();
   }
   if (open_) {
@@ -256,11 +237,8 @@ void OpWindow::join() {
   for (const auto& core : cores_) {
     if (core->done.load(std::memory_order_acquire) == 0) {
       if (!live) continue;  // op died with its runtime: nothing to wait for
-      // Auto-enrolled ops were shipped by the flushAll above; an add()-ed
-      // handle may hang off a then()-chain whose root still sits in this
-      // task's aggregator -- walk and ship it, then spin for service,
-      // identical semantics to wait() on that handle.
-      detail::flushIfBuffered(*core);
+      // The flushAll above shipped everything this task buffered, so the
+      // op is in flight: spin for its service.
       detail::spinUntilDone(*core);
     }
     max_join = std::max(max_join, joinReadyTime(*core));
@@ -272,8 +250,9 @@ void OpWindow::join() {
 }
 
 Handle<> readyHandle() {
-  return completedHandle(std::make_shared<detail::HandleState<void>>(),
-                         sim::now());
+  auto state = std::make_shared<detail::HandleState<void>>();
+  detail::completeCore(*state, sim::now());
+  return Handle<>(std::move(state));
 }
 
 void amSync(std::uint32_t loc, const std::function<void()>& fn) {
@@ -285,9 +264,7 @@ void amSync(std::uint32_t loc, const std::function<void()>& fn) {
     return;
   }
   bump(g_counters.am_sync);
-  Handle<> handle = injectAmHandle(
-      loc, std::make_shared<detail::HandleState<void>>(), fn);
-  handle.wait();
+  injectAmHandle(loc, fn).wait();
 }
 
 void quiesceAmQueues() {
@@ -299,43 +276,14 @@ void quiesceAmQueues() {
     // Deliberately no local fast path: the fence must traverse the queue
     // (the caller's own queue can hold batches injected by other locales).
     bump(g_counters.am_fence);
-    fences.push_back(injectAmHandle(
-        l, std::make_shared<detail::HandleState<void>>(), [] {}));
+    fences.push_back(injectAmHandle(l, [] {}));
   }
   for (Handle<>& fence : fences) fence.wait();
 }
 
-Handle<> amAsyncHandle(std::uint32_t loc, std::function<void()> fn) {
-  const LatencyModel& lat = Runtime::get().config().latency;
-  if (loc == Runtime::here()) {
-    sim::charge(lat.cpu_atomic_ns);
-    fn();
-    return readyHandle();
-  }
-  bump(g_counters.am_async);
-  return injectAmHandle(loc, std::make_shared<detail::HandleState<void>>(),
-                        std::move(fn));
-}
-
 Handle<> amProgressHandle(std::uint32_t loc, std::function<void()> fn) {
   bump(g_counters.am_async);
-  return injectAmHandle(loc, std::make_shared<detail::HandleState<void>>(),
-                        std::move(fn));
-}
-
-void amAsync(std::uint32_t loc, std::function<void()> fn) {
-  Runtime& rt = Runtime::get();
-  if (loc == Runtime::here()) {
-    fn();
-    return;
-  }
-  bump(g_counters.am_async);
-  AmRequest req;
-  req.fn = std::move(fn);
-  req.send_time = sim::now();
-  rt.locale(loc).amQueue().push(std::move(req));
-  // Sender-side injection cost of a one-way message.
-  sim::chargeModelOnly(Runtime::get().config().latency.cpu_atomic_ns);
+  return injectAmHandle(loc, std::move(fn));
 }
 
 std::uint64_t atomicRead(const std::atomic<std::uint64_t>& a) {
@@ -370,36 +318,6 @@ std::uint64_t atomicFetchAdd(std::atomic<std::uint64_t>& a, std::uint64_t delta)
   return out;
 }
 
-Handle<std::uint64_t> atomicFetchAddAsync(std::atomic<std::uint64_t>& a,
-                                          std::uint64_t delta) {
-  Runtime& rt = Runtime::get();
-  const LatencyModel& lat = rt.config().latency;
-  auto state = std::make_shared<detail::HandleState<std::uint64_t>>();
-  if (rt.commMode() == CommMode::ugni) {
-    // The NIC executes the atomic without caller CPU involvement: issue it
-    // now, completion one NIC-atomic latency out, caller pays only the
-    // injection cost and keeps running.
-    bump(g_counters.nic_atomics);
-    state->value = a.fetch_add(delta, std::memory_order_seq_cst);
-    const std::uint64_t join = sim::now() + lat.nic_atomic_ns;
-    sim::chargeModelOnly(lat.cpu_atomic_ns);
-    return completedHandle(std::move(state), join);
-  }
-  const std::uint32_t owner = ownerOf(&a);
-  if (owner == Runtime::here()) {
-    bump(g_counters.cpu_atomics);
-    sim::charge(lat.cpu_atomic_ns);
-    state->value = a.fetch_add(delta, std::memory_order_seq_cst);
-    return completedHandle(std::move(state), sim::now());
-  }
-  bump(g_counters.am_async);
-  auto* raw = state.get();
-  return injectAmHandle<std::uint64_t>(owner, state, [raw, &a, delta] {
-    sim::charge(Runtime::get().config().latency.cpu_atomic_ns);
-    raw->value = a.fetch_add(delta, std::memory_order_seq_cst);
-  });
-}
-
 bool atomicTestAndSet(std::atomic<std::uint64_t>& flag) {
   std::uint64_t out = 0;
   dispatchAmo(&flag, [&] { out = flag.exchange(1, std::memory_order_seq_cst); });
@@ -428,29 +346,6 @@ bool dcas(U128& target, U128& expected, U128 desired) {
     ok = dcasHardware(&target, expected, desired);
   });
   return ok;
-}
-
-Handle<DcasResult> dcasAsync(U128& target, U128 expected, U128 desired) {
-  Runtime& rt = Runtime::get();
-  const LatencyModel& lat = rt.config().latency;
-  const std::uint32_t owner = ownerOf(&target);
-  auto state = std::make_shared<detail::HandleState<DcasResult>>();
-  if (owner == Runtime::here()) {
-    bump(g_counters.dcas_local);
-    sim::charge(lat.cpu_atomic_ns);
-    state->value.success = dcasHardware(&target, expected, desired);
-    state->value.observed = expected;  // updated in place on failure
-    return completedHandle(std::move(state), sim::now());
-  }
-  bump(g_counters.dcas_remote);
-  bump(g_counters.am_async);
-  auto* raw = state.get();
-  return injectAmHandle<DcasResult>(
-      owner, state, [raw, &target, expected, desired]() mutable {
-        sim::charge(Runtime::get().config().latency.cpu_atomic_ns);
-        raw->value.success = dcasHardware(&target, expected, desired);
-        raw->value.observed = expected;
-      });
 }
 
 U128 dread(U128& target) {
@@ -500,16 +395,6 @@ U128 dexchange(U128& target, U128 desired) {
   return out;
 }
 
-void put(std::uint32_t dst_locale, void* dst, const void* src,
-         std::size_t bytes) {
-  Runtime& rt = Runtime::get();
-  bump(g_counters.puts);
-  std::memcpy(dst, src, bytes);
-  if (dst_locale != Runtime::here()) {
-    sim::charge(rt.config().latency.bulkCost(bytes));
-  }
-}
-
 void get(void* dst, std::uint32_t src_locale, const void* src,
          std::size_t bytes) {
   Runtime& rt = Runtime::get();
@@ -518,36 +403,6 @@ void get(void* dst, std::uint32_t src_locale, const void* src,
   if (src_locale != Runtime::here()) {
     sim::charge(rt.config().latency.bulkCost(bytes));
   }
-}
-
-Handle<> putAsync(std::uint32_t dst_locale, void* dst, const void* src,
-                  std::size_t bytes) {
-  Runtime& rt = Runtime::get();
-  const LatencyModel& lat = rt.config().latency;
-  bump(g_counters.puts);
-  // RDMA: the NIC streams the data; the source buffer is reusable once the
-  // injection returns, and nobody's CPU clock is blocked on the transfer.
-  std::memcpy(dst, src, bytes);
-  std::uint64_t join = sim::now();
-  if (dst_locale != Runtime::here()) {
-    join += lat.bulkCost(bytes);
-    sim::chargeModelOnly(lat.cpu_atomic_ns);
-  }
-  return completedHandle(std::make_shared<detail::HandleState<void>>(), join);
-}
-
-Handle<> getAsync(void* dst, std::uint32_t src_locale, const void* src,
-                  std::size_t bytes) {
-  Runtime& rt = Runtime::get();
-  const LatencyModel& lat = rt.config().latency;
-  bump(g_counters.gets);
-  std::memcpy(dst, src, bytes);
-  std::uint64_t join = sim::now();
-  if (src_locale != Runtime::here()) {
-    join += lat.bulkCost(bytes);
-    sim::chargeModelOnly(lat.cpu_atomic_ns);
-  }
-  return completedHandle(std::make_shared<detail::HandleState<void>>(), join);
 }
 
 // ---------------------------------------------------------------------------
@@ -579,15 +434,8 @@ void Aggregator::adoptRuntime() {
     runtime_generation_ = rt.generation();
     const RuntimeConfig& cfg = rt.config();
     max_batch_age_ns_ = cfg.aggregator_max_batch_age_ns;
-    if (!configured_) {
-      ops_per_batch_ = cfg.aggregator_ops_per_batch;
-    }
-    if (ops_per_batch_ == 0) ops_per_batch_ = 1;
+    ops_per_batch_ = std::max<std::size_t>(cfg.aggregator_ops_per_batch, 1);
   }
-}
-
-void Aggregator::enqueue(std::uint32_t loc, std::function<void()> op) {
-  enqueueWithCore(loc, std::move(op), nullptr);
 }
 
 void Aggregator::enqueueRetire(std::uint32_t loc, RetireSink sink,
@@ -607,23 +455,18 @@ void Aggregator::enqueueRetire(std::uint32_t loc, RetireSink sink,
   shipIfDue(loc);
 }
 
-Handle<> Aggregator::enqueueHandle(std::uint32_t loc, std::function<void()> op,
-                                   std::uint64_t op_weight) {
+Handle<> Aggregator::enqueueHandle(std::uint32_t loc,
+                                   std::function<void()> op) {
   auto state = std::make_shared<detail::HandleState<void>>();
-  enqueueWithCore(loc, std::move(op), state, op_weight);
+  enqueueWithCore(loc, std::move(op), state);
   return Handle<>(std::move(state));
 }
 
 void Aggregator::enqueueWithCore(std::uint32_t loc, std::function<void()> op,
-                                 std::shared_ptr<detail::HandleCore> core,
-                                 std::uint64_t op_weight) {
+                                 std::shared_ptr<detail::HandleCore> core) {
   adoptRuntime();
   PGASNB_CHECK_MSG(loc < buckets_.size(), "aggregator: locale out of range");
-  // Only ops riding the *task* aggregator auto-enroll: that is the one
-  // aggregator a window close may legally flush. A hand-made Aggregator
-  // keeps its own flush discipline (enroll its handles explicitly with
-  // add() only after flushing it yourself).
-  OpWindow* window = this == &taskAggregator() ? OpWindow::current() : nullptr;
+  OpWindow* window = OpWindow::current();
   Bucket& bucket = buckets_[loc];
   const bool local = loc == Runtime::here();
   if (local && (window == nullptr || taskContext().progress_thread)) {
@@ -643,7 +486,7 @@ void Aggregator::enqueueWithCore(std::uint32_t loc, std::function<void()> op,
     }
   }
   bucket.ops.push_back(std::move(op));
-  bucket.weight += op_weight;
+  ++bucket.weight;
   if (core != nullptr) {
     // Mark the op as buffered-here so join paths (Handle::wait, whenAll,
     // OpWindow::join) can ship its batch instead of spinning forever, and
@@ -769,7 +612,6 @@ Counters counters() noexcept {
   snapshot.handles_chained =
       g_counters.handles_chained.load(std::memory_order_relaxed);
   snapshot.cq_drained = g_counters.cq_drained.load(std::memory_order_relaxed);
-  snapshot.puts = g_counters.puts.load(std::memory_order_relaxed);
   snapshot.gets = g_counters.gets.load(std::memory_order_relaxed);
   snapshot.dcas_local = g_counters.dcas_local.load(std::memory_order_relaxed);
   snapshot.dcas_remote = g_counters.dcas_remote.load(std::memory_order_relaxed);
@@ -786,7 +628,6 @@ void resetCounters() noexcept {
   g_counters.ops_aggregated.store(0, std::memory_order_relaxed);
   g_counters.handles_chained.store(0, std::memory_order_relaxed);
   g_counters.cq_drained.store(0, std::memory_order_relaxed);
-  g_counters.puts.store(0, std::memory_order_relaxed);
   g_counters.gets.store(0, std::memory_order_relaxed);
   g_counters.dcas_local.store(0, std::memory_order_relaxed);
   g_counters.dcas_remote.store(0, std::memory_order_relaxed);

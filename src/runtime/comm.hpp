@@ -1,18 +1,14 @@
-// Communication layer: RDMA-style PUT/GET, remote atomics, and remote
+// Communication layer: RDMA-style GET, remote atomics, and remote
 // execution -- with a non-blocking surface layered on top.
 //
-// Every hot operation has two spellings:
-//   * synchronous  -- blocks the calling task until the remote side is done
-//     and its simulated completion time has been folded into the caller.
-//     `amSync` is literally handle + wait(); the sync atomics/PUT/GET keep
-//     their own bodies because they *charge* the caller (physically
-//     busy-waiting under inject_delays), which a handle join does not.
-//   * asynchronous -- returns a `comm::Handle<T>` immediately; the caller
-//     overlaps further work and calls `wait()`/`value()` when it needs the
-//     result.
+// The atomics, DCAS and GET are synchronous: they *charge* the caller
+// (physically busy-waiting under inject_delays). Remote execution has both
+// spellings: `amSync` blocks, while `amAsyncValue` and `amProgressHandle`
+// return a `comm::Handle<T>` immediately; the caller overlaps further work
+// and calls `wait()`/`value()` when it needs the result.
 //
-// Fire-and-forget operations destined for the same locale can additionally
-// be *aggregated* (Chapel's unordered/aggregated operations): a per-task
+// Operations destined for the same locale can additionally be *aggregated*
+// (Chapel's unordered/aggregated operations): the per-task
 // `comm::Aggregator` coalesces them into one batched active message per
 // destination, paying one wire latency per batch instead of per op. The
 // DistDomain routes cross-locale retires through this path.
@@ -21,9 +17,8 @@
 // flushes and joins them at the max simulated time -- see the class below
 // and docs/ARCHITECTURE.md for the lifecycle.
 //
-// Completions are consumed on one path: `then(fn)` runs on the completing
-// thread, waits spin, and workers that share work share one MPMC
-// `CompletionQueue`.
+// Completions are consumed by joining: waits spin, `whenAll` folds a set,
+// and workers that share work share one MPMC `CompletionQueue`.
 //
 // This is the layer where CommMode matters:
 //
@@ -36,8 +31,8 @@
 //  128-bit op |  never RDMA (hardware has no |  same as ugni: local DCAS or
 //  (DCAS)     |  16-byte AMO): local DCAS or |  AM + DCAS at the target
 //             |  AM + DCAS at the target     |
-//  PUT/GET    |  RDMA, no target CPU         |  RDMA (Chapel uses RDMA for
-//             |                              |  puts/gets regardless)
+//  GET        |  RDMA, no target CPU         |  RDMA (Chapel uses RDMA for
+//             |                              |  gets regardless)
 //
 // All functions charge simulated time; physical delays are injected when
 // RuntimeConfig::inject_delays is on.
@@ -87,12 +82,11 @@ namespace detail {
 /// inline fast path) stores `done` with release order after writing `value`,
 /// so a waiter's acquire load of `done` publishes the value too.
 ///
-/// Beyond the spin-wait channel, a core carries *continuation waiters*:
-/// closures registered by combinators (`then`, `whenAll`) and by
-/// CompletionQueues. The completing thread runs them right after storing
-/// `done`, passing the join-ready time (completion + return wire) -- this
-/// is what lets progress threads *push* completions instead of tasks
-/// polling.
+/// Beyond the spin-wait channel, a core carries *completion waiters*:
+/// closures registered by `whenAll` and by CompletionQueues. The
+/// completing thread runs them right after storing `done`, passing the
+/// join-ready time (completion + return wire) -- this is what lets progress
+/// threads *push* completions instead of tasks polling.
 struct HandleCore {
   std::atomic<std::uint64_t> done{0};
   /// Return-path latency folded in at wait() (am_wire_ns for remote AMs,
@@ -106,12 +100,6 @@ struct HandleCore {
   /// only read by the enqueuing thread (the one allowed to flush).
   std::atomic<Aggregator*> buffered_in{nullptr};
   std::uint32_t buffered_loc = 0;
-  /// For combinator-derived cores (then()): the parent core this one's
-  /// completion depends on. A derived core is never buffered itself, so
-  /// flushIfBuffered() walks this chain to reach the (possibly buffered)
-  /// root op. Written once at derivation, before the handle is shared;
-  /// read-only afterwards.
-  std::shared_ptr<HandleCore> flush_parent;
   std::mutex waiters_lock;
   /// Guarded by waiters_lock until completion; invoked with the join-ready
   /// simulated time. A waiter added after completion runs inline.
@@ -140,13 +128,12 @@ void addCompletionWaiter(HandleCore& core,
 void injectHandleAm(std::uint32_t loc, std::shared_ptr<HandleCore> core,
                     std::function<void()> fn);
 
-/// If `core`'s op -- or, for a combinator-derived core, the root op of its
-/// flush_parent chain -- is still buffered in the *calling task's*
-/// aggregator (taskAggregator()), ship its batch now so a subsequent wait
-/// cannot block on an op that was never going to be sent. Ops buffered in
-/// another thread's aggregator are left alone (aggregators are
-/// single-task; only their owner may flush them) -- the owner's own join,
-/// unpin, or OpWindow close ships those.
+/// If `core`'s op is still buffered in the *calling task's* aggregator
+/// (taskAggregator()), ship its batch now so a subsequent wait cannot block
+/// on an op that was never going to be sent. Ops buffered in another
+/// thread's aggregator are left alone (aggregators are single-task; only
+/// their owner may flush them) -- the owner's own join, unpin, or OpWindow
+/// close ships those.
 void flushIfBuffered(HandleCore& core);
 
 /// Ship everything buffered in the calling task's aggregator. Drain-loop
@@ -193,40 +180,6 @@ class Handle;
 
 namespace detail {
 
-/// Result type of a `then` continuation: invoked with the parent's value
-/// (or with nothing, for Handle<void> parents).
-template <typename F, typename T>
-struct then_result {
-  using type = std::invoke_result_t<F&, const T&>;
-};
-template <typename F>
-struct then_result<F, void> {
-  using type = std::invoke_result_t<F&>;
-};
-
-/// Detects continuations that return a Handle<U> (monadic chaining: the
-/// derived handle resolves when the *inner* operation does).
-template <typename R>
-struct handle_unwrap {
-  static constexpr bool is_handle = false;
-  using type = R;
-};
-template <typename U>
-struct handle_unwrap<Handle<U>> {
-  static constexpr bool is_handle = true;
-  using type = U;
-};
-
-template <typename T, typename F>
-decltype(auto) invokeContinuation(F& fn, HandleState<T>& parent) {
-  if constexpr (std::is_void_v<T>) {
-    (void)parent;
-    return fn();
-  } else {
-    return fn(parent.value);
-  }
-}
-
 /// Join bookkeeping for whenAll: last completer closes the group at the
 /// max join time seen across the set.
 struct WhenAllCtl {
@@ -234,30 +187,16 @@ struct WhenAllCtl {
   std::atomic<std::uint64_t> max_join{0};
 };
 
-/// Wrap a continuation body into a completion waiter: it runs inline on
-/// the completing thread under a TimeScope pinned to the parent's
-/// join-ready time (host clock undisturbed). `body` must complete the
-/// derived core itself.
-template <typename Body>
-std::function<void(std::uint64_t)> routeContinuation(Body body) {
-  return [body = std::move(body)](std::uint64_t join) mutable {
-    sim::TimeScope at(join);
-    body();
-  };
-}
-
 }  // namespace detail
 
 /// A lightweight completion future for a non-blocking communication op.
 /// Copyable (shared state); dropping every copy without waiting is legal --
 /// the operation still completes, its result is simply discarded.
 ///
-/// Handles compose: `then(fn)` chains a continuation (run by whichever
-/// thread completes the operation, on the chain's simulated timeline);
-/// `whenAll`/`waitAll` join sets; a CompletionQueue turns completions into
-/// a drainable stream. A handle produced by a combinator completes at its
-/// *join-ready* time (return wire already folded), so waiting on it never
-/// double-charges the wire.
+/// `whenAll`/`waitAll` join sets of handles; a CompletionQueue turns
+/// completions into a drainable stream. A `whenAll` handle completes at its
+/// set's *join-ready* time (return wire already folded), so waiting on it
+/// never double-charges the wire.
 template <typename T>
 class Handle {
  public:
@@ -301,79 +240,7 @@ class Handle {
     return state_->value;
   }
 
-  /// Chain a continuation: `fn` runs exactly once, when this operation
-  /// completes, invoked with the result (`const T&`; nothing for void
-  /// handles). Returns a handle for the continuation's own completion.
-  ///
-  /// The continuation executes on the thread that completed the parent (a
-  /// progress thread for remote AMs; the caller for already-complete
-  /// handles) under a sim::TimeScope pinned to the parent's join-ready
-  /// time, so everything it charges -- and every async op it issues --
-  /// extends the *chain's* timeline, not the host thread's. If `fn`
-  /// returns a `Handle<U>` the chain flattens: the derived handle resolves
-  /// when the *inner* operation does, so each hop of an async chain pays
-  /// its own wire + service charge.
-  ///
-  /// Continuations must not block or throw (they may run on a progress
-  /// thread, which has nobody to catch an exception); issue async ops and
-  /// chain further instead.
-  template <typename F>
-  auto then(F&& fn) {
-    PGASNB_CHECK_MSG(valid(), "then() on an invalid comm::Handle");
-    using R = typename detail::then_result<std::decay_t<F>, T>::type;
-    detail::noteHandlesChained();
-    if constexpr (detail::handle_unwrap<R>::is_handle) {
-      using U = typename detail::handle_unwrap<R>::type;
-      auto derived = std::make_shared<detail::HandleState<U>>();
-      derived->flush_parent = state_;
-      detail::addCompletionWaiter(
-          *state_,
-          detail::routeContinuation(
-              [parent = state_, derived,
-               fn = std::decay_t<F>(std::forward<F>(fn))]() mutable {
-                R inner = detail::invokeContinuation<T>(fn, *parent);
-                PGASNB_CHECK_MSG(
-                    inner.valid(),
-                    "then(): continuation returned an invalid Handle");
-                auto inner_state = inner.state();
-                detail::addCompletionWaiter(
-                    *inner_state,
-                    [derived, inner_state](std::uint64_t inner_join) {
-                      if constexpr (!std::is_void_v<U>) {
-                        derived->value = inner_state->value;
-                      }
-                      detail::completeCore(*derived, inner_join);
-                    });
-              }));
-      return Handle<U>(std::move(derived));
-    } else if constexpr (std::is_void_v<R>) {
-      auto derived = std::make_shared<detail::HandleState<void>>();
-      derived->flush_parent = state_;
-      detail::addCompletionWaiter(
-          *state_,
-          detail::routeContinuation(
-              [parent = state_, derived,
-               fn = std::decay_t<F>(std::forward<F>(fn))]() mutable {
-                detail::invokeContinuation<T>(fn, *parent);
-                detail::completeCore(*derived, sim::now());
-              }));
-      return Handle<>(std::move(derived));
-    } else {
-      auto derived = std::make_shared<detail::HandleState<R>>();
-      derived->flush_parent = state_;
-      detail::addCompletionWaiter(
-          *state_,
-          detail::routeContinuation(
-              [parent = state_, derived,
-               fn = std::decay_t<F>(std::forward<F>(fn))]() mutable {
-                derived->value = detail::invokeContinuation<T>(fn, *parent);
-                detail::completeCore(*derived, sim::now());
-              }));
-      return Handle<R>(std::move(derived));
-    }
-  }
-
-  /// Internal: the shared completion state (combinators, CompletionQueue).
+  /// Internal: the shared completion state (whenAll, CompletionQueue).
   const std::shared_ptr<detail::HandleState<T>>& state() const noexcept {
     return state_;
   }
@@ -568,21 +435,16 @@ class CompletionQueue {
 /// wire latency. Handlers must be short (they serialize the target locale).
 void amSync(std::uint32_t loc, const std::function<void()>& fn);
 
-/// Fire-and-forget handler execution on `loc`'s progress thread.
-void amAsync(std::uint32_t loc, std::function<void()> fn);
-
-/// Non-blocking remote execution: ship `fn` to `loc`'s progress thread and
-/// return immediately with a completion handle. `amSync` is this + wait().
-Handle<> amAsyncHandle(std::uint32_t loc, std::function<void()> fn);
-
 /// Non-blocking remote execution with a result: run `fn` on `loc`'s
 /// progress thread; the handle resolves to `fn`'s return value. Local
 /// targets run inline (the handle is immediately ready). This is the
 /// building block for operation-shipped data-structure ops that return
-/// values (DistStack::popAsync, MsQueue::dequeueAsync).
+/// values (DistStack::popAsync, InterlockedHashTable's *Async ops).
 template <typename R, typename F>
 Handle<R> amAsyncValue(std::uint32_t loc, F&& fn) {
-  static_assert(!std::is_void_v<R>, "use amAsyncHandle for void results");
+  static_assert(!std::is_void_v<R>,
+                "amAsyncValue needs a result: use amSync or amProgressHandle "
+                "for void work");
   auto state = std::make_shared<detail::HandleState<R>>();
   if (loc == Runtime::here()) {
     sim::charge(Runtime::get().config().latency.cpu_atomic_ns);
@@ -598,10 +460,11 @@ Handle<R> amAsyncValue(std::uint32_t loc, F&& fn) {
   return Handle<R>(std::move(state));
 }
 
-/// Like amAsyncHandle, but ALWAYS traverses `loc`'s AM queue -- even for
-/// the caller's own locale -- so the handler is guaranteed to execute on
-/// the *progress thread* (for thread-affine state such as the epoch
-/// layer's cached handler guards).
+/// Non-blocking remote execution: ship `fn` to `loc`'s progress thread and
+/// return a completion handle at once. It ALWAYS traverses `loc`'s AM
+/// queue -- even for the caller's own locale -- so the handler is
+/// guaranteed to execute on the *progress thread* (for thread-affine state
+/// such as the epoch layer's cached handler guards).
 Handle<> amProgressHandle(std::uint32_t loc, std::function<void()> fn);
 
 /// Drain every locale's AM queue, *including the caller's own*: a no-op
@@ -628,12 +491,6 @@ std::uint64_t atomicFetchAdd(std::atomic<std::uint64_t>& a, std::uint64_t delta)
 bool atomicTestAndSet(std::atomic<std::uint64_t>& flag);
 void atomicClear(std::atomic<std::uint64_t>& flag);
 
-/// Non-blocking fetch-add: the operation is issued (NIC atomic under ugni,
-/// active message under none) without blocking the calling task; the handle
-/// resolves to the pre-add value.
-Handle<std::uint64_t> atomicFetchAddAsync(std::atomic<std::uint64_t>& a,
-                                          std::uint64_t delta);
-
 // --- 128-bit operations (pointer + ABA counter) -------------------------
 
 /// Double-word CAS against a (possibly remote) 16-byte word. RDMA NICs
@@ -650,33 +507,10 @@ void dwrite(U128& target, U128 desired);
 /// Atomic 128-bit exchange; returns the previous value.
 U128 dexchange(U128& target, U128 desired);
 
-/// Outcome of an asynchronous DCAS: `observed` is the target's prior value
-/// (== expected on success), so a retry loop can feed it straight back in.
-struct DcasResult {
-  bool success = false;
-  U128 observed{};
-};
-
-/// Non-blocking DCAS. `expected` is taken by value (the caller's copy can't
-/// be updated in place once the op is in flight); inspect the handle's
-/// DcasResult instead.
-Handle<DcasResult> dcasAsync(U128& target, U128 expected, U128 desired);
-
 // --- bulk data movement --------------------------------------------------
-
-/// RDMA PUT: copy `bytes` from local `src` into `dst` on `dst_locale`.
-void put(std::uint32_t dst_locale, void* dst, const void* src, std::size_t bytes);
 
 /// RDMA GET: copy `bytes` from `src` on `src_locale` into local `dst`.
 void get(void* dst, std::uint32_t src_locale, const void* src, std::size_t bytes);
-
-/// Non-blocking PUT/GET: the copy is initiated immediately; the handle
-/// resolves when the (simulated) transfer completes. The source buffer of a
-/// putAsync may be reused as soon as the call returns.
-Handle<> putAsync(std::uint32_t dst_locale, void* dst, const void* src,
-                  std::size_t bytes);
-Handle<> getAsync(void* dst, std::uint32_t src_locale, const void* src,
-                  std::size_t bytes);
 
 // --- aggregation ----------------------------------------------------------
 
@@ -689,14 +523,14 @@ struct RetireEntry {
 /// Hands a run of retires, in enqueue order, to domain instance `target`.
 using RetireSink = void (*)(void* target, const std::vector<RetireEntry>& run);
 
-/// Coalesces fire-and-forget operations destined for the same locale into
-/// batched active messages (Chapel's unordered/aggregated ops): one wire
-/// latency + one service charge per batch, one CPU charge per op at the
-/// target. Per-destination FIFO order is preserved; cross-destination order
-/// is not. Not thread-safe -- use one per task (see taskAggregator()).
+/// Coalesces operations destined for the same locale into batched active
+/// messages (Chapel's unordered/aggregated ops): one wire latency + one
+/// service charge per batch, one CPU charge per op at the target.
+/// Per-destination FIFO order is preserved; cross-destination order is not.
+/// Each task has exactly one, taskAggregator(); it is not thread-safe.
 ///
 /// Buffered ops are shipped when a destination's weight (one per op or
-/// retire; an enqueueHandle may name more) reaches `ops_per_batch`,
+/// retire) reaches RuntimeConfig::aggregator_ops_per_batch,
 /// when the oldest buffered op for a destination exceeds
 /// RuntimeConfig::aggregator_max_batch_age_ns in simulated time (checked
 /// at each enqueue -- an under-filled bucket no longer waits for unpin),
@@ -711,22 +545,15 @@ using RetireSink = void (*)(void* target, const std::vector<RetireEntry>& run);
 /// own threshold or age cutoff, or by a wait on one of its handles. Each
 /// such op completes at the simulated time it finishes, with no return
 /// wire, and counts toward neither am_batched nor ops_aggregated.
-/// Everywhere else -- hand-made aggregators, progress
-/// threads, enqueues outside a window -- they run in place at enqueue.
+/// Everywhere else -- progress threads, enqueues outside a window -- they
+/// run in place at enqueue.
 /// Own-locale ops, like shipped ones, must not throw.
 class Aggregator {
  public:
-  /// `ops_per_batch` == 0 means "adopt RuntimeConfig::aggregator_ops_per_batch".
-  explicit Aggregator(std::size_t ops_per_batch = 0)
-      : ops_per_batch_(ops_per_batch), configured_(ops_per_batch != 0) {}
   ~Aggregator();
 
   Aggregator(const Aggregator&) = delete;
   Aggregator& operator=(const Aggregator&) = delete;
-
-  /// Buffer `op` for `loc` (fire-and-forget; charges nothing until the
-  /// batch ships).
-  void enqueue(std::uint32_t loc, std::function<void()> op);
 
   /// Buffer one retire for `loc`, another locale (checked). It extends the
   /// bucket's last op if that is a run for the same `target`, else opens a
@@ -744,17 +571,14 @@ class Aggregator {
   /// by a closing OpWindow (on the task aggregator, joining an unshipped op
   /// can no longer deadlock). Handles issued while an OpWindow is open on
   /// this thread enroll into it. An own-locale op's handle resolves alone,
-  /// when its inline run finishes (see the class comment). `op_weight`
-  /// counts the logical ops the closure performs (a findBatch group).
-  Handle<> enqueueHandle(std::uint32_t loc, std::function<void()> op,
-                         std::uint64_t op_weight = 1);
+  /// when its inline run finishes (see the class comment).
+  Handle<> enqueueHandle(std::uint32_t loc, std::function<void()> op);
 
   /// Internal flavor of enqueueHandle for value-returning ops: `core` is
   /// completed when the op's batch is serviced (the op closure itself is
   /// responsible for writing the value before then).
   void enqueueWithCore(std::uint32_t loc, std::function<void()> op,
-                       std::shared_ptr<detail::HandleCore> core,
-                       std::uint64_t op_weight = 1);
+                       std::shared_ptr<detail::HandleCore> core);
 
   /// Ship the pending batch for one destination / for all destinations.
   /// Charges one sender-side injection cost per non-empty bucket shipped;
@@ -776,23 +600,26 @@ class Aggregator {
     return loc < buckets_.size() ? buckets_[loc].ops.size() : 0;
   }
 
-  /// The batch threshold: the explicit ops_per_batch, or else
-  /// RuntimeConfig::aggregator_ops_per_batch (adopted at first use).
+  /// The batch threshold: RuntimeConfig::aggregator_ops_per_batch of the
+  /// runtime this aggregator last bound to.
   std::size_t opsPerBatch() const noexcept { return ops_per_batch_; }
 
  private:
+  friend Aggregator& taskAggregator();
+  Aggregator() = default;
+
   /// Whether a bucket ships or runs inline is decided when it flushes, not
   /// at enqueue: a thread helping a TaskGroup join can run another
   /// locale's task inside an open window. Counters and return wire are
   /// therefore set at flush time.
   struct Bucket {
     std::vector<std::function<void()>> ops;
-    /// Index-parallel to ops: op i's handle core, null for fire-and-forget
-    /// ops. A shipped batch resolves its cores together at batch end; an
+    /// Index-parallel to ops: op i's handle core, null for a run of
+    /// retires. A shipped batch resolves its cores together at batch end; an
     /// inline run resolves each as its op finishes.
     std::vector<std::shared_ptr<detail::HandleCore>> cores;
-    /// Sum of the buffered ops' weights: compared to ops_per_batch, and
-    /// counted in ops_aggregated when the bucket ships.
+    /// One per buffered op and one per retire in a run: compared to
+    /// ops_per_batch, and counted in ops_aggregated when the bucket ships.
     std::uint64_t weight = 0;
     /// Simulated time the oldest currently-buffered op was enqueued.
     std::uint64_t first_op_time = 0;
@@ -821,8 +648,7 @@ class Aggregator {
 
   static constexpr std::uint64_t kNoDeadline = ~std::uint64_t{0};
 
-  std::size_t ops_per_batch_;
-  bool configured_;
+  std::size_t ops_per_batch_ = 1;
   std::uint64_t max_batch_age_ns_ = 0;
   /// Earliest (first_op_time + max age) across non-empty buckets; enqueues
   /// only pay the full aged-bucket sweep once this has passed.
@@ -843,18 +669,15 @@ Aggregator& taskAggregator();
 /// An RAII scope owning a set of in-flight asynchronous operations --
 /// above all *aggregated* ones. While a window is open on a thread, every
 /// handle-carrying op buffered through the thread's **task aggregator**
-/// (DistStack::popAsyncAggregated / pushAsyncAggregated,
-/// MsQueue::enqueueAsyncAggregated, enqueueHandle on taskAggregator())
-/// enrolls into the innermost open window automatically; handles of
-/// non-aggregated ops can be adopted with add(). Ops buffered in a
-/// hand-made Aggregator never auto-enroll -- the window cannot flush an
-/// aggregator it does not own; flush such an aggregator yourself before
-/// add()-ing (or joining) its handles.
+/// (DistStack::popAsyncAggregated / pushAsyncAggregated, the RobinHoodMap
+/// *AsyncAggregated ops, enqueueHandle on taskAggregator()) enrolls into
+/// the innermost open window automatically; handles of non-aggregated ops
+/// can be adopted with add().
 ///
 /// Closing the window -- join(), or the destructor, including during
 /// exception unwinding -- ships every batch the calling task still has
-/// buffered (aggregated pops/pushes *and* fire-and-forget retires riding
-/// the task aggregator), then runs the own-locale ops the window buffered
+/// buffered (aggregated pops/pushes *and* the retires riding the task
+/// aggregator), then runs the own-locale ops the window buffered
 /// inline while those batches are in flight, and then waits for every
 /// owned operation, folding the **max** join-ready time of the set into
 /// the caller's simulated clock: one batch-then-join step, the discipline
@@ -866,9 +689,9 @@ Aggregator& taskAggregator();
 /// Windows nest LIFO: ops enroll into the innermost open window, an inner
 /// join leaves outer ownership intact, and closing out of order is a
 /// checked error. A window is bound to the thread that opened it (enroll,
-/// add and join assert this). Fire-and-forget aggregated ops (plain
-/// enqueue(), buffered retires) have no completion to own: the window
-/// guarantees they *ship* at close, not that they have been serviced.
+/// add and join assert this). Buffered retires have no completion to own:
+/// the window guarantees they *ship* at close, not that they have been
+/// serviced.
 ///
 /// `drain()` folds the already-finished head of the batch mid-window, so
 /// the caller's compute overlaps the tail; the close then spin-joins only
@@ -885,8 +708,8 @@ class OpWindow {
   OpWindow(const OpWindow&) = delete;
   OpWindow& operator=(const OpWindow&) = delete;
 
-  /// Adopt an arbitrary handle into the window (e.g. a popAsync or
-  /// putAsync) and hand it back: the window's close will wait for it too.
+  /// Adopt an arbitrary handle into the window (e.g. a popAsync) and hand
+  /// it back: the window's close will wait for it too.
   /// Charges nothing.
   template <typename T>
   Handle<T> add(Handle<T> h) {
@@ -940,7 +763,7 @@ struct Counters {
   std::uint64_t am_batched = 0;      ///< batched AMs shipped by Aggregators
   std::uint64_t am_fence = 0;        ///< quiesceAmQueues drain fences
   std::uint64_t ops_aggregated = 0;  ///< logical ops routed through Aggregators
-  std::uint64_t handles_chained = 0; ///< combinator handles (then/whenAll)
+  std::uint64_t handles_chained = 0; ///< whenAll group handles
   std::uint64_t cq_drained = 0;      ///< completions popped from CompletionQueues
                                      ///< (OpWindow::drain does not count)
   /// Always 0: the machinery that fed these is gone (the batch tuner,
@@ -951,7 +774,6 @@ struct Counters {
   std::uint64_t continuations_stolen = 0;
   std::uint64_t backpressure_stalls = 0;
   std::uint64_t deferred_peak = 0;
-  std::uint64_t puts = 0;
   std::uint64_t gets = 0;
   std::uint64_t dcas_local = 0;
   std::uint64_t dcas_remote = 0;

@@ -37,11 +37,5 @@ void charge(std::uint64_t ns) {
 
 void chargeModelOnly(std::uint64_t ns) noexcept { taskContext().sim_now += ns; }
 
-TimeScope::TimeScope(std::uint64_t ns) noexcept : saved_(taskContext().sim_now) {
-  taskContext().sim_now = ns;
-}
-
-TimeScope::~TimeScope() { taskContext().sim_now = saved_; }
-
 }  // namespace sim
 }  // namespace pgasnb

@@ -65,21 +65,5 @@ void charge(std::uint64_t ns);
 /// physically realized some other way, e.g. waiting on a progress thread).
 void chargeModelOnly(std::uint64_t ns) noexcept;
 
-/// RAII: run the calling thread at simulated time `ns`, restoring the
-/// previous clock on destruction. Used to execute handle continuations on
-/// whatever thread completed the operation (typically a progress thread)
-/// at the *chain's* timeline without disturbing the host thread's own
-/// accounting (e.g. the AM channel's busy_until).
-class TimeScope {
- public:
-  explicit TimeScope(std::uint64_t ns) noexcept;
-  ~TimeScope();
-  TimeScope(const TimeScope&) = delete;
-  TimeScope& operator=(const TimeScope&) = delete;
-
- private:
-  std::uint64_t saved_;
-};
-
 }  // namespace sim
 }  // namespace pgasnb

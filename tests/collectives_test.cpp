@@ -1,5 +1,5 @@
-// Collectives: barrier and all-locales reductions (the building blocks of
-// Listing 4's safety scan).
+// Collectives: all-locales reductions (the building blocks of Listing 4's
+// safety scan).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -12,12 +12,6 @@ namespace {
 using testing::RuntimeTest;
 
 class CollectivesTest : public RuntimeTest {};
-
-TEST_F(CollectivesTest, BarrierCompletes) {
-  startRuntime(4);
-  for (int i = 0; i < 10; ++i) barrierAllLocales();
-  SUCCEED();
-}
 
 TEST_F(CollectivesTest, AndReduceAllTrue) {
   startRuntime(4);
@@ -70,18 +64,6 @@ TEST_F(CollectivesTest, AndReduceAsyncDropIsJoinedByDestructor) {
     });
   }  // TaskGroup RAII joins; `ran` may not be touched after this line
   EXPECT_EQ(ran.load(), 2);
-}
-
-TEST_F(CollectivesTest, MinReduce) {
-  startRuntime(4);
-  const std::uint64_t min = allLocalesMin(
-      [] { return 100 - static_cast<std::uint64_t>(Runtime::here()); });
-  EXPECT_EQ(min, 97u);  // locale 3 yields 97
-}
-
-TEST_F(CollectivesTest, MinReduceSingleLocale) {
-  startRuntime(1);
-  EXPECT_EQ(allLocalesMin([] { return 5u; }), 5u);
 }
 
 TEST_F(CollectivesTest, SumReduce) {

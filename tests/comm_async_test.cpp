@@ -1,14 +1,15 @@
 // The asynchronous communication surface: completion handles and their
-// combinators (then-chaining, whenAll/waitAll, CompletionQueue drain), the
-// ProgressThread's FIFO busy_until model, the per-task Aggregator (flush
-// ordering, threshold/age flush, handle groups, counters), the aggregated
-// cross-locale retire path including flush-on-guard-unpin, and the
-// operation-shipped async data-structure ops (popAsync/dequeueAsync under
-// the progress-thread guard cache).
+// joins (whenAll/waitAll, CompletionQueue drain), the ProgressThread's FIFO
+// busy_until model, the per-task Aggregator (flush ordering, threshold/age
+// flush, handle groups, counters), the aggregated cross-locale retire path
+// including flush-on-guard-unpin, and the operation-shipped async
+// data-structure ops (DistStack's popAsync under the progress-thread guard
+// cache, and its aggregated pushes and pops).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <mutex>
+#include <thread>
 #include <vector>
 
 #include "test_support.hpp"
@@ -37,21 +38,22 @@ class CommAsyncTest : public RuntimeTest {
 
 // --- completion handles -----------------------------------------------------
 
-TEST_F(CommAsyncTest, LocalAmHandleIsImmediatelyReady) {
+TEST_F(CommAsyncTest, LocalAmValueIsImmediatelyReady) {
   startRuntime(2);
   int ran = 0;
-  auto h = comm::amAsyncHandle(Runtime::here(), [&ran] { ran = 1; });
+  auto h = comm::amAsyncValue<int>(Runtime::here(), [&ran] { return ++ran; });
   EXPECT_TRUE(h.valid());
   EXPECT_TRUE(h.ready());  // local fast path runs inline
   EXPECT_EQ(ran, 1);
-  h.wait();  // idempotent, no deadlock
+  EXPECT_EQ(h.value(), 1);  // idempotent, no deadlock
+  EXPECT_EQ(comm::counters().am_async, 0u) << "no AM for a local target";
 }
 
 TEST_F(CommAsyncTest, RemoteAmHandleResolvesAndJoinsTheClock) {
   startRuntime(2);
   sim::setNow(0);
   std::atomic<int> ran{0};
-  auto h = comm::amAsyncHandle(1, [&ran] { ran.store(1); });
+  auto h = comm::amProgressHandle(1, [&ran] { ran.store(1); });
   h.wait();
   EXPECT_EQ(ran.load(), 1);
   const LatencyModel& lat = runtime_->config().latency;
@@ -63,8 +65,8 @@ TEST_F(CommAsyncTest, RemoteAmHandleResolvesAndJoinsTheClock) {
 TEST_F(CommAsyncTest, ProgressThreadModelsFifoBusyUntil) {
   startRuntime(2);
   sim::setNow(0);
-  auto h1 = comm::amAsyncHandle(1, [] {});
-  auto h2 = comm::amAsyncHandle(1, [] {});
+  auto h1 = comm::amProgressHandle(1, [] {});
+  auto h2 = comm::amProgressHandle(1, [] {});
   h1.wait();
   h2.wait();
   const LatencyModel& lat = runtime_->config().latency;
@@ -74,115 +76,15 @@ TEST_F(CommAsyncTest, ProgressThreadModelsFifoBusyUntil) {
   EXPECT_EQ(h2.completionTime(), lat.am_wire_ns + 2 * lat.am_service_ns);
 }
 
-TEST_F(CommAsyncTest, FetchAddAsyncReturnsThePriorValue) {
-  startRuntime(2);
-  auto* a = gnewOn<std::atomic<std::uint64_t>>(1, 10u);
-  auto h = comm::atomicFetchAddAsync(*a, 5);
-  EXPECT_EQ(h.value(), 10u);
-  EXPECT_EQ(comm::atomicRead(*a), 15u);
-  onLocale(1, [a] { gdelete(a); });
-}
-
-TEST_F(CommAsyncTest, FetchAddAsyncUnderUgniDoesNotBlockTheIssuer) {
-  startRuntime(2, CommMode::ugni);
-  auto* a = gnewOn<std::atomic<std::uint64_t>>(1, 1u);
-  sim::setNow(0);
-  auto h = comm::atomicFetchAddAsync(*a, 1);
-  const LatencyModel& lat = runtime_->config().latency;
-  // The NIC owns the op: the issuer pays only the injection cost...
-  EXPECT_LT(sim::now(), lat.nic_atomic_ns);
-  // ...and the result resolves one NIC-atomic latency out.
-  EXPECT_EQ(h.value(), 1u);
-  EXPECT_GE(sim::now(), lat.nic_atomic_ns);
-  onLocale(1, [a] { gdelete(a); });
-}
-
-TEST_F(CommAsyncTest, DcasAsyncReportsSuccessAndObservedValue) {
-  startRuntime(2);
-  U128* word = gnewOn<U128>(1);
-  comm::dwrite(*word, U128{1, 2});
-
-  auto ok = comm::dcasAsync(*word, U128{1, 2}, U128{3, 4});
-  EXPECT_TRUE(ok.value().success);
-  EXPECT_EQ(ok.value().observed.lo, 1u);
-
-  auto fail = comm::dcasAsync(*word, U128{9, 9}, U128{5, 5});
-  EXPECT_FALSE(fail.value().success);
-  EXPECT_EQ(fail.value().observed.lo, 3u);  // prior value reported back
-  onLocale(1, [word] { gdelete(word); });
-}
-
-TEST_F(CommAsyncTest, PutGetAsyncMoveBytesAndResolve) {
-  startRuntime(2);
-  std::uint64_t* remote = gnewOn<std::uint64_t>(1, 0u);
-  std::uint64_t src = 0xABCDEF;
-  auto hp = comm::putAsync(1, remote, &src, sizeof(src));
-  hp.wait();
-  std::uint64_t dst = 0;
-  auto hg = comm::getAsync(&dst, 1, remote, sizeof(dst));
-  hg.wait();
-  EXPECT_EQ(dst, 0xABCDEFu);
-  onLocale(1, [remote] { gdelete(remote); });
-}
-
-// --- handle combinators -----------------------------------------------------
-
-TEST_F(CommAsyncTest, ThenTransformsTheValueOnTheChainTimeline) {
-  startRuntime(2);
-  auto* a = gnewOn<std::atomic<std::uint64_t>>(1, 10u);
-  sim::setNow(0);
-  auto h = comm::atomicFetchAddAsync(*a, 5);
-  auto chained = h.then([](const std::uint64_t& v) { return v * 2; });
-  EXPECT_EQ(chained.value(), 20u);
-  const LatencyModel& lat = runtime_->config().latency;
-  // The continuation runs at the parent's join-ready time (completion +
-  // return wire) and charges nothing itself, so the chained handle
-  // completes exactly there.
-  EXPECT_EQ(chained.completionTime(), h.completionTime() + lat.am_wire_ns);
-  EXPECT_EQ(comm::counters().handles_chained, 1u);
-  onLocale(1, [a] { gdelete(a); });
-}
-
-TEST_F(CommAsyncTest, ThenChainsChargeWirePlusServicePerHop) {
-  startRuntime(3);
-  sim::setNow(0);
-  // Two remote hops: locale 1, then (from its progress thread) locale 2.
-  auto chained = comm::amAsyncHandle(1, [] {}).then([] {
-    return comm::amAsyncHandle(2, [] {});
-  });
-  chained.wait();
-  const LatencyModel& lat = runtime_->config().latency;
-  const std::uint64_t w = lat.am_wire_ns;
-  const std::uint64_t s = lat.am_service_ns;
-  // Hop 1 completes at w+s on locale 1 and joins at 2w+s -- the point the
-  // continuation launches from. Hop 2 then pays its own wire+service:
-  // completes at 3w+2s, joins at 4w+2s. The flattened handle completes at
-  // the chain's join-ready time.
-  EXPECT_EQ(chained.completionTime(), 4 * w + 2 * s);
-  EXPECT_GE(sim::now(), 4 * w + 2 * s);
-  EXPECT_EQ(comm::counters().handles_chained, 1u);
-}
-
-TEST_F(CommAsyncTest, ThenOnAReadyHandleRunsInlineWithoutAdvancingTheCaller) {
-  startRuntime(2);
-  sim::setNow(0);
-  auto ready = comm::readyHandle();
-  const std::uint64_t before = sim::now();
-  int ran = 0;
-  auto chained = ready.then([&ran] { ran = 1; });
-  EXPECT_EQ(ran, 1) << "parent already complete: continuation runs inline";
-  EXPECT_TRUE(chained.ready());
-  EXPECT_EQ(sim::now(), before)
-      << "then() is non-blocking: the caller's clock must not move";
-}
+// --- joining sets of handles ------------------------------------------------
 
 TEST_F(CommAsyncTest, WhenAllJoinsAtTheMaxCompletionOfTheSet) {
   startRuntime(3);
   sim::setNow(0);
   std::vector<comm::Handle<>> hs;
-  hs.push_back(comm::amAsyncHandle(1, [] {}));
-  hs.push_back(comm::amAsyncHandle(1, [] {}));
-  hs.push_back(comm::amAsyncHandle(2, [] {}));
+  hs.push_back(comm::amProgressHandle(1, [] {}));
+  hs.push_back(comm::amProgressHandle(1, [] {}));
+  hs.push_back(comm::amProgressHandle(2, [] {}));
   auto group = comm::whenAll(hs);
   group.wait();
   const LatencyModel& lat = runtime_->config().latency;
@@ -199,7 +101,7 @@ TEST_F(CommAsyncTest, WaitAllFoldsEveryJoinIntoTheCaller) {
   startRuntime(2);
   sim::setNow(0);
   std::vector<comm::Handle<>> hs;
-  for (int i = 0; i < 4; ++i) hs.push_back(comm::amAsyncHandle(1, [] {}));
+  for (int i = 0; i < 4; ++i) hs.push_back(comm::amProgressHandle(1, [] {}));
   comm::waitAll(hs);
   const LatencyModel& lat = runtime_->config().latency;
   // FIFO service: the last of the four joins at 2*wire + 4*service.
@@ -213,8 +115,8 @@ TEST_F(CommAsyncTest, CompletionQueueDrainsInFifoCompletionOrder) {
   startRuntime(2);
   sim::setNow(0);
   comm::CompletionQueue cq;
-  auto h1 = comm::amAsyncHandle(1, [] {});
-  auto h2 = comm::amAsyncHandle(1, [] {});
+  auto h1 = comm::amProgressHandle(1, [] {});
+  auto h2 = comm::amProgressHandle(1, [] {});
   cq.watch(h1, 7);
   cq.watch(h2, 9);
   EXPECT_EQ(cq.outstanding(), 2u);
@@ -232,17 +134,17 @@ TEST_F(CommAsyncTest, CompletionQueueDrainsInFifoCompletionOrder) {
   EXPECT_EQ(comm::counters().cq_drained, 2u);
 }
 
-TEST_F(CommAsyncTest, DrainAndContinuationCountersSnapshotAndReset) {
-  // A drain and a then() count where they always did; the four fields
+TEST_F(CommAsyncTest, DrainAndGroupCountersSnapshotAndReset) {
+  // A drain and a whenAll count where they always did; the four fields
   // whose machinery is gone (stealing, deferred continuations,
   // backpressure) stay in the snapshot and read 0.
   startRuntime(2);
   comm::CompletionQueue cq;
-  cq.watch(comm::amAsyncHandle(1, [] {}), 1);
+  cq.watch(comm::amProgressHandle(1, [] {}), 1);
   ASSERT_TRUE(cq.next().has_value());
-  std::atomic<int> ran{0};
-  comm::amAsyncHandle(1, [] {}).then([&ran] { ran.fetch_add(1); }).wait();
-  EXPECT_EQ(ran.load(), 1);
+  std::vector<comm::Handle<>> hs;
+  hs.push_back(comm::amProgressHandle(1, [] {}));
+  comm::whenAll(hs).wait();
   const comm::Counters snap = comm::counters();
   EXPECT_EQ(snap.cq_drained, 1u);
   EXPECT_EQ(snap.handles_chained, 1u);
@@ -258,7 +160,7 @@ TEST_F(CommAsyncTest, DrainAndContinuationCountersSnapshotAndReset) {
 
 TEST_F(CommAsyncTest, CompletionQueueWatchAfterCompletionStillDelivers) {
   startRuntime(2);
-  auto h = comm::amAsyncHandle(1, [] {});
+  auto h = comm::amProgressHandle(1, [] {});
   h.wait();  // already complete before watch
   comm::CompletionQueue cq;
   cq.watch(h, 42);
@@ -273,17 +175,17 @@ TEST_F(CommAsyncTest, CompletionQueueWatchAfterCompletionStillDelivers) {
 TEST_F(CommAsyncTest, BatchedAmPaysOneLatencyPlusPerOpCpu) {
   startRuntime(2);
   sim::setNow(0);
-  comm::Aggregator agg;
+  comm::Aggregator& agg = comm::taskAggregator();
   std::atomic<int> ran{0};
   for (int i = 0; i < 3; ++i) {
-    agg.enqueue(1, [&ran] { ran.fetch_add(1); });
+    agg.enqueueHandle(1, [&ran] { ran.fetch_add(1); });
   }
   EXPECT_EQ(agg.pending(), 3u);
   EXPECT_EQ(agg.pendingFor(1), 3u);
   agg.flushAll();
   EXPECT_EQ(agg.pending(), 0u);
   // FIFO probe: serviced strictly after the batch.
-  auto probe = comm::amAsyncHandle(1, [] {});
+  auto probe = comm::amProgressHandle(1, [] {});
   probe.wait();
   EXPECT_EQ(ran.load(), 3);
 
@@ -301,16 +203,18 @@ TEST_F(CommAsyncTest, BatchedAmPaysOneLatencyPlusPerOpCpu) {
 }
 
 TEST_F(CommAsyncTest, AggregatorFlushesAtThresholdAndPreservesOrder) {
-  startRuntime(3);
-  comm::Aggregator agg(/*ops_per_batch=*/4);
+  RuntimeConfig cfg = testConfig(3);
+  cfg.aggregator_ops_per_batch = 4;
+  runtime_ = std::make_unique<Runtime>(cfg);
+  comm::Aggregator& agg = comm::taskAggregator();
   std::mutex lock;
   std::vector<int> order1, order2;
   for (int i = 0; i < 9; ++i) {
-    agg.enqueue(1, [&lock, &order1, i] {
+    agg.enqueueHandle(1, [&lock, &order1, i] {
       std::lock_guard<std::mutex> g(lock);
       order1.push_back(i);
     });
-    agg.enqueue(2, [&lock, &order2, i] {
+    agg.enqueueHandle(2, [&lock, &order2, i] {
       std::lock_guard<std::mutex> g(lock);
       order2.push_back(i);
     });
@@ -332,18 +236,21 @@ TEST_F(CommAsyncTest, AggregatorFlushesAtThresholdAndPreservesOrder) {
 
 TEST_F(CommAsyncTest, AggregatorRunsLocalOpsInline) {
   startRuntime(2);
-  comm::Aggregator agg;
+  comm::Aggregator& agg = comm::taskAggregator();
   int ran = 0;
-  agg.enqueue(Runtime::here(), [&ran] { ran = 1; });
+  auto h = agg.enqueueHandle(Runtime::here(), [&ran] { ran = 1; });
   EXPECT_EQ(ran, 1);
+  EXPECT_TRUE(h.ready()) << "outside a window an own-locale op runs at once";
   EXPECT_EQ(agg.pending(), 0u);
   EXPECT_EQ(comm::counters().am_batched, 0u);
 }
 
 TEST_F(CommAsyncTest, AggregatedHandleGroupResolvesTogether) {
-  startRuntime(2);
+  RuntimeConfig cfg = testConfig(2);
+  cfg.aggregator_ops_per_batch = 8;
+  runtime_ = std::make_unique<Runtime>(cfg);
   sim::setNow(0);
-  comm::Aggregator agg(/*ops_per_batch=*/8);
+  comm::Aggregator& agg = comm::taskAggregator();
   std::atomic<int> ran{0};
   std::vector<comm::Handle<>> hs;
   comm::CompletionQueue cq;
@@ -373,13 +280,14 @@ TEST_F(CommAsyncTest, AggregatorAgeFlushShipsUnderfilledBuckets) {
   RuntimeConfig cfg = testConfig(3);
   cfg.aggregator_max_batch_age_ns = 1000;
   runtime_ = std::make_unique<Runtime>(cfg);
-  comm::Aggregator agg(/*ops_per_batch=*/64);
+  comm::Aggregator& agg = comm::taskAggregator();
   std::atomic<int> ran{0};
-  agg.enqueue(1, [&ran] { ran.fetch_add(1); });
+  agg.enqueueHandle(1, [&ran] { ran.fetch_add(1); });
   EXPECT_EQ(agg.pendingFor(1), 1u);
   EXPECT_EQ(comm::counters().am_batched, 0u);
   sim::setNow(sim::now() + 2000);  // age the bucket past the knob
-  agg.enqueue(2, [&ran] { ran.fetch_add(1); });  // any enqueue sweeps ages
+  // Any enqueue sweeps the ages.
+  agg.enqueueHandle(2, [&ran] { ran.fetch_add(1); });
   EXPECT_EQ(agg.pendingFor(1), 0u) << "aged under-filled bucket must ship";
   EXPECT_EQ(agg.pendingFor(2), 1u) << "fresh bucket keeps buffering";
   EXPECT_EQ(comm::counters().am_batched, 1u);
@@ -395,11 +303,11 @@ TEST_F(CommAsyncTest, AggregatorAgeFlushDisabledWhenKnobIsZero) {
   RuntimeConfig cfg = testConfig(2);
   cfg.aggregator_max_batch_age_ns = 0;
   runtime_ = std::make_unique<Runtime>(cfg);
-  comm::Aggregator agg(/*ops_per_batch=*/64);
-  agg.enqueue(1, [] {});
+  comm::Aggregator& agg = comm::taskAggregator();
+  agg.enqueueHandle(1, [] {});
   sim::setNow(sim::now() + 1'000'000'000);
   agg.flushAged();
-  agg.enqueue(1, [] {});
+  agg.enqueueHandle(1, [] {});
   EXPECT_EQ(agg.pendingFor(1), 2u) << "age flushing off: only threshold/flush ship";
   EXPECT_EQ(comm::counters().am_batched, 0u);
   agg.flushAll();
@@ -433,7 +341,7 @@ TEST_F(CommAsyncTest, TaskAggregatorKeepsItsConfiguredThresholdOnSparseProductio
         sim::setNow(t);
         const std::size_t before = agg.pendingFor(1);
         if (before == 0) first_op_time = t;
-        agg.enqueue(1, [] {});
+        agg.enqueueHandle(1, [] {});
         ASSERT_EQ(agg.opsPerBatch(), shape.ops_per_batch);
         if (agg.pendingFor(1) != 0) continue;
         // This enqueue shipped the bucket: at the threshold, or aged.
@@ -460,10 +368,11 @@ TEST_F(CommAsyncTest, TaskAggregatorKeepsItsConfiguredThresholdOnSparseProductio
 TEST_F(CommAsyncTest, AggregatorDestructorFlushes) {
   startRuntime(2);
   std::atomic<int> ran{0};
-  {
-    comm::Aggregator agg;
-    agg.enqueue(1, [&ran] { ran.store(1); });
-  }  // dtor flushes
+  std::thread task([&ran] {
+    comm::taskAggregator().enqueueHandle(1, [&ran] { ran.store(1); });
+    EXPECT_EQ(comm::taskAggregator().pendingFor(1), 1u);
+  });  // the thread's exit destroys its task aggregator, which flushes
+  task.join();
   comm::amSync(1, [] {});  // FIFO drain
   EXPECT_EQ(ran.load(), 1);
 }
@@ -585,7 +494,7 @@ TEST_F(CommAsyncTest, PlainOpBetweenRetiresKeepsItsFifoPlace) {
   {
     auto guard = domain.pin();
     guard.retire(gnewOn<Tracked>(1));
-    comm::taskAggregator().enqueue(1, [domain, &seen] {
+    comm::taskAggregator().enqueueHandle(1, [domain, &seen] {
       seen.store(domain.implHere().counters_.snapshot().deferred);
     });
     guard.retire(gnewOn<Tracked>(1));
@@ -641,46 +550,6 @@ INSTANTIATE_TEST_SUITE_P(Policies, RetirePolicyTest,
 
 // --- async data-structure operations ----------------------------------------
 
-TEST_F(CommAsyncTest, DistStackPushAsyncLinksOnHomeLocale) {
-  startRuntime(4);
-  DistDomain domain = DistDomain::create();
-  auto* stack = DistStack<std::uint64_t>::create(domain, /*home=*/0);
-  constexpr int kPerLocale = 32;
-  coforallLocales([domain, stack] {
-    auto guard = domain.pin();
-    std::vector<comm::Handle<>> handles;
-    handles.reserve(kPerLocale);
-    for (int i = 0; i < kPerLocale; ++i) {
-      handles.push_back(
-          stack->pushAsync(guard, Runtime::here() * 1000 + i));
-    }
-    for (auto& h : handles) h.wait();
-  });
-  {
-    auto guard = domain.pin();
-    int popped = 0;
-    while (stack->pop(guard).has_value()) ++popped;
-    EXPECT_EQ(popped, kPerLocale * 4);
-  }
-  DistStack<std::uint64_t>::destroy(stack);
-  domain.destroy();
-}
-
-TEST_F(CommAsyncTest, MsQueueEnqueueAsyncKeepsFifoLocally) {
-  LocalDomain domain;
-  MsQueue<int> queue(domain);
-  auto guard = domain.pin();
-  for (int i = 0; i < 16; ++i) {
-    auto h = queue.enqueueAsync(guard, i);
-    EXPECT_TRUE(h.ready()) << "local enqueueAsync completes inline";
-  }
-  for (int i = 0; i < 16; ++i) {
-    auto v = queue.dequeue(guard);
-    ASSERT_TRUE(v.has_value());
-    EXPECT_EQ(*v, i);
-  }
-}
-
 TEST_F(CommAsyncTest, DistStackPopAsyncShipsThePopLoop) {
   startRuntime(4);
   DistDomain domain = DistDomain::create();
@@ -717,7 +586,8 @@ TEST_F(CommAsyncTest, DistStackAggregatedPopsDrainAcrossLocales) {
     std::vector<comm::Handle<>> pushes;
     pushes.reserve(kPerLocale);
     for (int i = 0; i < kPerLocale; ++i) {
-      pushes.push_back(stack->pushAsync(guard, Runtime::here() * 1000 + i));
+      pushes.push_back(
+          stack->pushAsyncAggregated(guard, Runtime::here() * 1000 + i));
     }
     comm::waitAll(pushes);
   });
@@ -740,36 +610,6 @@ TEST_F(CommAsyncTest, DistStackAggregatedPopsDrainAcrossLocales) {
   EXPECT_EQ(popped.load(), static_cast<std::uint64_t>(kPerLocale) * 4);
   EXPECT_TRUE(stack->emptyApprox());
   DistStack<std::uint64_t>::destroy(stack);
-  domain.destroy();
-}
-
-TEST_F(CommAsyncTest, MsQueueAsyncOpsShipUnderDistDomain) {
-  startRuntime(2);
-  DistDomain domain = DistDomain::create();
-  auto* queue = gnewOn<MsQueue<std::uint64_t, DistDomain>>(0, domain);
-  const auto before = comm::counters();
-  onLocale(1, [domain, queue] {
-    auto guard = domain.pin();
-    std::vector<comm::Handle<>> hs;
-    hs.reserve(16);
-    for (std::uint64_t i = 0; i < 16; ++i) {
-      hs.push_back(queue->enqueueAsync(guard, i));
-    }
-    comm::waitAll(hs);
-    for (std::uint64_t i = 0; i < 16; ++i) {
-      auto h = queue->dequeueAsync(guard);
-      auto v = h.value();
-      ASSERT_TRUE(v.has_value());
-      EXPECT_EQ(*v, i) << "shipped enqueues/dequeues preserve FIFO";
-    }
-    EXPECT_FALSE(queue->dequeueAsync(guard).value().has_value());
-  });
-  // The shipped handlers run under the home progress thread's cached guard
-  // and the queue's node-field reads go through the comm layer now: the
-  // remote dequeues must have injected AMs (no direct-load shortcut).
-  EXPECT_GT(comm::counters().totalAms(), before.totalAms());
-  domain.clear();
-  onLocale(0, [queue] { gdelete(queue); });
   domain.destroy();
 }
 

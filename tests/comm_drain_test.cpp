@@ -30,7 +30,7 @@ TEST_F(CommDrainTest, WindowDrainReleasesCompletedOpsAsTheyLand) {
   comm::OpWindow window;
   std::vector<comm::Handle<>> hs;
   for (std::size_t i = 0; i < kOps; ++i) {
-    hs.push_back(window.add(comm::amAsyncHandle(1, [] {})));
+    hs.push_back(window.add(comm::amProgressHandle(1, [] {})));
   }
   // Overlap loop: absorb completions while the tail is still in flight --
   // the caller's "compute" here is just the polling itself.
@@ -79,7 +79,7 @@ TEST_F(CommDrainTest, DrainPlusJoinEndsWhereJoinAloneEnds) {
   startRuntime(3);
   std::vector<comm::Handle<>> hs;
   for (std::uint32_t i = 0; i < 6; ++i) {
-    hs.push_back(comm::amAsyncHandle(1 + i % 2, [] {}));
+    hs.push_back(comm::amProgressHandle(1 + i % 2, [] {}));
   }
   comm::waitAll(hs);  // complete the set; the clock is reset below
   sim::setNow(0);

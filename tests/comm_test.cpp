@@ -122,20 +122,22 @@ TEST_F(CommTest, DcasRemoteAlwaysUsesRemoteExecution) {
   }
 }
 
-TEST_F(CommTest, PutGetMoveBytes) {
+TEST_F(CommTest, GetMovesBytes) {
   startRuntime(2);
   auto* remote_buf = static_cast<char*>(runtime_->allocateOn(1, 256));
   char local_src[256];
   char local_dst[256];
   for (int i = 0; i < 256; ++i) local_src[i] = static_cast<char>(i);
 
-  comm::put(1, remote_buf, local_src, 256);
+  onLocale(1, [&] { std::memcpy(remote_buf, local_src, 256); });
   std::memset(local_dst, 0, sizeof(local_dst));
+  sim::setNow(0);
   comm::get(local_dst, 1, remote_buf, 256);
   EXPECT_EQ(std::memcmp(local_src, local_dst, 256), 0);
+  EXPECT_EQ(sim::now(), runtime_->config().latency.bulkCost(256))
+      << "a remote GET charges its bulk cost";
 
   const auto c = comm::counters();
-  EXPECT_GE(c.puts, 1u);
   EXPECT_GE(c.gets, 1u);
   onLocale(1, [&] { Runtime::get().deallocateLocal(remote_buf, 256); });
 }
@@ -156,10 +158,11 @@ TEST_F(CommTest, AmSyncLocalRunsInline) {
   EXPECT_EQ(comm::counters().am_sync, 0u);  // local: no message shipped
 }
 
-TEST_F(CommTest, AmAsyncEventuallyRuns) {
+TEST_F(CommTest, DroppedAmHandleStillRuns) {
   startRuntime(2);
   std::atomic<bool> ran{false};
-  comm::amAsync(1, [&ran] { ran.store(true, std::memory_order_release); });
+  (void)comm::amProgressHandle(
+      1, [&ran] { ran.store(true, std::memory_order_release); });
   spinUntil([&ran] { return ran.load(std::memory_order_acquire); });
   EXPECT_TRUE(ran.load());
 }
@@ -168,7 +171,7 @@ TEST_F(CommTest, AmsToSameLocaleAreFifo) {
   startRuntime(2);
   std::vector<int> order;
   for (int i = 0; i < 16; ++i) {
-    comm::amAsync(1, [&order, i] { order.push_back(i); });
+    (void)comm::amProgressHandle(1, [&order, i] { order.push_back(i); });
   }
   comm::amSync(1, [] {});  // fence: sync AM drains behind the async ones
   ASSERT_EQ(order.size(), 16u);
@@ -194,7 +197,7 @@ TEST_F(CommTest, CountersResetWorks) {
   comm::resetCounters();
   const auto c = comm::counters();
   EXPECT_EQ(c.am_sync, 0u);
-  EXPECT_EQ(c.nic_atomics + c.cpu_atomics + c.puts + c.gets, 0u);
+  EXPECT_EQ(c.nic_atomics + c.cpu_atomics + c.gets, 0u);
   onLocale(1, [a] { gdelete(a); });
 }
 

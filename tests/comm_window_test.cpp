@@ -2,7 +2,7 @@
 // auto-flush of task-aggregated handles, OpWindow ownership (auto-enroll,
 // add), window join at the max sim-time of the set, LIFO nesting,
 // destructor-flush during exception unwinding, the aggregated DS ops
-// (pushAsyncAggregated / enqueueAsyncAggregated), and the MPMC
+// (DistStack's pushAsyncAggregated / popAsyncAggregated), and the MPMC
 // CompletionQueue (shared drain, reissuing consumers, stress).
 #include <gtest/gtest.h>
 
@@ -57,41 +57,6 @@ TEST_F(CommWindowTest, ValueJoinOnAggregatedPopAutoFlushes) {
   });
   DistStack<std::uint64_t>::destroy(stack);
   domain.destroy();
-}
-
-TEST_F(CommWindowTest, WaitOnThenDerivedHandleFlushesTheBufferedRoot) {
-  // Regression (PR-4 review): a then()-derived core is never buffered
-  // itself; wait() must walk the flush_parent chain and ship the ROOT
-  // op's batch, or a chained aggregated op deadlocks exactly like the
-  // pre-window footgun.
-  RuntimeConfig cfg = testConfig(2);
-  cfg.aggregator_ops_per_batch = 64;
-  runtime_ = std::make_unique<Runtime>(cfg);
-  std::atomic<int> ran{0};
-  auto root = comm::taskAggregator().enqueueHandle(1, [&ran] { ran.fetch_add(1); });
-  auto derived = root.then([] {}).then([] { return 7; });  // two-link chain
-  EXPECT_FALSE(derived.ready());
-  EXPECT_EQ(derived.value(), 7);  // must auto-flush the root's batch
-  EXPECT_EQ(ran.load(), 1);
-}
-
-TEST_F(CommWindowTest, CustomAggregatorOpsDoNotEnrollInWindows) {
-  // Regression (PR-4 review): a window close can only flush the TASK
-  // aggregator; auto-enrolling ops buffered in a hand-made Aggregator
-  // would make join() spin forever on a batch it may not ship.
-  startRuntime(2);
-  std::atomic<int> ran{0};
-  comm::Aggregator agg(/*ops_per_batch=*/64);
-  comm::Handle<> h;
-  {
-    comm::OpWindow window;
-    h = agg.enqueueHandle(1, [&ran] { ran.fetch_add(1); });
-    EXPECT_EQ(window.inFlight(), 0u)
-        << "custom-aggregator ops must not auto-enroll";
-    agg.flushAll();  // the custom aggregator keeps its own flush discipline
-  }  // close must not hang
-  h.wait();
-  EXPECT_EQ(ran.load(), 1);
 }
 
 TEST_F(CommWindowTest, WhenAllOverBufferedHandlesAutoFlushes) {
@@ -221,30 +186,6 @@ TEST_F(CommWindowTest, WindowedAggregatedPushesLinkOnHome) {
   domain.destroy();
 }
 
-TEST_F(CommWindowTest, MsQueueAggregatedEnqueuesPreserveFifo) {
-  startRuntime(2);
-  DistDomain domain = DistDomain::create();
-  auto* queue = gnewOn<MsQueue<std::uint64_t, DistDomain>>(0, domain);
-  onLocale(1, [domain, queue] {
-    auto guard = domain.pin();
-    {
-      comm::OpWindow window;
-      for (std::uint64_t i = 0; i < 16; ++i) {
-        queue->enqueueAsyncAggregated(guard, i);
-      }
-    }  // one batched AM carries all 16 appends; joined here
-    for (std::uint64_t i = 0; i < 16; ++i) {
-      auto v = queue->dequeueAsync(guard).value();
-      ASSERT_TRUE(v.has_value());
-      EXPECT_EQ(*v, i) << "batched appends keep per-destination FIFO";
-    }
-    EXPECT_FALSE(queue->dequeueAsync(guard).value().has_value());
-  });
-  domain.clear();
-  onLocale(0, [queue] { gdelete(queue); });
-  domain.destroy();
-}
-
 TEST_F(CommWindowTest, NestedWindowsJoinLifo) {
   startRuntime(3);
   std::atomic<int> inner_ran{0};
@@ -291,7 +232,7 @@ TEST_F(CommWindowTest, WindowAddAdoptsNonAggregatedHandles) {
   comm::Handle<> h;
   {
     comm::OpWindow window;
-    h = window.add(comm::amAsyncHandle(1, [&ran] { ran.fetch_add(1); }));
+    h = window.add(comm::amProgressHandle(1, [&ran] { ran.fetch_add(1); }));
     EXPECT_EQ(window.inFlight(), 1u);
   }
   EXPECT_TRUE(h.ready());
@@ -416,11 +357,6 @@ TEST_F(CommWindowTest, OwnLocaleOpsRunAtIssueOutsideTheWindowPath) {
     return ran && h.ready() && agg.pending() == 0;
   };
   EXPECT_TRUE(ranInPlace(comm::taskAggregator(), 0)) << "no window open";
-  {
-    comm::OpWindow window;
-    comm::Aggregator hand_made(64);
-    EXPECT_TRUE(ranInPlace(hand_made, 0)) << "a hand-made aggregator";
-  }
   bool on_progress = false;
   comm::amSync(1, [&] {
     comm::OpWindow window;
@@ -457,7 +393,7 @@ TEST_F(CommWindowTest, MultiConsumerDrainDeliversEachCompletionOnce) {
   std::atomic<std::uint64_t> sum{0};
   std::atomic<std::uint64_t> drained{0};
   for (std::uint64_t i = 0; i < kOps; ++i) {
-    cq.watch(comm::amAsyncHandle(1, [] {}), i + 1);
+    cq.watch(comm::amProgressHandle(1, [] {}), i + 1);
   }
   coforallHere(kWorkers, [&](std::uint32_t) {
     while (auto tag = cq.next()) {
@@ -480,7 +416,7 @@ TEST_F(CommWindowTest, MpmcStressReissuingConsumers) {
   std::atomic<std::uint64_t> completed{0};
   // Seed one watch per worker, tagged by worker.
   for (std::uint64_t w = 0; w < kWorkers; ++w) {
-    cq.watch(comm::amAsyncHandle(1 + (w % 3), [] {}), w);
+    cq.watch(comm::amProgressHandle(1 + (w % 3), [] {}), w);
   }
   std::vector<CachePadded<std::atomic<std::uint64_t>>> reissued(kWorkers);
   coforallHere(kWorkers, [&](std::uint32_t) {
@@ -491,7 +427,7 @@ TEST_F(CommWindowTest, MpmcStressReissuingConsumers) {
       const std::uint64_t slot = *tag;
       if (reissued[slot]->fetch_add(1, std::memory_order_relaxed) <
           kPerWorker - 1) {
-        cq.watch(comm::amAsyncHandle(1 + (slot % 3), [] {}), slot);
+        cq.watch(comm::amProgressHandle(1 + (slot % 3), [] {}), slot);
       }
     }
   });

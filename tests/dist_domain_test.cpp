@@ -1,7 +1,7 @@
-// Distributed domains and arrays: index math properties and forall loops;
-// reclaim-domain guards in AM handlers: nested PinScopes, one pin per AM
-// service, epoch advances under streaming batches, the progress-thread guard
-// cache, and the model charges of the reclaim path.
+// The Listing 5 loop over a cyclic distribution, and reclaim-domain guards
+// in AM handlers: nested PinScopes, one pin per AM service, epoch advances
+// under streaming batches, the progress-thread guard cache, and the model
+// charges of the reclaim path.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -11,6 +11,7 @@
 #include <utility>
 #include <vector>
 
+#include "epoch_workload.hpp"
 #include "test_support.hpp"
 
 namespace pgasnb {
@@ -18,12 +19,14 @@ namespace {
 
 using testing::RuntimeTest;
 
-struct DomainCase {
+// --- the Listing 5 loop over a cyclic distribution (bench::forallCyclic) ----
+
+struct CyclicCase {
   std::uint32_t locales;
   std::uint64_t size;
 };
 
-class CyclicDomainProperty : public ::testing::TestWithParam<DomainCase> {
+class ForallCyclicTest : public ::testing::TestWithParam<CyclicCase> {
  protected:
   void SetUp() override {
     runtime_ = std::make_unique<Runtime>(
@@ -32,147 +35,33 @@ class CyclicDomainProperty : public ::testing::TestWithParam<DomainCase> {
   std::unique_ptr<Runtime> runtime_;
 };
 
-TEST_P(CyclicDomainProperty, CountsSumToSize) {
-  CyclicDomain dom(GetParam().size);
-  std::uint64_t total = 0;
-  for (std::uint32_t l = 0; l < dom.numLocales(); ++l) {
-    total += dom.localCount(l);
-  }
-  EXPECT_EQ(total, dom.size());
-}
-
-TEST_P(CyclicDomainProperty, GlobalIndexInvertsOwnership) {
-  CyclicDomain dom(GetParam().size);
-  for (std::uint32_t l = 0; l < dom.numLocales(); ++l) {
-    for (std::uint64_t k = 0; k < dom.localCount(l); ++k) {
-      const std::uint64_t g = dom.globalIndex(l, k);
-      ASSERT_LT(g, dom.size());
-      ASSERT_EQ(dom.localeOf(g), l);
-    }
-  }
-}
-
-TEST_P(CyclicDomainProperty, BlockCountsSumToSize) {
-  BlockDomain dom(GetParam().size);
-  std::uint64_t total = 0;
-  for (std::uint32_t l = 0; l < dom.numLocales(); ++l) {
-    total += dom.localCount(l);
-    // blocks are contiguous and ordered
-    EXPECT_LE(dom.blockLo(l), dom.blockHi(l));
-  }
-  EXPECT_EQ(total, dom.size());
-}
-
-TEST_P(CyclicDomainProperty, BlockLocaleOfIsConsistent) {
-  BlockDomain dom(GetParam().size);
-  for (std::uint64_t i = 0; i < dom.size(); ++i) {
-    const std::uint32_t l = dom.localeOf(i);
-    ASSERT_GE(i, dom.blockLo(l));
-    ASSERT_LT(i, dom.blockHi(l));
+TEST_P(ForallCyclicTest, VisitsEveryElementOnceOnItsOwner) {
+  const std::uint32_t locales = GetParam().locales;
+  std::vector<std::uint64_t> arr(GetParam().size, ~std::uint64_t{0});
+  std::vector<std::atomic<std::uint32_t>> visits(arr.size());
+  std::atomic<std::uint32_t> inits{0};
+  bench::forallCyclic(
+      arr, 3, [&inits] { return inits.fetch_add(1); },
+      [&](std::uint32_t, std::uint64_t& elem) {
+        visits[&elem - arr.data()].fetch_add(1);
+        elem = Runtime::here();
+      });
+  EXPECT_EQ(inits.load(), locales * 3) << "init runs once per task";
+  for (std::uint64_t i = 0; i < arr.size(); ++i) {
+    ASSERT_EQ(visits[i].load(), 1u) << "index " << i;
+    EXPECT_EQ(arr[i], i % locales) << "body ran off-owner at index " << i;
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Shapes, CyclicDomainProperty,
-    ::testing::Values(DomainCase{1, 1}, DomainCase{1, 100}, DomainCase{2, 7},
-                      DomainCase{3, 9}, DomainCase{4, 10}, DomainCase{4, 3},
-                      DomainCase{5, 0}, DomainCase{8, 1000}),
-    [](const ::testing::TestParamInfo<DomainCase>& info) {
+    Shapes, ForallCyclicTest,
+    ::testing::Values(CyclicCase{1, 1}, CyclicCase{1, 100}, CyclicCase{2, 7},
+                      CyclicCase{3, 9}, CyclicCase{4, 10}, CyclicCase{4, 3},
+                      CyclicCase{5, 0}, CyclicCase{8, 1000}),
+    [](const ::testing::TestParamInfo<CyclicCase>& info) {
       return std::to_string(info.param.locales) + "loc_" +
              std::to_string(info.param.size) + "elems";
     });
-
-class DistArrayTest : public RuntimeTest {};
-
-TEST_F(DistArrayTest, ElementsLiveOnOwningLocale) {
-  startRuntime(4);
-  CyclicArray<std::uint64_t> arr(64);
-  for (std::uint64_t i = 0; i < 64; ++i) {
-    EXPECT_EQ(localeOf(&arr[i]), arr.domain().localeOf(i)) << "index " << i;
-  }
-}
-
-TEST_F(DistArrayTest, ElementAccessReadsAndWrites) {
-  startRuntime(3);
-  CyclicArray<std::uint64_t> arr(30);
-  for (std::uint64_t i = 0; i < 30; ++i) arr[i] = i * i;
-  for (std::uint64_t i = 0; i < 30; ++i) EXPECT_EQ(arr[i], i * i);
-}
-
-TEST_F(DistArrayTest, ForallTasksVisitsEveryElementOnOwner) {
-  startRuntime(4);
-  constexpr std::uint64_t kN = 400;
-  CyclicArray<std::uint64_t> arr(kN);
-  std::vector<std::atomic<std::uint32_t>> visits(kN);
-  arr.forallTasks(
-      2, [] { return 0; },
-      [&](int&, std::uint64_t i, std::uint64_t& elem) {
-        visits[i].fetch_add(1);
-        elem = Runtime::here();
-      });
-  for (std::uint64_t i = 0; i < kN; ++i) {
-    ASSERT_EQ(visits[i].load(), 1u) << "index " << i;
-    EXPECT_EQ(arr[i], arr.domain().localeOf(i)) << "body ran off-owner";
-  }
-}
-
-TEST_F(DistArrayTest, ForallTasksRunsInitPerTask) {
-  startRuntime(2);
-  CyclicArray<int> arr(100);
-  std::atomic<int> inits{0};
-  arr.forallTasks(
-      3, [&inits] { return inits.fetch_add(1); },
-      [](int&, std::uint64_t, int&) {});
-  EXPECT_EQ(inits.load(), 2 * 3);  // locales x tasks_per_locale
-}
-
-TEST_F(DistArrayTest, BlockArrayOwnershipMatchesDomain) {
-  startRuntime(4);
-  BlockArray<int> arr(41);
-  for (std::uint64_t i = 0; i < 41; ++i) {
-    EXPECT_EQ(localeOf(&arr[i]), arr.domain().localeOf(i));
-  }
-}
-
-TEST_F(DistArrayTest, DestroyReturnsArenaMemory) {
-  startRuntime(2);
-  std::vector<std::uint64_t> live_before;
-  for (std::uint32_t l = 0; l < 2; ++l) {
-    live_before.push_back(runtime_->locale(l).arena().liveBlocks());
-  }
-  {
-    CyclicArray<std::uint64_t> arr(128);
-    EXPECT_GT(runtime_->locale(0).arena().liveBlocks(), live_before[0]);
-  }
-  for (std::uint32_t l = 0; l < 2; ++l) {
-    EXPECT_EQ(runtime_->locale(l).arena().liveBlocks(), live_before[l]);
-  }
-}
-
-TEST_F(DistArrayTest, NonTrivialElementTypes) {
-  startRuntime(2);
-  struct Widget {
-    std::uint64_t a = 7;
-    std::uint64_t b = 9;
-  };
-  CyclicArray<Widget> arr(20);
-  for (std::uint64_t i = 0; i < 20; ++i) {
-    EXPECT_EQ(arr[i].a, 7u);
-    EXPECT_EQ(arr[i].b, 9u);
-  }
-}
-
-TEST_F(DistArrayTest, SingleLocaleDegenerateCase) {
-  startRuntime(1);
-  CyclicArray<int> arr(10);
-  std::atomic<int> sum{0};
-  arr.forallTasks(
-      2, [] { return 0; },
-      [&sum](int&, std::uint64_t i, int&) {
-        sum.fetch_add(static_cast<int>(i));
-      });
-  EXPECT_EQ(sum.load(), 45);
-}
 
 // --- handler guards: PinScope nesting and the per-service pin ----------------
 
@@ -210,11 +99,12 @@ TEST_F(HandlerGuardTest, NestedPinScopesKeepTheOuterPin) {
   domain.destroy();
 }
 
-/// Ship `n` closures to locale 1 in one hand-made batch, each calling
-/// `op(i)`, and return the batch's completion time minus its send time.
+/// Ship `n` closures to locale 1 in one batch of the task aggregator, each
+/// calling `op(i)`, and return the batch's completion time minus its send
+/// time. `n` stays below the batch threshold, so only the flush ships it.
 template <typename Op>
 std::uint64_t timeOneBatch(std::size_t n, Op op) {
-  comm::Aggregator agg(/*ops_per_batch=*/64);
+  comm::Aggregator& agg = comm::taskAggregator();
   std::vector<comm::Handle<>> handles;
   for (std::size_t i = 0; i < n; ++i) {
     handles.push_back(agg.enqueueHandle(1, [op, i] { op(i); }));

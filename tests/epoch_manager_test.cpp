@@ -6,6 +6,7 @@
 #include <atomic>
 #include <vector>
 
+#include "epoch_workload.hpp"
 #include "test_support.hpp"
 
 namespace pgasnb {
@@ -174,13 +175,13 @@ TEST_F(EpochManagerTest, HandleIsValueCapturableInForall) {
   startRuntime(4);
   DistDomain domain = DistDomain::create();
   // Listing 3's shape: task-private guards via per-task registration.
-  CyclicArray<Payload*> objs(256);
+  std::vector<Payload*> objs(256);
   for (std::uint64_t i = 0; i < objs.size(); ++i) {
-    objs[i] = gnewOn<Payload>(objs.domain().localeOf(i));
+    objs[i] = gnewOn<Payload>(static_cast<std::uint32_t>(i % 4));
   }
-  objs.forallTasks(
-      2, [domain] { return domain.attach(); },
-      [](DistGuard& guard, std::uint64_t, Payload*& obj) {
+  bench::forallCyclic(
+      objs, 2, [domain] { return domain.attach(); },
+      [](DistGuard& guard, Payload*& obj) {
         guard.pin();
         guard.retire(obj);
         obj = nullptr;

@@ -86,17 +86,11 @@ TEST_P(IhtModeTest, AsyncOpsMatchSyncSemantics) {
   EXPECT_FALSE(table.insertAsync(1, 11).value()) << "duplicate key";
   EXPECT_EQ(*table.findAsync(1).value(), 10u);
   EXPECT_FALSE(table.findAsync(2).value().has_value());
-  EXPECT_TRUE(table.containsAsync(1).value());
-  EXPECT_FALSE(table.containsAsync(2).value());
 
   EXPECT_FALSE(table.updateAsync(1, 12).value()) << "replaced, not inserted";
   EXPECT_EQ(*table.findAsync(1).value(), 12u);
   EXPECT_TRUE(table.updateAsync(3, 30).value()) << "fresh key inserts";
-
-  auto erased = table.eraseAsync(1).value();
-  ASSERT_TRUE(erased.has_value());
-  EXPECT_EQ(*erased, 12u);
-  EXPECT_FALSE(table.eraseAsync(1).value().has_value());
+  EXPECT_EQ(*table.findAsync(3).value(), 30u);
 
   table.destroy();
   domain.destroy();

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <vector>
 
+#include "epoch_workload.hpp"
 #include "test_support.hpp"
 
 namespace pgasnb {
@@ -28,13 +30,13 @@ TEST_F(IntegrationTest, PaperListing3UsagePattern) {
   struct C {
     std::uint64_t bits = 0xabcdef;
   };
-  CyclicArray<C*> objs(128);
+  std::vector<C*> objs(128);
   for (std::uint64_t i = 0; i < objs.size(); ++i) {
-    objs[i] = gnewOn<C>(objs.domain().localeOf(i));
+    objs[i] = gnewOn<C>(static_cast<std::uint32_t>(i % 4));
   }
-  objs.forallTasks(
-      2, [domain] { return domain.attach(); },
-      [](DistGuard& guard, std::uint64_t, C*& x) {
+  bench::forallCyclic(
+      objs, 2, [domain] { return domain.attach(); },
+      [](DistGuard& guard, C*& x) {
         guard.pin();
         guard.retire(x);
         x = nullptr;
@@ -55,7 +57,7 @@ TEST_F(IntegrationTest, PaperListing5Microbenchmark) {
   struct C {
     std::uint64_t payload[2] = {1, 2};
   };
-  CyclicArray<C*> objs(kNumObjects);
+  std::vector<C*> objs(kNumObjects);
   Xoshiro256 rng(42);
   const std::uint32_t nloc = runtime_->numLocales();
   for (std::uint64_t i = 0; i < kNumObjects; ++i) {
@@ -63,9 +65,10 @@ TEST_F(IntegrationTest, PaperListing5Microbenchmark) {
     objs[i] = gnewOn<C>(static_cast<std::uint32_t>(rng.nextBelow(nloc)));
   }
 
-  objs.forallTasks(
-      2, [domain] { return std::pair<DistGuard, int>(domain.attach(), 0); },
-      [](auto& state, std::uint64_t, C*& obj) {
+  bench::forallCyclic(
+      objs, 2,
+      [domain] { return std::pair<DistGuard, int>(domain.attach(), 0); },
+      [](auto& state, C*& obj) {
         auto& [guard, m] = state;
         guard.pin();
         guard.retire(obj);

@@ -149,24 +149,24 @@ TEST_P(RobinHoodModeTest, InsertFindEraseAcrossLocales) {
   domain.destroy();
 }
 
-TEST_P(RobinHoodModeTest, AsyncOpsMatchSyncSemantics) {
+TEST_P(RobinHoodModeTest, AggregatedOpsMatchSyncSemantics) {
   DistDomain domain = DistDomain::create();
   auto map = RobinHoodMap<std::uint64_t>::create(256, domain);
 
-  EXPECT_TRUE(map.insertAsync(1, 10).value());
-  EXPECT_FALSE(map.insertAsync(1, 11).value()) << "duplicate key";
-  EXPECT_TRUE(map.putAsync(2, 20).value());
-  EXPECT_FALSE(map.putAsync(2, 21).value()) << "upsert of present key";
+  EXPECT_TRUE(map.insertAsyncAggregated(1, 10).value());
+  EXPECT_FALSE(map.insertAsyncAggregated(1, 11).value()) << "duplicate key";
+  EXPECT_TRUE(map.putAsyncAggregated(2, 20).value());
+  EXPECT_FALSE(map.putAsyncAggregated(2, 21).value())
+      << "upsert of present key";
 
-  EXPECT_EQ(*map.findAsync(1).value(), 10u);
-  EXPECT_EQ(*map.findAsync(2).value(), 21u);
-  EXPECT_TRUE(map.containsAsync(1).value());
-  EXPECT_FALSE(map.containsAsync(3).value());
+  EXPECT_EQ(*map.findAsyncAggregated(1).value(), 10u);
+  EXPECT_EQ(*map.findAsyncAggregated(2).value(), 21u);
+  EXPECT_FALSE(map.findAsyncAggregated(3).value().has_value());
 
-  auto erased = map.eraseAsync(1).value();
+  auto erased = map.eraseAsyncAggregated(1).value();
   ASSERT_TRUE(erased.has_value());
   EXPECT_EQ(*erased, 10u);
-  EXPECT_FALSE(map.eraseAsync(1).value().has_value());
+  EXPECT_FALSE(map.eraseAsyncAggregated(1).value().has_value());
 
   map.destroy();
   domain.destroy();
@@ -208,29 +208,6 @@ TEST_P(RobinHoodModeTest, AggregatedWindowedOpsResolveTogether) {
   for (auto& h : erases) EXPECT_TRUE(h.value().has_value());
   EXPECT_EQ(map.sizeApprox(), kN / 2);
   EXPECT_TRUE(assertRobinHoodInvariants(map));
-  map.destroy();
-  domain.destroy();
-}
-
-TEST_P(RobinHoodModeTest, FindBatchGroupsKeysByOwner) {
-  DistDomain domain = DistDomain::create();
-  auto map = RobinHoodMap<std::uint64_t>::create(512, domain);
-  constexpr std::uint64_t kN = 128;
-  for (std::uint64_t k = 0; k < kN; ++k) ASSERT_TRUE(map.insert(k, k + 7));
-
-  // Mixed present/absent batch, unsorted keys.
-  std::vector<std::uint64_t> keys;
-  for (std::uint64_t k = 0; k < 2 * kN; ++k) keys.push_back(2 * kN - 1 - k);
-  std::vector<std::optional<std::uint64_t>> out(keys.size());
-  map.findBatch(keys, out).wait();
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    if (keys[i] < kN) {
-      ASSERT_TRUE(out[i].has_value()) << "key=" << keys[i];
-      EXPECT_EQ(*out[i], keys[i] + 7);
-    } else {
-      EXPECT_FALSE(out[i].has_value()) << "key=" << keys[i];
-    }
-  }
   map.destroy();
   domain.destroy();
 }
@@ -305,7 +282,7 @@ TEST_F(RobinHoodTest, OwnLocaleInsertWindowAcrossResizeKeepsInvariants) {
   domain.destroy();
 }
 
-TEST_F(RobinHoodTest, FindBatchCountsOnlyRemoteKeysAsAggregated) {
+TEST_F(RobinHoodTest, WindowedFindsCountOnlyRemoteKeysAsAggregated) {
   startRuntime(4);
   DistDomain domain = DistDomain::create();
   auto map = RobinHoodMap<std::uint64_t>::create(1024, domain);
@@ -319,18 +296,20 @@ TEST_F(RobinHoodTest, FindBatchCountsOnlyRemoteKeysAsAggregated) {
   }
   ASSERT_GT(remote, 0u);
   ASSERT_LT(remote, kN);
-  std::vector<std::optional<std::uint64_t>> out(keys.size());
+  std::vector<comm::Handle<std::optional<std::uint64_t>>> finds;
   const auto before = comm::counters();
   {
     comm::OpWindow window;
-    map.findBatch(keys, out).wait();
+    for (const std::uint64_t k : keys) {
+      finds.push_back(map.findAsyncAggregated(k));
+    }
   }
   const auto after = comm::counters();
   EXPECT_EQ(after.ops_aggregated - before.ops_aggregated, remote)
-      << "each group weighs its own key count; the own-locale group none";
+      << "remote finds count once each; own-locale finds run inline";
   for (std::uint64_t k = 0; k < kN; ++k) {
-    ASSERT_TRUE(out[k].has_value()) << "k=" << k;
-    EXPECT_EQ(*out[k], k + 1);
+    ASSERT_TRUE(finds[k].value().has_value()) << "k=" << k;
+    EXPECT_EQ(*finds[k].value(), k + 1);
   }
   map.destroy();
   domain.destroy();

@@ -294,11 +294,16 @@ void runCrossLocaleResize(Domain& domain) {
   for (const auto& bucket : buckets) {
     keys.insert(keys.end(), bucket.begin(), bucket.end());
   }
-  std::vector<std::optional<std::uint64_t>> out(keys.size());
-  map.findBatch(keys, out).wait();
+  std::vector<comm::Handle<std::optional<std::uint64_t>>> out;
+  {
+    comm::OpWindow window;
+    for (const std::uint64_t k : keys) {
+      out.push_back(map.findAsyncAggregated(k));
+    }
+  }
   for (std::size_t i = 0; i < keys.size(); ++i) {
-    ASSERT_TRUE(out[i].has_value()) << "key=" << keys[i];
-    EXPECT_EQ(*out[i], keys[i] * 5);
+    ASSERT_TRUE(out[i].value().has_value()) << "key=" << keys[i];
+    EXPECT_EQ(*out[i].value(), keys[i] * 5);
   }
   map.destroy();
 }
