@@ -84,7 +84,12 @@ class MsQueue {
       Node* head = guard.protect([&] { return head_.read(); });
       Node* tail = tail_.read();
       Node* next = loadNext(head);
-      if (head != head_.read()) continue;
+      // No Michael-Scott re-read of head_ here (Java's ConcurrentLinkedQueue
+      // omits it too): the pinned guard keeps `head` from being freed, a
+      // link is written once, and the head CAS below validates the
+      // snapshot. A `head` dequeued meanwhile has a non-null `next`, so a
+      // null `next` means the queue was empty when it was read. Under
+      // DistDomain the re-read is a NIC atomic per op.
       if (next == nullptr) return std::nullopt;  // empty (head == tail)
       if (head == tail) {
         // Tail lagging behind a half-finished enqueue; help.
@@ -172,7 +177,9 @@ class MsQueue {
       // node another task just retired: read it protected.
       Node* tail = guard.protect([&] { return tail_.read(); });
       Node* next = loadNext(tail);
-      if (tail != tail_.read()) continue;  // tail moved under us
+      // No re-read of tail_ (see dequeue): a stale `tail` is still
+      // protected, its non-null `next` only sends us helping, and the link
+      // CAS fails on any node that already has a successor.
       if (next != nullptr) {
         // Tail is lagging; help swing it forward.
         tail_.compareAndSwap(tail, next);

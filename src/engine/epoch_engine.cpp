@@ -80,8 +80,8 @@ void groupByOwner(std::vector<OpRecord>& ops) {
 }
 
 /// Initialize phase for one lane: the client stages under a guard pinned
-/// for the duration of the call. Scope exit unpins + unregisters, which
-/// ships any retires the staging buffered (flush-on-unpin).
+/// for the duration of the call. Scope exit unpins + unregisters, and the
+/// release ships any retires the staging buffered.
 void initializeLane(DistDomain domain, EpochClient& client,
                     std::uint64_t epoch, std::vector<OpRecord>& ops) {
   auto guard = domain.pin();
@@ -198,12 +198,6 @@ EpochEngine::EpochEngine(DistDomain domain, EpochClient& client,
 }
 
 EpochEngine::~EpochEngine() = default;
-
-std::uint32_t EpochEngine::lanes() const noexcept {
-  return Runtime::active()
-             ? Runtime::get().numLocales() * config_.workers_per_locale
-             : 0;
-}
 
 std::vector<EpochStats> EpochEngine::run(std::uint64_t epochs) {
   PGASNB_CHECK_MSG(Runtime::active(), "EpochEngine::run needs a runtime");

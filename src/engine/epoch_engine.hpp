@@ -222,7 +222,6 @@ class EpochEngine {
   std::vector<EpochStats> run(std::uint64_t epochs);
 
   const EpochEngineConfig& config() const noexcept { return config_; }
-  std::uint32_t lanes() const noexcept;
 
  private:
   struct Impl;

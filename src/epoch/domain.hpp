@@ -52,10 +52,12 @@ namespace pgasnb {
 /// The AM-handler spelling of the guard protocol, with two boundaries:
 ///   * Inside an AM service on a progress thread (AmServiceScope), the AM
 ///     service is the pin boundary: the first scope pins the guard and
-///     registers its unpin as a service-end hook, so a batch of handlers
-///     pays one pin/unpin per (service, domain), the unpin landing before
-///     the service's completion is stamped. The guard must outlive the
-///     service; the thread-cached guard (threadGuard()) does.
+///     registers a service-end hook that ships the retires the service
+///     buffered (unpin() does not) and then unpins, so a batch of handlers
+///     pays one pin/unpin per (service, domain), both landing before the
+///     service's completion is stamped, and an idle progress thread never
+///     holds a run. The guard must outlive the service; the thread-cached
+///     guard (threadGuard()) does.
 ///   * Everywhere else the scope itself is the boundary: pin at entry,
 ///     unpin at exit.
 /// Scopes nest: one that finds the guard already pinned neither pins nor
@@ -68,7 +70,12 @@ class PinScope {
     guard_.pin();
     if (AmServiceScope::active()) {
       AmServiceScope::atEnd(
-          [](void* g) { static_cast<GuardT*>(g)->unpin(); }, &guard_);
+          [](void* g) {
+            auto* guard = static_cast<GuardT*>(g);
+            guard->flush();
+            guard->unpin();
+          },
+          &guard_);
     } else {
       owns_pin_ = true;
     }

@@ -90,8 +90,9 @@ void DistGuard::retireRaw(void* obj, ObjectDeleter deleter) {
   }
   PGASNB_CHECK_MSG(pinned(), "deferDelete requires a pinned token");
   // Aggregated: the retire joins the owner's run in the task's
-  // comm::Aggregator, which ships at its threshold (or at unpin/release/
-  // tryReclaim). Charged first, so a threshold flush stamps this send time.
+  // comm::Aggregator, which ships at its threshold or age cutoff (or at
+  // tryReclaim/release/clear). Charged first, so a threshold flush stamps
+  // this send time.
   sim::chargeModelOnly(rt.config().latency.cpu_atomic_ns);
   routed_remote_ = true;
   comm::taskAggregator().enqueueRetire(
@@ -153,19 +154,36 @@ void bulkDeleteScattered(const ScatterBuckets& buckets) {
 
 namespace {
 
-/// The scatter + bulk-delete body shared by tryReclaim and clear: runs on
-/// one locale, pops the given limbo lists (one exchange each), sorts their
-/// objects by owner and bulk-deletes each bucket on its owning locale.
-void reclaimOnThisLocale(EpochManagerImpl& inst, std::uint32_t first_index,
-                         std::uint32_t index_count) {
+/// Detach limbo list `index` of this locale: take its chain with the one
+/// popAll exchange and splice it onto the to-free list with one more.
+/// Finding the chain's tail resolves any straggler's link (LimboList::next).
+/// Returns the number of objects detached.
+std::uint64_t detachList(EpochManagerImpl& inst, std::uint32_t index) {
+  const LatencyModel& lat = Runtime::get().config().latency;
+  LimboNode* first = inst.limbo_[index].popAll();
+  sim::charge(lat.cpu_atomic_ns);  // the popAll exchange
+  if (first == nullptr) return 0;
+  std::uint64_t count = 1;
+  LimboNode* last = first;
+  for (LimboNode* n; (n = LimboList::next(last)) != nullptr; last = n) {
+    ++count;
+  }
+  inst.to_free_.pushChain(first, last);
+  sim::charge(lat.cpu_atomic_ns);  // the splice exchange
+  return count;
+}
+
+/// Free what this locale has detached: pop the to-free list (one exchange),
+/// sort its objects by owner and bulk-delete each bucket on its owning
+/// locale. A concurrent walker may take the chain first; then it frees it.
+void freeDetached(EpochManagerImpl& inst) {
   Runtime& rt = Runtime::get();
   ScatterBuckets buckets(rt.numLocales());
-  for (std::uint32_t k = 0; k < index_count; ++k) {
-    const std::uint64_t count = scatterList(
-        inst.limbo_[(first_index + k) % kNumEpochs], inst.node_pool_, buckets);
-    sim::charge(rt.config().latency.cpu_atomic_ns);  // the popAll exchange
-    inst.counters_.reclaimed.fetch_add(count, std::memory_order_relaxed);
-  }
+  const std::uint64_t count = scatterList(inst.to_free_, inst.node_pool_,
+                                          buckets);
+  sim::charge(rt.config().latency.cpu_atomic_ns);  // the popAll exchange
+  if (count == 0) return;
+  inst.counters_.reclaimed.fetch_add(count, std::memory_order_relaxed);
   bulkDeleteScattered(buckets);
 }
 
@@ -207,17 +225,20 @@ bool epochTryReclaim(Privatized<EpochManagerImpl> handle) {
   });
   const bool safe = scan.wait();
 
+  std::uint64_t detached = 0;
   if (safe) {
     const std::uint64_t new_epoch = nextEpoch(this_epoch);
     inst.global_->epoch.write(new_epoch);
     inst.global_->advances.fetch_add(1, std::memory_order_relaxed);
     inst.counters_.advances.fetch_add(1, std::memory_order_relaxed);
-    coforallLocales([handle, new_epoch] {
+    // Update each locale's epoch cache, then detach the list that is now
+    // three advances old (Listing 4 lines 26-54, up to the pop). The
+    // detach must happen under the election: the list takes new retires
+    // again one advance later.
+    detached = allLocalesSum([handle, new_epoch] {
       EpochManagerImpl& li = handle.local();
-      // Update each locale's epoch cache, then reclaim the list that is
-      // now two epochs old (Listing 4 lines 26-54).
       li.locale_epoch_.store(new_epoch, std::memory_order_seq_cst);
-      reclaimOnThisLocale(li, reclaimIndexFor(new_epoch), 1);
+      return detachList(li, reclaimIndexFor(new_epoch));
     });
   } else {
     inst.counters_.scans_unsafe.fetch_add(1, std::memory_order_relaxed);
@@ -226,6 +247,12 @@ bool epochTryReclaim(Privatized<EpochManagerImpl> handle) {
   inst.global_->is_setting_epoch.clear();
   inst.is_setting_epoch_.store(0, std::memory_order_seq_cst);
   sim::charge(lat.cpu_atomic_ns);
+  // Free outside the election: every detached object was safe when it was
+  // detached, so freeing it later is only later, and the next advance need
+  // not wait for this walk.
+  if (detached != 0) {
+    coforallLocales([handle] { freeDetached(handle.local()); });
+  }
   return safe;
 }
 
@@ -236,9 +263,12 @@ void epochClearAll(Privatized<EpochManagerImpl> handle) {
   // locales inject retires destined for us) so all of them have landed.
   comm::taskAggregator().flushAll();
   comm::quiesceAmQueues();
-  // Reclaim all limbo lists on every locale.
+  // Reclaim all limbo lists on every locale, and anything an advance
+  // detached that its walk has not freed yet.
   coforallLocales([handle] {
-    reclaimOnThisLocale(handle.local(), 0, kNumEpochs);
+    EpochManagerImpl& li = handle.local();
+    for (std::uint32_t k = 0; k < kNumEpochs; ++k) detachList(li, k);
+    freeDetached(li);
   });
 }
 

@@ -21,9 +21,13 @@
 // 2. scan every locale's allocated tokens on that locale; safe iff every
 //    token is quiescent or pinned in the current global epoch.
 // 3. if safe: advance the global epoch, then on every locale update the
-//    epoch cache, pop the limbo list that is now two epochs old in one
-//    exchange, scatter its objects by owner locale into scan-private
-//    buckets, and bulk-delete each bucket on its owner.
+//    epoch cache, pop the limbo list that is now three advances old in one
+//    exchange and splice it onto the locale's to-free list.
+// 4. release both flags; then, outside the election, pop every locale's
+//    to-free list, scatter its objects by owner locale into scan-private
+//    buckets, and bulk-delete each bucket on its owner (Fraser's EBR frees
+//    each list outside the critical section; docs/ARCHITECTURE.md,
+//    "Deviations from the paper").
 #pragma once
 
 #include <atomic>
@@ -94,6 +98,7 @@ class EpochManagerImpl {
 
   ~EpochManagerImpl() {
     for (auto& list : limbo_) node_pool_.destroyList(list);
+    node_pool_.destroyList(to_free_);
   }
 
   EpochManagerImpl(const EpochManagerImpl&) = delete;
@@ -124,6 +129,9 @@ class EpochManagerImpl {
   std::atomic<std::uint64_t> locale_epoch_{1};
   std::atomic<std::uint64_t> is_setting_epoch_{0};  // local FCFS flag
   LimboList limbo_[kNumEpochs];
+  /// Chains detached from limbo_ by an advance, every object already safe;
+  /// the advance's winner frees them after releasing the election.
+  LimboList to_free_;
   LimboNodePool<detail::ArenaLimboNodeAlloc> node_pool_;
   TokenPool<detail::ArenaTokenAlloc> tokens_;
   ReclaimCounters counters_;  // summed across locales for reports
@@ -176,13 +184,13 @@ class DistGuard {
     PGASNB_CHECK_MSG(token_ != nullptr, "pin() on an invalid guard");
     handle_.local().pin(token_);
   }
-  /// Leave the epoch. First drains the task's comm::Aggregator (see
-  /// flush()) -- flush-on-unpin is what guarantees an aggregated retire
-  /// cannot be stranded past its guard's lifetime.
+  /// Leave the epoch. Buffered cross-locale retires stay in the task's
+  /// comm::Aggregator (see flush()): a pin/retire/unpin loop then ships
+  /// them in full batches. A late ship is safe, since the receiver inserts
+  /// at its current epoch, which can only make the objects wait longer.
   void unpin() {
     // No-op on an invalid (released/moved-from) guard: already quiescent.
     if (token_ == nullptr) return;
-    flush();
     handle_.local().unpin(token_);
   }
   /// An invalid (default-constructed or moved-from) guard is quiescent.
@@ -208,9 +216,12 @@ class DistGuard {
   /// Custom-deleter escape hatch (deleter runs on the object's owner).
   void retireRaw(void* obj, ObjectDeleter deleter);
 
-  /// Ship buffered cross-locale retires now (normally automatic: batch
-  /// threshold, unpin, release, tryReclaim): flushes the whole task
-  /// aggregator once this guard has routed a retire through it.
+  /// Ship buffered cross-locale retires now. Normally automatic: at the
+  /// batch threshold, at the age cutoff, on tryReclaim(), on release() or
+  /// scope exit, on the domain's clear(), and at the end of the AM service
+  /// that pinned a progress thread's guard (PinScope). unpin() does not
+  /// flush. Flushes the whole task aggregator once this guard has routed a
+  /// retire through it.
   void flush();
 
   /// Protected read for domain-generic traversals: evaluate `load` under

@@ -132,8 +132,8 @@ void injectHandleAm(std::uint32_t loc, std::shared_ptr<HandleCore> core,
 /// (taskAggregator()), ship its batch now so a subsequent wait cannot block
 /// on an op that was never going to be sent. Ops buffered in another
 /// thread's aggregator are left alone (aggregators are single-task; only
-/// their owner may flush them) -- the owner's own join, unpin, or OpWindow
-/// close ships those.
+/// their owner may flush them) -- the owner's own join, guard release, or
+/// OpWindow close ships those.
 void flushIfBuffered(HandleCore& core);
 
 /// Ship everything buffered in the calling task's aggregator. Drain-loop
@@ -533,9 +533,11 @@ using RetireSink = void (*)(void* target, const std::vector<RetireEntry>& run);
 /// retire) reaches RuntimeConfig::aggregator_ops_per_batch,
 /// when the oldest buffered op for a destination exceeds
 /// RuntimeConfig::aggregator_max_batch_age_ns in simulated time (checked
-/// at each enqueue -- an under-filled bucket no longer waits for unpin),
+/// at each enqueue -- an under-filled bucket never waits for a flush),
 /// on flush()/flushAll()/flushAged(), on destruction, and -- via the epoch
-/// layer -- when a guard unpins.
+/// layer -- when a guard calls tryReclaim() or is released, when its
+/// domain is cleared, and at the end of an AM service that pinned a
+/// progress thread's guard (never on unpin).
 ///
 /// Ops destined for the calling locale never become an AM. Inside an open
 /// OpWindow, the task aggregator buffers them in the calling locale's own
@@ -659,7 +661,8 @@ class Aggregator {
 };
 
 /// The calling task's aggregator (thread-local). The epoch layer drains it
-/// on guard unpin/release, so retires routed through it cannot be stranded;
+/// on guard tryReclaim/release, so retires routed through it cannot be
+/// stranded past the guard;
 /// Handle::wait / CompletionQueue drains / OpWindow close flush it too, so
 /// aggregated handles joined on the issuing task cannot be stranded either.
 Aggregator& taskAggregator();

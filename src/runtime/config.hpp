@@ -65,7 +65,7 @@ struct RuntimeConfig {
   /// comm::Aggregator age flush: an under-filled bucket ships once its
   /// oldest buffered op is this many *simulated* nanoseconds old (checked
   /// at each enqueue and on flushAged()), instead of waiting for
-  /// batch-full/unpin. 0 disables age-based flushing.
+  /// batch-full or an explicit flush. 0 disables age-based flushing.
   std::uint64_t aggregator_max_batch_age_ns = 100'000;
 
   /// RobinHoodMap: per-segment load factor that starts an incremental

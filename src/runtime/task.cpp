@@ -50,11 +50,6 @@ void TaskQueue::notifyAll() {
   cv_.notify_all();
 }
 
-std::size_t TaskQueue::sizeApprox() const {
-  std::lock_guard<std::mutex> guard(lock_);
-  return queue_.size();
-}
-
 void executeTaskInline(TaskItem& item) {
   TaskContext saved = taskContext();
   taskContext().here = item.state->locale;

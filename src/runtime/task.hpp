@@ -58,10 +58,9 @@ class TaskQueue {
   bool popOrWaitFor(TaskItem& out, const std::atomic<bool>& stop,
                     std::chrono::microseconds slice);
   void notifyAll();
-  std::size_t sizeApprox() const;
 
  private:
-  mutable std::mutex lock_;
+  std::mutex lock_;
   std::condition_variable cv_;
   std::deque<TaskItem> queue_;
 };

@@ -2,7 +2,7 @@
 // joins (whenAll/waitAll, CompletionQueue drain), the ProgressThread's FIFO
 // busy_until model, the per-task Aggregator (flush ordering, threshold/age
 // flush, handle groups, counters), the aggregated cross-locale retire path
-// including flush-on-guard-unpin, and the operation-shipped async
+// including when a buffered run ships, and the operation-shipped async
 // data-structure ops (DistStack's popAsync under the progress-thread guard
 // cache, and its aggregated pushes and pops).
 #include <gtest/gtest.h>
@@ -379,7 +379,7 @@ TEST_F(CommAsyncTest, AggregatorDestructorFlushes) {
 
 // --- aggregated cross-locale retires ---------------------------------------
 
-TEST_F(CommAsyncTest, GuardUnpinFlushesBufferedRetires) {
+TEST_F(CommAsyncTest, UnpinLeavesRetiresBufferedUntilTryReclaimOrScopeExit) {
   RuntimeConfig cfg = testConfig(2);
   cfg.remote_retire = RemoteRetirePolicy::aggregated;
   runtime_ = std::make_unique<Runtime>(cfg);
@@ -393,14 +393,25 @@ TEST_F(CommAsyncTest, GuardUnpinFlushesBufferedRetires) {
     EXPECT_EQ(comm::taskAggregator().pendingFor(1), 1u);
     EXPECT_EQ(domain.stats().deferred, 0u);
     guard.unpin();
-    EXPECT_EQ(comm::taskAggregator().pending(), 0u) << "unpin must flush";
+    EXPECT_EQ(comm::taskAggregator().pendingFor(1), 1u)
+        << "unpin leaves the run buffered";
+    EXPECT_EQ(comm::counters().am_batched, 0u);
+    guard.tryReclaim();
+    EXPECT_EQ(comm::taskAggregator().pending(), 0u) << "tryReclaim ships it";
     comm::amSync(1, [] {});  // FIFO drain of the batched AM
     EXPECT_EQ(domain.stats().deferred, 2u)
-        << "flushed retires land in the owner's limbo list";
+        << "shipped retires land in the owner's limbo list";
     EXPECT_EQ(comm::counters().am_batched, 1u);
     EXPECT_EQ(comm::counters().ops_aggregated, 2u) << "each retire counts";
+    guard.pin();
+    guard.retire(gnewOn<Tracked>(1));
+    guard.unpin();
+    EXPECT_EQ(comm::taskAggregator().pendingFor(1), 1u);
   }
-  EXPECT_EQ(Tracked::live.load(), 2) << "retire defers, never frees eagerly";
+  EXPECT_EQ(comm::taskAggregator().pending(), 0u) << "scope exit ships it";
+  comm::quiesceAmQueues();
+  EXPECT_EQ(domain.stats().deferred, 3u);
+  EXPECT_EQ(Tracked::live.load(), 3) << "retire defers, never frees eagerly";
   domain.clear();
   EXPECT_EQ(Tracked::live.load(), 0);
   domain.destroy();
@@ -470,7 +481,10 @@ TEST_F(CommAsyncTest, RetiresOfTwoDomainsShareOneBatch) {
     // Runs [a a] [b] [a]: a retire extends only the run at the tail.
     EXPECT_EQ(comm::taskAggregator().pendingFor(1), 3u);
     ga.unpin();
-    EXPECT_EQ(comm::taskAggregator().pending(), 0u);
+    EXPECT_EQ(comm::taskAggregator().pendingFor(1), 3u) << "unpin ships nothing";
+    ga.tryReclaim();
+    EXPECT_EQ(comm::taskAggregator().pending(), 0u)
+        << "a's tryReclaim ships b's run too";
   }
   comm::quiesceAmQueues();
   EXPECT_EQ(comm::counters().am_batched, 1u) << "both domains, one AM";

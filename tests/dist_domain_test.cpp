@@ -154,6 +154,37 @@ TEST_F(HandlerGuardTest, AggregatedBatchSharesOnePinPerService) {
   domain.destroy();
 }
 
+/// A retired object that counts its live instances.
+struct Counted {
+  static std::atomic<int> live;
+  std::uint64_t payload = 42;
+  Counted() { live.fetch_add(1); }
+  ~Counted() { live.fetch_sub(1); }
+};
+std::atomic<int> Counted::live{0};
+
+TEST_F(HandlerGuardTest, ServiceEndShipsWhatTheServiceRetired) {
+  // unpin() does not flush, so the service-end hook must: a progress
+  // thread that goes idle after a service would otherwise hold the run.
+  startRuntime(3);
+  Counted::live.store(0);
+  DistDomain domain = DistDomain::create();
+  comm::amSync(1, [domain] {
+    DistGuard& guard = domain.threadGuard();
+    PinScope<DistGuard> scope(guard);
+    guard.retire(gnewOn<Counted>(2));
+    EXPECT_EQ(comm::taskAggregator().pendingFor(2), 1u);
+  });
+  std::size_t left = 1;
+  comm::amSync(1, [&left] { left = comm::taskAggregator().pending(); });
+  EXPECT_EQ(left, 0u) << "the service end ships the run, then unpins";
+  comm::quiesceAmQueues();
+  EXPECT_EQ(domain.implOn(2)->counters_.snapshot().deferred, 1u);
+  domain.clear();
+  EXPECT_EQ(Counted::live.load(), 0);
+  domain.destroy();
+}
+
 // --- epoch advances under streaming handler batches ---------------------------
 
 template <typename Domain>
@@ -292,15 +323,15 @@ TYPED_TEST(ReclaimChargeTest, ModelTimeOfRetireReclaimAdvanceClear) {
   constexpr bool kDist = std::is_same_v<TypeParam, DistDomain>;
   const std::vector<std::pair<CommMode, std::vector<std::uint64_t>>> cases = {
       {CommMode::none,
-       kDist ? std::vector<std::uint64_t>{575, 16950, 33325, 49700, 66075,
-                                          82975, 97325}
-             : std::vector<std::uint64_t>{825, 23600, 46375, 69150, 91925,
-                                          115300, 129550}},
+       kDist ? std::vector<std::uint64_t>{4675, 15650, 26625, 48450, 59425,
+                                          75000, 89400}
+             : std::vector<std::uint64_t>{4275, 27050, 49825, 72600, 95375,
+                                          122200, 136450}},
       {CommMode::ugni,
-       kDist ? std::vector<std::uint64_t>{575, 21250, 41925, 62600, 83275,
-                                          107700, 122050}
-             : std::vector<std::uint64_t>{825, 23600, 46375, 69150, 91925,
-                                          115300, 129550}},
+       kDist ? std::vector<std::uint64_t>{4675, 19950, 35225, 61350, 76625,
+                                          99725, 114125}
+             : std::vector<std::uint64_t>{4275, 27050, 49825, 72600, 95375,
+                                          122200, 136450}},
   };
   for (const auto& [mode, expected] : cases) {
     SCOPED_TRACE(toString(mode));
@@ -308,13 +339,18 @@ TYPED_TEST(ReclaimChargeTest, ModelTimeOfRetireReclaimAdvanceClear) {
     TypeParam domain = TypeParam::create();
     const std::uint64_t t0 = sim::now();
     std::vector<std::uint64_t> seen;
+    // The fences land the shipped retire runs before the next step, so each
+    // one sits in a fixed limbo list: which lists are empty is part of the
+    // program, since an advance that detaches nothing frees nothing.
     retireRoundRobin(domain, 10);
+    comm::quiesceAmQueues();
     seen.push_back(sim::now() - t0);
     for (int i = 0; i < 4; ++i) {
       domain.tryReclaim();
       seen.push_back(sim::now() - t0);
     }
     retireRoundRobin(domain, 7);
+    comm::quiesceAmQueues();
     domain.advance();
     seen.push_back(sim::now() - t0);
     domain.clear();
@@ -327,6 +363,103 @@ TYPED_TEST(ReclaimChargeTest, ModelTimeOfRetireReclaimAdvanceClear) {
     domain.destroy();
     this->runtime_.reset();
   }
+}
+
+
+// --- freeing outside the election, shipping after unpin -----------------------
+
+class LateReclaimTest : public RuntimeTest {
+ protected:
+  void SetUp() override { Counted::live.store(0); }
+};
+
+TEST_F(LateReclaimTest, RetireShippedAfterThreeAdvancesWaitsForAGuardPinned) {
+  // A retire that unpin() left buffered sits in no limbo list, so advances
+  // cannot free it however many pass. When it ships, the receiver files it
+  // under its current epoch: a guard pinned by then is still protected.
+  startRuntime(2);
+  DistDomain domain = DistDomain::create();
+  Counted* obj = gnewOn<Counted>(1);
+  auto retirer = domain.pin();
+  retirer.retire(obj);
+  retirer.unpin();
+  for (int i = 0; i < 3; ++i) domain.advance();
+  EXPECT_EQ(comm::taskAggregator().pendingFor(1), 1u)
+      << "the run stays buffered across the advances";
+  EXPECT_EQ(Counted::live.load(), 1);
+
+  auto reader = domain.pin();  // still holds `obj`
+  retirer.flush();
+  comm::quiesceAmQueues();
+  EXPECT_EQ(domain.stats().deferred, 1u);
+  // While the reader stays pinned, at most one of these can advance.
+  int advanced = 0;
+  for (int i = 0; i < 4; ++i) advanced += domain.tryReclaim() ? 1 : 0;
+  EXPECT_LE(advanced, 1);
+  EXPECT_EQ(Counted::live.load(), 1) << "freed under a pinned guard";
+  EXPECT_EQ(obj->payload, 42u);
+  reader.unpin();
+  for (int i = 0; i < 3; ++i) domain.advance();
+  EXPECT_EQ(Counted::live.load(), 0);
+  retirer.release();
+  reader.release();
+  domain.destroy();
+}
+
+TEST_F(LateReclaimTest, DetachedChainIsFreedWhenAdvanceReturns) {
+  startRuntime(3);
+  DistDomain domain = DistDomain::create();
+  {
+    auto guard = domain.pin();
+    for (std::uint32_t l = 0; l < 3; ++l) {
+      for (int i = 0; i < 4; ++i) guard.retire(gnewOn<Counted>(l));
+    }
+  }  // scope exit ships the remote runs
+  comm::quiesceAmQueues();
+  EXPECT_EQ(domain.stats().deferred, 12u);
+  domain.advance();
+  domain.advance();
+  EXPECT_EQ(Counted::live.load(), 12) << "two advances free nothing";
+  domain.advance();
+  // The third advance detached every locale's list under the election and
+  // freed it after releasing the election, before returning.
+  EXPECT_EQ(Counted::live.load(), 0);
+  EXPECT_EQ(domain.stats().reclaimed, 12u);
+  for (std::uint32_t l = 0; l < 3; ++l) {
+    EXPECT_TRUE(domain.implOn(l)->to_free_.emptyApprox()) << "locale " << l;
+  }
+  domain.destroy();
+}
+
+TEST_F(LateReclaimTest, TeardownWithBufferedRetiresFreesEverything) {
+  startRuntime(3);
+  DistDomain domain = DistDomain::create();
+  std::atomic<std::uint64_t> left_buffered{0};
+  coforallLocales([domain, &left_buffered] {
+    auto guard = domain.attach();
+    for (int i = 0; i < 5; ++i) {
+      guard.pin();
+      guard.retire(gnewOn<Counted>((Runtime::here() + 1) % 3));
+      guard.unpin();
+    }
+    left_buffered.fetch_add(comm::taskAggregator().pending());
+  });  // each guard's scope exit ships its run
+  EXPECT_EQ(left_buffered.load(), 3u) << "one buffered run per task";
+  // A guard still attached with a buffered run: clear() ships the caller's
+  // aggregator, fences every AM queue and frees everything.
+  auto guard = domain.attach();
+  guard.pin();
+  guard.retire(gnewOn<Counted>(1));
+  guard.unpin();
+  EXPECT_EQ(comm::taskAggregator().pendingFor(1), 1u);
+  domain.clear();
+  EXPECT_EQ(Counted::live.load(), 0);
+  const ReclaimStats stats = domain.stats();
+  EXPECT_EQ(stats.deferred, 16u);
+  EXPECT_EQ(stats.reclaimed, 16u);
+  guard.release();
+  domain.destroy();
+  runtime_.reset();
 }
 
 }  // namespace

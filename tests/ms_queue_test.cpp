@@ -1,4 +1,5 @@
-// Michael-Scott queue: FIFO semantics and MPMC conservation with EBR.
+// Michael-Scott queue: FIFO semantics and MPMC conservation with EBR, in
+// shared memory and across locales (NIC-atomic cost per op under ugni).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -7,6 +8,7 @@
 #include <vector>
 
 #include "ds/ms_queue.hpp"
+#include "test_support.hpp"
 
 namespace pgasnb {
 namespace {
@@ -150,6 +152,90 @@ TEST(MsQueue, PerElementFifoPerProducer) {
   }
   for (int p = 0; p < kProducers; ++p) {
     EXPECT_EQ(next_expected[p], kPerProducer);
+  }
+}
+
+// --- across locales -----------------------------------------------------------
+
+TEST(MsQueueDist, UncontendedOpsCostFourNicAtomicsUnderUgni) {
+  Runtime runtime(testing::testConfig(2, CommMode::ugni));
+  DistDomain domain = DistDomain::create();
+  {
+    MsQueue<std::uint64_t, DistDomain> q(domain);
+    auto guard = domain.pin();
+    comm::resetCounters();
+    q.enqueue(guard, 7);
+    EXPECT_EQ(comm::counters().nic_atomics, 4u)
+        << "tail read, link read, link CAS, tail CAS";
+    comm::resetCounters();
+    EXPECT_EQ(q.dequeue(guard), std::optional<std::uint64_t>(7));
+    EXPECT_EQ(comm::counters().nic_atomics, 4u)
+        << "head read, tail read, link read, head CAS";
+  }
+  domain.clear();
+  domain.destroy();
+}
+
+template <typename Domain>
+class MsQueueDistTest : public ::testing::Test {};
+using QueueDomains = ::testing::Types<DistDomain, IntervalDomain>;
+TYPED_TEST_SUITE(MsQueueDistTest, QueueDomains);
+
+TYPED_TEST(MsQueueDistTest, FourLocaleMpmcConservation) {
+  constexpr std::uint32_t kLocales = 4;
+  constexpr std::uint64_t kPerLocale = 2000;
+  for (const CommMode mode : {CommMode::none, CommMode::ugni}) {
+    SCOPED_TRACE(toString(mode));
+    Runtime runtime(testing::testConfig(kLocales, mode));
+    TypeParam domain = TypeParam::create();
+    {
+      MsQueue<std::uint64_t, TypeParam> q(domain);
+      std::atomic<std::uint64_t> sum{0};
+      std::atomic<std::uint64_t> count{0};
+      std::atomic<std::uint32_t> producers_done{0};
+      auto* queue = &q;
+      // One producer and one consumer task on every locale.
+      coforallLocales([&, queue, domain] {
+        coforallHere(2, [&, queue, domain](std::uint32_t role) {
+          auto guard = domain.attach();
+          if (role == 0) {
+            for (std::uint64_t i = 0; i < kPerLocale; ++i) {
+              guard.pin();
+              queue->enqueue(guard, Runtime::here() * kPerLocale + i + 1);
+              guard.unpin();
+              if (i % 256 == 255) guard.tryReclaim();
+            }
+            producers_done.fetch_add(1);
+            return;
+          }
+          for (std::uint64_t n = 1;; ++n) {
+            // Read the flag before the dequeue: an empty queue after every
+            // producer finished is final.
+            const bool done = producers_done.load() == kLocales;
+            guard.pin();
+            const std::optional<std::uint64_t> v = queue->dequeue(guard);
+            guard.unpin();
+            if (v.has_value()) {
+              sum.fetch_add(*v, std::memory_order_relaxed);
+              count.fetch_add(1, std::memory_order_relaxed);
+            } else if (done) {
+              break;
+            }
+            if (n % 256 == 0) guard.tryReclaim();
+          }
+        });
+      });
+      const std::uint64_t total = kLocales * kPerLocale;
+      EXPECT_EQ(count.load(), total);
+      EXPECT_EQ(sum.load(), total * (total + 1) / 2);
+      EXPECT_TRUE(q.emptyApprox());
+    }
+    domain.clear();
+    const ReclaimStats stats = domain.stats();
+    EXPECT_EQ(stats.deferred, kLocales * kPerLocale)
+        << "every dequeue retires its old dummy";
+    EXPECT_EQ(stats.pending(), 0u);
+    domain.destroy();
   }
 }
 
