@@ -5,7 +5,9 @@
 // We compare a tryReclaim storm (every task, every iteration -- the
 // election absorbs almost all of them locally) against a "no local
 // election" variant where every task goes straight for the *global* flag,
-// hammering the epoch's host locale.
+// hammering the epoch's host locale. In that row only the testAndSet waits
+// for locale 0: the winner's clear() is a one-way release
+// (comm::atomicClear), so each win costs one round trip and one posted AM.
 #include "bench_common.hpp"
 
 int main(int argc, char** argv) {

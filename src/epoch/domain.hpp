@@ -336,12 +336,12 @@ class DistDomain {
 
   DistDomain() = default;  // invalid handle; use create()
 
-  /// Collective: the global epoch (locale 0) plus one privatized instance
-  /// per locale.
+  /// Collective: the election state (locale 0) plus one privatized
+  /// instance per locale.
   static DistDomain create();
   /// Collective teardown: reclaims everything, drops every progress
   /// thread's cached guard, then destroys the per-locale instances and the
-  /// global epoch.
+  /// election state.
   void destroy();
 
   bool valid() const noexcept { return handle_.valid(); }
@@ -368,7 +368,11 @@ class DistDomain {
   /// Reclaim everything across all epochs. Caller guarantees no concurrent
   /// use (paper's `clear`).
   void clear() const { detail::epochClearAll(handle_); }
-  std::uint64_t currentEpoch() const { return global_->epoch.read(); }
+  /// The calling locale's epoch cache: no communication. Every cache holds
+  /// the global epoch except while an advance is storing the next one.
+  std::uint64_t currentEpoch() const {
+    return handle_.local().locale_epoch_.load(std::memory_order_seq_cst);
+  }
   /// Summed statistics across locales (diagnostic; quiescent-exact).
   ReclaimStats stats() const { return detail::sumLocaleStats(*this); }
   /// Zero the statistics on every locale (counters only; quiescent point).

@@ -135,21 +135,26 @@ std::uint64_t scatterList(LimboList& list,
 }
 
 void bulkDeleteScattered(const ScatterBuckets& buckets) {
+  const auto freeBucket = [](const std::vector<comm::RetireEntry>& bucket) {
+    for (const comm::RetireEntry& entry : bucket) entry.deleter(entry.obj);
+  };
   const std::uint32_t src = Runtime::here();
-  auto* buckets_p = &buckets;  // coforall joins before the frame unwinds
-  coforallLocales([buckets_p, src] {
-    const LatencyModel& lat = Runtime::get().config().latency;
-    const std::uint32_t dest = Runtime::here();
-    const auto& bucket = (*buckets_p)[dest];
-    if (dest != src && !bucket.empty()) {
+  // Spawn the other owners' tasks first, so they run while the caller
+  // frees its own bucket in place.
+  TaskGroup owners;
+  for (std::uint32_t dest = 0; dest < buckets.size(); ++dest) {
+    const auto& bucket = buckets[dest];
+    if (dest == src || bucket.empty()) continue;
+    owners.spawnOn(dest, [&bucket, freeBucket] {
       // One aggregated transfer instead of one RPC per object -- the
       // scatter list's entire purpose.
-      sim::charge(lat.bulkCost(bucket.size() * sizeof(void*) * 2));
-    }
-    for (const comm::RetireEntry& entry : bucket) {
-      entry.deleter(entry.obj);
-    }
-  });
+      sim::charge(Runtime::get().config().latency.bulkCost(
+          bucket.size() * sizeof(void*) * 2));
+      freeBucket(bucket);
+    });
+  }
+  freeBucket(buckets[src]);
+  owners.wait();  // before the buckets' owner unwinds them
 }
 
 namespace {
@@ -208,11 +213,16 @@ bool epochTryReclaim(Privatized<EpochManagerImpl> handle) {
     return false;
   }
 
+  // The previous winner stored every locale cache before it released the
+  // global flag, and the testAndSet above read that release: this locale's
+  // cache holds the global epoch, with no round trip to locale 0.
+  const std::uint64_t this_epoch =
+      inst.locale_epoch_.load(std::memory_order_seq_cst);
+
   // Is it safe to reclaim across all locales? (Listing 4 lines 8-21)
   // The scan is initiated asynchronously: the kick-off returns immediately,
   // the initiator's own locale scans as one of the spawned tasks, and the
   // join folds every locale's simulated scan time in at once.
-  const std::uint64_t this_epoch = inst.global_->epoch.read();
   PendingAnd scan = allLocalesAndAsync([handle, this_epoch, &lat] {
     EpochManagerImpl& li = handle.local();
     for (Token* t = li.tokens_.allocatedHead(); t != nullptr;
@@ -228,7 +238,6 @@ bool epochTryReclaim(Privatized<EpochManagerImpl> handle) {
   std::uint64_t detached = 0;
   if (safe) {
     const std::uint64_t new_epoch = nextEpoch(this_epoch);
-    inst.global_->epoch.write(new_epoch);
     inst.global_->advances.fetch_add(1, std::memory_order_relaxed);
     inst.counters_.advances.fetch_add(1, std::memory_order_relaxed);
     // Update each locale's epoch cache, then detach the list that is now
@@ -244,6 +253,8 @@ bool epochTryReclaim(Privatized<EpochManagerImpl> handle) {
     inst.counters_.scans_unsafe.fetch_add(1, std::memory_order_relaxed);
   }
 
+  // A one-way release: the next testAndSet from this locale queues behind
+  // it, and one from another locale that arrives first loses.
   inst.global_->is_setting_epoch.clear();
   inst.is_setting_epoch_.store(0, std::memory_order_seq_cst);
   sim::charge(lat.cpu_atomic_ns);
@@ -289,6 +300,8 @@ DistDomain DistDomain::create() {
 
 void DistDomain::destroy() {
   if (!valid()) return;
+  // clear() also fences every AM queue, so a one-way release of the global
+  // flag lands before the GlobalEpoch is freed below.
   clear();
   detail::dropThreadCachedGuards<Guard>(handle_.id());
   handle_.destroy();

@@ -8,9 +8,12 @@
 //   distributed forall loops).
 // * Each instance has the limbo lists, a locale-private epoch cache, a
 //   local election flag and a token pool.
-// * A single GlobalEpoch object lives on locale 0 so all locales reach
-//   consensus on one centralized epoch; it is accessed with network
-//   atomics (RDMA in CommMode::ugni).
+// * A single GlobalEpoch object lives on locale 0. It holds the global
+//   election flag, accessed with network atomics (RDMA in CommMode::ugni),
+//   and an advance counter. The epoch itself is the locale caches, which
+//   only the election's winner writes: every cache holds the global epoch
+//   whenever the flag is clear (docs/ARCHITECTURE.md, "Deviations from the
+//   paper").
 // * A DistGuard (the paper's token) is one registration in the pool of the
 //   locale that created it.
 //
@@ -18,16 +21,19 @@
 // --------------------------------------------
 // 1. first-come-first-serve election, local flag then global flag; losers
 //    return immediately (non-blocking, keeps the manager lock-free).
-// 2. scan every locale's allocated tokens on that locale; safe iff every
-//    token is quiescent or pinned in the current global epoch.
-// 3. if safe: advance the global epoch, then on every locale update the
-//    epoch cache, pop the limbo list that is now three advances old in one
-//    exchange and splice it onto the locale's to-free list.
-// 4. release both flags; then, outside the election, pop every locale's
-//    to-free list, scatter its objects by owner locale into scan-private
-//    buckets, and bulk-delete each bucket on its owner (Fraser's EBR frees
-//    each list outside the critical section; docs/ARCHITECTURE.md,
-//    "Deviations from the paper").
+// 2. read the epoch from the winner's own locale cache, then scan every
+//    locale's allocated tokens on that locale; safe iff every token is
+//    quiescent or pinned in that epoch.
+// 3. if safe: on every locale store the next epoch into the cache, pop the
+//    limbo list that is now three advances old in one exchange and splice
+//    it onto the locale's to-free list.
+// 4. release both flags, the global one with a one-way store (no reply is
+//    awaited); then, outside the election, pop every locale's to-free
+//    list, scatter its objects by owner locale into scan-private buckets,
+//    free the locale's own bucket in place and bulk-delete each other
+//    non-empty bucket on its owner (Fraser's EBR frees each list outside
+//    the critical section; docs/ARCHITECTURE.md, "Deviations from the
+//    paper").
 #pragma once
 
 #include <atomic>
@@ -46,11 +52,11 @@
 
 namespace pgasnb {
 
-/// The single, centralized epoch all locales agree on; allocated on locale
-/// 0 and accessed via network atomics (paper: "a class instance wraps the
-/// global epoch itself").
+/// The election state all locales share; allocated on locale 0 and
+/// accessed via network atomics. The paper's class also wraps the global
+/// epoch word; here the winner reads the epoch from its locale cache
+/// instead, which the previous winner stored before it released the flag.
 struct GlobalEpoch {
-  DistAtomicU64 epoch{1};
   DistAtomicU64 is_setting_epoch{0};
   std::atomic<std::uint64_t> advances{0};  // diagnostics
 };
@@ -80,10 +86,11 @@ std::uint64_t scatterList(LimboList& list,
                           LimboNodePool<ArenaLimboNodeAlloc>& pool,
                           ScatterBuckets& buckets);
 
-/// "Bulk transfer and delete" (Listing 4): a nested coforall ships each
-/// owner's bucket to its locale in one transfer and runs the deleters
-/// there. Both distributed domains reclaim through it. The buckets are
-/// scan-private, so scans that overlap share no mutable state.
+/// "Bulk transfer and delete" (Listing 4): the caller's own bucket is freed
+/// in place; one task per other non-empty bucket ships it to its owner in
+/// one transfer and runs the deleters there. Both distributed domains
+/// reclaim through it. The buckets are scan-private, so scans that overlap
+/// share no mutable state.
 void bulkDeleteScattered(const ScatterBuckets& buckets);
 
 }  // namespace detail
@@ -92,9 +99,7 @@ void bulkDeleteScattered(const ScatterBuckets& buckets);
 /// directly; it is public only for tests and the benchmark harness.
 class EpochManagerImpl {
  public:
-  explicit EpochManagerImpl(GlobalEpoch* global) : global_(global) {
-    locale_epoch_.store(global->epoch.peek(), std::memory_order_relaxed);
-  }
+  explicit EpochManagerImpl(GlobalEpoch* global) : global_(global) {}
 
   ~EpochManagerImpl() {
     for (auto& list : limbo_) node_pool_.destroyList(list);
@@ -126,6 +131,8 @@ class EpochManagerImpl {
   // Fields are accessed directly by the reclaim driver in epoch_manager.cpp
   // and by white-box tests; this type is an implementation detail.
   GlobalEpoch* global_;
+  /// This locale's copy of the global epoch; written only by an advance's
+  /// winner, under the election.
   std::atomic<std::uint64_t> locale_epoch_{1};
   std::atomic<std::uint64_t> is_setting_epoch_{0};  // local FCFS flag
   LimboList limbo_[kNumEpochs];

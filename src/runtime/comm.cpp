@@ -325,7 +325,24 @@ bool atomicTestAndSet(std::atomic<std::uint64_t>& flag) {
 }
 
 void atomicClear(std::atomic<std::uint64_t>& flag) {
-  dispatchAmo(&flag, [&] { flag.store(0, std::memory_order_seq_cst); });
+  Runtime& rt = Runtime::get();
+  const std::uint32_t owner = ownerOf(&flag);
+  if (rt.commMode() == CommMode::ugni || owner == Runtime::here()) {
+    dispatchAmo(&flag, [&] { flag.store(0, std::memory_order_seq_cst); });
+    return;
+  }
+  // A release needs no reply: post the store and go on. Per-destination
+  // FIFO keeps every later AM the caller sends to `owner` behind it.
+  bump(g_counters.am_async);
+  const std::uint64_t cpu_atomic_ns = rt.config().latency.cpu_atomic_ns;
+  AmRequest req;
+  req.fn = [&flag, cpu_atomic_ns] {
+    sim::charge(cpu_atomic_ns);
+    flag.store(0, std::memory_order_seq_cst);
+  };
+  req.send_time = sim::now();
+  rt.locale(owner).amQueue().push(std::move(req));
+  sim::chargeModelOnly(cpu_atomic_ns);  // the injection
 }
 
 bool dcas(U128& target, U128& expected, U128 desired) {

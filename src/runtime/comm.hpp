@@ -487,8 +487,14 @@ bool atomicCas(std::atomic<std::uint64_t>& a, std::uint64_t& expected,
                std::uint64_t desired);
 std::uint64_t atomicFetchAdd(std::atomic<std::uint64_t>& a, std::uint64_t delta);
 
-/// Test-and-set / clear on a 64-bit flag word (1 = set). Returns previous.
+/// Test-and-set on a 64-bit flag word (1 = set). Returns previous.
 bool atomicTestAndSet(std::atomic<std::uint64_t>& flag);
+/// Clear a flag word: a non-fetching release. Under CommMode::none with a
+/// remote owner it posts the store as a one-way AM (counted in am_async),
+/// charges one injection and returns without waiting; FIFO service puts
+/// it ahead of any later AM the caller sends the owner. The flag must
+/// outlive that AM: fence the owner's queue (quiesceAmQueues) before
+/// freeing it.
 void atomicClear(std::atomic<std::uint64_t>& flag);
 
 // --- 128-bit operations (pointer + ABA counter) -------------------------
@@ -816,6 +822,7 @@ class DistAtomicU64 {
   }
   std::uint64_t fetchAdd(std::uint64_t delta) { return comm::atomicFetchAdd(v_, delta); }
   bool testAndSet() { return comm::atomicTestAndSet(v_); }
+  /// Non-fetching release; one-way when remote (see comm::atomicClear).
   void clear() { comm::atomicClear(v_); }
 
   /// Raw peek without communication semantics (diagnostics only).

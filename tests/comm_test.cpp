@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
+#include <thread>
 #include <vector>
 
 #include "test_support.hpp"
@@ -104,6 +106,33 @@ TEST_F(CommTest, NoneModeUsesCpuAtomicsLocallyAndAmsRemotely) {
   EXPECT_EQ(c.am_sync, 1u);
   onLocale(0, [local] { gdelete(local); });
   onLocale(1, [remote] { gdelete(remote); });
+}
+
+TEST_F(CommTest, NoneModeRemoteClearIsOneWay) {
+  // clear() on a remote flag posts the store and returns; the store lands
+  // when the owner's progress thread reaches it, here behind a held AM.
+  startRuntime(2, CommMode::none);
+  DistAtomicU64* flag = gnewOn<DistAtomicU64>(1, 1u);
+  std::atomic<bool> hold{true};
+  comm::Handle<> held = comm::amProgressHandle(1, [&hold] {
+    // Bounded, so a clear() that waits for a reply still returns (and the
+    // checks below fail instead of the test hanging).
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (hold.load() && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+  });
+  comm::resetCounters();
+  flag->clear();
+  EXPECT_EQ(flag->peek(), 1u) << "clear() waited for the owner";
+  const auto c = comm::counters();
+  EXPECT_EQ(c.am_sync, 0u);
+  EXPECT_EQ(c.am_async, 1u);
+  hold.store(false);
+  held.wait();
+  EXPECT_FALSE(flag->testAndSet()) << "FIFO lands the release first";
+  onLocale(1, [flag] { gdelete(flag); });
 }
 
 TEST_F(CommTest, DcasRemoteAlwaysUsesRemoteExecution) {

@@ -323,15 +323,15 @@ TYPED_TEST(ReclaimChargeTest, ModelTimeOfRetireReclaimAdvanceClear) {
   constexpr bool kDist = std::is_same_v<TypeParam, DistDomain>;
   const std::vector<std::pair<CommMode, std::vector<std::uint64_t>>> cases = {
       {CommMode::none,
-       kDist ? std::vector<std::uint64_t>{4675, 15650, 26625, 48450, 59425,
-                                          75000, 89400}
-             : std::vector<std::uint64_t>{4275, 27050, 49825, 72600, 95375,
-                                          122200, 136450}},
+       kDist ? std::vector<std::uint64_t>{4675, 15600, 26525, 42900, 53825,
+                                          69275, 78275}
+             : std::vector<std::uint64_t>{4275, 24000, 41375, 58750, 76125,
+                                          99825, 108675}},
       {CommMode::ugni,
-       kDist ? std::vector<std::uint64_t>{4675, 19950, 35225, 61350, 76625,
-                                          99725, 114125}
-             : std::vector<std::uint64_t>{4275, 27050, 49825, 72600, 95375,
-                                          122200, 136450}},
+       kDist ? std::vector<std::uint64_t>{4675, 17750, 30825, 49350, 62425,
+                                          80025, 89025}
+             : std::vector<std::uint64_t>{4275, 24000, 41375, 58750, 76125,
+                                          99825, 108675}},
   };
   for (const auto& [mode, expected] : cases) {
     SCOPED_TRACE(toString(mode));

@@ -217,9 +217,63 @@ TEST_F(EpochManagerTest, UgniReclaimUsesNetworkAtomicsForGlobalEpoch) {
   comm::resetCounters();
   EXPECT_TRUE(domain.tryReclaim());
   const auto c = comm::counters();
-  EXPECT_GT(c.nic_atomics, 0u)
-      << "global epoch election/read/write must ride the NIC under ugni";
+  // The election's testAndSet and its release; the epoch itself is read
+  // from and written to the locale caches.
+  EXPECT_EQ(c.nic_atomics, 2u)
+      << "the global election must ride the NIC under ugni";
   domain.destroy();
+}
+
+TEST_F(EpochManagerTest, RemoteWinnerMakesOneBlockingRoundTrip) {
+  startRuntime(4);
+  DistDomain domain = DistDomain::create();
+  comm::resetCounters();
+  bool won = false;
+  onLocale(1, [domain, &won] { won = domain.tryReclaim(); });
+  ASSERT_TRUE(won);
+  const auto c = comm::counters();
+  EXPECT_EQ(c.am_sync, 1u) << "only the testAndSet waits on locale 0";
+  EXPECT_EQ(c.am_async, 1u) << "the release is one-way";
+  coforallLocales([domain] { EXPECT_EQ(domain.currentEpoch(), 2u); });
+  domain.destroy();
+}
+
+TEST_F(EpochManagerTest, ClearLandsTheOneWayReleaseBeforeTeardown) {
+  startRuntime(4);
+  DistDomain domain = DistDomain::create();
+  GlobalEpoch* global = domain.implHere().global_;
+  onLocale(2, [domain] { EXPECT_TRUE(domain.tryReclaim()); });
+  domain.clear();
+  EXPECT_EQ(global->is_setting_epoch.peek(), 0u)
+      << "clear() fences the AM queue that carries the release";
+  // Teardown straight after a remote advance: the release must land before
+  // destroy() frees the GlobalEpoch.
+  onLocale(3, [domain] { EXPECT_TRUE(domain.tryReclaim()); });
+  domain.destroy();
+}
+
+TEST_F(EpochManagerTest, AllLocalFreeSpawnsNoTask) {
+  startRuntime(4);
+  const LatencyModel& lat = runtime_->config().latency;
+  Arena& arena0 = runtime_->locale(0).arena();
+  const std::uint64_t live = arena0.liveBlocks();
+  detail::ScatterBuckets buckets(4);
+  for (int i = 0; i < 8; ++i) {
+    buckets[0].push_back({gnew<Payload>(), &detail::arenaDeleter<Payload>});
+  }
+  std::uint64_t t0 = sim::now();
+  detail::bulkDeleteScattered(buckets);
+  EXPECT_EQ(sim::now() - t0, 0u) << "an all-local free runs in place";
+  EXPECT_EQ(arena0.liveBlocks(), live);
+
+  // One remote object puts one owner task on the path: fork, transfer and
+  // the join's return wire.
+  buckets.assign(4, {});
+  buckets[2].push_back({gnewOn<Payload>(2), &detail::arenaDeleter<Payload>});
+  t0 = sim::now();
+  detail::bulkDeleteScattered(buckets);
+  EXPECT_EQ(sim::now() - t0, lat.am_wire_ns * 2 + lat.remote_task_spawn_ns +
+                                 lat.bulkCost(sizeof(void*) * 2));
 }
 
 TEST_F(EpochManagerTest, LosingLocalElectionReturnsImmediately) {
