@@ -66,16 +66,22 @@ void admitOps(EpochClient& client, const EpochEngineConfig& cfg,
 }
 
 /// Group step for one lane: partition its admitted ops by owner locale
-/// with a counting sort. Per-owner admit order is preserved (stable
-/// scatter), so per-destination FIFO semantics of the aggregated surface
-/// carry through.
+/// with a counting sort. Owners are ranked from (here + 1) mod n round to
+/// the lane's own locale, so lanes on different locales start on different
+/// owners rather than all issuing to owner 0 at once. Per-owner admit order
+/// is preserved (stable scatter), so per-destination FIFO semantics of the
+/// aggregated surface carry through.
 void groupByOwner(std::vector<OpRecord>& ops) {
   const std::uint32_t n_loc = Runtime::get().numLocales();
+  const std::uint32_t first = (Runtime::here() + 1) % n_loc;
+  const auto rank = [n_loc, first](const OpRecord& op) {
+    return (op.owner + n_loc - first) % n_loc;
+  };
   std::vector<std::uint64_t> cursor(n_loc + 1, 0);
-  for (const OpRecord& op : ops) ++cursor[op.owner + 1];
-  for (std::uint32_t l = 0; l < n_loc; ++l) cursor[l + 1] += cursor[l];
+  for (const OpRecord& op : ops) ++cursor[rank(op) + 1];
+  for (std::uint32_t r = 0; r < n_loc; ++r) cursor[r + 1] += cursor[r];
   std::vector<OpRecord> grouped(ops.size());
-  for (const OpRecord& op : ops) grouped[cursor[op.owner]++] = op;
+  for (const OpRecord& op : ops) grouped[cursor[rank(op)]++] = op;
   ops.swap(grouped);
 }
 

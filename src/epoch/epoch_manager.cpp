@@ -47,58 +47,53 @@ void EpochManagerImpl::deferDelete(Token* token, void* obj,
   sim::charge(Runtime::get().config().latency.cpu_atomic_ns * 3);
 }
 
-void EpochManagerImpl::insertRemoteRetires(
+void EpochManagerImpl::insertRetires(
     const std::vector<comm::RetireEntry>& entries) {
   if (entries.empty()) return;
-  // Acquire and pre-link the whole chain privately, then publish it with
-  // one exchange: a batch of N retires costs the same number of limbo-list
-  // atomics as a single retire.
-  LimboNode* first = nullptr;
+  // Take the run's nodes off the pool with one multi-pop, fill and link
+  // them privately, then publish the chain with one exchange: a run of N
+  // retires costs the same limbo-list atomics as a single retire.
+  LimboNode* first = node_pool_.acquireChain(entries.size());
   LimboNode* last = nullptr;
   for (const comm::RetireEntry& entry : entries) {
-    LimboNode* node = node_pool_.acquire(entry.obj, entry.deleter);
-    if (first == nullptr) {
-      first = node;
-    } else {
-      last->next.store(node, std::memory_order_relaxed);
-    }
-    last = node;
+    last = last == nullptr ? first : last->next.load(std::memory_order_relaxed);
+    last->obj = entry.obj;
+    last->deleter = entry.deleter;
   }
   const std::uint64_t e = locale_epoch_.load(std::memory_order_seq_cst);
   limbo_[limboIndexFor(e)].pushChain(first, last);
   counters_.noteDeferred(entries.size());
-  // Node recycles (one pool pop per entry) + the single exchange.
-  sim::charge(Runtime::get().config().latency.cpu_atomic_ns *
-              (entries.size() + 2));
+  // The multi-pop, the exchange and the link, whatever the run's length.
+  sim::charge(Runtime::get().config().latency.cpu_atomic_ns * 3);
 }
 
 // ---------------------------------------------------------------------------
-// DistGuard: cross-locale retire routing
+// DistGuard: retire routing
 // ---------------------------------------------------------------------------
 
 void DistGuard::retireRaw(void* obj, ObjectDeleter deleter) {
   PGASNB_CHECK_MSG(token_ != nullptr, "retire() on an invalid guard");
   checkHome();
   Runtime& rt = Runtime::get();
-  const std::uint32_t owner = rt.localeOfAddress(obj);
-  const RemoteRetirePolicy policy = rt.config().remote_retire;
-  if (owner == Runtime::here() || policy == RemoteRetirePolicy::scatter) {
-    // Local object, or the paper's baseline: retire into the local limbo
-    // list; reclamation ships remote objects home via the scatter lists.
+  if (rt.config().remote_retire == RemoteRetirePolicy::scatter) {
+    // The paper's baseline: retire into the local limbo list; reclamation
+    // ships remote objects home via the scatter lists.
     handle_.local().deferDelete(token_, obj, deleter);
     return;
   }
   PGASNB_CHECK_MSG(pinned(), "deferDelete requires a pinned token");
-  // Aggregated: the retire joins the owner's run in the task's
-  // comm::Aggregator, which ships at its threshold or age cutoff (or at
-  // tryReclaim/release/clear). Charged first, so a threshold flush stamps
-  // this send time.
+  // Aggregated: the retire joins its owner's run in the task's
+  // comm::Aggregator. A remote run ships at its threshold or age cutoff (or
+  // at tryReclaim/release/clear); the own locale's run is inserted inline
+  // at the same points. Charged first, so a threshold flush stamps this
+  // send time.
   sim::chargeModelOnly(rt.config().latency.cpu_atomic_ns);
-  routed_remote_ = true;
+  routed_retire_ = true;
+  const std::uint32_t owner = rt.localeOfAddress(obj);
   comm::taskAggregator().enqueueRetire(
       owner,
       [](void* impl, const std::vector<comm::RetireEntry>& run) {
-        static_cast<EpochManagerImpl*>(impl)->insertRemoteRetires(run);
+        static_cast<EpochManagerImpl*>(impl)->insertRetires(run);
       },
       handle_.instanceOn(owner), {obj, deleter});
 }
@@ -106,7 +101,7 @@ void DistGuard::retireRaw(void* obj, ObjectDeleter deleter) {
 void DistGuard::flush() {
   // A guard that never routed a retire has nothing of its own buffered, so
   // it leaves the aggregator (and the ops other code buffered there) alone.
-  if (token_ == nullptr || !routed_remote_) return;
+  if (token_ == nullptr || !routed_retire_) return;
   checkHome();
   comm::taskAggregator().flushAll();
 }

@@ -15,7 +15,10 @@
 //   whenever the flag is clear (docs/ARCHITECTURE.md, "Deviations from the
 //   paper").
 // * A DistGuard (the paper's token) is one registration in the pool of the
-//   locale that created it.
+//   locale that created it. Its retires, local and remote alike, buffer as
+//   runs in the task's comm::Aggregator; a run enters its owner's limbo
+//   list in one multi-pop and one exchange (EpochManagerImpl::
+//   insertRetires).
 //
 // Reclamation protocol (tryReclaim, Listing 4)
 // --------------------------------------------
@@ -116,17 +119,20 @@ class EpochManagerImpl {
   void pin(Token* token);
   void unpin(Token* token) noexcept;
 
-  /// Defer deletion of `obj` into the limbo list of the token's epoch.
+  /// Defer deletion of `obj` into the limbo list of the token's epoch: the
+  /// retire path of RemoteRetirePolicy::scatter, the paper's baseline.
   /// Wait-free: node recycle + one exchange + one store.
   void deferDelete(Token* token, void* obj, ObjectDeleter deleter);
 
-  /// Insert a run of aggregated retires shipped from another locale into
-  /// this locale's current-epoch limbo list: acquires limbo nodes for every
-  /// entry, pre-links them, and splices the chain with ONE exchange
-  /// (LimboList::pushChain). Runs on the progress thread. Inserting at the
-  /// *receiver's* epoch is safe regardless of sender lag: it can only delay
-  /// the objects past more grace periods, never fewer.
-  void insertRemoteRetires(const std::vector<comm::RetireEntry>& entries);
+  /// Insert a run of aggregated retires into this locale's current-epoch
+  /// limbo list: takes the run's nodes off the pool in one multi-pop
+  /// (LimboNodePool::acquireChain), links them privately and splices the
+  /// chain with ONE exchange (LimboList::pushChain). A shipped run is
+  /// inserted on the progress thread, the own locale's run inline on the
+  /// task that flushes it. Inserting at this locale's *current* epoch is
+  /// safe however late the run arrives: that epoch is at least the one the
+  /// retire was pinned in, so the objects can only wait longer.
+  void insertRetires(const std::vector<comm::RetireEntry>& entries);
 
   // Fields are accessed directly by the reclaim driver in epoch_manager.cpp
   // and by white-box tests; this type is an implementation detail.
@@ -154,8 +160,8 @@ void epochClearAll(Privatized<EpochManagerImpl> handle);
 
 /// A task's registration in a DistDomain and its RAII epoch guard: scope
 /// exit unregisters (the paper's `forall ... with (var tok = ...)` pattern,
-/// made safe). A cross-locale retire buffers only in the task's
-/// comm::Aggregator, as part of a run of retires bound for its owner.
+/// made safe). A retire buffers only in the task's comm::Aggregator, as
+/// part of a run of retires bound for its owner, this locale included.
 ///
 /// A guard is bound to the locale and OS thread that registered it: the
 /// underlying Token lives in that locale's pool, and buffered retires ride
@@ -172,9 +178,9 @@ class DistGuard {
     token_ = other.token_;
     home_ = other.home_;
     owner_thread_ = other.owner_thread_;
-    routed_remote_ = other.routed_remote_;
+    routed_retire_ = other.routed_retire_;
     other.token_ = nullptr;
-    other.routed_remote_ = false;
+    other.routed_retire_ = false;
     return *this;
   }
   DistGuard(const DistGuard&) = delete;
@@ -191,10 +197,10 @@ class DistGuard {
     PGASNB_CHECK_MSG(token_ != nullptr, "pin() on an invalid guard");
     handle_.local().pin(token_);
   }
-  /// Leave the epoch. Buffered cross-locale retires stay in the task's
-  /// comm::Aggregator (see flush()): a pin/retire/unpin loop then ships
-  /// them in full batches. A late ship is safe, since the receiver inserts
-  /// at its current epoch, which can only make the objects wait longer.
+  /// Leave the epoch. Buffered retires stay in the task's comm::Aggregator
+  /// (see flush()): a pin/retire/unpin loop then inserts them in full
+  /// runs. A late insert is safe, since the owner files a run under its
+  /// current epoch, which can only make the objects wait longer.
   void unpin() {
     // No-op on an invalid (released/moved-from) guard: already quiescent.
     if (token_ == nullptr) return;
@@ -211,10 +217,11 @@ class DistGuard {
 
   /// Defer deletion of an object allocated with gnew/gnewOn until no task
   /// can still hold a reference; requires the guard to be pinned. May
-  /// target any locale's object: local (and scatter-policy) retires go
-  /// into the local limbo list, cross-locale retires are routed per
-  /// RuntimeConfig::remote_retire (aggregated through the task's
-  /// comm::Aggregator by default).
+  /// target any locale's object. By default (RuntimeConfig::remote_retire
+  /// aggregated) every retire, local or remote, joins its owner's run in
+  /// the task's comm::Aggregator and costs one processor atomic; the run
+  /// reaches a limbo list when it is flushed (see flush()). Under scatter,
+  /// every retire goes straight into the local limbo list.
   template <typename T>
   void retire(T* obj) {
     retireRaw(obj, &detail::arenaDeleter<T>);
@@ -223,12 +230,13 @@ class DistGuard {
   /// Custom-deleter escape hatch (deleter runs on the object's owner).
   void retireRaw(void* obj, ObjectDeleter deleter);
 
-  /// Ship buffered cross-locale retires now. Normally automatic: at the
-  /// batch threshold, at the age cutoff, on tryReclaim(), on release() or
-  /// scope exit, on the domain's clear(), and at the end of the AM service
-  /// that pinned a progress thread's guard (PinScope). unpin() does not
-  /// flush. Flushes the whole task aggregator once this guard has routed a
-  /// retire through it.
+  /// Flush buffered retires now: remote runs ship, the own locale's run is
+  /// inserted inline. Normally automatic: at the batch threshold, at the
+  /// age cutoff, on tryReclaim(), on release() or scope exit, on the
+  /// domain's clear(), and at the end of the AM service that pinned a
+  /// progress thread's guard (PinScope). unpin() does not flush, nor does
+  /// the domain-level DistDomain::tryReclaim(). Flushes the whole task
+  /// aggregator once this guard has routed a retire through it.
   void flush();
 
   /// Protected read for domain-generic traversals: evaluate `load` under
@@ -293,7 +301,7 @@ class DistGuard {
   std::uint32_t home_ = 0;                ///< registering locale
   std::thread::id owner_thread_;          ///< registering OS thread
   /// Set by the first retire routed through the task aggregator.
-  bool routed_remote_ = false;
+  bool routed_retire_ = false;
 };
 
 }  // namespace pgasnb

@@ -18,11 +18,13 @@
 // Nodes are recycled through a lock-free Treiber stack protected by the
 // ABA-counter of LocalAtomicObject (paper Sec. II.C). Recycled nodes are
 // type-stable: they return to the pool, never to the allocator, until the
-// pool itself is destroyed -- which is what makes the optimistic reads in
-// the Treiber pop safe.
+// pool itself is destroyed -- which is what makes the optimistic reads of
+// the pop safe. The pop takes a whole run's nodes with one CAS
+// (acquireChain).
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 
 #include "atomic/local_atomic_object.hpp"
@@ -43,9 +45,11 @@ struct LimboNode {
   std::uint64_t birth = 0;
   std::uint64_t retire_era = 0;
   std::atomic<LimboNode*> next{nullptr};
-  /// Treiber free-stack linkage. Atomic (relaxed) because the pool pop's
-  /// optimistic read of a type-stable node races with a concurrent
-  /// release's store; the ABA CAS supplies the ordering.
+  /// Treiber free-stack linkage. Atomic because the pool pop's optimistic
+  /// reads of type-stable nodes race with a concurrent release's store; the
+  /// ABA CAS supplies the ordering. Released and acquired, so that each hop
+  /// of a multi-node pop (acquireChain) is ordered after the stores that
+  /// made the node it reaches, however stale the walk.
   std::atomic<LimboNode*> pool_next{nullptr};
 };
 
@@ -124,17 +128,66 @@ class LimboNodePool {
 
   LimboNode* acquire(void* obj, ObjectDeleter deleter, std::uint64_t birth = 0,
                      std::uint64_t retire_era = 0) {
-    LimboNode* node = pop();
-    if (node == nullptr) {
-      node = Alloc::alloc();
-      outstanding_.fetch_add(1, std::memory_order_relaxed);
-    }
+    LimboNode* node = acquireChain(1);
     node->obj = obj;
     node->deleter = deleter;
     node->birth = birth;
     node->retire_era = retire_era;
-    node->next.store(nullptr, std::memory_order_relaxed);
     return node;
+  }
+
+  /// Take `n` >= 1 nodes as one chain linked through `next`, payloads
+  /// cleared and the last node's `next` null; returns the first node.
+  /// Pooled nodes come off the free stack with ONE ABA-protected CAS: walk
+  /// up to `n` nodes along `pool_next`, then swing the head past them. An
+  /// unchanged {head, count} proves that nothing was pushed or popped since
+  /// the head was read, so the walked links were the stack's own; the
+  /// walk's reads are safe because pool nodes are type-stable. Fresh nodes
+  /// top up a short pool; n == 1 is the plain Treiber pop.
+  LimboNode* acquireChain(std::size_t n) {
+    PGASNB_DCHECK(n > 0);
+    LimboNode* pooled = nullptr;
+    std::size_t taken = 0;
+    for (ABA<LimboNode> head = free_.readABA(); !head.isNil();
+         head = free_.readABA()) {
+      LimboNode* last = head.getObject();
+      std::size_t walked = 1;
+      for (LimboNode* next;
+           walked < n &&
+           (next = last->pool_next.load(std::memory_order_acquire)) != nullptr;
+           ++walked) {
+        last = next;
+      }
+      if (free_.compareAndSwapABA(
+              head, last->pool_next.load(std::memory_order_acquire))) {
+        pooled = head.getObject();
+        taken = walked;
+        break;
+      }
+    }
+    LimboNode* first = nullptr;
+    LimboNode* tail = nullptr;
+    for (std::size_t i = 0; i < n; ++i) {
+      LimboNode* node = pooled;
+      if (i < taken) {
+        pooled = node->pool_next.load(std::memory_order_relaxed);
+      } else {
+        node = Alloc::alloc();
+      }
+      node->obj = nullptr;
+      node->deleter = nullptr;
+      node->birth = 0;
+      node->retire_era = 0;
+      node->next.store(nullptr, std::memory_order_relaxed);
+      if (tail == nullptr) {
+        first = node;
+      } else {
+        tail->next.store(node, std::memory_order_relaxed);
+      }
+      tail = node;
+    }
+    outstanding_.fetch_add(n - taken, std::memory_order_relaxed);
+    return first;
   }
 
   void release(LimboNode* node) noexcept {
@@ -142,7 +195,7 @@ class LimboNodePool {
     node->deleter = nullptr;
     while (true) {
       ABA<LimboNode> head = free_.readABA();
-      node->pool_next.store(head.getObject(), std::memory_order_relaxed);
+      node->pool_next.store(head.getObject(), std::memory_order_release);
       if (free_.compareAndSwapABA(head, node)) return;
     }
   }
@@ -166,18 +219,6 @@ class LimboNodePool {
   }
 
  private:
-  LimboNode* pop() noexcept {
-    ABA<LimboNode> head = free_.readABA();
-    while (!head.isNil()) {
-      // Safe optimistic read: pool nodes are type-stable.
-      LimboNode* next =
-          head.getObject()->pool_next.load(std::memory_order_relaxed);
-      if (free_.compareAndSwapABA(head, next)) return head.getObject();
-      head = free_.readABA();
-    }
-    return nullptr;
-  }
-
   LocalAtomicObject<LimboNode, /*WithAba=*/true> free_;
   std::atomic<std::uint64_t> outstanding_{0};
 };

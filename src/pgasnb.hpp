@@ -35,7 +35,7 @@
 // the same algorithm body serves both builds. The communication layer is
 // non-blocking underneath: operation-shipped ops (DistStack::popAsync, the
 // hash tables' *Async ops) return a comm::Handle<T>, the task's
-// comm::Aggregator coalesces cross-locale retires and the *AsyncAggregated
+// comm::Aggregator coalesces DistDomain retires and the *AsyncAggregated
 // ops per destination, and a comm::OpWindow scopes batch-then-join over
 // the aggregated ops (close = auto-flush + join at the max sim-time).
 // Drain completions -- with as many worker tasks as you like -- through the

@@ -85,13 +85,8 @@ class AmQueue {
 
   void notifyAll() { cv_.notify_all(); }
 
-  std::size_t sizeApprox() const {
-    std::lock_guard<std::mutex> guard(lock_);
-    return queue_.size();
-  }
-
  private:
-  mutable std::mutex lock_;
+  std::mutex lock_;
   std::condition_variable cv_;
   std::deque<AmRequest> queue_;
 };

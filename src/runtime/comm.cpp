@@ -446,6 +446,7 @@ void Aggregator::adoptRuntime() {
       }
     }
     buckets_.assign(rt.numLocales(), {});
+    local_retires_.entries.clear();
     total_pending_ = 0;
     next_age_deadline_ = kNoDeadline;
     runtime_generation_ = rt.generation();
@@ -458,8 +459,22 @@ void Aggregator::adoptRuntime() {
 void Aggregator::enqueueRetire(std::uint32_t loc, RetireSink sink,
                                void* target, RetireEntry entry) {
   adoptRuntime();
-  PGASNB_CHECK_MSG(loc < buckets_.size() && loc != Runtime::here(),
-                   "aggregator: a retire goes to another locale");
+  PGASNB_CHECK_MSG(loc < buckets_.size(), "aggregator: locale out of range");
+  if (loc == Runtime::here()) {
+    LocalRetireRun& run = local_retires_;
+    if (!run.entries.empty() && run.target != target) runLocalRetires();
+    if (run.entries.empty()) {
+      run.sink = sink;
+      run.target = target;
+      run.first_op_time = sim::now();
+      ++total_pending_;
+      noteOpened(run.first_op_time);
+    }
+    run.entries.push_back(entry);
+    if (run.entries.size() >= ops_per_batch_) runLocalRetires();
+    if (sim::now() >= next_age_deadline_) flushAged();
+    return;
+  }
   Bucket& bucket = buckets_[loc];
   RetireRun* run =
       bucket.ops.empty() ? nullptr : bucket.ops.back().target<RetireRun>();
@@ -497,10 +512,7 @@ void Aggregator::enqueueWithCore(std::uint32_t loc, std::function<void()> op,
   }
   if (bucket.ops.empty()) {
     bucket.first_op_time = sim::now();
-    if (max_batch_age_ns_ != 0) {
-      next_age_deadline_ =
-          std::min(next_age_deadline_, bucket.first_op_time + max_batch_age_ns_);
-    }
+    noteOpened(bucket.first_op_time);
   }
   bucket.ops.push_back(std::move(op));
   ++bucket.weight;
@@ -515,6 +527,20 @@ void Aggregator::enqueueWithCore(std::uint32_t loc, std::function<void()> op,
   bucket.cores.push_back(std::move(core));
   ++total_pending_;
   shipIfDue(loc);
+}
+
+void Aggregator::noteOpened(std::uint64_t first_op_time) {
+  if (max_batch_age_ns_ != 0) {
+    next_age_deadline_ =
+        std::min(next_age_deadline_, first_op_time + max_batch_age_ns_);
+  }
+}
+
+void Aggregator::runLocalRetires() {
+  if (local_retires_.entries.empty()) return;
+  --total_pending_;
+  local_retires_.sink(local_retires_.target, local_retires_.entries);
+  local_retires_.entries.clear();  // keeps its capacity for the next run
 }
 
 void Aggregator::shipIfDue(std::uint32_t loc) {
@@ -582,15 +608,16 @@ void Aggregator::runInline(std::uint32_t loc) {
 }
 
 void Aggregator::flushAll() {
-  // Remote buckets first: the calling locale's bucket runs inline, on this
-  // thread, while they are on the wire. That run may buffer new ops, so
-  // repeat until nothing is left.
+  // Remote buckets first: the calling locale's bucket and retire run go
+  // inline, on this thread, while they are on the wire. The bucket's run
+  // may buffer new ops, so repeat until nothing is left.
   const std::uint32_t here = Runtime::here();
   while (total_pending_ != 0) {
     for (std::uint32_t loc = 0; loc < buckets_.size(); ++loc) {
       if (loc != here) flush(loc);
     }
     flush(here);
+    runLocalRetires();
   }
 }
 
@@ -604,6 +631,15 @@ void Aggregator::flushAged() {
     const std::uint64_t deadline = bucket.first_op_time + max_batch_age_ns_;
     if (now >= deadline) {
       flush(loc);
+    } else {
+      next = std::min(next, deadline);
+    }
+  }
+  if (!local_retires_.entries.empty()) {
+    const std::uint64_t deadline =
+        local_retires_.first_op_time + max_batch_age_ns_;
+    if (now >= deadline) {
+      runLocalRetires();
     } else {
       next = std::min(next, deadline);
     }

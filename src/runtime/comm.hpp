@@ -11,7 +11,8 @@
 // (Chapel's unordered/aggregated operations): the per-task
 // `comm::Aggregator` coalesces them into one batched active message per
 // destination, paying one wire latency per batch instead of per op. The
-// DistDomain routes cross-locale retires through this path.
+// DistDomain routes its retires through this path, own-locale ones as a
+// run that never becomes an AM.
 // An `OpWindow` scopes a batch-then-join step over the aggregated surface:
 // ops issued inside the window are owned by it, and closing the window
 // flushes and joins them at the max simulated time -- see the class below
@@ -545,13 +546,19 @@ using RetireSink = void (*)(void* target, const std::vector<RetireEntry>& run);
 /// domain is cleared, and at the end of an AM service that pinned a
 /// progress thread's guard (never on unpin).
 ///
-/// Ops destined for the calling locale never become an AM. Inside an open
-/// OpWindow, the task aggregator buffers them in the calling locale's own
-/// bucket like any other op; that bucket runs inline on the calling thread
-/// when it is flushed -- by flushAll() *after* every remote bucket has
-/// shipped (so the local work overlaps the batches' round trip), by its
-/// own threshold or age cutoff, or by a wait on one of its handles. Each
-/// such op completes at the simulated time it finishes, with no return
+/// Retires destined for the calling locale never join its bucket: they fill
+/// a run of their own, window or not, which runs inline on the calling
+/// thread at its own threshold (aggregator_ops_per_batch retires), at the
+/// age cutoff and on every flushAll(). Filling or running it never runs the
+/// bucket's buffered ops early.
+///
+/// Other ops destined for the calling locale never become an AM either.
+/// Inside an open OpWindow, the task aggregator buffers them in the calling
+/// locale's own bucket like any other op; that bucket runs inline on the
+/// calling thread when it is flushed -- by flushAll() *after* every remote
+/// bucket has shipped (so the local work overlaps the batches' round trip),
+/// by its own threshold or age cutoff, or by a wait on one of its handles.
+/// Each such op completes at the simulated time it finishes, with no return
 /// wire, and counts toward neither am_batched nor ops_aggregated.
 /// Everywhere else -- progress threads, enqueues outside a window -- they
 /// run in place at enqueue.
@@ -563,10 +570,13 @@ class Aggregator {
   Aggregator(const Aggregator&) = delete;
   Aggregator& operator=(const Aggregator&) = delete;
 
-  /// Buffer one retire for `loc`, another locale (checked). It extends the
+  /// Buffer one retire for `loc`. For another locale it extends the
   /// bucket's last op if that is a run for the same `target`, else opens a
-  /// new run; a run ships as one op calling `sink(target, run)` on `loc`.
-  /// Each retire weighs one (threshold and ops_aggregated).
+  /// new run; a run ships as one op calling `sink(target, run)` on `loc`,
+  /// and each retire weighs one (threshold and ops_aggregated). For the
+  /// calling locale it extends the own-locale run (see the class comment),
+  /// which first runs `sink` on what it holds if that is for another
+  /// `target`.
   void enqueueRetire(std::uint32_t loc, RetireSink sink, void* target,
                      RetireEntry entry);
 
@@ -602,7 +612,8 @@ class Aggregator {
   /// automatically on enqueue; exposed for drain loops that go idle.
   void flushAged();
 
-  /// Buffered (not yet shipped) closures, a run of retires counting one.
+  /// Buffered (not yet shipped) closures, a run of retires counting one,
+  /// the own-locale retire run included.
   std::size_t pending() const noexcept { return total_pending_; }
   std::size_t pendingFor(std::uint32_t loc) const noexcept {
     return loc < buckets_.size() ? buckets_[loc].ops.size() : 0;
@@ -646,8 +657,23 @@ class Aggregator {
   /// runtime generation (their closures reference dead objects).
   void adoptRuntime();
 
+  /// The calling locale's retires, and the domain instance they go to.
+  struct LocalRetireRun {
+    RetireSink sink = nullptr;
+    void* target = nullptr;
+    std::vector<RetireEntry> entries;
+    /// Simulated time the run's first retire was enqueued.
+    std::uint64_t first_op_time = 0;
+  };
+
   /// The threshold check for `loc`, then the age check for every bucket.
   void shipIfDue(std::uint32_t loc);
+
+  /// Hand the own-locale retire run to its sink, on the calling thread.
+  void runLocalRetires();
+
+  /// Fold a buffer opened at `first_op_time` into next_age_deadline_.
+  void noteOpened(std::uint64_t first_op_time);
 
   /// Run the calling locale's bucket `loc` inline, in FIFO order, resolving
   /// each op's core at its own finish time. The batch is moved out first,
@@ -664,6 +690,7 @@ class Aggregator {
   std::uint64_t runtime_generation_ = 0;
   std::size_t total_pending_ = 0;
   std::vector<Bucket> buckets_;
+  LocalRetireRun local_retires_;
 };
 
 /// The calling task's aggregator (thread-local). The epoch layer drains it

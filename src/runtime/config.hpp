@@ -29,13 +29,14 @@ const char* toString(CommMode mode) noexcept;
 /// Parses "none"/"ugni" (case-insensitive); falls back to `def`.
 CommMode parseCommMode(const std::string& text, CommMode def = CommMode::none);
 
-/// How a DistDomain guard ships a retire whose object lives on another
-/// locale:
+/// How a DistDomain guard routes a retire:
 ///   * scatter    - paper baseline: push into the *local* limbo list; the
 ///                  reclaim pass sorts objects by owner and bulk-transfers
 ///                  each bucket (communication deferred to reclaim time).
-///   * aggregated - per-task batching + comm::Aggregator: retires coalesce
-///                  into one batched AM per destination (default).
+///   * aggregated - per-task batching in comm::Aggregator: retires join a
+///                  run per owner; remote runs coalesce into one batched AM
+///                  per destination, the own locale's run is inserted
+///                  inline (default).
 enum class RemoteRetirePolicy : std::uint8_t {
   scatter,
   aggregated,
@@ -55,7 +56,7 @@ struct RuntimeConfig {
 
   CommMode comm_mode = CommMode::none;
 
-  /// Cross-locale retire routing (see RemoteRetirePolicy).
+  /// DistDomain retire routing (see RemoteRetirePolicy).
   RemoteRetirePolicy remote_retire = RemoteRetirePolicy::aggregated;
 
   /// comm::Aggregator: ops or aggregated retires buffered per destination

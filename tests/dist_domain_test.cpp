@@ -323,13 +323,13 @@ TYPED_TEST(ReclaimChargeTest, ModelTimeOfRetireReclaimAdvanceClear) {
   constexpr bool kDist = std::is_same_v<TypeParam, DistDomain>;
   const std::vector<std::pair<CommMode, std::vector<std::uint64_t>>> cases = {
       {CommMode::none,
-       kDist ? std::vector<std::uint64_t>{4675, 15600, 26525, 42900, 53825,
-                                          69275, 78275}
+       kDist ? std::vector<std::uint64_t>{4425, 15350, 26275, 42650, 53575,
+                                          68850, 77850}
              : std::vector<std::uint64_t>{4275, 24000, 41375, 58750, 76125,
                                           99825, 108675}},
       {CommMode::ugni,
-       kDist ? std::vector<std::uint64_t>{4675, 17750, 30825, 49350, 62425,
-                                          80025, 89025}
+       kDist ? std::vector<std::uint64_t>{4425, 17500, 30575, 49100, 62175,
+                                          79600, 88600}
              : std::vector<std::uint64_t>{4275, 24000, 41375, 58750, 76125,
                                           99825, 108675}},
   };
@@ -460,6 +460,115 @@ TEST_F(LateReclaimTest, TeardownWithBufferedRetiresFreesEverything) {
   guard.release();
   domain.destroy();
   runtime_.reset();
+}
+
+// --- the own-locale retire run ----------------------------------------------
+
+class LocalRetireRunTest : public RuntimeTest {
+ protected:
+  void SetUp() override { Counted::live.store(0); }
+  std::uint64_t deferred(const DistDomain& domain) const {
+    return domain.stats().deferred;
+  }
+};
+
+TEST_F(LocalRetireRunTest, LocalRetireWaitsInTheRunUntilItFlushes) {
+  startRuntime(2);
+  DistDomain domain = DistDomain::create();
+  comm::Aggregator& agg = comm::taskAggregator();
+  const std::size_t threshold = runtime_->config().aggregator_ops_per_batch;
+  {
+    // The threshold runs it inline, on the caller.
+    auto guard = domain.pin();
+    for (std::size_t i = 1; i < threshold; ++i) {
+      guard.retire(gnew<Counted>());
+    }
+    EXPECT_EQ(deferred(domain), 0u) << "below the threshold nothing lands";
+    EXPECT_EQ(agg.pending(), 1u) << "the run counts as one buffered op";
+    EXPECT_EQ(agg.pendingFor(0), 0u) << "the run is not a bucket op";
+    guard.retire(gnew<Counted>());
+    EXPECT_EQ(deferred(domain), threshold);
+    EXPECT_EQ(agg.pending(), 0u);
+
+    // tryReclaim() flushes first.
+    guard.retire(gnew<Counted>());
+    EXPECT_EQ(deferred(domain), threshold);
+    guard.tryReclaim();
+    EXPECT_EQ(deferred(domain), threshold + 1);
+
+    // The age cutoff runs an under-filled run at the next enqueue.
+    guard.pin();
+    guard.retire(gnew<Counted>());
+    sim::chargeModelOnly(runtime_->config().aggregator_max_batch_age_ns);
+    EXPECT_EQ(deferred(domain), threshold + 1);
+    guard.retire(gnew<Counted>());
+    EXPECT_EQ(deferred(domain), threshold + 3)
+        << "the enqueue that finds the run aged runs it, itself included";
+
+    // unpin() does not flush; scope exit does.
+    guard.retire(gnew<Counted>());
+    guard.unpin();
+    EXPECT_EQ(deferred(domain), threshold + 3);
+  }
+  EXPECT_EQ(deferred(domain), threshold + 4);
+
+  // clear() flushes the caller's run before it reclaims.
+  const std::uint64_t before = deferred(domain);
+  auto guard = domain.pin();
+  guard.retire(gnew<Counted>());
+  guard.unpin();
+  EXPECT_EQ(deferred(domain), before);
+  domain.clear();
+  EXPECT_EQ(deferred(domain), before + 1);
+  EXPECT_EQ(Counted::live.load(), 0);
+  guard.release();
+  domain.destroy();
+}
+
+TEST_F(LocalRetireRunTest, WindowCloseAndServiceEndFlushTheRun) {
+  startRuntime(2);
+  DistDomain domain = DistDomain::create();
+  {
+    auto guard = domain.pin();
+    {
+      comm::OpWindow window;
+      guard.retire(gnew<Counted>());
+      EXPECT_EQ(deferred(domain), 0u);
+    }
+    EXPECT_EQ(deferred(domain), 1u) << "the window's close flushes the run";
+  }
+  // A progress thread's run is inserted by the service-end hook.
+  comm::amSync(1, [domain] {
+    DistGuard& guard = domain.threadGuard();
+    PinScope<DistGuard> scope(guard);
+    guard.retire(gnew<Counted>());
+    EXPECT_EQ(domain.implOn(1)->counters_.snapshot().deferred, 0u);
+  });
+  EXPECT_EQ(domain.implOn(1)->counters_.snapshot().deferred, 1u);
+  domain.clear();
+  EXPECT_EQ(Counted::live.load(), 0);
+  domain.destroy();
+}
+
+TEST_F(LocalRetireRunTest, FlushedRunOf64ChargesThreeAtomics) {
+  RuntimeConfig cfg = testing::testConfig(2);
+  cfg.aggregator_ops_per_batch = 128;  // only the flush runs it
+  runtime_ = std::make_unique<Runtime>(cfg);
+  DistDomain domain = DistDomain::create();
+  const std::uint64_t cpu = cfg.latency.cpu_atomic_ns;
+  auto guard = domain.pin();
+  const std::uint64_t t0 = sim::now();
+  for (int i = 0; i < 64; ++i) guard.retire(gnew<Counted>());
+  const std::uint64_t t1 = sim::now();
+  EXPECT_EQ(t1 - t0, 64 * cpu) << "one processor atomic per retire";
+  guard.flush();
+  EXPECT_EQ(sim::now() - t1, 3 * cpu)
+      << "multi-pop, exchange and link, whatever the run's length";
+  EXPECT_EQ(deferred(domain), 64u);
+  guard.release();
+  domain.clear();
+  EXPECT_EQ(Counted::live.load(), 0);
+  domain.destroy();
 }
 
 }  // namespace

@@ -386,5 +386,96 @@ TEST(EpochEngineTest, TailShipsBeforeStaging) {
   domain.destroy();
 }
 
+/// Records, per lane and epoch, the owner and admit index of each op in
+/// the order the lane issues it. An op carries its lane and admit index in
+/// `arg`; each lane's log is touched only by that lane's task.
+class IssueOrderClient : public engine::EpochClient {
+ public:
+  struct Issued {
+    std::uint32_t owner;
+    std::uint64_t k;
+  };
+
+  IssueOrderClient(std::uint32_t lanes, std::uint64_t epochs)
+      : log_(lanes, std::vector<std::vector<Issued>>(epochs)) {}
+
+  engine::OpRecord admit(std::uint64_t epoch, std::uint32_t lane,
+                         std::uint64_t k) override {
+    engine::OpRecord op;
+    op.key = splitmix64((epoch << 32) ^ (std::uint64_t{lane} << 20) ^ k);
+    op.arg = (std::uint64_t{lane} << 32) | k;
+    return op;
+  }
+
+  std::uint32_t ownerOf(const engine::OpRecord& op) const override {
+    return static_cast<std::uint32_t>(op.key %
+                                      Runtime::get().numLocales());
+  }
+
+  void initialize(std::uint64_t, DistGuard&,
+                  std::span<engine::OpRecord>) override {}
+
+  engine::OpTicket execute(std::uint64_t epoch, engine::OpRecord& op,
+                           comm::OpWindow&) override {
+    log_[op.arg >> 32][epoch].push_back({op.owner, op.arg & 0xffffffffu});
+    return comm::taskAggregator().enqueueHandle(op.owner, [] {});
+  }
+
+  const std::vector<Issued>& issued(std::uint32_t lane,
+                                    std::uint64_t epoch) const {
+    return log_[lane][epoch];
+  }
+
+ private:
+  std::vector<std::vector<std::vector<Issued>>> log_;
+};
+
+TEST(EpochEngineTest, LanesStartOnTheirRightNeighbourAndKeepAdmitOrder) {
+  // A lane on locale l issues owner (l + 1) mod n first, then the owners
+  // after it round to l itself, so lanes on different locales do not all
+  // start on one owner; within an owner the ops keep their admit order.
+  const std::uint32_t kLocales = 4, kWorkers = 2;
+  const std::uint64_t kOps = 320, kEpochs = 3;
+  for (const engine::PhaseMode mode :
+       {engine::PhaseMode::pipelined, engine::PhaseMode::barriered}) {
+    SCOPED_TRACE(engine::toString(mode));
+    Runtime rt(pgasnb::testing::testConfig(kLocales));
+    DistDomain domain = DistDomain::create();
+    engine::EpochEngineConfig cfg;
+    cfg.ops_per_epoch = kOps;
+    cfg.workers_per_locale = kWorkers;
+    cfg.window_ops = 16;
+    cfg.mode = mode;
+    const std::uint32_t n_lanes = kLocales * kWorkers;
+    IssueOrderClient client(n_lanes, kEpochs);
+    engine::EpochEngine eng(domain, client, cfg);
+    ASSERT_EQ(eng.run(kEpochs).size(), kEpochs);
+
+    for (std::uint32_t lane = 0; lane < n_lanes; ++lane) {
+      const std::uint32_t first = (lane / kWorkers + 1) % kLocales;
+      for (std::uint64_t e = 0; e < kEpochs; ++e) {
+        const auto& issued = client.issued(lane, e);
+        ASSERT_EQ(issued.size(), kOps / n_lanes);
+        EXPECT_EQ(issued.front().owner, first)
+            << "lane " << lane << " epoch " << e;
+        for (std::size_t i = 1; i < issued.size(); ++i) {
+          const std::uint32_t prev =
+              (issued[i - 1].owner + kLocales - first) % kLocales;
+          const std::uint32_t cur =
+              (issued[i].owner + kLocales - first) % kLocales;
+          ASSERT_LE(prev, cur) << "lane " << lane << " epoch " << e
+                               << " went back to an earlier owner";
+          if (prev == cur) {
+            EXPECT_LT(issued[i - 1].k, issued[i].k)
+                << "lane " << lane << " epoch " << e
+                << " broke admit order within owner " << issued[i].owner;
+          }
+        }
+      }
+    }
+    domain.destroy();
+  }
+}
+
 }  // namespace
 }  // namespace pgasnb

@@ -132,6 +132,9 @@ TEST_F(EpochSafetyTest, ReclaimRespectsReaderAcrossCommModes) {
       auto writer = domain.pin();
       Canary* c = gnew<Canary>();
       writer.retire(c);
+      // The retire waits in the writer's own-locale run, and the
+      // domain-level tryReclaim() below does not flush it: insert it now.
+      writer.flush();
       writer.unpin();
 
       // Reader still pinned in the retire epoch: no sequence of reclaims

@@ -210,5 +210,108 @@ TEST(LimboNodePool, ConcurrentAcquireReleaseStress) {
   EXPECT_LE(pool.outstanding(), static_cast<std::uint64_t>(kThreads));
 }
 
+/// The nodes of an acquireChain result, in `next` order.
+std::vector<LimboNode*> chainNodes(LimboNode* first) {
+  std::vector<LimboNode*> nodes;
+  for (LimboNode* n = first; n != nullptr;
+       n = n->next.load(std::memory_order_relaxed)) {
+    nodes.push_back(n);
+  }
+  return nodes;
+}
+
+template <typename Pool>
+void releaseChain(Pool& pool, LimboNode* first) {
+  for (LimboNode* n : chainNodes(first)) pool.release(n);
+}
+
+TEST(LimboNodePool, AcquireChainReturnsNDistinctClearedNodes) {
+  LimboNodePool<HeapAlloc> pool;
+  const std::vector<LimboNode*> nodes = chainNodes(pool.acquireChain(5));
+  ASSERT_EQ(nodes.size(), 5u) << "n nodes, the last one's next null";
+  EXPECT_EQ(std::set<LimboNode*>(nodes.begin(), nodes.end()).size(), 5u);
+  for (LimboNode* n : nodes) {
+    EXPECT_EQ(n->obj, nullptr);
+    EXPECT_EQ(n->deleter, nullptr);
+  }
+  EXPECT_EQ(pool.outstanding(), 5u) << "an empty pool allocates all n";
+  releaseChain(pool, nodes.front());
+}
+
+TEST(LimboNodePool, AcquireChainReusesPooledNodesBeforeFreshOnes) {
+  LimboNodePool<HeapAlloc> pool;
+  int x = 0;
+  LimboNode* a = pool.acquire(&x, &noopDeleter, 7, 9);
+  LimboNode* b = pool.acquire(&x, &noopDeleter);
+  LimboNode* c = pool.acquire(&x, &noopDeleter);
+  pool.release(a);
+  pool.release(b);
+  pool.release(c);  // free stack: c, b, a
+
+  // A short chain takes the top of the stack and leaves the rest pooled.
+  std::vector<LimboNode*> two = chainNodes(pool.acquireChain(2));
+  EXPECT_EQ(two, (std::vector<LimboNode*>{c, b}));
+  EXPECT_EQ(pool.outstanding(), 3u);
+  LimboNode* single = pool.acquire(&x, &noopDeleter);
+  EXPECT_EQ(single, a) << "the node the chain left behind";
+  pool.release(single);
+  releaseChain(pool, two.front());  // free stack: b, c, a
+
+  // A long chain drains the pool first, then tops up with fresh nodes.
+  const std::vector<LimboNode*> five = chainNodes(pool.acquireChain(5));
+  ASSERT_EQ(five.size(), 5u);
+  EXPECT_EQ(std::vector<LimboNode*>(five.begin(), five.begin() + 3),
+            (std::vector<LimboNode*>{b, c, a}));
+  EXPECT_EQ(std::set<LimboNode*>(five.begin(), five.end()).size(), 5u);
+  EXPECT_EQ(pool.outstanding(), 5u) << "exactly two fresh nodes";
+  EXPECT_EQ(five[2]->birth, 0u) << "a reused node's era tags are cleared";
+  EXPECT_EQ(five[2]->retire_era, 0u);
+  releaseChain(pool, five.front());
+
+  // Everything is pooled again: a chain of all of it allocates nothing.
+  LimboNode* all = pool.acquireChain(5);
+  EXPECT_EQ(pool.outstanding(), 5u);
+  releaseChain(pool, all);
+}
+
+TEST(LimboNodePool, ConcurrentAcquireChainReleaseStress) {
+  // Multi-pops of up to 64 nodes race single pops and releases: no node is
+  // handed to two threads at once, and outstanding() stays exact.
+  LimboNodePool<HeapAlloc> pool;
+  constexpr int kThreads = 4;
+  constexpr int kIters = 2000;
+  constexpr std::size_t kMaxChain = 64;
+  std::atomic<int> bad{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&pool, &bad, t] {
+      int mine = t;
+      for (int i = 0; i < kIters; ++i) {
+        const std::size_t n = 1 + (static_cast<std::size_t>(i) * 7 + t) %
+                                      kMaxChain;
+        const std::vector<LimboNode*> nodes = chainNodes(pool.acquireChain(n));
+        LimboNode* single = pool.acquire(&mine, &noopDeleter);
+        if (nodes.size() != n) bad.fetch_add(1);
+        for (LimboNode* node : nodes) node->obj = &mine;
+        for (LimboNode* node : nodes) {
+          if (node->obj != &mine || node == single) bad.fetch_add(1);
+        }
+        pool.release(single);
+        for (LimboNode* node : nodes) pool.release(node);
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(bad.load(), 0) << "a node was handed out twice";
+  // Each thread holds at most one chain plus one single node at a time.
+  const std::uint64_t outstanding = pool.outstanding();
+  EXPECT_LE(outstanding, kThreads * (kMaxChain + 1));
+  // Every node is back on the free stack: taking them all allocates none.
+  LimboNode* all = pool.acquireChain(outstanding);
+  EXPECT_EQ(chainNodes(all).size(), outstanding);
+  EXPECT_EQ(pool.outstanding(), outstanding);
+  releaseChain(pool, all);
+}
+
 }  // namespace
 }  // namespace pgasnb
