@@ -11,9 +11,11 @@
 // default 64, like the paper's Cray XC-50).
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -149,24 +151,71 @@ struct BenchOptions {
   }
 };
 
-/// Runtime config for benchmark runs: physical delay injection ON so the
-/// wall column reflects the interconnect model too. Starts from fromEnv()
-/// so the batching knobs (PGASNB_AGG_OPS_PER_BATCH,
-/// PGASNB_AGG_MAX_BATCH_AGE, ...) are sweepable from the environment. The
-/// sweep parameters below (locales, workers, comm mode, delay model) are the
-/// bench's own axes and always override the environment. The remote-retire
-/// policy has no variable: a bench that compares policies sets
-/// cfg.remote_retire itself (fig8, ablation_scatter_list).
+/// Runtime config for benchmark runs: the defaults with the bench's own
+/// axes (locales, workers, comm mode) set. Physical delay injection stays
+/// on, so the wall column reflects the interconnect model too. A bench that
+/// varies another field (a batch threshold, say) sets it on the result.
 inline RuntimeConfig benchConfig(std::uint32_t locales, CommMode mode,
                                  std::uint32_t workers) {
-  RuntimeConfig cfg = RuntimeConfig::fromEnv();
+  RuntimeConfig cfg;
   cfg.num_locales = locales;
   cfg.workers_per_locale = workers;
   cfg.comm_mode = mode;
-  cfg.inject_delays = true;
-  cfg.latency.delay_scale = 1.0;
-  cfg.arena_bytes_per_locale = std::size_t{64} << 20;
   return cfg;
 }
+
+/// The paper's remote-retire route (Sec. II.C), kept as a baseline for
+/// fig8 and the scatter-list ablation: a retire goes into the retiring
+/// locale's own list, and reclaim() sorts each list by owner and ships
+/// every bucket home in one bulk transfer (detail::bulkDeleteScattered).
+/// DistDomain instead routes each retire to its owner in a run, so its
+/// reclaim frees in place. No epoch protocol here: reclaim() assumes no
+/// task still holds a retired object.
+class ScatterBaseline {
+ public:
+  ScatterBaseline() : lists_(Runtime::get().numLocales()) {}
+
+  /// Append `obj` to this locale's list, charged as the paper's limbo push
+  /// (node recycle, exchange and link: three processor atomics).
+  template <typename T>
+  void retire(T* obj) {
+    LocaleList& list = lists_[Runtime::here()];
+    {
+      std::lock_guard<std::mutex> lock(list.lock);
+      list.entries.push_back({obj, &detail::arenaDeleter<T>});
+    }
+    sim::charge(Runtime::get().config().latency.cpu_atomic_ns * 3);
+  }
+
+  /// On every locale at once: take the list (one exchange), bucket it by
+  /// owner and bulk-delete each bucket on its owner. Returns the number of
+  /// objects freed.
+  std::uint64_t reclaim() {
+    std::atomic<std::uint64_t> freed{0};
+    coforallLocales([this, &freed] {
+      std::vector<comm::RetireEntry> entries;
+      {
+        LocaleList& list = lists_[Runtime::here()];
+        std::lock_guard<std::mutex> lock(list.lock);
+        entries.swap(list.entries);
+      }
+      sim::charge(Runtime::get().config().latency.cpu_atomic_ns);
+      detail::ScatterBuckets buckets(Runtime::get().numLocales());
+      for (const comm::RetireEntry& entry : entries) {
+        buckets[localeOf(entry.obj)].push_back(entry);
+      }
+      detail::bulkDeleteScattered(buckets);
+      freed.fetch_add(entries.size(), std::memory_order_relaxed);
+    });
+    return freed.load();
+  }
+
+ private:
+  struct LocaleList {
+    std::mutex lock;
+    std::vector<comm::RetireEntry> entries;
+  };
+  std::vector<LocaleList> lists_;
+};
 
 }  // namespace pgasnb::bench

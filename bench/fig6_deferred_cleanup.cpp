@@ -3,8 +3,8 @@
 // Typical when the object count fits in memory (paper Sec. III.B).
 //
 // Expected shape (paper): the cheapest deletion workload (pure wait-free
-// deferDelete during the loop); remote%% shows up in the final clear's
-// scatter + bulk transfer.
+// retires during the loop); remote%% shows up in the final clear (the
+// paper's scatter + bulk transfer; here the retire runs shipped home).
 #include "epoch_workload.hpp"
 
 int main(int argc, char** argv) {

@@ -4,7 +4,7 @@
 // selects: with DistDomain the head is an ABA-protected AtomicObject
 // (compressed wide pointer + generation count), nodes are allocated on the
 // pushing task's locale, popped nodes are fetched with an RDMA GET and
-// reclaimed through DistDomain -- whose scatter lists
+// reclaimed through DistDomain -- whose retires
 // ship each node back to its owning locale for deallocation. With
 // LocalDomain the same algorithm degenerates to a shared-memory EBR stack
 // (processor atomics, heap nodes, direct loads instead of GETs).
@@ -74,7 +74,7 @@ class DistStack {
 
   /// Paper Listing 1. The node is allocated on the *calling* locale, so a
   /// distributed workload naturally interleaves owners -- which is what
-  /// DistDomain's scatter lists are for.
+  /// DistDomain's owner-routed retires are for.
   void push(Guard& guard, T value) {
     PGASNB_CHECK_MSG(guard.pinned(), "DistStack::push requires a pinned guard");
     Node* node = Domain::template make<Node>();

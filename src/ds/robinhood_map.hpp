@@ -36,7 +36,7 @@
 //
 // Incremental resize. When a segment's occupancy crosses
 // `RobinHoodOptions::resize_load` (default from RuntimeConfig's
-// `rh_resize_load` / PGASNB_RH_RESIZE_LOAD), the owner allocates a doubled
+// `rh_resize_load`), the owner allocates a doubled
 // *shadow* table and publishes it under a seqlock bump. From then on the
 // segment is mid-migration:
 //   * every owner-serialized mutation (and, under a distributed domain, a

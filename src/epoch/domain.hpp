@@ -379,8 +379,8 @@ class DistDomain {
   void resetStats() const { detail::resetLocaleStats(*this); }
 
   // --- node hooks ---------------------------------------------------------
-  /// Nodes live in the calling locale's arena; reclamation ships each node
-  /// back to its owner (scatter lists).
+  /// Nodes live in the calling locale's arena; a retire ships each node
+  /// back to its owner in a run.
   template <typename N, typename... Args>
   static N* make(Args&&... args) {
     return gnew<N>(std::forward<Args>(args)...);

@@ -35,18 +35,6 @@ void EpochManagerImpl::unpin(Token* token) noexcept {
   }
 }
 
-void EpochManagerImpl::deferDelete(Token* token, void* obj,
-                                   ObjectDeleter deleter) {
-  const std::uint64_t e = token->local_epoch.load(std::memory_order_seq_cst);
-  PGASNB_CHECK_MSG(e != kEpochQuiescent,
-                   "deferDelete requires a pinned token");
-  LimboNode* node = node_pool_.acquire(obj, deleter);
-  limbo_[limboIndexFor(e)].push(node);
-  counters_.noteDeferred(1);
-  // recycle-pop + exchange + link, all locale-local processor atomics
-  sim::charge(Runtime::get().config().latency.cpu_atomic_ns * 3);
-}
-
 void EpochManagerImpl::insertRetires(
     const std::vector<comm::RetireEntry>& entries) {
   if (entries.empty()) return;
@@ -74,19 +62,13 @@ void EpochManagerImpl::insertRetires(
 void DistGuard::retireRaw(void* obj, ObjectDeleter deleter) {
   PGASNB_CHECK_MSG(token_ != nullptr, "retire() on an invalid guard");
   checkHome();
+  PGASNB_CHECK_MSG(pinned(), "retire() requires a pinned guard");
   Runtime& rt = Runtime::get();
-  if (rt.config().remote_retire == RemoteRetirePolicy::scatter) {
-    // The paper's baseline: retire into the local limbo list; reclamation
-    // ships remote objects home via the scatter lists.
-    handle_.local().deferDelete(token_, obj, deleter);
-    return;
-  }
-  PGASNB_CHECK_MSG(pinned(), "deferDelete requires a pinned token");
-  // Aggregated: the retire joins its owner's run in the task's
-  // comm::Aggregator. A remote run ships at its threshold or age cutoff (or
-  // at tryReclaim/release/clear); the own locale's run is inserted inline
-  // at the same points. Charged first, so a threshold flush stamps this
-  // send time.
+  // The retire joins its owner's run in the task's comm::Aggregator. A
+  // remote run ships at its threshold or age cutoff (or at
+  // tryReclaim/release/clear); the own locale's run is inserted inline at
+  // the same points. Charged first, so a threshold flush stamps this send
+  // time.
   sim::chargeModelOnly(rt.config().latency.cpu_atomic_ns);
   routed_retire_ = true;
   const std::uint32_t owner = rt.localeOfAddress(obj);
@@ -174,17 +156,27 @@ std::uint64_t detachList(EpochManagerImpl& inst, std::uint32_t index) {
 }
 
 /// Free what this locale has detached: pop the to-free list (one exchange),
-/// sort its objects by owner and bulk-delete each bucket on its owning
-/// locale. A concurrent walker may take the chain first; then it frees it.
+/// run every deleter in place, then return the nodes to the pool. Every
+/// object in this locale's lists is its own: a retire is routed to its
+/// owner's run, and a pointer outside the partitioned heap belongs to the
+/// retiring locale. Two walks, not one: the deleters take the arena's
+/// size-class locks and the releases CAS the pool head, and interleaving
+/// them cost 6-8 % host throughput on reclaim-listing5. A concurrent walker
+/// may take the chain first; then it frees it.
 void freeDetached(EpochManagerImpl& inst) {
-  Runtime& rt = Runtime::get();
-  ScatterBuckets buckets(rt.numLocales());
-  const std::uint64_t count = scatterList(inst.to_free_, inst.node_pool_,
-                                          buckets);
-  sim::charge(rt.config().latency.cpu_atomic_ns);  // the popAll exchange
-  if (count == 0) return;
+  LimboNode* first = inst.to_free_.popAll();
+  sim::charge(Runtime::get().config().latency.cpu_atomic_ns);  // the popAll
+  std::uint64_t count = 0;
+  for (LimboNode* n = first; n != nullptr; n = LimboList::next(n)) {
+    n->deleter(n->obj);
+    ++count;
+  }
+  while (first != nullptr) {
+    LimboNode* next = LimboList::next(first);
+    inst.node_pool_.release(first);
+    first = next;
+  }
   inst.counters_.reclaimed.fetch_add(count, std::memory_order_relaxed);
-  bulkDeleteScattered(buckets);
 }
 
 }  // namespace

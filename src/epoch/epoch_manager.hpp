@@ -31,12 +31,10 @@
 //    limbo list that is now three advances old in one exchange and splice
 //    it onto the locale's to-free list.
 // 4. release both flags, the global one with a one-way store (no reply is
-//    awaited); then, outside the election, pop every locale's to-free
-//    list, scatter its objects by owner locale into scan-private buckets,
-//    free the locale's own bucket in place and bulk-delete each other
-//    non-empty bucket on its owner (Fraser's EBR frees each list outside
-//    the critical section; docs/ARCHITECTURE.md, "Deviations from the
-//    paper").
+//    awaited); then, outside the election, pop every locale's to-free list
+//    and free its objects in place: each is owned by the locale whose list
+//    holds it (Fraser's EBR frees each list outside the critical section;
+//    docs/ARCHITECTURE.md, "Deviations from the paper").
 #pragma once
 
 #include <atomic>
@@ -91,9 +89,9 @@ std::uint64_t scatterList(LimboList& list,
 
 /// "Bulk transfer and delete" (Listing 4): the caller's own bucket is freed
 /// in place; one task per other non-empty bucket ships it to its owner in
-/// one transfer and runs the deleters there. Both distributed domains
-/// reclaim through it. The buckets are scan-private, so scans that overlap
-/// share no mutable state.
+/// one transfer and runs the deleters there. IntervalDomain reclaims
+/// through it. The buckets are scan-private, so scans that overlap share
+/// no mutable state.
 void bulkDeleteScattered(const ScatterBuckets& buckets);
 
 }  // namespace detail
@@ -119,11 +117,6 @@ class EpochManagerImpl {
   void pin(Token* token);
   void unpin(Token* token) noexcept;
 
-  /// Defer deletion of `obj` into the limbo list of the token's epoch: the
-  /// retire path of RemoteRetirePolicy::scatter, the paper's baseline.
-  /// Wait-free: node recycle + one exchange + one store.
-  void deferDelete(Token* token, void* obj, ObjectDeleter deleter);
-
   /// Insert a run of aggregated retires into this locale's current-epoch
   /// limbo list: takes the run's nodes off the pool in one multi-pop
   /// (LimboNodePool::acquireChain), links them privately and splices the
@@ -142,8 +135,9 @@ class EpochManagerImpl {
   std::atomic<std::uint64_t> locale_epoch_{1};
   std::atomic<std::uint64_t> is_setting_epoch_{0};  // local FCFS flag
   LimboList limbo_[kNumEpochs];
-  /// Chains detached from limbo_ by an advance, every object already safe;
-  /// the advance's winner frees them after releasing the election.
+  /// Chains detached from limbo_ by an advance, every object already safe
+  /// and owned by this locale; the advance's winner frees them in place
+  /// after releasing the election.
   LimboList to_free_;
   LimboNodePool<detail::ArenaLimboNodeAlloc> node_pool_;
   TokenPool<detail::ArenaTokenAlloc> tokens_;
@@ -217,17 +211,18 @@ class DistGuard {
 
   /// Defer deletion of an object allocated with gnew/gnewOn until no task
   /// can still hold a reference; requires the guard to be pinned. May
-  /// target any locale's object. By default (RuntimeConfig::remote_retire
-  /// aggregated) every retire, local or remote, joins its owner's run in
-  /// the task's comm::Aggregator and costs one processor atomic; the run
-  /// reaches a limbo list when it is flushed (see flush()). Under scatter,
-  /// every retire goes straight into the local limbo list.
+  /// target any locale's object. Every retire, local or remote, joins its
+  /// owner's run in the task's comm::Aggregator and costs one processor
+  /// atomic; the run reaches the owner's limbo list when it is flushed (see
+  /// flush()).
   template <typename T>
   void retire(T* obj) {
     retireRaw(obj, &detail::arenaDeleter<T>);
   }
 
-  /// Custom-deleter escape hatch (deleter runs on the object's owner).
+  /// Custom-deleter escape hatch. The deleter runs on the object's owner;
+  /// a pointer outside the partitioned heap is owned by the retiring
+  /// locale.
   void retireRaw(void* obj, ObjectDeleter deleter);
 
   /// Flush buffered retires now: remote runs ship, the own locale's run is
@@ -300,7 +295,8 @@ class DistGuard {
   Token* token_ = nullptr;
   std::uint32_t home_ = 0;                ///< registering locale
   std::thread::id owner_thread_;          ///< registering OS thread
-  /// Set by the first retire routed through the task aggregator.
+  /// Set by the guard's first retire: only then does flush() touch the
+  /// task aggregator.
   bool routed_retire_ = false;
 };
 

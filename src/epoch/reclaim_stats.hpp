@@ -4,7 +4,8 @@
 // the one block of atomics every domain instance counts into.
 //
 // Counter semantics:
-//   deferred   objects handed to retire()/deferDelete (not yet freed)
+//   deferred   retired objects filed for a later free (a DistDomain retire
+//              counts once its run reaches a limbo list)
 //   reclaimed  objects whose deleter has run
 //   advances   successful epoch advances won by this domain
 //   elections_lost_local   tryReclaim attempts bounced off the locale-local

@@ -83,7 +83,14 @@ class AmQueue {
     return true;
   }
 
-  void notifyAll() { cv_.notify_all(); }
+  /// Wakes every waiter after a change to the stop flag. That flag is not
+  /// guarded by lock_, so the empty critical section orders this notify
+  /// after any predicate check in progress; without it a waiter that just
+  /// saw "not stopped" could block after the notify and never wake.
+  void notifyAll() {
+    { std::lock_guard<std::mutex> guard(lock_); }
+    cv_.notify_all();
+  }
 
  private:
   std::mutex lock_;

@@ -2,8 +2,8 @@
 //
 // Every locale owns a contiguous slice of one big virtual reservation, so
 // (a) the owning locale of any arena pointer is computable in O(1) from its
-// address -- this is what makes wide pointers and DistDomain's scatter
-// lists work -- and (b) deallocation can assert it runs on the owner locale,
+// address -- this is what makes wide pointers and owner-routed retires
+// work -- and (b) deallocation can assert it runs on the owner locale,
 // which mirrors the paper's "remote deallocation would result in RPC".
 //
 // Allocation is a bump pointer plus segregated power-of-two free lists.

@@ -4,13 +4,16 @@
 #include <cstring>
 
 #include "util/backoff.hpp"
+#include "util/cache_line.hpp"
 #include "util/check.hpp"
 
 namespace pgasnb::comm {
 
 namespace {
 
-struct AtomicCounters {
+// Every thread bumps these on its hot path: whole cache lines of their own,
+// so no other global (Runtime::get()'s pointer, say) shares one with them.
+struct alignas(kCacheLineSize) AtomicCounters {
   std::atomic<std::uint64_t> nic_atomics{0};
   std::atomic<std::uint64_t> cpu_atomics{0};
   std::atomic<std::uint64_t> am_sync{0};

@@ -619,10 +619,6 @@ class Aggregator {
     return loc < buckets_.size() ? buckets_[loc].ops.size() : 0;
   }
 
-  /// The batch threshold: RuntimeConfig::aggregator_ops_per_batch of the
-  /// runtime this aggregator last bound to.
-  std::size_t opsPerBatch() const noexcept { return ops_per_batch_; }
-
  private:
   friend Aggregator& taskAggregator();
   Aggregator() = default;

@@ -29,21 +29,6 @@ const char* toString(CommMode mode) noexcept;
 /// Parses "none"/"ugni" (case-insensitive); falls back to `def`.
 CommMode parseCommMode(const std::string& text, CommMode def = CommMode::none);
 
-/// How a DistDomain guard routes a retire:
-///   * scatter    - paper baseline: push into the *local* limbo list; the
-///                  reclaim pass sorts objects by owner and bulk-transfers
-///                  each bucket (communication deferred to reclaim time).
-///   * aggregated - per-task batching in comm::Aggregator: retires join a
-///                  run per owner; remote runs coalesce into one batched AM
-///                  per destination, the own locale's run is inserted
-///                  inline (default).
-enum class RemoteRetirePolicy : std::uint8_t {
-  scatter,
-  aggregated,
-};
-
-const char* toString(RemoteRetirePolicy policy) noexcept;
-
 struct RuntimeConfig {
   /// Number of simulated locales (compute nodes). The pointer-compression
   /// scheme supports up to 2^16; see atomic/pointer_compression.hpp.
@@ -55,9 +40,6 @@ struct RuntimeConfig {
   std::uint32_t workers_per_locale = 2;
 
   CommMode comm_mode = CommMode::none;
-
-  /// DistDomain retire routing (see RemoteRetirePolicy).
-  RemoteRetirePolicy remote_retire = RemoteRetirePolicy::aggregated;
 
   /// comm::Aggregator: ops or aggregated retires buffered per destination
   /// before a batched AM is injected (0 is treated as 1).
@@ -88,14 +70,6 @@ struct RuntimeConfig {
 
   /// Virtual bytes reserved per locale for its arena (committed lazily).
   std::size_t arena_bytes_per_locale = std::size_t{64} << 20;
-
-  /// Reads PGASNB_NUM_LOCALES, PGASNB_COMM_MODE, PGASNB_WORKERS,
-  /// PGASNB_INJECT_DELAYS, PGASNB_DELAY_SCALE,
-  /// PGASNB_AGG_OPS_PER_BATCH, PGASNB_AGG_MAX_BATCH_AGE,
-  /// PGASNB_RH_RESIZE_LOAD, PGASNB_RH_MIGRATE_CHUNK on top of the defaults
-  /// (docs/API.md lists them with their fields and defaults). The remote-retire policy has
-  /// no variable: it is chosen in code (cfg.remote_retire).
-  static RuntimeConfig fromEnv();
 
   std::string describe() const;
 };

@@ -90,11 +90,6 @@ std::uint32_t Runtime::localeOfAddress(const void* p) const noexcept {
       static_cast<std::size_t>(b - heap_base_) / per_locale_bytes_);
 }
 
-bool Runtime::inGlobalHeap(const void* p) const noexcept {
-  const auto* b = static_cast<const std::byte*>(p);
-  return b >= heap_base_ && b < heap_base_ + heap_bytes_;
-}
-
 void* Runtime::allocateOn(std::uint32_t locale_id, std::size_t bytes,
                           std::size_t align) {
   return locale(locale_id).arena().allocate(bytes, align);
@@ -104,7 +99,7 @@ void Runtime::deallocateLocal(void* p, std::size_t bytes) {
   const std::uint32_t owner = localeOfAddress(p);
   PGASNB_CHECK_MSG(owner == here(),
                    "deallocation must run on the owning locale (use "
-                   "onLocale or a reclaim domain's scatter lists)");
+                   "onLocale or a reclaim domain's retire)");
   locale(owner).arena().deallocate(p, bytes);
 }
 

@@ -54,9 +54,6 @@ class Runtime {
   /// by convention, mirroring Chapel's treatment of non-heap data.
   std::uint32_t localeOfAddress(const void* p) const noexcept;
 
-  /// True if `p` lies inside the partitioned heap.
-  bool inGlobalHeap(const void* p) const noexcept;
-
   void* allocateOn(std::uint32_t locale_id, std::size_t bytes,
                    std::size_t align = Arena::kMinAlign);
   void deallocateLocal(void* p, std::size_t bytes);

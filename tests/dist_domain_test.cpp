@@ -431,6 +431,75 @@ TEST_F(LateReclaimTest, DetachedChainIsFreedWhenAdvanceReturns) {
   domain.destroy();
 }
 
+/// Where and at what model time a retired object's deleter ran.
+struct FreeSite {
+  std::uint32_t locale = ~0u;
+  std::uint64_t now = 0;
+};
+
+/// A retired object that names its slot in the test's FreeSite table.
+struct Sited {
+  static FreeSite sites[8];
+  std::size_t slot;
+  explicit Sited(std::size_t s) : slot(s) {}
+  static void record(void* p) {
+    sites[static_cast<Sited*>(p)->slot] = {Runtime::here(), sim::now()};
+  }
+};
+FreeSite Sited::sites[8];
+
+TEST_F(LateReclaimTest, DetachedObjectsAreFreedInPlaceOnTheirListsLocale) {
+  // Every object in a locale's limbo lists is that locale's own: arena
+  // objects ride their owner's run, and a pointer outside the partitioned
+  // heap stays on the retiring locale. The free runs each deleter in the
+  // locale's free task, so it spawns no owner task.
+  startRuntime(3);
+  DistDomain domain = DistDomain::create();
+  constexpr std::size_t kArena = 6;  // slots 0-5, owners 0, 1, 0, 1, ...
+  constexpr std::size_t kHost = kArena;
+  for (FreeSite& site : Sited::sites) site = FreeSite{};
+  onLocale(2, [domain] {
+    auto guard = domain.pin();
+    for (std::size_t i = 0; i < kArena; ++i) {
+      guard.retireRaw(gnewOn<Sited>(static_cast<std::uint32_t>(i % 2), i),
+                      [](void* p) {
+                        Sited::record(p);
+                        gdelete(static_cast<Sited*>(p));
+                      });
+    }
+    guard.retireRaw(new Sited(kHost), [](void* p) {
+      Sited::record(p);
+      delete static_cast<Sited*>(p);
+    });
+  });  // scope exit ships the runs to 0 and 1 and inserts locale 2's own
+  comm::quiesceAmQueues();
+  EXPECT_EQ(domain.stats().deferred, kArena + 1);
+  onLocale(2, [domain] {
+    domain.advance();
+    domain.advance();
+  });
+  EXPECT_EQ(Sited::sites[kHost].locale, ~0u) << "two advances free nothing";
+  onLocale(2, [domain] { domain.advance(); });
+  EXPECT_EQ(domain.stats().reclaimed, kArena + 1);
+  for (std::size_t i = 0; i < kArena; ++i) {
+    EXPECT_EQ(Sited::sites[i].locale, i % 2) << "slot " << i;
+  }
+  EXPECT_EQ(Sited::sites[kHost].locale, 2u) << "the host-heap object";
+  // The winner on locale 2 forks the free round at one instant; each task
+  // pops its list (one exchange) and frees in place, so every deleter of a
+  // list runs at its task's start plus that exchange. An owner task would
+  // add a fork, a bulk transfer and a wire hop on top.
+  const LatencyModel& lat = runtime_->config().latency;
+  const std::uint64_t t2 = Sited::sites[kHost].now;
+  for (std::size_t i = 0; i < kArena; ++i) {
+    EXPECT_EQ(Sited::sites[i].now, t2 + lat.am_wire_ns +
+                                       lat.remote_task_spawn_ns -
+                                       lat.local_task_spawn_ns)
+        << "slot " << i;
+  }
+  domain.destroy();
+}
+
 TEST_F(LateReclaimTest, TeardownWithBufferedRetiresFreesEverything) {
   startRuntime(3);
   DistDomain domain = DistDomain::create();

@@ -1,8 +1,6 @@
 // Runtime lifecycle, locale-of-address, and the global-new helpers.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-
 #include "test_support.hpp"
 
 namespace pgasnb {
@@ -48,81 +46,6 @@ TEST(RuntimeConfigTest, DescribeMentionsKeyFields) {
   EXPECT_NE(d.find("comm=ugni"), std::string::npos);
 }
 
-// Every variable fromEnv() reads, the value the test sets, and the field it
-// must land in (read as a double so one table covers every field type).
-struct EnvKnob {
-  const char* var;
-  const char* value;
-  double (*field)(const RuntimeConfig&);
-  double expected;
-};
-
-const EnvKnob kEnvKnobs[] = {
-    {"PGASNB_NUM_LOCALES", "9",
-     [](const RuntimeConfig& c) -> double { return c.num_locales; }, 9},
-    {"PGASNB_WORKERS", "3",
-     [](const RuntimeConfig& c) -> double { return c.workers_per_locale; }, 3},
-    {"PGASNB_COMM_MODE", "ugni",
-     [](const RuntimeConfig& c) -> double {
-       return static_cast<double>(c.comm_mode);
-     },
-     static_cast<double>(CommMode::ugni)},
-    {"PGASNB_INJECT_DELAYS", "0",
-     [](const RuntimeConfig& c) -> double { return c.inject_delays; }, 0},
-    {"PGASNB_DELAY_SCALE", "0.25",
-     [](const RuntimeConfig& c) -> double { return c.latency.delay_scale; },
-     0.25},
-    {"PGASNB_AGG_OPS_PER_BATCH", "11",
-     [](const RuntimeConfig& c) -> double {
-       return c.aggregator_ops_per_batch;
-     },
-     11},
-    {"PGASNB_AGG_MAX_BATCH_AGE", "12345",
-     [](const RuntimeConfig& c) -> double {
-       return static_cast<double>(c.aggregator_max_batch_age_ns);
-     },
-     12345},
-    {"PGASNB_RH_RESIZE_LOAD", "0.5",
-     [](const RuntimeConfig& c) -> double { return c.rh_resize_load; }, 0.5},
-    {"PGASNB_RH_MIGRATE_CHUNK", "17",
-     [](const RuntimeConfig& c) -> double { return c.rh_migrate_chunk; }, 17},
-};
-
-TEST(RuntimeConfigTest, FromEnvOverrides) {
-  const RuntimeConfig defaults;
-  for (const EnvKnob& k : kEnvKnobs) {
-    ::unsetenv(k.var);
-    ASSERT_NE(k.field(defaults), k.expected)
-        << k.var << ": the test value must differ from the default";
-  }
-  // One variable at a time: it lands in its field, every other field keeps
-  // its default.
-  for (const EnvKnob& set : kEnvKnobs) {
-    ::setenv(set.var, set.value, 1);
-    const RuntimeConfig cfg = RuntimeConfig::fromEnv();
-    ::unsetenv(set.var);
-    for (const EnvKnob& k : kEnvKnobs) {
-      if (&k == &set) {
-        EXPECT_EQ(k.field(cfg), k.expected) << k.var << "=" << k.value;
-      } else {
-        EXPECT_EQ(k.field(cfg), k.field(defaults))
-            << k.var << " moved while only " << set.var << " was set";
-      }
-    }
-  }
-  // All at once, then none: fromEnv() is the defaults again.
-  for (const EnvKnob& k : kEnvKnobs) ::setenv(k.var, k.value, 1);
-  const RuntimeConfig all = RuntimeConfig::fromEnv();
-  for (const EnvKnob& k : kEnvKnobs) {
-    EXPECT_EQ(k.field(all), k.expected) << k.var;
-    ::unsetenv(k.var);
-  }
-  const RuntimeConfig none = RuntimeConfig::fromEnv();
-  for (const EnvKnob& k : kEnvKnobs) {
-    EXPECT_EQ(k.field(none), k.field(defaults)) << k.var;
-  }
-}
-
 TEST(RuntimeConfigTest, CommModeParsing) {
   EXPECT_EQ(parseCommMode("ugni"), CommMode::ugni);
   EXPECT_EQ(parseCommMode("UGNI"), CommMode::ugni);
@@ -140,7 +63,6 @@ TEST_F(RuntimeAddressTest, LocaleOfAddressMatchesAllocationTarget) {
   for (std::uint32_t l = 0; l < 4; ++l) {
     void* p = runtime_->allocateOn(l, 64);
     EXPECT_EQ(runtime_->localeOfAddress(p), l);
-    EXPECT_TRUE(runtime_->inGlobalHeap(p));
     onLocale(l, [&] { Runtime::get().deallocateLocal(p, 64); });
   }
 }
@@ -148,7 +70,6 @@ TEST_F(RuntimeAddressTest, LocaleOfAddressMatchesAllocationTarget) {
 TEST_F(RuntimeAddressTest, NonHeapAddressesBelongToCurrentLocale) {
   startRuntime(4);
   int on_stack = 0;
-  EXPECT_FALSE(runtime_->inGlobalHeap(&on_stack));
   EXPECT_EQ(runtime_->localeOfAddress(&on_stack), Runtime::here());
   onLocale(2, [&] {
     EXPECT_EQ(Runtime::get().localeOfAddress(&on_stack), 2u);
