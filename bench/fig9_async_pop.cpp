@@ -7,13 +7,15 @@
 //                   serially.
 //   * pipelined  -- popAsync(): the whole pop loop ships to the home locale
 //                   (head read/CAS become processor atomics there, under
-//                   the progress thread's cached guard); a window of pops
-//                   is in flight at once and drains through a
-//                   CompletionQueue.
+//                   the progress thread's cached guard); a FIFO ring of
+//                   16 pops is in flight at once: the task waits on the
+//                   oldest and reissues into its slot. All pops go to one
+//                   home locale, whose progress thread serves a task's AMs
+//                   in FIFO order, so the oldest pop completes first.
 //   * batched    -- popAsyncAggregated(): shipped pops additionally ride
 //                   the task Aggregator, one wire+service charge per batch
 //                   instead of per pop; each window's handle group resolves
-//                   together. Manual flushAll() before the join (the
+//                   together. Manual flushAll() before waitAll (the
 //                   pre-OpWindow discipline, kept as the baseline).
 //   * windowed   -- the same aggregated pops owned by a comm::OpWindow:
 //                   closing the window auto-flushes and joins at the max
@@ -31,12 +33,11 @@
 // locales -- mid-window folding uses the same max-fold as the close, so it
 // must cost no model time). The
 // bench prints the ratios and a PASS/FAIL verdict and exits non-zero on
-// FAIL so CI can gate on them. Counters handles_chained / cq_drained ride
-// in the notes column so scripts/bench_json.sh records them into
+// FAIL so CI can gate on them. The windowed rows carry per-pop latency
+// percentiles in the notes column, which scripts/bench_json.sh records into
 // BENCH_fig9_async_pop.json.
 #include "bench_common.hpp"
 
-#include <cinttypes>
 #include <mutex>
 
 namespace {
@@ -61,8 +62,6 @@ const char* toString(PopMode mode) {
 
 struct ModeResult {
   pgasnb::bench::Measurement m;
-  std::uint64_t handles_chained = 0;
-  std::uint64_t cq_drained = 0;
   // Per-pop issue->completion latency (windowed mode only): the same
   // LatencyRecorder the ycsb_like harness uses, so the fig9 notes carry
   // p50/p95/p99 of the batch-resolved pops too.
@@ -87,7 +86,6 @@ ModeResult runMode(PopMode mode, std::uint32_t locales,
     for (std::uint64_t i = 0; i < total; ++i) stack->push(guard, i + 1);
   }
 
-  const comm::Counters before = comm::counters();
   std::atomic<std::uint64_t> popped{0};
   std::mutex lat_mu;
   ModeResult result;
@@ -104,22 +102,18 @@ ModeResult runMode(PopMode mode, std::uint32_t locales,
           break;
         }
         case PopMode::pipelined: {
-          // A sliding window drained through a CompletionQueue: the
-          // progress thread pushes completions, the task reissues.
+          // A FIFO ring of in-flight pops: wait on the oldest, reissue
+          // into its slot.
           constexpr std::uint64_t kWindow = 16;
-          comm::CompletionQueue cq;
-          std::vector<comm::Handle<std::optional<std::uint64_t>>> slots(
+          std::vector<comm::Handle<std::optional<std::uint64_t>>> ring(
               std::min(kWindow, pops_per_locale));
-          std::uint64_t issued = 0;
-          for (std::uint64_t s = 0; s < slots.size(); ++s, ++issued) {
-            slots[s] = stack->popAsync(guard);
-            cq.watch(slots[s], s);
-          }
-          while (auto slot = cq.next()) {
-            got += slots[*slot].value().has_value() ? 1 : 0;
+          for (auto& slot : ring) slot = stack->popAsync(guard);
+          std::uint64_t issued = ring.size();
+          for (std::uint64_t i = 0; i < pops_per_locale; ++i) {
+            auto& slot = ring[i % ring.size()];
+            got += slot.value().has_value() ? 1 : 0;
             if (issued < pops_per_locale) {
-              slots[*slot] = stack->popAsync(guard);
-              cq.watch(slots[*slot], *slot);
+              slot = stack->popAsync(guard);
               ++issued;
             }
           }
@@ -137,7 +131,7 @@ ModeResult runMode(PopMode mode, std::uint32_t locales,
               window.push_back(stack->popAsyncAggregated(guard));
             }
             comm::taskAggregator().flushAll();  // ship the window
-            comm::whenAll(window).wait();       // one join at the max
+            comm::waitAll(window);              // one join at the max
             for (auto& h : window) got += h.value().has_value() ? 1 : 0;
             remaining -= n;
           }
@@ -206,9 +200,6 @@ ModeResult runMode(PopMode mode, std::uint32_t locales,
       popped.fetch_add(got, std::memory_order_relaxed);
     });
   });
-  const comm::Counters after = comm::counters();
-  result.handles_chained = after.handles_chained - before.handles_chained;
-  result.cq_drained = after.cq_drained - before.cq_drained;
 
   PGASNB_CHECK_MSG(popped.load() == total,
                    "bench invariant: every issued pop must find a value");
@@ -239,18 +230,8 @@ int main(int argc, char** argv) {
     for (PopMode mode : kModes) {
       const ModeResult r =
           runMode(mode, locales, pops_per_locale, opts.tasks_per_locale);
-      char notes[224];
-      if (r.lat.count() > 0) {
-        std::snprintf(notes, sizeof(notes),
-                      "handles_chained=%" PRIu64 " cq_drained=%" PRIu64 " %s",
-                      r.handles_chained, r.cq_drained,
-                      r.lat.summary().c_str());
-      } else {
-        std::snprintf(notes, sizeof(notes),
-                      "handles_chained=%" PRIu64 " cq_drained=%" PRIu64,
-                      r.handles_chained, r.cq_drained);
-      }
-      table.addRow(toString(mode), locales, r.m, notes);
+      table.addRow(toString(mode), locales, r.m,
+                   r.lat.count() > 0 ? r.lat.summary() : "");
       if (locales == 8) {
         if (mode == PopMode::blocking) {
           at8_blocking = r.m.model_s;

@@ -1,5 +1,5 @@
 // Distributed work queue: a global-view DistStack as a task bag, consumed
-// by the workers of every locale through one shared completion queue.
+// by the workers of every locale, each through its own ring of pops.
 //
 //   ./examples/dist_workqueue [--locales=N] [--items=K] [--workers=W]
 //                             [--comm=ugni|none]
@@ -7,16 +7,14 @@
 // Locale 0 seeds a bag of integration subintervals with aggregated async
 // pushes issued inside a comm::OpWindow -- the whole seed is a handful of
 // batched AMs, and closing the window ships + joins them with no manual
-// flushAll() anywhere. Every locale then keeps a table of popAsync
-// operations in flight, all watched by ONE CompletionQueue per locale: the
-// bag's home progress thread pushes each completion into that queue, and
-// the locale's W worker tasks drain it with next() (MPMC: every
-// completion reaches exactly one worker). A worker reissues the drained
-// slot's pop first and integrates the item second, so the next pop
-// overlaps the compute. Whichever worker is free takes the next
-// completion, so the load balances without any per-worker queue. The
-// DistDomain reclaims the work-item nodes while consumers race.
-#include <algorithm>
+// flushAll() anywhere. Each of a locale's W worker tasks then keeps a ring
+// of popAsync operations in flight. It waits on the oldest (the bag's home
+// progress thread serves a task's pops in FIFO order, so the oldest
+// completes first), reissues that slot's pop first and integrates the item
+// second, so the next pop overlaps the compute. Every worker pulls from the
+// one shared bag, so a worker that is free sooner simply pops more: the
+// load balances with no queue between the workers. The DistDomain reclaims
+// the work-item nodes while consumers race.
 #include <cmath>
 #include <cstdio>
 
@@ -77,68 +75,55 @@ int main(int argc, char** argv) {
     }
   }  // window closes: batch shipped + joined; the bag is fully seeded
 
-  // Consume: the locale primes a table of in-flight pops, all watched by
-  // the locale's one shared queue under their slot index as tag. A worker
-  // that drains a tag owns that slot until it rewatches it (the queue lock
-  // orders reissue-write -> watch -> drain-read). next() returns nullopt
-  // once nothing is outstanding; each worker reissues BEFORE computing so
-  // the drained->rewatched gap stays tiny (an idle sibling catching it
-  // exits early, which costs parallelism, never items -- the reissuing
-  // workers drain the rest).
-  const std::uint64_t window_slots = std::max<std::uint64_t>(8, workers);
-  const comm::Counters before = comm::counters();
+  // Consume: every worker primes a ring of in-flight pops, then waits on
+  // the oldest, reissues into its slot BEFORE computing, and integrates the
+  // item. A pop that finds the bag empty retires its slot: pops only
+  // remove, so the bag stays empty. The worker stops when its ring is
+  // empty.
+  const std::size_t ring_slots = 4;
   std::atomic<std::uint64_t> items_done{0};
+  std::atomic<std::uint64_t> pops_done{0};
   std::vector<CachePadded<std::atomic<double>>> partial(cfg.num_locales);
   coforallLocales([&, domain, bag] {
-    std::vector<comm::Handle<std::optional<WorkItem>>> slots(window_slots);
-    comm::CompletionQueue cq;
-    {
-      auto guard = domain.pin();
-      for (std::uint64_t s = 0; s < window_slots; ++s) {
-        slots[s] = bag->popAsync(guard);
-        cq.watch(slots[s], s);
-      }
-    }
-    std::atomic<bool> bag_drained{false};
-
     std::vector<CachePadded<std::atomic<double>>> worker_sum(workers);
-    std::atomic<std::uint64_t> locale_count{0};
     coforallHere(workers, [&](std::uint32_t w) {
       auto guard = domain.attach();
+      std::vector<comm::Handle<std::optional<WorkItem>>> ring(ring_slots);
+      guard.pin();
+      for (auto& slot : ring) slot = bag->popAsync(guard);
+      guard.unpin();
       double sum = 0.0;
       std::uint64_t count = 0;
-      while (auto slot = cq.next()) {
+      std::uint64_t pops = 0;
+      std::size_t live = ring_slots;
+      for (std::size_t head = 0; live > 0; head = (head + 1) % ring_slots) {
+        auto& slot = ring[head];
+        if (!slot.valid()) continue;
         // Copy the payload out: the reissue below overwrites the slot.
-        const std::optional<WorkItem> item = slots[*slot].value();
+        const std::optional<WorkItem> item = slot.value();
+        ++pops;
         if (!item.has_value()) {
-          // The bag was empty at this pop's linearization; pops only
-          // remove, so it stays empty -- stop reissuing and let the
-          // locale's remaining pops drain.
-          bag_drained.store(true, std::memory_order_relaxed);
+          slot = {};
+          --live;
           continue;
         }
         // Reissue FIRST, compute second: the pop overlaps the integration.
-        if (!bag_drained.load(std::memory_order_relaxed)) {
-          guard.pin();
-          slots[*slot] = bag->popAsync(guard);
-          guard.unpin();
-          cq.watch(slots[*slot], *slot);
-        }
+        guard.pin();
+        slot = bag->popAsync(guard);
+        guard.unpin();
         sum += integrate(*item);
         ++count;
         if (count % 64 == 0) guard.tryReclaim();
       }
       worker_sum[w]->store(sum, std::memory_order_relaxed);
-      locale_count.fetch_add(count, std::memory_order_relaxed);
+      items_done.fetch_add(count, std::memory_order_relaxed);
+      pops_done.fetch_add(pops, std::memory_order_relaxed);
     });
 
     double locale_sum = 0.0;
     for (auto& s : worker_sum) locale_sum += s->load(std::memory_order_relaxed);
     partial[Runtime::here()]->store(locale_sum, std::memory_order_relaxed);
-    items_done.fetch_add(locale_count.load(std::memory_order_relaxed),
-                         std::memory_order_relaxed);
   });
-  const comm::Counters after = comm::counters();
 
   double pi = 0.0;
   for (auto& p : partial) pi += p->load(std::memory_order_relaxed);
@@ -147,10 +132,9 @@ int main(int argc, char** argv) {
               cfg.num_locales, workers,
               static_cast<unsigned long long>(items),
               static_cast<unsigned long long>(items_done.load()));
-  std::printf("drained %llu completions from %u shared queues\n",
-              static_cast<unsigned long long>(after.cq_drained -
-                                              before.cq_drained),
-              cfg.num_locales);
+  std::printf("joined %llu pops from %u per-worker rings\n",
+              static_cast<unsigned long long>(pops_done.load()),
+              cfg.num_locales * workers);
   std::printf("integral of 4/(1+x^2) on [0,1] = %.12f (pi = %.12f)\n", pi,
               M_PI);
 

@@ -35,10 +35,9 @@
 // traffic revalidates only when entries actually moved underneath it.
 //
 // Incremental resize. When a segment's occupancy crosses
-// `RobinHoodOptions::resize_load` (default from RuntimeConfig's
-// `rh_resize_load`), the owner allocates a doubled
-// *shadow* table and publishes it under a seqlock bump. From then on the
-// segment is mid-migration:
+// `RobinHoodOptions::resize_load` (default 0.85), the owner allocates a
+// doubled *shadow* table and publishes it under a seqlock bump. From then
+// on the segment is mid-migration:
 //   * every owner-serialized mutation (and, under a distributed domain, a
 //     self-targeted progress-thread pump AM) moves a bounded chunk
 //     (`migrate_chunk` entries) from the old table into the shadow, under
@@ -110,9 +109,8 @@ struct RobinHoodStats {
   std::uint64_t migrating_segments = 0;  ///< segments currently mid-migration
 };
 
-/// Tuning for RobinHoodMap's incremental resize. create() without options
-/// resolves the defaults from RuntimeConfig (`rh_resize_load`,
-/// `rh_migrate_chunk`) when a runtime is active.
+/// Tuning for RobinHoodMap's incremental resize, per map: create() without
+/// options uses these member initializers.
 struct RobinHoodOptions {
   /// Per-segment load factor that starts a doubling; <= 0 disables resize
   /// entirely (a full segment then rejects inserts, counted in
@@ -221,12 +219,8 @@ class RobinHoodMap {
   /// *partition* (which locale owns which key) is fixed for the table's
   /// lifetime; each segment grows independently by incremental doubling
   /// once it crosses `options.resize_load` (see file header).
-  static RobinHoodMap create(std::uint64_t capacity, Domain& domain) {
-    return create(capacity, domain, defaultOptions());
-  }
-
   static RobinHoodMap create(std::uint64_t capacity, Domain& domain,
-                             const RobinHoodOptions& options) {
+                             const RobinHoodOptions& options = {}) {
     RobinHoodMap map;
     map.domain_ = DomainRef<Domain>(domain);
     map.resize_load_ = options.resize_load;
@@ -249,18 +243,6 @@ class RobinHoodMap {
       map.local_segment_ = new Segment(seg_slots);
     }
     return map;
-  }
-
-  /// Resize defaults: RuntimeConfig's knobs when a runtime is active,
-  /// otherwise the RobinHoodOptions member initializers.
-  static RobinHoodOptions defaultOptions() {
-    RobinHoodOptions options;
-    if (Runtime::active()) {
-      const RuntimeConfig& cfg = Runtime::get().config();
-      options.resize_load = cfg.rh_resize_load;
-      options.migrate_chunk = cfg.rh_migrate_chunk;
-    }
-    return options;
   }
 
   /// Teardown (collective under DistDomain). Waits out any in-flight

@@ -38,9 +38,9 @@
 // comm::Aggregator coalesces DistDomain retires and the *AsyncAggregated
 // ops per destination, and a comm::OpWindow scopes batch-then-join over
 // the aggregated ops (close = auto-flush + join at the max sim-time).
-// Drain completions -- with as many worker tasks as you like -- through the
-// MPMC comm::CompletionQueue. See docs/API.md for the guide and
-// docs/ARCHITECTURE.md for the layer map.
+// A worker that pipelines ops keeps a ring of handles and waits on the
+// oldest. See docs/API.md for the guide and docs/ARCHITECTURE.md for the
+// layer map.
 #pragma once
 
 #include "util/backoff.hpp"

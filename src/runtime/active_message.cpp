@@ -83,8 +83,7 @@ void ProgressThread::run() {
     busy_until_ = end;
     serviced_.fetch_add(1, std::memory_order_relaxed);
     if (req.on_complete) {
-      // Resolves the waiting handle(s) and runs their completion waiters
-      // (whenAll groups, CompletionQueue pushes) on this thread; a waiter
+      // Resolves the waiting handle(s) with one release store each; that
       // charges nothing, so this channel's clock is unaffected.
       req.on_complete(end);
     }

@@ -30,9 +30,9 @@ struct AmRequest {
   /// Completion channel for AMs with a waiter (amSync / comm::Handle): the
   /// progress thread invokes it with the service end time (simulated ns)
   /// after the handler -- and the whole batch, if any -- has run. The comm
-  /// layer uses it to resolve handles and run their completion waiters; a
-  /// single callback can resolve a whole group of handles at once
-  /// (aggregated ops). Empty for a batch of retires.
+  /// layer uses it to resolve handles (one release store each); a single
+  /// callback can resolve a whole group of handles at once (aggregated
+  /// ops). Empty for a batch of retires.
   std::function<void(std::uint64_t end_sim_time)> on_complete;
 };
 

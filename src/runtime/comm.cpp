@@ -21,8 +21,6 @@ struct alignas(kCacheLineSize) AtomicCounters {
   std::atomic<std::uint64_t> am_batched{0};
   std::atomic<std::uint64_t> am_fence{0};
   std::atomic<std::uint64_t> ops_aggregated{0};
-  std::atomic<std::uint64_t> handles_chained{0};
-  std::atomic<std::uint64_t> cq_drained{0};
   std::atomic<std::uint64_t> gets{0};
   std::atomic<std::uint64_t> dcas_local{0};
   std::atomic<std::uint64_t> dcas_remote{0};
@@ -109,30 +107,6 @@ std::uint64_t joinReadyTime(const detail::HandleCore& core) {
 
 namespace detail {
 
-void completeCore(HandleCore& core, std::uint64_t end_time) {
-  std::vector<std::function<void(std::uint64_t)>> waiters;
-  {
-    std::lock_guard<std::mutex> g(core.waiters_lock);
-    core.done.store(end_time + 1, std::memory_order_release);
-    waiters.swap(core.waiters);
-  }
-  const std::uint64_t join = end_time + core.wire_return_ns;
-  for (auto& waiter : waiters) waiter(join);
-}
-
-void addCompletionWaiter(HandleCore& core,
-                         std::function<void(std::uint64_t)> waiter) {
-  {
-    std::lock_guard<std::mutex> g(core.waiters_lock);
-    if (core.done.load(std::memory_order_acquire) == 0) {
-      core.waiters.push_back(std::move(waiter));
-      return;
-    }
-  }
-  // Already complete: run inline on the registering thread.
-  waiter(joinReadyTime(core));
-}
-
 void injectHandleAm(std::uint32_t loc, std::shared_ptr<HandleCore> core,
                     std::function<void()> fn) {
   Runtime& rt = Runtime::get();
@@ -142,7 +116,7 @@ void injectHandleAm(std::uint32_t loc, std::shared_ptr<HandleCore> core,
   req.fn = std::move(fn);
   req.send_time = sim::now();
   // The callback owns the state: it stays alive until the progress thread
-  // has stored the completion time and run every completion waiter.
+  // has stored the completion time.
   req.on_complete = [core](std::uint64_t end) { completeCore(*core, end); };
   rt.locale(loc).amQueue().push(std::move(req));
   // Sender-side injection cost of a one-way message.
@@ -160,16 +134,12 @@ void flushIfBuffered(HandleCore& core) {
   if (agg != nullptr && agg == &taskAggregator()) agg->flush(core.buffered_loc);
 }
 
-void flushTaskAggregatorForDrain() { taskAggregator().flushAll(); }
-
 void spinUntilDone(const HandleCore& core) {
   Backoff backoff;
   while (core.done.load(std::memory_order_acquire) == 0) backoff.pause();
 }
 
 void noteAmAsync() noexcept { bump(g_counters.am_async); }
-void noteHandlesChained() noexcept { bump(g_counters.handles_chained); }
-void noteCqDrained() noexcept { bump(g_counters.cq_drained); }
 
 }  // namespace detail
 
@@ -520,7 +490,7 @@ void Aggregator::enqueueWithCore(std::uint32_t loc, std::function<void()> op,
   bucket.ops.push_back(std::move(op));
   ++bucket.weight;
   if (core != nullptr) {
-    // Mark the op as buffered-here so join paths (Handle::wait, whenAll,
+    // Mark the op as buffered-here so join paths (Handle::wait,
     // OpWindow::join) can ship its batch instead of spinning forever, and
     // enroll it into the innermost open window on this thread, if any.
     core->buffered_loc = loc;
@@ -665,9 +635,6 @@ Counters counters() noexcept {
   snapshot.am_fence = g_counters.am_fence.load(std::memory_order_relaxed);
   snapshot.ops_aggregated =
       g_counters.ops_aggregated.load(std::memory_order_relaxed);
-  snapshot.handles_chained =
-      g_counters.handles_chained.load(std::memory_order_relaxed);
-  snapshot.cq_drained = g_counters.cq_drained.load(std::memory_order_relaxed);
   snapshot.gets = g_counters.gets.load(std::memory_order_relaxed);
   snapshot.dcas_local = g_counters.dcas_local.load(std::memory_order_relaxed);
   snapshot.dcas_remote = g_counters.dcas_remote.load(std::memory_order_relaxed);
@@ -682,8 +649,6 @@ void resetCounters() noexcept {
   g_counters.am_batched.store(0, std::memory_order_relaxed);
   g_counters.am_fence.store(0, std::memory_order_relaxed);
   g_counters.ops_aggregated.store(0, std::memory_order_relaxed);
-  g_counters.handles_chained.store(0, std::memory_order_relaxed);
-  g_counters.cq_drained.store(0, std::memory_order_relaxed);
   g_counters.gets.store(0, std::memory_order_relaxed);
   g_counters.dcas_local.store(0, std::memory_order_relaxed);
   g_counters.dcas_remote.store(0, std::memory_order_relaxed);

@@ -18,8 +18,8 @@
 // flushes and joins them at the max simulated time -- see the class below
 // and docs/ARCHITECTURE.md for the lifecycle.
 //
-// Completions are consumed by joining: waits spin, `whenAll` folds a set,
-// and workers that share work share one MPMC `CompletionQueue`.
+// Completions are consumed by joining: a wait spins on the handle, and
+// `waitAll` and a window close fold a set at its max join time.
 //
 // This is the layer where CommMode matters:
 //
@@ -40,14 +40,9 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
-#include <mutex>
-#include <optional>
 #include <span>
 #include <thread>
 #include <type_traits>
@@ -81,13 +76,8 @@ namespace detail {
 /// Shared completion state. `done` holds (completion simulated time + 1);
 /// 0 means the operation is still pending. The producer (progress thread or
 /// inline fast path) stores `done` with release order after writing `value`,
-/// so a waiter's acquire load of `done` publishes the value too.
-///
-/// Beyond the spin-wait channel, a core carries *completion waiters*:
-/// closures registered by `whenAll` and by CompletionQueues. The
-/// completing thread runs them right after storing `done`, passing the
-/// join-ready time (completion + return wire) -- this is what lets progress
-/// threads *push* completions instead of tasks polling.
+/// so a waiter's acquire load of `done` publishes the value too. That store
+/// is the whole completion: every join reads `done` directly.
 struct HandleCore {
   std::atomic<std::uint64_t> done{0};
   /// Return-path latency folded in at wait() (am_wire_ns for remote AMs,
@@ -101,10 +91,6 @@ struct HandleCore {
   /// only read by the enqueuing thread (the one allowed to flush).
   std::atomic<Aggregator*> buffered_in{nullptr};
   std::uint32_t buffered_loc = 0;
-  std::mutex waiters_lock;
-  /// Guarded by waiters_lock until completion; invoked with the join-ready
-  /// simulated time. A waiter added after completion runs inline.
-  std::vector<std::function<void(std::uint64_t)>> waiters;
 };
 
 template <typename T>
@@ -114,18 +100,15 @@ struct HandleState : HandleCore {
 template <>
 struct HandleState<void> : HandleCore {};
 
-/// Mark a core complete at `end_time` and run (then clear) its waiters.
-/// Every completion path funnels through here.
-void completeCore(HandleCore& core, std::uint64_t end_time);
-
-/// Attach `waiter` to run at completion (inline if already complete). The
-/// waiter receives the join-ready time: completion + return wire.
-void addCompletionWaiter(HandleCore& core,
-                         std::function<void(std::uint64_t)> waiter);
+/// Mark a core complete at `end_time`: one release store of `done`. Every
+/// completion path funnels through here.
+inline void completeCore(HandleCore& core, std::uint64_t end_time) {
+  core.done.store(end_time + 1, std::memory_order_release);
+}
 
 /// Ship `fn` as an AM to `loc` whose completion resolves `core` (shared
-/// ownership keeps the state alive until the progress thread has run the
-/// waiters). Counter attribution is the caller's business.
+/// ownership keeps the state alive until the progress thread has stored
+/// the completion). Counter attribution is the caller's business.
 void injectHandleAm(std::uint32_t loc, std::shared_ptr<HandleCore> core,
                     std::function<void()> fn);
 
@@ -137,56 +120,12 @@ void injectHandleAm(std::uint32_t loc, std::shared_ptr<HandleCore> core,
 /// OpWindow close ships those.
 void flushIfBuffered(HandleCore& core);
 
-/// Ship everything buffered in the calling task's aggregator. Drain-loop
-/// safety hook: a consumer about to block in CompletionQueue::next() must
-/// not leave its own aggregated ops unshipped. Defined in comm.cpp (the
-/// Aggregator lives below).
-void flushTaskAggregatorForDrain();
-
 /// Spin (with backoff) until `core` completes.
 void spinUntilDone(const HandleCore& core);
 
-/// The bounded parking slice a CompletionQueue consumer waits per probe
-/// round (wall clock) before re-checking its queue.
-inline constexpr std::chrono::microseconds kCqParkSlice{200};
-
-/// One drainable completion: the watcher's tag plus the operation's
-/// join-ready simulated time (completion + return wire, ready to max-fold).
-struct ReadyCompletion {
-  std::uint64_t tag = 0;
-  std::uint64_t join = 0;
-};
-
-/// The shared state behind a CompletionQueue; watched handles hold it, so
-/// it outlives a queue dropped with watches outstanding. `outstanding`
-/// counts watched-but-not-yet-drained completions; `ready` items are
-/// included in it (a watch only leaves the count when popped).
-struct CqShared {
-  mutable std::mutex lock;
-  std::condition_variable cv;
-  std::deque<ReadyCompletion> ready;
-  std::size_t outstanding = 0;
-};
-
-// Counter hooks for the header-only combinators (the counters themselves
+// Counter hook for the header-only amAsyncValue (the counters themselves
 // live in comm.cpp).
 void noteAmAsync() noexcept;
-void noteHandlesChained() noexcept;
-void noteCqDrained() noexcept;
-
-}  // namespace detail
-
-template <typename T = void>
-class Handle;
-
-namespace detail {
-
-/// Join bookkeeping for whenAll: last completer closes the group at the
-/// max join time seen across the set.
-struct WhenAllCtl {
-  std::atomic<std::size_t> remaining{0};
-  std::atomic<std::uint64_t> max_join{0};
-};
 
 }  // namespace detail
 
@@ -194,11 +133,11 @@ struct WhenAllCtl {
 /// Copyable (shared state); dropping every copy without waiting is legal --
 /// the operation still completes, its result is simply discarded.
 ///
-/// `whenAll`/`waitAll` join sets of handles; a CompletionQueue turns
-/// completions into a drainable stream. A `whenAll` handle completes at its
-/// set's *join-ready* time (return wire already folded), so waiting on it
-/// never double-charges the wire.
-template <typename T>
+/// A handle is joined by wait()/value(), a set by `waitAll`, or by an
+/// OpWindow that owns it. Workers that pipeline ops keep a ring of handles
+/// and wait on the oldest: one destination's progress thread serves a
+/// task's AMs FIFO, so the oldest completes first.
+template <typename T = void>
 class Handle {
  public:
   Handle() = default;  // invalid
@@ -241,7 +180,7 @@ class Handle {
     return state_->value;
   }
 
-  /// Internal: the shared completion state (whenAll, CompletionQueue).
+  /// Internal: the shared completion state (OpWindow::add).
   const std::shared_ptr<detail::HandleState<T>>& state() const noexcept {
     return state_;
   }
@@ -275,159 +214,6 @@ template <typename T>
 void waitAll(std::vector<Handle<T>>& handles) {
   waitAll(std::span<Handle<T>>(handles));
 }
-
-/// A handle that completes when *all* of `handles` have, at the max
-/// join-ready time of the set. Non-blocking (charges nothing); the set may
-/// be empty (the result is then already complete at the current simulated
-/// time). Closing a set is a commitment: any member still buffered in the
-/// calling task's Aggregator is shipped here, so waiting on the group can
-/// never block on an unflushed batch.
-template <typename T>
-Handle<> whenAll(std::span<Handle<T>> handles) {
-  detail::noteHandlesChained();
-  auto group = std::make_shared<detail::HandleState<void>>();
-  if (handles.empty()) {
-    detail::completeCore(*group, sim::now());
-    return Handle<>(std::move(group));
-  }
-  auto ctl = std::make_shared<detail::WhenAllCtl>();
-  ctl->remaining.store(handles.size(), std::memory_order_relaxed);
-  for (Handle<T>& h : handles) {
-    PGASNB_CHECK_MSG(h.valid(), "whenAll() over an invalid comm::Handle");
-    detail::flushIfBuffered(*h.state());
-    detail::addCompletionWaiter(
-        *h.state(), [group, ctl](std::uint64_t join) {
-          std::uint64_t seen = ctl->max_join.load(std::memory_order_relaxed);
-          while (seen < join && !ctl->max_join.compare_exchange_weak(
-                                    seen, join, std::memory_order_acq_rel)) {
-          }
-          if (ctl->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-            detail::completeCore(
-                *group, ctl->max_join.load(std::memory_order_acquire));
-          }
-        });
-  }
-  return Handle<>(std::move(group));
-}
-template <typename T>
-Handle<> whenAll(std::vector<Handle<T>>& handles) {
-  return whenAll(std::span<Handle<T>>(handles));
-}
-
-// --- completion queues -----------------------------------------------------
-
-/// A drain point for async completions: `watch` registers a handle under a
-/// caller-chosen tag; whichever thread completes the operation (typically a
-/// progress thread) *pushes* the completion in, and consumers pop with
-/// `next()` -- blocking idle instead of spin-polling a window of handles,
-/// and folding each completion's join time into their clock as they drain.
-/// Completions arrive in completion order, which for a single destination
-/// is the progress thread's FIFO (busy_until) service order.
-///
-/// The queue is **MPMC**: producers (progress threads) may be many, and so
-/// may consumers -- N worker tasks of a locale share one queue, each
-/// blocking in next() and waking per completion; every drained completion
-/// is delivered to exactly one consumer, which folds its join time. This is
-/// how a locale's workers share work: one queue, one tag namespace (tags
-/// index a shared slot table), and any worker may drain and reissue any
-/// slot. Watched handles keep the queue's shared state alive, so dropping
-/// the queue with watches outstanding is safe -- the late completions are
-/// simply discarded.
-///
-/// A consumer about to block first ships anything buffered in its *own*
-/// task Aggregator, so draining a window of aggregated ops needs no manual
-/// flushAll(). (An op buffered by a *different* task still needs that task
-/// to flush -- its wait()/OpWindow close does so automatically.)
-class CompletionQueue {
- public:
-  CompletionQueue() : state_(std::make_shared<detail::CqShared>()) {}
-  CompletionQueue(const CompletionQueue&) = delete;
-  CompletionQueue& operator=(const CompletionQueue&) = delete;
-
-  /// Register `h`; its completion will surface from next()/tryNext() (on
-  /// exactly one consumer) as `tag`. Non-blocking, charges nothing; an
-  /// already-complete handle is delivered immediately.
-  template <typename T>
-  void watch(const Handle<T>& h, std::uint64_t tag = 0) {
-    PGASNB_CHECK_MSG(h.valid(), "watch() on an invalid comm::Handle");
-    {
-      std::lock_guard<std::mutex> g(state_->lock);
-      ++state_->outstanding;
-    }
-    detail::addCompletionWaiter(
-        *h.state(), [s = state_, tag](std::uint64_t join) {
-          {
-            std::lock_guard<std::mutex> g(s->lock);
-            s->ready.push_back({tag, join});
-          }
-          s->cv.notify_all();
-        });
-  }
-
-  /// Pop the next completion, blocking (in bounded parking slices) while
-  /// any watch is outstanding and nothing is ready; folds the completion's
-  /// join time into the caller's simulated clock (max-fold). Returns the
-  /// completion's tag, or nullopt once nothing is outstanding (at which
-  /// point every blocked sibling consumer is released too). Before
-  /// parking, ships anything still buffered in the calling task's
-  /// Aggregator.
-  ///
-  /// Termination is a racy snapshot: with consumers that REISSUE after
-  /// draining (pop -> watch), the queue can look momentarily empty inside
-  /// one consumer's drained->rewatched gap, letting an idle sibling return
-  /// nullopt early. No completion is ever lost -- the reissuing consumers
-  /// drain what remains -- but rewatch *before* heavy compute when
-  /// full-width parallelism matters.
-  std::optional<std::uint64_t> next() {
-    for (;;) {
-      std::uint64_t tag = 0;
-      if (tryNext(tag)) return tag;
-      if (outstanding() == 0) return std::nullopt;
-      // About to go idle: a watched op still sitting in our own aggregator
-      // would never ship (we are its only flusher) -- send it now.
-      detail::flushTaskAggregatorForDrain();
-      park();
-    }
-  }
-
-  /// Non-blocking flavor of next(); false when nothing has completed yet.
-  /// Folds the popped completion's join time like next().
-  bool tryNext(std::uint64_t& tag_out) {
-    std::unique_lock<std::mutex> g(state_->lock);
-    if (state_->ready.empty()) return false;
-    const auto [tag, join] = state_->ready.front();
-    state_->ready.pop_front();
-    const bool drained_out = --state_->outstanding == 0;
-    g.unlock();
-    // Release sibling consumers blocked on the now-impossible "more work
-    // will arrive" predicate.
-    if (drained_out) state_->cv.notify_all();
-    detail::noteCqDrained();
-    sim::joinAtLeast(join);
-    tag_out = tag;
-    return true;
-  }
-
-  /// Watched-but-not-yet-drained completions (racy snapshot, like any
-  /// concurrent size).
-  std::size_t outstanding() const {
-    std::lock_guard<std::mutex> g(state_->lock);
-    return state_->outstanding;
-  }
-
- private:
-  /// One bounded parking slice on this queue's condition variable (woken
-  /// early by a completion landing here or the outstanding count reaching
-  /// 0).
-  void park() {
-    std::unique_lock<std::mutex> g(state_->lock);
-    state_->cv.wait_for(g, detail::kCqParkSlice, [&] {
-      return !state_->ready.empty() || state_->outstanding == 0;
-    });
-  }
-
-  std::shared_ptr<detail::CqShared> state_;
-};
 
 // --- remote execution -------------------------------------------------
 
@@ -583,11 +369,11 @@ class Aggregator {
   /// Buffer `op` and get a completion handle: it resolves when the batched
   /// AM carrying the op has been serviced. All handles riding one batch
   /// resolve *together*, at the batch's completion time -- one progress-
-  /// thread push resolves the whole group (drain them via a
-  /// CompletionQueue or whenAll). A buffered op ships at batch-full / age /
-  /// flush -- or automatically when its handle is waited, drained, or owned
-  /// by a closing OpWindow (on the task aggregator, joining an unshipped op
-  /// can no longer deadlock). Handles issued while an OpWindow is open on
+  /// thread callback stores every `done` of the group (join them with
+  /// waitAll or an OpWindow). A buffered op ships at batch-full / age /
+  /// flush -- or automatically when its handle is waited or owned by a
+  /// closing OpWindow (on the task aggregator, joining an unshipped op can
+  /// no longer deadlock). Handles issued while an OpWindow is open on
   /// this thread enroll into it. An own-locale op's handle resolves alone,
   /// when its inline run finishes (see the class comment).
   Handle<> enqueueHandle(std::uint32_t loc, std::function<void()> op);
@@ -691,9 +477,9 @@ class Aggregator {
 
 /// The calling task's aggregator (thread-local). The epoch layer drains it
 /// on guard tryReclaim/release, so retires routed through it cannot be
-/// stranded past the guard;
-/// Handle::wait / CompletionQueue drains / OpWindow close flush it too, so
-/// aggregated handles joined on the issuing task cannot be stranded either.
+/// stranded past the guard; Handle::wait and OpWindow close flush it too,
+/// so aggregated handles joined on the issuing task cannot be stranded
+/// either.
 Aggregator& taskAggregator();
 
 // --- operation windows ------------------------------------------------------
@@ -795,9 +581,6 @@ struct Counters {
   std::uint64_t am_batched = 0;      ///< batched AMs shipped by Aggregators
   std::uint64_t am_fence = 0;        ///< quiesceAmQueues drain fences
   std::uint64_t ops_aggregated = 0;  ///< logical ops routed through Aggregators
-  std::uint64_t handles_chained = 0; ///< whenAll group handles
-  std::uint64_t cq_drained = 0;      ///< completions popped from CompletionQueues
-                                     ///< (OpWindow::drain does not count)
   /// Always 0: the machinery that fed these is gone (the batch tuner,
   /// sibling-queue stealing, deferred worker continuations and their
   /// backpressure). They stay because benchmark/ still reads them.

@@ -29,8 +29,6 @@ std::string RuntimeConfig::describe() const {
   std::ostringstream os;
   os << "locales=" << num_locales << " workers/locale=" << workers_per_locale
      << " comm=" << toString(comm_mode)
-     << " rh_resize_load=" << rh_resize_load
-     << " rh_migrate_chunk=" << rh_migrate_chunk
      << " inject=" << (inject_delays ? "yes" : "no")
      << " delay_scale=" << latency.delay_scale;
   return os.str();

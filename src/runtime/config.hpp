@@ -51,16 +51,6 @@ struct RuntimeConfig {
   /// batch-full or an explicit flush. 0 disables age-based flushing.
   std::uint64_t aggregator_max_batch_age_ns = 100'000;
 
-  /// RobinHoodMap: per-segment load factor that starts an incremental
-  /// doubling (shadow table + chunked migration). <= 0 disables resize, so
-  /// a full segment rejects inserts (stats().full_rejects). create() with
-  /// explicit RobinHoodOptions overrides this.
-  double rh_resize_load = 0.85;
-
-  /// RobinHoodMap: entries migrated per bounded chunk (per mutation / pump
-  /// step; chunks round up to the enclosing probe run). 0 is treated as 1.
-  std::uint32_t rh_migrate_chunk = 64;
-
   LatencyModel latency{};
 
   /// When true, communication costs are also *physically* injected as

@@ -19,8 +19,8 @@ void setNow(std::uint64_t ns) noexcept { taskContext().sim_now = ns; }
 void joinAtLeast(std::uint64_t ns) noexcept {
   // Max-fold: joining an event that finished in the (simulated) past is
   // free; joining the future advances the clock to it. All the higher
-  // join semantics (waitAll's order-independence, whenAll/OpWindow closing
-  // at the set's max) reduce to this.
+  // join semantics (waitAll's order-independence, an OpWindow closing at
+  // the set's max) reduce to this.
   auto& ctx = taskContext();
   if (ns > ctx.sim_now) ctx.sim_now = ns;
 }

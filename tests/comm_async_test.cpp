@@ -1,5 +1,5 @@
 // The asynchronous communication surface: completion handles and their
-// joins (whenAll/waitAll, CompletionQueue drain), the ProgressThread's FIFO
+// joins (wait/waitAll), the ProgressThread's FIFO
 // busy_until model, the per-task Aggregator (flush ordering, threshold/age
 // flush, handle groups, counters), the aggregated cross-locale retire path
 // including when a buffered run ships, and the operation-shipped async
@@ -27,6 +27,10 @@ struct Tracked {
   ~Tracked() { live.fetch_sub(1); }
 };
 std::atomic<int> Tracked::live{0};
+
+// A completion is one release store on `done`: no lock, no waiter list.
+static_assert(sizeof(comm::detail::HandleCore) <= 32,
+              "a handle's completion state carries no lock");
 
 class CommAsyncTest : public RuntimeTest {
  protected:
@@ -78,25 +82,6 @@ TEST_F(CommAsyncTest, ProgressThreadModelsFifoBusyUntil) {
 
 // --- joining sets of handles ------------------------------------------------
 
-TEST_F(CommAsyncTest, WhenAllJoinsAtTheMaxCompletionOfTheSet) {
-  startRuntime(3);
-  sim::setNow(0);
-  std::vector<comm::Handle<>> hs;
-  hs.push_back(comm::amProgressHandle(1, [] {}));
-  hs.push_back(comm::amProgressHandle(1, [] {}));
-  hs.push_back(comm::amProgressHandle(2, [] {}));
-  auto group = comm::whenAll(hs);
-  group.wait();
-  const LatencyModel& lat = runtime_->config().latency;
-  const std::uint64_t w = lat.am_wire_ns;
-  const std::uint64_t s = lat.am_service_ns;
-  // Locale 1 services its two messages FIFO (joins ~2w+s and 2w+2s);
-  // locale 2's lone message joins at ~2w+s. The group closes at the max.
-  EXPECT_EQ(group.completionTime(), 2 * w + 2 * s);
-  EXPECT_GE(sim::now(), 2 * w + 2 * s);
-  for (auto& h : hs) EXPECT_TRUE(h.ready());
-}
-
 TEST_F(CommAsyncTest, WaitAllFoldsEveryJoinIntoTheCaller) {
   startRuntime(2);
   sim::setNow(0);
@@ -109,65 +94,50 @@ TEST_F(CommAsyncTest, WaitAllFoldsEveryJoinIntoTheCaller) {
   for (auto& h : hs) EXPECT_TRUE(h.ready());
 }
 
-// --- completion queues ------------------------------------------------------
-
-TEST_F(CommAsyncTest, CompletionQueueDrainsInFifoCompletionOrder) {
+TEST_F(CommAsyncTest, CompletionTimesRiseInIssueOrderForOneDestination) {
+  // One destination's progress thread serves its AMs FIFO, so completion
+  // order is issue order: a ring that waits on its oldest handle sees
+  // completions in the order they happen.
   startRuntime(2);
   sim::setNow(0);
-  comm::CompletionQueue cq;
-  auto h1 = comm::amProgressHandle(1, [] {});
-  auto h2 = comm::amProgressHandle(1, [] {});
-  cq.watch(h1, 7);
-  cq.watch(h2, 9);
-  EXPECT_EQ(cq.outstanding(), 2u);
+  std::vector<comm::Handle<>> hs;
+  for (int i = 0; i < 4; ++i) hs.push_back(comm::amProgressHandle(1, [] {}));
   const LatencyModel& lat = runtime_->config().latency;
-  auto first = cq.next();
-  ASSERT_TRUE(first.has_value());
-  EXPECT_EQ(*first, 7u) << "FIFO busy_until: the first injection completes "
-                           "first and is pushed first";
-  EXPECT_GE(sim::now(), h1.completionTime() + lat.am_wire_ns);
-  auto second = cq.next();
-  ASSERT_TRUE(second.has_value());
-  EXPECT_EQ(*second, 9u);
-  EXPECT_GE(sim::now(), h2.completionTime() + lat.am_wire_ns);
-  EXPECT_FALSE(cq.next().has_value()) << "drained: nothing outstanding";
-  EXPECT_EQ(comm::counters().cq_drained, 2u);
+  for (std::size_t i = 0; i < hs.size(); ++i) {
+    hs[i].wait();
+    EXPECT_GE(sim::now(), hs[i].completionTime() + lat.am_wire_ns);
+    if (i > 0) {
+      EXPECT_GT(hs[i].completionTime(), hs[i - 1].completionTime())
+          << "FIFO busy_until: a later injection completes later";
+    }
+  }
 }
 
-TEST_F(CommAsyncTest, DrainAndGroupCountersSnapshotAndReset) {
-  // A drain and a whenAll count where they always did; the four fields
-  // whose machinery is gone (stealing, deferred continuations,
-  // backpressure) stay in the snapshot and read 0.
+TEST_F(CommAsyncTest, CountersSnapshotAndReset) {
+  // The four fields whose machinery is gone (stealing, deferred
+  // continuations, backpressure) stay in the snapshot and read 0.
   startRuntime(2);
-  comm::CompletionQueue cq;
-  cq.watch(comm::amProgressHandle(1, [] {}), 1);
-  ASSERT_TRUE(cq.next().has_value());
+  comm::amProgressHandle(1, [] {}).wait();
+  comm::Aggregator& agg = comm::taskAggregator();
   std::vector<comm::Handle<>> hs;
-  hs.push_back(comm::amProgressHandle(1, [] {}));
-  comm::whenAll(hs).wait();
+  hs.push_back(agg.enqueueHandle(1, [] {}));
+  hs.push_back(agg.enqueueHandle(1, [] {}));
+  comm::waitAll(hs);
   const comm::Counters snap = comm::counters();
-  EXPECT_EQ(snap.cq_drained, 1u);
-  EXPECT_EQ(snap.handles_chained, 1u);
+  EXPECT_EQ(snap.am_async, 1u);
+  EXPECT_EQ(snap.am_batched, 1u);
+  EXPECT_EQ(snap.ops_aggregated, 2u);
+  EXPECT_EQ(snap.totalAms(), 2u);
   EXPECT_EQ(snap.cq_stolen, 0u);
   EXPECT_EQ(snap.continuations_stolen, 0u);
   EXPECT_EQ(snap.backpressure_stalls, 0u);
   EXPECT_EQ(snap.deferred_peak, 0u);
   comm::resetCounters();
   const comm::Counters zeroed = comm::counters();
-  EXPECT_EQ(zeroed.cq_drained, 0u);
-  EXPECT_EQ(zeroed.handles_chained, 0u);
-}
-
-TEST_F(CommAsyncTest, CompletionQueueWatchAfterCompletionStillDelivers) {
-  startRuntime(2);
-  auto h = comm::amProgressHandle(1, [] {});
-  h.wait();  // already complete before watch
-  comm::CompletionQueue cq;
-  cq.watch(h, 42);
-  std::uint64_t tag = 0;
-  EXPECT_TRUE(cq.tryNext(tag));
-  EXPECT_EQ(tag, 42u);
-  EXPECT_FALSE(cq.tryNext(tag));
+  EXPECT_EQ(zeroed.am_async, 0u);
+  EXPECT_EQ(zeroed.am_batched, 0u);
+  EXPECT_EQ(zeroed.ops_aggregated, 0u);
+  EXPECT_EQ(zeroed.totalAms(), 0u);
 }
 
 // --- aggregator -------------------------------------------------------------
@@ -253,10 +223,8 @@ TEST_F(CommAsyncTest, AggregatedHandleGroupResolvesTogether) {
   comm::Aggregator& agg = comm::taskAggregator();
   std::atomic<int> ran{0};
   std::vector<comm::Handle<>> hs;
-  comm::CompletionQueue cq;
   for (std::uint64_t i = 0; i < 3; ++i) {
     hs.push_back(agg.enqueueHandle(1, [&ran] { ran.fetch_add(1); }));
-    cq.watch(hs.back(), i);
   }
   EXPECT_FALSE(hs[0].ready()) << "buffered ops have not shipped yet";
   agg.flushAll();
@@ -264,16 +232,11 @@ TEST_F(CommAsyncTest, AggregatedHandleGroupResolvesTogether) {
   EXPECT_EQ(ran.load(), 3);
   const LatencyModel& lat = runtime_->config().latency;
   // One batched AM: the whole group resolves at the batch's end time.
-  EXPECT_EQ(hs[0].completionTime(), hs[2].completionTime());
-  EXPECT_EQ(hs[0].completionTime(), lat.am_wire_ns + lat.am_service_ns +
-                                        3 * lat.cpu_atomic_ns);
-  EXPECT_EQ(comm::counters().am_batched, 1u);
-  // The single progress-thread push resolved all three watches at once.
-  std::uint64_t tag = 0;
-  for (std::uint64_t i = 0; i < 3; ++i) {
-    ASSERT_TRUE(cq.tryNext(tag));
-    EXPECT_EQ(tag, i);
+  for (const auto& h : hs) {
+    EXPECT_EQ(h.completionTime(), lat.am_wire_ns + lat.am_service_ns +
+                                      3 * lat.cpu_atomic_ns);
   }
+  EXPECT_EQ(comm::counters().am_batched, 1u);
 }
 
 TEST_F(CommAsyncTest, AggregatorAgeFlushShipsUnderfilledBuckets) {

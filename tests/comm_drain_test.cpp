@@ -1,6 +1,6 @@
 // Draining completions: mid-window OpWindow::drain (release of finished
 // ops, nesting, max-fold parity with a bare join) and a workers-x-locales
-// work queue where each locale's workers share one CompletionQueue (the
+// work queue where every worker drains its own ring of in-flight pops (the
 // full sweep is the `-L stress` variant).
 #include <gtest/gtest.h>
 
@@ -43,8 +43,6 @@ TEST_F(CommDrainTest, WindowDrainReleasesCompletedOpsAsTheyLand) {
   EXPECT_EQ(consumed, kOps);
   for (auto& h : hs) EXPECT_TRUE(h.ready());
   EXPECT_EQ(window.drain(), 0u) << "nothing left to release";
-  EXPECT_EQ(comm::counters().cq_drained, 0u)
-      << "window drains use no completion queue";
   window.join();  // nothing left to wait for
 }
 
@@ -160,15 +158,16 @@ TEST_F(CommDrainTest, DrainedWindowedPopsNeedNoManualFlush) {
   domain.destroy();
 }
 
-// --- shared-queue work-queue sweep ------------------------------------------
+// --- per-worker ring work-queue sweep ----------------------------------------
 
 // The dist_workqueue shape, scaled: a DistStack bag drained by the workers
-// of every locale through one shared CompletionQueue per locale. The
-// locale primes the slot table; any worker may drain any slot, reissues
-// its pop first and consumes the item second. Every item must be consumed
-// exactly once across all locales and workers, whatever the interleaving.
-void runSharedQueueWorkQueue(std::uint32_t locales, std::uint32_t workers,
-                             std::uint64_t items) {
+// of every locale, each through its own ring of in-flight popAsync handles.
+// A worker waits on its oldest pop, reissues into that slot first and
+// consumes the item second; a pop that finds the bag empty retires its
+// slot. Every item must be consumed exactly once across all locales and
+// workers, whatever the interleaving.
+void runRingWorkQueue(std::uint32_t locales, std::uint32_t workers,
+                      std::uint64_t items) {
   SCOPED_TRACE(::testing::Message() << "locales=" << locales
                                     << " workers=" << workers
                                     << " items=" << items);
@@ -182,40 +181,33 @@ void runSharedQueueWorkQueue(std::uint32_t locales, std::uint32_t workers,
       bag->pushAsyncAggregated(guard, i + 1);
     }
   }
-  const std::uint64_t window_slots = std::max<std::uint64_t>(workers, 8);
+  constexpr std::size_t kRing = 4;
   std::vector<CachePadded<std::atomic<std::uint64_t>>> delivered(items + 1);
   std::atomic<std::uint64_t> consumed{0};
   coforallLocales([&, domain, bag] {
-    std::vector<comm::Handle<std::optional<std::uint64_t>>> slots(
-        window_slots);
-    comm::CompletionQueue cq;
-    {
-      auto guard = domain.pin();
-      for (std::uint64_t s = 0; s < window_slots; ++s) {
-        slots[s] = bag->popAsync(guard);
-        cq.watch(slots[s], s);
-      }
-    }
-    std::atomic<bool> bag_drained{false};
     coforallHere(workers, [&](std::uint32_t) {
       auto guard = domain.attach();
-      while (auto slot = cq.next()) {
-        const std::optional<std::uint64_t> item = slots[*slot].value();
+      std::vector<comm::Handle<std::optional<std::uint64_t>>> ring(kRing);
+      guard.pin();
+      for (auto& slot : ring) slot = bag->popAsync(guard);
+      guard.unpin();
+      std::size_t live = kRing;
+      for (std::size_t head = 0; live > 0; head = (head + 1) % kRing) {
+        auto& slot = ring[head];
+        if (!slot.valid()) continue;
+        const std::optional<std::uint64_t> item = slot.value();
         if (!item.has_value()) {
-          bag_drained.store(true, std::memory_order_relaxed);
+          slot = {};  // the bag stays empty: pops only remove
+          --live;
           continue;
         }
-        if (!bag_drained.load(std::memory_order_relaxed)) {
-          guard.pin();
-          slots[*slot] = bag->popAsync(guard);
-          guard.unpin();
-          cq.watch(slots[*slot], *slot);
-        }
+        guard.pin();
+        slot = bag->popAsync(guard);
+        guard.unpin();
         delivered[*item]->fetch_add(1, std::memory_order_relaxed);
         consumed.fetch_add(1, std::memory_order_relaxed);
       }
     });
-    EXPECT_EQ(cq.outstanding(), 0u);
   });
   EXPECT_EQ(consumed.load(), items);
   for (std::uint64_t v = 1; v <= items; ++v) {
@@ -225,16 +217,16 @@ void runSharedQueueWorkQueue(std::uint32_t locales, std::uint32_t workers,
   domain.destroy();
 }
 
-TEST(CommDrainWorkQueueTest, SharedQueueDrainConsumesEverything) {
-  runSharedQueueWorkQueue(/*locales=*/2, /*workers=*/3, /*items=*/192);
+TEST(CommDrainWorkQueueTest, PerWorkerRingsConsumeEverything) {
+  runRingWorkQueue(/*locales=*/2, /*workers=*/3, /*items=*/192);
 }
 
 // Opt-in scale sweep (`ctest -L stress` via -DPGASNB_STRESS=ON): the
-// workers-x-locales grid the shared-queue drain must survive.
+// workers-x-locales grid the per-worker ring drain must survive.
 TEST(CommDrainStressTest, DISABLED_WorkersByLocalesSweep) {
   for (std::uint32_t locales : {2u, 4u, 8u}) {
     for (std::uint32_t workers : {1u, 2u, 4u}) {
-      runSharedQueueWorkQueue(locales, workers, 128 * locales);
+      runRingWorkQueue(locales, workers, 128 * locales);
     }
   }
 }

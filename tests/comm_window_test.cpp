@@ -1,9 +1,8 @@
-// Operation windows and the multi-consumer completion surface: wait-time
-// auto-flush of task-aggregated handles, OpWindow ownership (auto-enroll,
-// add), window join at the max sim-time of the set, LIFO nesting,
-// destructor-flush during exception unwinding, the aggregated DS ops
-// (DistStack's pushAsyncAggregated / popAsyncAggregated), and the MPMC
-// CompletionQueue (shared drain, reissuing consumers, stress).
+// Operation windows: wait-time auto-flush of task-aggregated handles,
+// OpWindow ownership (auto-enroll, add), window join at the max sim-time of
+// the set, LIFO nesting, destructor-flush during exception unwinding, and
+// the aggregated DS ops (DistStack's pushAsyncAggregated /
+// popAsyncAggregated).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -57,31 +56,6 @@ TEST_F(CommWindowTest, ValueJoinOnAggregatedPopAutoFlushes) {
   });
   DistStack<std::uint64_t>::destroy(stack);
   domain.destroy();
-}
-
-TEST_F(CommWindowTest, WhenAllOverBufferedHandlesAutoFlushes) {
-  startRuntime(2);
-  std::atomic<int> ran{0};
-  std::vector<comm::Handle<>> hs;
-  for (int i = 0; i < 3; ++i) {
-    hs.push_back(comm::taskAggregator().enqueueHandle(1, [&ran] { ran.fetch_add(1); }));
-  }
-  comm::whenAll(hs).wait();  // closing the set ships the batch
-  EXPECT_EQ(ran.load(), 3);
-}
-
-TEST_F(CommWindowTest, CompletionQueueDrainAutoFlushes) {
-  startRuntime(2);
-  comm::CompletionQueue cq;
-  std::atomic<int> ran{0};
-  for (std::uint64_t i = 0; i < 3; ++i) {
-    cq.watch(comm::taskAggregator().enqueueHandle(1, [&ran] { ran.fetch_add(1); }), i);
-  }
-  // next() must ship the consumer's own buffered batch before blocking.
-  std::size_t drained = 0;
-  while (cq.next().has_value()) ++drained;
-  EXPECT_EQ(drained, 3u);
-  EXPECT_EQ(ran.load(), 3);
 }
 
 // --- OpWindow lifecycle ------------------------------------------------------
@@ -381,57 +355,6 @@ TEST_F(CommWindowTest, RemoteOpIssuedByTheLocalRunShipsBeforeCloseReturns) {
   EXPECT_TRUE(inner.ready()) << "its remote op shipped and was joined";
   EXPECT_EQ(remote_ran.load(), 1);
   EXPECT_EQ(agg.pending(), 0u);
-}
-
-// --- MPMC CompletionQueue ----------------------------------------------------
-
-TEST_F(CommWindowTest, MultiConsumerDrainDeliversEachCompletionOnce) {
-  startRuntime(2);
-  constexpr std::uint64_t kOps = 96;
-  constexpr std::uint32_t kWorkers = 3;
-  comm::CompletionQueue cq;
-  std::atomic<std::uint64_t> sum{0};
-  std::atomic<std::uint64_t> drained{0};
-  for (std::uint64_t i = 0; i < kOps; ++i) {
-    cq.watch(comm::amProgressHandle(1, [] {}), i + 1);
-  }
-  coforallHere(kWorkers, [&](std::uint32_t) {
-    while (auto tag = cq.next()) {
-      sum.fetch_add(*tag, std::memory_order_relaxed);
-      drained.fetch_add(1, std::memory_order_relaxed);
-    }
-  });
-  EXPECT_EQ(drained.load(), kOps) << "every completion delivered exactly once";
-  EXPECT_EQ(sum.load(), kOps * (kOps + 1) / 2) << "no tag lost or duplicated";
-  EXPECT_EQ(cq.outstanding(), 0u);
-}
-
-TEST_F(CommWindowTest, MpmcStressReissuingConsumers) {
-  // Consumers share one queue and keep reissuing into it while draining --
-  // the work-queue shape. TSan-clean is part of the contract.
-  startRuntime(4);
-  constexpr std::uint32_t kWorkers = 4;
-  constexpr std::uint64_t kPerWorker = 64;
-  comm::CompletionQueue cq;
-  std::atomic<std::uint64_t> completed{0};
-  // Seed one watch per worker, tagged by worker.
-  for (std::uint64_t w = 0; w < kWorkers; ++w) {
-    cq.watch(comm::amProgressHandle(1 + (w % 3), [] {}), w);
-  }
-  std::vector<CachePadded<std::atomic<std::uint64_t>>> reissued(kWorkers);
-  coforallHere(kWorkers, [&](std::uint32_t) {
-    while (auto tag = cq.next()) {
-      completed.fetch_add(1, std::memory_order_relaxed);
-      // Any consumer may drain any tag; reissue on the drained slot's
-      // budget until that slot has issued kPerWorker ops.
-      const std::uint64_t slot = *tag;
-      if (reissued[slot]->fetch_add(1, std::memory_order_relaxed) <
-          kPerWorker - 1) {
-        cq.watch(comm::amProgressHandle(1 + (slot % 3), [] {}), slot);
-      }
-    }
-  });
-  EXPECT_EQ(completed.load(), kWorkers * kPerWorker);
 }
 
 }  // namespace
