@@ -47,9 +47,20 @@ class AtomicObject {
     return decompressAddr<T>(word_.exchange(compressFrom(desired)));
   }
 
-  bool compareAndSwap(T* expected, T* desired) {
+  /// Chapel's compareExchange(ref expected, desired): one CAS (a NIC
+  /// atomic under ugni). On failure `expected` is overwritten with the
+  /// pointer the CAS found -- its witness -- so a retry loop needs no
+  /// re-read.
+  bool compareExchange(T*& expected, T* desired) {
     std::uint64_t e = compressFrom(expected);
-    return word_.compareAndSwap(e, compressFrom(desired));
+    if (word_.compareAndSwap(e, compressFrom(desired))) return true;
+    expected = decompressAddr<T>(e);
+    return false;
+  }
+
+  /// The paper's by-value spelling: the witness is dropped.
+  bool compareAndSwap(T* expected, T* desired) {
+    return compareExchange(expected, desired);
   }
 
  private:
@@ -112,10 +123,18 @@ class AtomicObject<T, /*WithAba=*/true> {
     return ABA<T>(decompressAddr<T>(cur.lo), cur.hi);
   }
 
-  bool compareAndSwapABA(const ABA<T>& expected, T* desired) {
+  /// One DCAS on {address, count}. On failure `expected` is overwritten
+  /// with the {address, count} the DCAS found (comm::dcas's witness).
+  bool compareExchangeABA(ABA<T>& expected, T* desired) {
     U128 e{compressFrom(expected.getObject()), expected.getABACount()};
-    const U128 next{compressFrom(desired), expected.getABACount() + 1};
-    return comm::dcas(word_, e, next);
+    const U128 next{compressFrom(desired), e.hi + 1};
+    if (comm::dcas(word_, e, next)) return true;
+    expected = ABA<T>(decompressAddr<T>(e.lo), e.hi);
+    return false;
+  }
+
+  bool compareAndSwapABA(ABA<T> expected, T* desired) {
+    return compareExchangeABA(expected, desired);
   }
 
   void writeABA(const ABA<T>& desired) {

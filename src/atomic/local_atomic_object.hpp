@@ -37,12 +37,22 @@ class LocalAtomicObject {
     return fromBits(bits_.exchange(toBits(desired), std::memory_order_seq_cst));
   }
 
-  /// CAS on the address; returns false and leaves the object unchanged if
-  /// the current value differs from `expected`.
-  bool compareAndSwap(T* expected, T* desired) noexcept {
+  /// Chapel's compareExchange(ref expected, desired): CAS on the address.
+  /// On failure the object is unchanged and `expected` is overwritten with
+  /// the address found (the CAS's witness).
+  bool compareExchange(T*& expected, T* desired) noexcept {
     std::uint64_t e = toBits(expected);
-    return bits_.compare_exchange_strong(e, toBits(desired),
-                                         std::memory_order_seq_cst);
+    if (bits_.compare_exchange_strong(e, toBits(desired),
+                                      std::memory_order_seq_cst)) {
+      return true;
+    }
+    expected = fromBits(e);
+    return false;
+  }
+
+  /// The paper's by-value spelling: the witness is dropped.
+  bool compareAndSwap(T* expected, T* desired) noexcept {
+    return compareExchange(expected, desired);
   }
 
  private:
@@ -104,11 +114,18 @@ class LocalAtomicObject<T, /*WithAba=*/true> {
   }
 
   /// Succeeds only if both the address and the generation count match,
-  /// defeating ABA even when the same address is recycled.
-  bool compareAndSwapABA(const ABA<T>& expected, T* desired) noexcept {
+  /// defeating ABA even when the same address is recycled. On failure
+  /// `expected` is overwritten with the {address, count} found.
+  bool compareExchangeABA(ABA<T>& expected, T* desired) noexcept {
     U128 e{toBits(expected.getObject()), expected.getABACount()};
-    const U128 next{toBits(desired), expected.getABACount() + 1};
-    return dcasLocal(word_, e, next);
+    const U128 next{toBits(desired), e.hi + 1};
+    if (dcasLocal(word_, e, next)) return true;
+    expected = ABA<T>(fromBits(e.lo), e.hi);
+    return false;
+  }
+
+  bool compareAndSwapABA(ABA<T> expected, T* desired) noexcept {
+    return compareExchangeABA(expected, desired);
   }
 
   void writeABA(const ABA<T>& desired) noexcept {

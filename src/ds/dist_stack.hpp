@@ -164,10 +164,10 @@ class DistStack {
 
   std::optional<T> pop(Guard& guard) {
     PGASNB_CHECK_MSG(guard.pinned(), "DistStack::pop requires a pinned guard");
+    // protect(): EBR passes through; the interval domain widens this
+    // guard's reservation so the snapshot read below stays covered.
+    ABA<Node> old_head = guard.protect([&] { return head_.readABA(); });
     while (true) {
-      // protect(): EBR passes through; the interval domain widens this
-      // guard's reservation so the snapshot read below stays covered.
-      ABA<Node> old_head = guard.protect([&] { return head_.readABA(); });
       Node* node = old_head.getObject();
       if (node == nullptr) return std::nullopt;
       // The head node may live on any locale: fetch a snapshot (an RDMA
@@ -182,22 +182,29 @@ class DistStack {
         snapshot.value = node->value;
         snapshot.next = node->next;
       }
-      if (head_.compareAndSwapABA(old_head, snapshot.next)) {
+      bool won = false;
+      const bool covered = guard.protectOnce(
+          [&] { won = head_.compareExchangeABA(old_head, snapshot.next); });
+      if (won) {
         Domain::retireNode(guard, node);
         return snapshot.value;
       }
+      // A lost DCAS handed back the current head: no re-read unless the
+      // interval guard's era moved under it.
+      if (!covered) old_head = guard.protect([&] { return head_.readABA(); });
     }
   }
 
   bool emptyApprox() const { return head_.read() == nullptr; }
 
  private:
+  /// Push never dereferences the head it links behind, so a lost DCAS's
+  /// witness is the next attempt's head as is.
   void linkNode(Node* node) {
-    while (true) {
-      ABA<Node> old_head = head_.readABA();
+    ABA<Node> old_head = head_.readABA();
+    do {
       node->next = old_head.getObject();
-      if (head_.compareAndSwapABA(old_head, node)) return;
-    }
+    } while (!head_.compareExchangeABA(old_head, node));
   }
 
   typename domain_traits<Domain>::template atomic_object<Node,

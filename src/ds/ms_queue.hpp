@@ -77,31 +77,42 @@ class MsQueue {
 
   std::optional<T> dequeue(Guard& guard) {
     PGASNB_CHECK_MSG(guard.pinned(), "MsQueue::dequeue requires a pinned guard");
+    // protect(): a pointer read under it stays covered by this guard's
+    // reservation for the rest of the pin (interval domain); EBR passes
+    // through. `tail` is only compared/CASed, never dereferenced here.
+    Node* head = guard.protect([&] { return head_.read(); });
     while (true) {
-      // protect(): a pointer read under it stays covered by this guard's
-      // reservation for the rest of the pin (interval domain); EBR passes
-      // through. `tail` is only compared/CASed, never dereferenced here.
-      Node* head = guard.protect([&] { return head_.read(); });
+      // The tail read stays although only the head CAS validates `head`:
+      // without it the head could pass a lagging tail and retire the node
+      // the tail still names. If that node's enqueuer then stalls before
+      // swinging the tail, a later enqueuer reads the tail and
+      // dereferences freed memory -- the four limbo lists assume a retired
+      // node is unreachable, and a lagging tail keeps it reachable.
       Node* tail = tail_.read();
-      Node* next = loadNext(head);
+      // `next` becomes the new dummy whose value we read after winning;
+      // read it protected so another dequeuer's retire of it stays covered.
+      Node* next = guard.protect([&] { return loadNext(head); });
       // No Michael-Scott re-read of head_ here (Java's ConcurrentLinkedQueue
       // omits it too): the pinned guard keeps `head` from being freed, a
       // link is written once, and the head CAS below validates the
       // snapshot. A `head` dequeued meanwhile has a non-null `next`, so a
-      // null `next` means the queue was empty when it was read. Under
-      // DistDomain the re-read is a NIC atomic per op.
+      // null `next` means the queue was empty when it was read.
       if (next == nullptr) return std::nullopt;  // empty (head == tail)
-      if (head == tail) {
-        // Tail lagging behind a half-finished enqueue; help.
-        tail_.compareAndSwap(tail, next);
-        continue;
-      }
-      if (head_.compareAndSwap(head, next)) {
+      // Tail lagging behind a half-finished enqueue: help swing it. Won or
+      // lost, the tail is past `head` afterwards, so the head CAS may go.
+      if (head == tail) tail_.compareAndSwap(tail, next);
+      bool won = false;
+      const bool covered =
+          guard.protectOnce([&] { won = head_.compareExchange(head, next); });
+      if (won) {
         // `next` is the new dummy; its value slot is ours alone now.
         std::optional<T> out(readValue(next));
         Domain::retireNode(guard, head);
         return out;
       }
+      // A lost CAS handed back the current head; reuse it unless the
+      // interval guard's era moved under the CAS.
+      if (!covered) head = guard.protect([&] { return head_.read(); });
     }
   }
 
@@ -131,14 +142,18 @@ class MsQueue {
     }
   }
 
-  bool casNext(Node* node, Node* expected, Node* desired) {
+  /// CAS a node's link; on failure `expected` becomes the link found.
+  bool casNext(Node* node, Node*& expected, Node* desired) {
     std::uint64_t e = toBits(expected);
+    bool ok;
     if constexpr (Domain::kDistributed) {
-      return comm::atomicCas(node->next, e, toBits(desired));
+      ok = comm::atomicCas(node->next, e, toBits(desired));
     } else {
-      return node->next.compare_exchange_strong(e, toBits(desired),
-                                                std::memory_order_seq_cst);
+      ok = node->next.compare_exchange_strong(e, toBits(desired),
+                                              std::memory_order_seq_cst);
     }
+    expected = toNode(e);
+    return ok;
   }
 
   /// Read the new dummy's value after winning the head CAS. The slot is
@@ -172,23 +187,29 @@ class MsQueue {
   }
 
   void enqueueNode(Guard& guard, Node* node) {
+    // The observed tail is dereferenced (casNext) and may be a node another
+    // task just retired: read it protected.
+    Node* tail = guard.protect([&] { return tail_.read(); });
     while (true) {
-      // The observed tail is dereferenced (loadNext/casNext) and may be a
-      // node another task just retired: read it protected.
-      Node* tail = guard.protect([&] { return tail_.read(); });
-      Node* next = loadNext(tail);
-      // No re-read of tail_ (see dequeue): a stale `tail` is still
-      // protected, its non-null `next` only sends us helping, and the link
-      // CAS fails on any node that already has a successor.
-      if (next != nullptr) {
-        // Tail is lagging; help swing it forward.
-        tail_.compareAndSwap(tail, next);
-        continue;
-      }
-      if (casNext(tail, nullptr, node)) {
+      bool linked = false;
+      const bool covered = guard.protectOnce([&] {
+        // Link CAS against null: no link read first. A lost CAS hands back
+        // the successor it found. No re-read of tail_ either (see
+        // dequeue): a stale `tail` is still protected, and its non-null
+        // link only sends us helping.
+        Node* next = nullptr;
+        linked = casNext(tail, next, node);
+        if (linked) return;
+        // Tail is lagging; help swing it forward. The next tail is `next`
+        // if the swing won, else the tail the swing found.
+        Node* seen = tail;
+        tail = tail_.compareExchange(seen, next) ? next : seen;
+      });
+      if (linked) {
         tail_.compareAndSwap(tail, node);
         return;
       }
+      if (!covered) tail = guard.protect([&] { return tail_.read(); });
     }
   }
 

@@ -48,30 +48,21 @@ class LockFreeStack {
   }
 
   /// Listing 1's push: read head (with count), link, CAS-with-count.
+  /// A lost CAS hands back the head it found, so each retry skips the
+  /// re-read (here and in every loop below).
   void push(T value) {
     Node* node = acquireNode(std::move(value));
-    while (true) {
-      ABA<Node> head = head_.readABA();
-      node->next.store(head.getObject(), std::memory_order_relaxed);
-      if (head_.compareAndSwapABA(head, node)) break;
-    }
+    pushOnto(head_, node);
     size_.fetch_add(1, std::memory_order_relaxed);
   }
 
   std::optional<T> pop() {
-    while (true) {
-      ABA<Node> head = head_.readABA();
-      if (head.isNil()) return std::nullopt;
-      // Nodes are type-stable, so reading next of a concurrently-popped
-      // node is safe; the ABA count makes the CAS reject stale heads.
-      Node* next = head->next.load(std::memory_order_relaxed);
-      if (head_.compareAndSwapABA(head, next)) {
-        std::optional<T> out(std::move(head->value));
-        releaseNode(head.getObject());
-        size_.fetch_sub(1, std::memory_order_relaxed);
-        return out;
-      }
-    }
+    Node* node = popFrom(head_);
+    if (node == nullptr) return std::nullopt;
+    std::optional<T> out(std::move(node->value));
+    releaseNode(node);
+    size_.fetch_sub(1, std::memory_order_relaxed);
+    return out;
   }
 
   bool empty() const noexcept { return head_.read() == nullptr; }
@@ -81,28 +72,32 @@ class LockFreeStack {
 
  private:
   Node* acquireNode(T&& value) {
-    while (true) {
-      ABA<Node> head = free_.readABA();
-      if (head.isNil()) {
-        Node* fresh = new Node;
-        fresh->value = std::move(value);
-        return fresh;
-      }
-      Node* next = head->next.load(std::memory_order_relaxed);
-      if (free_.compareAndSwapABA(head, next)) {
-        Node* node = head.getObject();
-        node->value = std::move(value);
-        return node;
-      }
-    }
+    Node* node = popFrom(free_);
+    if (node == nullptr) node = new Node;
+    node->value = std::move(value);
+    return node;
   }
 
-  void releaseNode(Node* node) {
-    while (true) {
-      ABA<Node> head = free_.readABA();
+  void releaseNode(Node* node) { pushOnto(free_, node); }
+
+  using Head = LocalAtomicObject<Node, /*WithAba=*/true>;
+
+  static void pushOnto(Head& head_word, Node* node) {
+    ABA<Node> head = head_word.readABA();
+    do {
       node->next.store(head.getObject(), std::memory_order_relaxed);
-      if (free_.compareAndSwapABA(head, node)) return;
+    } while (!head_word.compareExchangeABA(head, node));
+  }
+
+  static Node* popFrom(Head& head_word) {
+    ABA<Node> head = head_word.readABA();
+    while (!head.isNil()) {
+      // Nodes are type-stable, so reading next of a concurrently-popped
+      // node is safe; the ABA count makes the CAS reject stale heads.
+      Node* next = head->next.load(std::memory_order_relaxed);
+      if (head_word.compareExchangeABA(head, next)) return head.getObject();
     }
+    return nullptr;
   }
 
   void deleteChain(Node* node) {
@@ -113,8 +108,8 @@ class LockFreeStack {
     }
   }
 
-  LocalAtomicObject<Node, /*WithAba=*/true> head_;
-  LocalAtomicObject<Node, /*WithAba=*/true> free_;
+  Head head_;
+  Head free_;
   std::atomic<std::uint64_t> size_{0};
 };
 
@@ -152,27 +147,33 @@ class EbrStack {
     PGASNB_CHECK_MSG(guard.pinned(), "EbrStack::push requires a pinned guard");
     Node* node = Domain::template make<Node>();
     node->value = std::move(value);
-    while (true) {
-      Node* head = head_.read();
+    // Push never dereferences `head`: a lost CAS's witness is reused as is.
+    Node* head = head_.read();
+    do {
       node->next = head;
-      if (head_.compareAndSwap(head, node)) return;
-    }
+    } while (!head_.compareExchange(head, node));
   }
 
   std::optional<T> pop(Guard& guard) {
     PGASNB_CHECK_MSG(guard.pinned(), "EbrStack::pop requires a pinned guard");
-    while (true) {
-      // protect(): EBR passes through (the pin defers frees); the interval
-      // domain widens this guard's reservation so `head` stays covered.
-      Node* head = guard.protect([&] { return head_.read(); });
-      if (head == nullptr) return std::nullopt;
-      Node* next = head->next;  // safe: the protected read covers the deref
-      if (head_.compareAndSwap(head, next)) {
+    // protect(): EBR passes through (the pin defers frees); the interval
+    // domain widens this guard's reservation so `head` stays covered.
+    Node* head = guard.protect([&] { return head_.read(); });
+    while (head != nullptr) {
+      Node* next = head->next;  // safe: `head` is covered by the guard
+      bool won = false;
+      const bool covered =
+          guard.protectOnce([&] { won = head_.compareExchange(head, next); });
+      if (won) {
         std::optional<T> out(std::move(head->value));
         Domain::retireNode(guard, head);
         return out;
       }
+      // The lost CAS's witness is the next head, covered unless the
+      // interval guard's era moved under it.
+      if (!covered) head = guard.protect([&] { return head_.read(); });
     }
+    return std::nullopt;
   }
 
   bool empty() const noexcept { return head_.read() == nullptr; }

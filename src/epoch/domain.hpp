@@ -479,6 +479,7 @@ concept ReclaimDomain = requires(D d, const D cd, typename D::Guard g,
   {
     g.protect([] { return static_cast<int*>(nullptr); })
   } -> std::same_as<int*>;
+  { g.protectOnce([] {}) } -> std::same_as<bool>;
 };
 
 static_assert(ReclaimDomain<LocalDomain>);

@@ -245,6 +245,17 @@ class DistGuard {
     return std::forward<F>(load)();
   }
 
+  /// Run `op` exactly once; true iff everything `op` observed is covered
+  /// by this guard, so a failed CAS's witness may be dereferenced. A
+  /// pinned EBR guard covers every load: always true. On false (interval
+  /// guard, era moved) the caller re-reads under protect(). protect()
+  /// itself cannot wrap a CAS: it re-runs its load when the era moves.
+  template <typename F>
+  bool protectOnce(F&& op) {
+    std::forward<F>(op)();
+    return true;
+  }
+
   /// Attempt an epoch advance + reclamation; non-blocking, true iff this
   /// call won the election and advanced the epoch. False on an invalid
   /// guard.

@@ -41,6 +41,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -212,27 +213,34 @@ class IntervalGuard {
   /// Interval retires are never buffered; parity with DistGuard.
   void flush() noexcept {}
 
-  /// Protected read (the IBR read protocol): widen the reservation's upper
-  /// bound to the current era, run the load, and retry if the era moved
-  /// mid-read -- on return, everything `load` observed is covered by
-  /// [lo, hi]. See DistGuard::protect.
+  /// Protected read (the IBR read protocol): protectOnce(load) until the
+  /// era holds still across it -- on return, everything `load` observed is
+  /// covered by [lo, hi]. See DistGuard::protect.
   template <typename F>
   auto protect(F&& load) {
+    std::invoke_result_t<F&> value{};
+    while (!protectOnce([&] { value = load(); })) {
+    }
+    return value;
+  }
+
+  /// Widen the reservation's upper bound to the current era `e`, run `op`
+  /// exactly once, and return whether the era is still `e`: true iff
+  /// everything `op` observed (a CAS's witness included) is covered by
+  /// [lo, hi]. See DistGuard::protectOnce.
+  template <typename F>
+  bool protectOnce(F&& op) {
     PGASNB_DCHECK(pinned());
     auto& era = intervalEraClock();
-    std::uint64_t e = era.load(std::memory_order_seq_cst);
-    while (true) {
-      if (token_->interval_upper.load(std::memory_order_relaxed) < e) {
-        token_->interval_upper.store(e, std::memory_order_seq_cst);
-        if (Runtime::active()) {
-          sim::chargeModelOnly(Runtime::get().config().latency.cpu_atomic_ns);
-        }
+    const std::uint64_t e = era.load(std::memory_order_seq_cst);
+    if (token_->interval_upper.load(std::memory_order_relaxed) < e) {
+      token_->interval_upper.store(e, std::memory_order_seq_cst);
+      if (Runtime::active()) {
+        sim::chargeModelOnly(Runtime::get().config().latency.cpu_atomic_ns);
       }
-      auto value = load();
-      const std::uint64_t now = era.load(std::memory_order_seq_cst);
-      if (now == e) return value;
-      e = now;  // era moved mid-read: widen and re-run the load
     }
+    std::forward<F>(op)();
+    return era.load(std::memory_order_seq_cst) == e;
   }
 
   bool tryReclaim() {

@@ -148,8 +148,8 @@ class LimboNodePool {
     PGASNB_DCHECK(n > 0);
     LimboNode* pooled = nullptr;
     std::size_t taken = 0;
-    for (ABA<LimboNode> head = free_.readABA(); !head.isNil();
-         head = free_.readABA()) {
+    // A lost CAS hands back the current head: no re-read per retry.
+    for (ABA<LimboNode> head = free_.readABA(); !head.isNil();) {
       LimboNode* last = head.getObject();
       std::size_t walked = 1;
       for (LimboNode* next;
@@ -158,7 +158,7 @@ class LimboNodePool {
            ++walked) {
         last = next;
       }
-      if (free_.compareAndSwapABA(
+      if (free_.compareExchangeABA(
               head, last->pool_next.load(std::memory_order_acquire))) {
         pooled = head.getObject();
         taken = walked;
@@ -193,11 +193,10 @@ class LimboNodePool {
   void release(LimboNode* node) noexcept {
     node->obj = nullptr;
     node->deleter = nullptr;
-    while (true) {
-      ABA<LimboNode> head = free_.readABA();
+    ABA<LimboNode> head = free_.readABA();
+    do {
       node->pool_next.store(head.getObject(), std::memory_order_release);
-      if (free_.compareAndSwapABA(head, node)) return;
-    }
+    } while (!free_.compareExchangeABA(head, node));
   }
 
   /// Teardown: pop `list` and return its nodes directly to the allocator.

@@ -59,6 +59,13 @@ class LocalGuard {
     return std::forward<F>(load)();
   }
 
+  /// Run `op` once; always covered (see DistGuard::protectOnce).
+  template <typename F>
+  bool protectOnce(F&& op) {
+    std::forward<F>(op)();
+    return true;
+  }
+
   bool tryReclaim();
   void release();
 

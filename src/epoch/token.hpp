@@ -98,14 +98,14 @@ class TokenPool {
   Token* acquire() {
     ABA<Token> head = free_.readABA();
     while (!head.isNil()) {
-      // Safe optimistic read: tokens are type-stable.
+      // Safe optimistic read: tokens are type-stable. A lost CAS hands
+      // back the current head (here and in both pushes below).
       Token* next =
           head.getObject()->next_free.load(std::memory_order_relaxed);
-      if (free_.compareAndSwapABA(head, next)) {
+      if (free_.compareExchangeABA(head, next)) {
         PGASNB_DCHECK(!head.getObject()->pinned());
         return head.getObject();
       }
-      head = free_.readABA();
     }
     Token* token = Alloc::alloc();
     pushAllocated(token);
@@ -116,11 +116,10 @@ class TokenPool {
   void release(Token* token) noexcept {
     token->local_epoch.store(kEpochQuiescent, std::memory_order_seq_cst);
     token->interval_upper.store(kEpochQuiescent, std::memory_order_seq_cst);
-    while (true) {
-      ABA<Token> head = free_.readABA();
+    ABA<Token> head = free_.readABA();
+    do {
       token->next_free.store(head.getObject(), std::memory_order_relaxed);
-      if (free_.compareAndSwapABA(head, token)) return;
-    }
+    } while (!free_.compareExchangeABA(head, token));
   }
 
   /// Head of the append-only allocated list (scan entry point).
@@ -132,11 +131,10 @@ class TokenPool {
 
  private:
   void pushAllocated(Token* token) noexcept {
-    while (true) {
-      Token* head = allocated_.read();
+    Token* head = allocated_.read();
+    do {
       token->next_allocated = head;
-      if (allocated_.compareAndSwap(head, token)) break;
-    }
+    } while (!allocated_.compareExchange(head, token));
     allocated_count_.fetch_add(1, std::memory_order_relaxed);
   }
 

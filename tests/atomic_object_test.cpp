@@ -106,6 +106,56 @@ TEST_P(AtomicObjectModeTest, DcasFallbackVariantWorks) {
   onLocale(last, [x] { gdelete(x); });
 }
 
+TEST_P(AtomicObjectModeTest, FailedCompareExchangeWritesBackTheWitness) {
+  const std::uint32_t last = runtime_->numLocales() - 1;
+  Obj* a = gnewOn<Obj>(last);
+  Obj* b = gnewOn<Obj>(0);
+  // A box here (local CAS) and one on the last locale (remote when there
+  // is more than one).
+  for (const std::uint32_t home : {0u, last}) {
+    SCOPED_TRACE(home);
+    auto* box = gnewOn<AtomicObject<Obj>>(home);
+    box->write(a);
+    Obj* expected = b;
+    EXPECT_FALSE(box->compareExchange(expected, nullptr));
+    EXPECT_EQ(expected, a) << "a lost CAS hands back the pointer it found";
+    EXPECT_EQ(box->readWide().locale, last);
+    EXPECT_TRUE(box->compareExchange(expected, b));
+    EXPECT_EQ(expected, a) << "success leaves `expected` unchanged";
+    EXPECT_EQ(box->read(), b);
+    // A nil witness decompresses to nil.
+    box->write(nullptr);
+    EXPECT_FALSE(box->compareExchange(expected, a));
+    EXPECT_EQ(expected, nullptr);
+    EXPECT_TRUE(box->compareExchange(expected, a));
+    EXPECT_EQ(box->read(), a);
+    onLocale(home, [box] { gdelete(box); });
+  }
+  onLocale(last, [a] { gdelete(a); });
+  onLocale(0, [b] { gdelete(b); });
+}
+
+TEST_P(AtomicObjectModeTest, FailedCompareExchangeAbaWritesBackPointerAndCount) {
+  const std::uint32_t last = runtime_->numLocales() - 1;
+  auto* box = gnewOn<AtomicObject<Obj, true>>(last);
+  Obj* a = gnewOn<Obj>(last);
+  Obj* b = gnewOn<Obj>(0);
+  box->write(a);
+  ABA<Obj> expected = box->readABA();
+  ASSERT_TRUE(box->compareAndSwap(a, b));  // a -> b, count + 1
+  EXPECT_FALSE(box->compareExchangeABA(expected, a));
+  EXPECT_EQ(expected, box->readABA())
+      << "a lost DCAS hands back both the pointer and the count it found";
+  EXPECT_EQ(expected.getObject(), b);
+  const ABA<Obj> witness = expected;
+  EXPECT_TRUE(box->compareExchangeABA(expected, a));
+  EXPECT_EQ(expected, witness);
+  EXPECT_EQ(box->readABA(), ABA<Obj>(a, witness.getABACount() + 1));
+  onLocale(last, [box] { gdelete(box); });
+  onLocale(last, [a] { gdelete(a); });
+  onLocale(0, [b] { gdelete(b); });
+}
+
 INSTANTIATE_TEST_SUITE_P(Sweep, AtomicObjectModeTest, PGASNB_RUNTIME_PARAMS,
                          pgasnb::testing::paramName);
 
@@ -125,6 +175,51 @@ TEST_F(AtomicObjectTest, CompressedOpsUseNicAtomicsUnderUgni) {
   EXPECT_EQ(c.am_sync, 0u);
   onLocale(1, [box] { gdelete(box); });
   gdelete(obj);
+}
+
+TEST_F(AtomicObjectTest, FailedCompareExchangeIsOneNicAtomicUnderUgni) {
+  startRuntime(2, CommMode::ugni);
+  auto* box = gnewOn<AtomicObject<Obj>>(1);
+  Obj* held = gnewOn<Obj>(1);
+  Obj* mine = gnew<Obj>();
+  box->write(held);
+  comm::resetCounters();
+  Obj* expected = nullptr;
+  EXPECT_FALSE(box->compareExchange(expected, mine));
+  EXPECT_EQ(comm::counters().nic_atomics, 1u)
+      << "the witness rides back on the failed CAS itself";
+  EXPECT_EQ(expected, held);
+  EXPECT_TRUE(box->compareExchange(expected, mine));
+  const auto c = comm::counters();
+  EXPECT_EQ(c.nic_atomics, 2u) << "the retry needs no read";
+  EXPECT_EQ(c.am_sync, 0u);
+  onLocale(1, [box, held] {
+    gdelete(box);
+    gdelete(held);
+  });
+  gdelete(mine);
+}
+
+TEST_F(AtomicObjectTest, FailedCompareExchangeAbaIsOneRemoteDcas) {
+  startRuntime(2, CommMode::ugni);
+  auto* box = gnewOn<AtomicObject<Obj, true>>(1);
+  Obj* held = gnewOn<Obj>(1);
+  box->write(held);
+  comm::resetCounters();
+  ABA<Obj> expected;
+  EXPECT_FALSE(box->compareExchangeABA(expected, nullptr));
+  auto c = comm::counters();
+  EXPECT_EQ(c.dcas_remote, 1u);
+  EXPECT_EQ(c.am_sync, 1u) << "no read beside the failed DCAS";
+  EXPECT_EQ(expected.getObject(), held);
+  EXPECT_TRUE(box->compareExchangeABA(expected, nullptr));
+  c = comm::counters();
+  EXPECT_EQ(c.dcas_remote, 2u);
+  EXPECT_EQ(c.am_sync, 2u);
+  onLocale(1, [box, held] {
+    gdelete(box);
+    gdelete(held);
+  });
 }
 
 TEST_F(AtomicObjectTest, AbaOpsDemoteToRemoteExecution) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <optional>
 #include <set>
 
 #include "test_support.hpp"
@@ -153,6 +154,32 @@ TEST_F(DistStackTest, ReclaimShipsNodesHome) {
   for (std::uint32_t l = 0; l < 3; ++l) {
     EXPECT_LE(runtime_->locale(l).arena().liveBlocks(), live_before[l] + 80);
   }
+}
+
+TEST_F(DistStackTest, UncontendedOpsRoundTripsUnderUgni) {
+  startRuntime(2, CommMode::ugni);
+  DistDomain domain = DistDomain::create();
+  auto* stack = DistStack<std::uint64_t>::create(domain, /*home=*/1);
+  {
+    auto guard = domain.pin();
+    comm::resetCounters();
+    stack->push(guard, 7);
+    auto c = comm::counters();
+    // The 16-byte {pointer, count} head never rides the NIC: its read and
+    // its DCAS are each one remote-execution round trip.
+    EXPECT_EQ(c.nic_atomics, 0u);
+    EXPECT_EQ(c.am_sync, 2u) << "head read, head DCAS";
+    EXPECT_EQ(c.dcas_remote, 1u);
+    comm::resetCounters();
+    EXPECT_EQ(stack->pop(guard), std::optional<std::uint64_t>(7));
+    c = comm::counters();
+    EXPECT_EQ(c.nic_atomics, 0u);
+    EXPECT_EQ(c.am_sync, 2u) << "head read, head DCAS";
+    EXPECT_EQ(c.gets, 1u) << "node snapshot";
+    EXPECT_EQ(c.dcas_remote, 1u);
+  }
+  DistStack<std::uint64_t>::destroy(stack);
+  domain.destroy();
 }
 
 TEST_F(DistStackTest, HeadPlacementIsConfigurable) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -238,6 +239,37 @@ TYPED_TEST(DomainApiTest, ProtectedReadSurvivesConcurrentAdvances) {
       << "a protected read must pin the block for the rest of the pin";
   EXPECT_EQ(seen->payload, 0xC0FFEEu);  // still dereferenceable
   reader.unpin();
+  while (domain.stats().pending() > 0) {
+    ASSERT_TRUE(domain.tryReclaim());
+  }
+  EXPECT_EQ(Tracked::live.load(), 0);
+}
+
+TYPED_TEST(DomainApiTest, ProtectOnceRunsOnceAndReportsCoverage) {
+  // protectOnce runs its op exactly once. A pinned EBR guard covers every
+  // load, so it reports true even when the epoch advances mid-op; the
+  // interval guard reports false when the era moves under the op.
+  auto& domain = this->domain();
+  auto guard = domain.pin();
+  Tracked* obj = TypeParam::template make<Tracked>();
+  int runs = 0;
+  Tracked* seen = nullptr;
+  EXPECT_TRUE(guard.protectOnce([&] {
+    ++runs;
+    seen = obj;
+  }));
+  EXPECT_EQ(runs, 1);
+  EXPECT_EQ(seen, obj);
+  runs = 0;
+  const bool covered = guard.protectOnce([&] {
+    ++runs;
+    ASSERT_TRUE(domain.tryReclaim());  // the epoch/era moves mid-op
+  });
+  EXPECT_EQ(runs, 1);
+  constexpr bool kEbr = !std::is_same_v<TypeParam, IntervalDomain>;
+  EXPECT_EQ(covered, kEbr);
+  guard.retire(obj);
+  guard.release();  // unpin and ship the retire
   while (domain.stats().pending() > 0) {
     ASSERT_TRUE(domain.tryReclaim());
   }

@@ -50,6 +50,36 @@ std::uint64_t stragglerPeakPending(Domain& domain, int rounds,
 
 class IntervalGarbageBoundTest : public RuntimeTest {};
 
+class IntervalProtectOnceTest : public RuntimeTest {};
+
+TEST_F(IntervalProtectOnceTest, EraMoveMidOpReportsUncoveredAfterOneRun) {
+  startRuntime(2);
+  IntervalDomain domain = IntervalDomain::create();
+  {
+    auto guard = domain.pin();
+    int runs = 0;
+    EXPECT_TRUE(guard.protectOnce([&] { ++runs; }))
+        << "an era that holds still covers what the op observed";
+    EXPECT_EQ(runs, 1);
+    runs = 0;
+    EXPECT_FALSE(guard.protectOnce([&] {
+      ++runs;
+      intervalEraClock().fetch_add(1, std::memory_order_seq_cst);
+    })) << "the era moved mid-op: the op's observations are not covered";
+    EXPECT_EQ(runs, 1) << "protectOnce never re-runs its op (it may be a CAS)";
+    // protect(), by contrast, re-runs its load until the era holds still.
+    runs = 0;
+    EXPECT_EQ(guard.protect([&] {
+      if (++runs == 1) {
+        intervalEraClock().fetch_add(1, std::memory_order_seq_cst);
+      }
+      return runs;
+    }),
+              2);
+  }
+  domain.destroy();
+}
+
 TEST_F(IntervalGarbageBoundTest, StalledGuardBoundsIntervalPendingNotEbr) {
   startRuntime(4);
   constexpr int kPerLocale = 64;

@@ -57,6 +57,24 @@ TEST(LocalAtomicObject, NilCasWorks) {
   EXPECT_FALSE(a.compareAndSwap(nullptr, &x));
 }
 
+TEST(LocalAtomicObject, FailedCompareExchangeWritesBackTheWitness) {
+  Obj x{1}, y{2}, z{3};
+  LocalAtomicObject<Obj> a(&x);
+  Obj* expected = &y;
+  EXPECT_FALSE(a.compareExchange(expected, &z));
+  EXPECT_EQ(expected, &x) << "a lost CAS hands back the value it found";
+  EXPECT_EQ(a.read(), &x);
+  // Retrying with the witness succeeds and leaves `expected` as it was.
+  EXPECT_TRUE(a.compareExchange(expected, &z));
+  EXPECT_EQ(expected, &x);
+  EXPECT_EQ(a.read(), &z);
+  // A nil witness comes back as nil.
+  a.write(nullptr);
+  EXPECT_FALSE(a.compareExchange(expected, &y));
+  EXPECT_EQ(expected, nullptr);
+  EXPECT_TRUE(a.compareExchange(expected, &y));
+}
+
 // --- ABA-protected variant ------------------------------------------------
 
 TEST(LocalAtomicObjectAba, ReadAbaExposesCount) {
@@ -99,6 +117,22 @@ TEST(LocalAtomicObjectAba, CasAbaDefeatsAbaProblem) {
   EXPECT_FALSE(head.compareAndSwapABA(t1_snapshot, &b_obj))
       << "ABA CAS must fail: the count advanced even though the address "
          "matches";
+}
+
+TEST(LocalAtomicObjectAba, FailedCompareExchangeAbaWritesBackPointerAndCount) {
+  Obj x{1}, y{2}, z{3};
+  LocalAtomicObject<Obj, true> a(&x);
+  ABA<Obj> expected = a.readABA();
+  ASSERT_TRUE(a.compareAndSwap(&x, &y));  // x -> y, count + 1
+  EXPECT_FALSE(a.compareExchangeABA(expected, &z));
+  EXPECT_EQ(expected, a.readABA())
+      << "a lost DCAS hands back both the address and the count it found";
+  EXPECT_EQ(expected.getObject(), &y);
+  const ABA<Obj> witness = expected;
+  EXPECT_TRUE(a.compareExchangeABA(expected, &z));
+  EXPECT_EQ(expected, witness) << "success leaves `expected` unchanged";
+  EXPECT_EQ(a.read(), &z);
+  EXPECT_EQ(a.readABA().getABACount(), witness.getABACount() + 1);
 }
 
 TEST(LocalAtomicObjectAba, PlainCasWouldSufferAba) {
