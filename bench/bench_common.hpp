@@ -6,9 +6,8 @@
 // lines slope up with simulated locale count) and model_s is the simulated
 // elapsed time from the runtime's latency model (the paper-shaped column).
 //
-// Scaling: all op counts multiply by --scale (env PGASNB_BENCH_SCALE,
-// default 1.0); locale sweeps cap at --max-locales (env PGASNB_MAX_LOCALES,
-// default 64, like the paper's Cray XC-50).
+// Scaling: all op counts multiply by --bench-scale (default 1.0); locale
+// sweeps cap at --max-locales (default 64, like the paper's Cray XC-50).
 #pragma once
 
 #include <atomic>

@@ -1,7 +1,7 @@
 // Distributed key-value store served by the epoch-phased batch engine.
 //
 //   ./examples/dist_kv_store [--locales=N] [--keys=K] [--epochs=E]
-//                            [--ops-per-epoch=M] [--mode=pipelined|barriered]
+//                            [--ops-per-epoch=M]
 //
 // The first tenant of engine::EpochEngine: a RobinHoodMap store serves a
 // closed-loop 90/5/5 get/put/delete mix (defaults: 16 epochs x 65536
@@ -19,7 +19,6 @@
 // by exactly one epoch. Per-epoch throughput and p50/p95/p99 latency come
 // straight out of the engine's EpochStats.
 #include <cstdio>
-#include <string>
 #include <vector>
 
 #include "pgasnb.hpp"
@@ -119,9 +118,6 @@ int main(int argc, char** argv) {
       static_cast<std::uint64_t>(opts.integer("epochs", 16));
   const auto ops_per_epoch =
       static_cast<std::uint64_t>(opts.integer("ops-per-epoch", 65536));
-  const std::string mode_str = opts.str("mode", "pipelined");
-  PGASNB_CHECK_MSG(mode_str == "pipelined" || mode_str == "barriered",
-                   "--mode must be pipelined or barriered");
 
   DistDomain domain = DistDomain::create();
   auto store = RobinHoodMap<std::uint64_t>::create(/*capacity=*/keys * 2,
@@ -138,8 +134,6 @@ int main(int argc, char** argv) {
   engine::EpochEngineConfig ecfg;
   ecfg.ops_per_epoch = ops_per_epoch;
   ecfg.workers_per_locale = cfg.workers_per_locale;
-  ecfg.mode = mode_str == "pipelined" ? engine::PhaseMode::pipelined
-                                      : engine::PhaseMode::barriered;
   KvStoreClient client(store, keys,
                        cfg.num_locales * ecfg.workers_per_locale);
   engine::EpochEngine eng(domain, client, ecfg);
@@ -150,7 +144,7 @@ int main(int argc, char** argv) {
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
 
-  std::printf("%s serving, per-epoch report:\n", mode_str.c_str());
+  std::printf("serving, per-epoch report:\n");
   std::uint64_t total_ops = 0, prev_deferred = 0;
   for (const auto& s : stats) {
     total_ops += s.ops;

@@ -1,4 +1,4 @@
-// EpochEngine driver: the phase schedules, the lane plumbing, and the
+// EpochEngine driver: the phase schedule, the lane plumbing, and the
 // epoch-boundary reclamation protocol. See engine/epoch_engine.hpp for the
 // architecture comment.
 #include "engine/epoch_engine.hpp"
@@ -26,7 +26,7 @@ namespace {
 
 struct Lane {
   std::vector<OpRecord> staged;  ///< ops for the next execute phase
-  std::vector<OpRecord> next;    ///< built by the pipelined overlap
+  std::vector<OpRecord> next;    ///< next epoch's ops, staged during issue
   std::vector<std::pair<std::uint64_t, OpTicket>> inflight;
   std::vector<double> latencies;  ///< this epoch's samples (ns)
   std::uint64_t executed = 0;     ///< ops issued this epoch
@@ -85,16 +85,6 @@ void groupByOwner(std::vector<OpRecord>& ops) {
   ops.swap(grouped);
 }
 
-/// Initialize phase for one lane: the client stages under a guard pinned
-/// for the duration of the call. Scope exit unpins + unregisters, and the
-/// release ships any retires the staging buffered.
-void initializeLane(DistDomain domain, EpochClient& client,
-                    std::uint64_t epoch, std::vector<OpRecord>& ops) {
-  auto guard = domain.pin();
-  client.initialize(epoch, guard,
-                    std::span<OpRecord>(ops.data(), ops.size()));
-}
-
 /// Fold the closed window's completion times into latency samples. Every
 /// valid ticket must be ready by now -- a pending one means the client
 /// issued an op the window did not own (contract violation).
@@ -110,19 +100,18 @@ void recordLatencies(Lane& lane) {
   lane.inflight.clear();
 }
 
-/// Pipelined execute for one lane: epoch e's staged ops go through one
-/// window in window_ops slices. After issuing a slice the lane ships the
-/// task aggregator, so the slice is in flight rather than buffered, then
-/// admits and initializes the matching slice of epoch e+1 (in admit order,
-/// under one guard pinned for the whole body) and drains the window's
-/// finished head. The staging CPU thus paces the issue, and no op waits in
-/// a bucket across more than one slice of staging. After the last slice
-/// the lane owner-partitions e+1 and closes the window. One collective per
-/// epoch runs this on every lane.
-void executeLanePipelined(DistDomain domain, EpochClient& client,
-                          const EpochEngineConfig& cfg, std::uint64_t epoch,
-                          std::uint32_t lane_id, std::uint64_t next_count,
-                          Lane& lane) {
+/// Execute for one lane: epoch e's staged ops go through one window in
+/// window_ops slices. After issuing a slice the lane ships the task
+/// aggregator, so the slice is in flight rather than buffered, then admits
+/// and initializes the matching slice of epoch e+1 (in admit order, under
+/// one guard pinned for the whole body) and drains the window's finished
+/// head. The staging CPU thus paces the issue, and no op waits in a bucket
+/// across more than one slice of staging. After the last slice the lane
+/// owner-partitions e+1 and closes the window. One collective per epoch
+/// runs this on every lane.
+void executeLane(DistDomain domain, EpochClient& client,
+                 const EpochEngineConfig& cfg, std::uint64_t epoch,
+                 std::uint32_t lane_id, std::uint64_t next_count, Lane& lane) {
   lane.latencies.clear();
   lane.inflight.clear();
   lane.inflight.reserve(lane.staged.size());
@@ -159,34 +148,6 @@ void executeLanePipelined(DistDomain domain, EpochClient& client,
   lane.next.clear();
 }
 
-/// Barriered execute for one lane: serial spin-join windows of window_ops
-/// -- sub-batch i+1 is not issued until sub-batch i has fully joined (the
-/// phase-barriered serial baseline the bench compares against).
-void executeLaneBarriered(EpochClient& client, const EpochEngineConfig& cfg,
-                          std::uint64_t epoch, Lane& lane) {
-  lane.latencies.clear();
-  lane.inflight.clear();
-  lane.inflight.reserve(lane.staged.size());
-  lane.executed = lane.staged.size();
-  std::size_t i = 0;
-  while (i < lane.staged.size()) {
-    const std::size_t end =
-        std::min(i + static_cast<std::size_t>(cfg.window_ops),
-                 lane.staged.size());
-    {
-      comm::OpWindow window;
-      for (; i < end; ++i) {
-        OpRecord& op = lane.staged[i];
-        op.issue_ns = sim::now();
-        OpTicket ticket = client.execute(epoch, op, window);
-        if (ticket.valid()) lane.inflight.emplace_back(op.issue_ns, ticket);
-      }
-    }  // spin-join this sub-batch before the next is issued
-  }
-  recordLatencies(lane);
-  lane.staged.clear();
-}
-
 }  // namespace
 
 EpochEngine::EpochEngine(DistDomain domain, EpochClient& client,
@@ -217,8 +178,8 @@ std::vector<EpochStats> EpochEngine::run(std::uint64_t epochs) {
   stats.reserve(epochs);
   if (epochs == 0) return stats;
 
-  // One collective per phase (barriered) or per epoch (pipelined): each
-  // locale runs W lane tasks, each operating on its own Lane slot.
+  // One collective per epoch: each locale runs W lane tasks, each
+  // operating on its own Lane slot.
   const auto forEachLane =
       [&](const std::function<void(std::uint32_t, Lane&)>& body) {
         coforallLocales([&] {
@@ -230,49 +191,28 @@ std::vector<EpochStats> EpochEngine::run(std::uint64_t epochs) {
         });
       };
 
-  if (config_.mode == PhaseMode::pipelined) {
-    // Prologue: epoch 0's admit + initialize (there is nothing to overlap
-    // them with yet; from epoch 1 on they ride the previous execute).
-    forEachLane([&](std::uint32_t lane_id, Lane& lane) {
-      admitOps(client_, config_, /*epoch=*/0, lane_id, 0,
-               opsForLane(config_.ops_per_epoch, lane_id, n_lanes),
-               lane.staged);
-      groupByOwner(lane.staged);
-      initializeLane(domain_, client_, /*epoch=*/0, lane.staged);
-    });
-  }
+  // Prologue: epoch 0's admit + initialize (there is nothing to overlap
+  // them with yet; from epoch 1 on they ride the previous execute).
+  forEachLane([&](std::uint32_t lane_id, Lane& lane) {
+    admitOps(client_, config_, /*epoch=*/0, lane_id, 0,
+             opsForLane(config_.ops_per_epoch, lane_id, n_lanes),
+             lane.staged);
+    groupByOwner(lane.staged);
+    // Scope exit unpins, and the release ships any retires staging buffered.
+    auto guard = domain_.pin();
+    client_.initialize(/*epoch=*/0, guard, lane.staged);
+  });
 
   for (std::uint64_t e = 0; e < epochs; ++e) {
     const std::uint64_t t0 = sim::now();
-    if (config_.mode == PhaseMode::pipelined) {
-      const bool prepare_next = e + 1 < epochs;
-      forEachLane([&](std::uint32_t lane_id, Lane& lane) {
-        executeLanePipelined(
-            domain_, client_, config_, e, lane_id,
-            prepare_next
-                ? opsForLane(config_.ops_per_epoch, lane_id, n_lanes)
-                : 0,
-            lane);
-      });
-    } else {
-      // admit | barrier + advance | initialize | barrier + advance |
-      // execute. The collective joins are the barriers; the advance makes
-      // each phase boundary a reclamation boundary too.
-      forEachLane([&](std::uint32_t lane_id, Lane& lane) {
-        admitOps(client_, config_, e, lane_id, 0,
-                 opsForLane(config_.ops_per_epoch, lane_id, n_lanes),
-                 lane.staged);
-        groupByOwner(lane.staged);
-      });
-      domain_.advance();
-      forEachLane([&](std::uint32_t, Lane& lane) {
-        initializeLane(domain_, client_, e, lane.staged);
-      });
-      domain_.advance();
-      forEachLane([&](std::uint32_t, Lane& lane) {
-        executeLaneBarriered(client_, config_, e, lane);
-      });
-    }
+    const bool prepare_next = e + 1 < epochs;
+    forEachLane([&](std::uint32_t lane_id, Lane& lane) {
+      executeLane(domain_, client_, config_, e, lane_id,
+                  prepare_next
+                      ? opsForLane(config_.ops_per_epoch, lane_id, n_lanes)
+                      : 0,
+                  lane);
+    });
 
     // --- epoch boundary ---------------------------------------------------
     // Fence the AM queues (in-flight aggregated retires land in a limbo

@@ -28,27 +28,20 @@
 // tryReclaim. (`boundary_advances = kNumEpochs - 1` empties every limbo
 // list at each boundary instead.)
 //
-// Two phase schedules, selected by `EpochEngineConfig::mode`:
+// One collective per epoch runs every lane: each lane issues epoch e's
+// staged ops into one window in window_ops slices. After each slice it
+// ships the task aggregator, admits and initializes the matching slice of
+// epoch e+1 (Caracal's insert/execute overlap) under one guard pinned for
+// the whole lane body, and drains finished ops. After the last slice it
+// owner-partitions e+1 and closes the window. Phase boundaries are
+// per-lane; the collective advance rides the epoch boundary.
 //
-//   barriered  admit | barrier+advance | initialize | barrier+advance |
-//              execute (serial spin-join windows) | boundary. The serial
-//              baseline: every phase is a separate all-locales collective,
-//              and execute joins each sub-batch before issuing the next.
-//   pipelined  one collective per epoch: each lane issues epoch e's
-//              staged ops into one window in window_ops slices. After
-//              each slice it ships the task aggregator, admits and
-//              initializes the matching slice of epoch e+1 (Caracal's
-//              insert/execute overlap) under one guard pinned for the
-//              whole lane body, and drains finished ops. After the last
-//              slice it owner-partitions e+1 and closes the window.
-//              Phase boundaries are per-lane; the collective advance rides
-//              the epoch boundary.
-//
-// In the pipelined schedule the lane's staging CPU paces its issue: every
-// slice is in flight while the next slice of e+1 is staged, and no op
-// waits in a bucket across more than one slice of staging. With the
-// interior phase barriers gone it beats the barriered baseline on model
-// time (bench/epoch_engine.cpp enforces >= 1.3x at 8 locales).
+// The lane's staging CPU paces its issue: every slice is in flight while
+// the next slice of e+1 is staged, and no op waits in a bucket across more
+// than one slice of staging. bench/epoch_engine.cpp builds the serial
+// baseline (one collective per phase, an advance between phases, spin-join
+// windows) over this header's public API and enforces that the engine
+// beats it by >= 1.3x on model time at 8 locales.
 #pragma once
 
 #include <cstdint>
@@ -123,12 +116,11 @@ class EpochClient {
 
   /// Initialize phase hook: allocate/stage per-op state for the lane's
   /// ops under `guard` (pinned for the duration of the call; unpinning
-  /// and flushing are the engine's business). The barriered schedule and
-  /// the pipelined epoch-0 prologue call it once per (epoch, lane) with the
-  /// whole slice, already owner-partitioned. The pipelined schedule calls
-  /// it several times per (epoch, lane), between the previous epoch's
-  /// issue slices: each call gets the next consecutive slice of up to
-  /// window_ops ops in admit order, all calls come before the owner
+  /// and flushing are the engine's business). The epoch-0 prologue calls
+  /// it once per lane with the whole slice, already owner-partitioned.
+  /// Every later epoch gets several calls per lane, between the previous
+  /// epoch's issue slices: each call gets the next consecutive slice of up
+  /// to window_ops ops in admit order, all calls come before the owner
   /// partitioning, and every call gets the same pinned guard. Garbage
   /// retired here is epoch-N garbage -- the boundary protocol reclaims it
   /// by N+1. Default: nothing to stage.
@@ -150,12 +142,10 @@ class EpochClient {
                            comm::OpWindow& window) = 0;
 };
 
-/// Which phase schedule the engine runs (see the header comment).
-enum class PhaseMode : std::uint8_t { barriered, pipelined };
-
-inline const char* toString(PhaseMode mode) noexcept {
-  return mode == PhaseMode::barriered ? "barriered" : "pipelined";
-}
+/// The engine's phase schedule. It has one value; the enum and
+/// `EpochEngineConfig::mode` stay only because the benchmark's engine-kv
+/// workload still assigns the field.
+enum class PhaseMode : std::uint8_t { pipelined };
 
 struct EpochEngineConfig {
   /// M: operations admitted per epoch across ALL locales, split as evenly
@@ -164,11 +154,11 @@ struct EpochEngineConfig {
   std::uint64_t ops_per_epoch = 1 << 13;
   /// Admit/execute lanes per locale (one coforallHere task each).
   std::uint32_t workers_per_locale = 2;
-  /// Execute-phase sub-batch: pipelined lanes ship and drain their window
-  /// every `window_ops` issues and stage that many ops of the next epoch
-  /// in between; the barriered baseline spin-joins a fresh window per
-  /// `window_ops` slice.
+  /// Execute-phase sub-batch: lanes ship and drain their window every
+  /// `window_ops` issues and stage that many ops of the next epoch in
+  /// between.
   std::uint64_t window_ops = 64;
+  /// See PhaseMode.
   PhaseMode mode = PhaseMode::pipelined;
   /// Reclamation advances per epoch boundary. >= 2 preserves the
   /// retired-in-N => reclaimed-by-end-of-N+1 guarantee (4 limbo lists, 4
@@ -215,10 +205,10 @@ class EpochEngine {
   EpochEngine(const EpochEngine&) = delete;
   EpochEngine& operator=(const EpochEngine&) = delete;
 
-  /// Run `epochs` epochs under the configured schedule. Each epoch ends
-  /// with the boundary protocol (AM fence + boundary collective +
-  /// boundary_advances reclamation advances) before its stats are
-  /// snapshotted, so stats[e].reclaim reflects a quiescent domain.
+  /// Run `epochs` epochs. Each epoch ends with the boundary protocol (AM
+  /// fence + boundary collective + boundary_advances reclamation advances)
+  /// before its stats are snapshotted, so stats[e].reclaim reflects a
+  /// quiescent domain.
   std::vector<EpochStats> run(std::uint64_t epochs);
 
   const EpochEngineConfig& config() const noexcept { return config_; }

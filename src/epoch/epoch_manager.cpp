@@ -207,10 +207,9 @@ bool epochTryReclaim(Privatized<EpochManagerImpl> handle) {
       inst.locale_epoch_.load(std::memory_order_seq_cst);
 
   // Is it safe to reclaim across all locales? (Listing 4 lines 8-21)
-  // The scan is initiated asynchronously: the kick-off returns immediately,
-  // the initiator's own locale scans as one of the spawned tasks, and the
+  // The initiator's own locale scans as one of the spawned tasks, and the
   // join folds every locale's simulated scan time in at once.
-  PendingAnd scan = allLocalesAndAsync([handle, this_epoch, &lat] {
+  const bool safe = allLocalesAnd([handle, this_epoch, &lat] {
     EpochManagerImpl& li = handle.local();
     for (Token* t = li.tokens_.allocatedHead(); t != nullptr;
          t = t->next_allocated) {
@@ -220,7 +219,6 @@ bool epochTryReclaim(Privatized<EpochManagerImpl> handle) {
     }
     return true;
   });
-  const bool safe = scan.wait();
 
   std::uint64_t detached = 0;
   if (safe) {

@@ -64,6 +64,27 @@ void dispatchAmo(const void* target, const Op& op) {
   });
 }
 
+/// Dispatch a 16-byte op to its owner. No RDMA NIC offers 16-byte
+/// atomics, so under every comm mode a remote target demotes to an active
+/// message (paper Sec. II.A). `op` runs with plain processor atomics on the
+/// caller (local) or on the owner's progress thread (remote). Returns true
+/// if the target was remote.
+template <typename Op>
+bool dispatchDword(const void* target, const Op& op) {
+  const LatencyModel& lat = Runtime::get().config().latency;
+  const std::uint32_t owner = ownerOf(target);
+  if (owner == Runtime::here()) {
+    sim::charge(lat.cpu_atomic_ns);
+    op();
+    return false;
+  }
+  amSync(owner, [&op, &lat] {
+    sim::charge(lat.cpu_atomic_ns);
+    op();
+  });
+  return true;
+}
+
 // 16-byte hardware CAS (CMPXCHG16B via the __atomic builtins; GCC routes
 // these through libatomic, which uses the lock-free instruction on x86-64).
 inline bool dcasHardware(U128* target, U128& expected, U128 desired) {
@@ -319,69 +340,26 @@ void atomicClear(std::atomic<std::uint64_t>& flag) {
 }
 
 bool dcas(U128& target, U128& expected, U128 desired) {
-  Runtime& rt = Runtime::get();
-  const LatencyModel& lat = rt.config().latency;
-  const std::uint32_t owner = ownerOf(&target);
-  if (owner == Runtime::here()) {
-    bump(g_counters.dcas_local);
-    sim::charge(lat.cpu_atomic_ns);
-    return dcasHardware(&target, expected, desired);
-  }
-  // No RDMA NIC offers 16-byte atomics: always remote execution (paper
-  // Sec. II.A -- the DCAS path "demotes" to active messages).
-  bump(g_counters.dcas_remote);
   bool ok = false;
-  amSync(owner, [&] {
-    sim::charge(lat.cpu_atomic_ns);
-    ok = dcasHardware(&target, expected, desired);
-  });
+  const bool remote = dispatchDword(
+      &target, [&] { ok = dcasHardware(&target, expected, desired); });
+  bump(remote ? g_counters.dcas_remote : g_counters.dcas_local);
   return ok;
 }
 
 U128 dread(U128& target) {
-  Runtime& rt = Runtime::get();
-  const LatencyModel& lat = rt.config().latency;
-  const std::uint32_t owner = ownerOf(&target);
-  if (owner == Runtime::here()) {
-    sim::charge(lat.cpu_atomic_ns);
-    return dloadHardware(&target);
-  }
   U128 out;
-  amSync(owner, [&] {
-    sim::charge(lat.cpu_atomic_ns);
-    out = dloadHardware(&target);
-  });
+  dispatchDword(&target, [&] { out = dloadHardware(&target); });
   return out;
 }
 
 void dwrite(U128& target, U128 desired) {
-  Runtime& rt = Runtime::get();
-  const LatencyModel& lat = rt.config().latency;
-  const std::uint32_t owner = ownerOf(&target);
-  if (owner == Runtime::here()) {
-    sim::charge(lat.cpu_atomic_ns);
-    dstoreHardware(&target, desired);
-    return;
-  }
-  amSync(owner, [&] {
-    sim::charge(lat.cpu_atomic_ns);
-    dstoreHardware(&target, desired);
-  });
+  dispatchDword(&target, [&] { dstoreHardware(&target, desired); });
 }
 
 U128 dexchange(U128& target, U128 desired) {
-  Runtime& rt = Runtime::get();
-  const LatencyModel& lat = rt.config().latency;
-  const std::uint32_t owner = ownerOf(&target);
-  if (owner == Runtime::here()) {
-    sim::charge(lat.cpu_atomic_ns);
-    return dexchangeHardware(&target, desired);
-  }
   U128 out;
-  amSync(owner, [&] {
-    sim::charge(lat.cpu_atomic_ns);
-    out = dexchangeHardware(&target, desired);
-  });
+  dispatchDword(&target, [&] { out = dexchangeHardware(&target, desired); });
   return out;
 }
 

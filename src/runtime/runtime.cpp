@@ -5,13 +5,19 @@
 #include <atomic>
 
 #include "atomic/pointer_compression.hpp"
+#include "util/cache_line.hpp"
 #include "util/check.hpp"
 
 namespace pgasnb {
 
 namespace {
 
-std::atomic<Runtime*> g_runtime{nullptr};
+// Every Runtime::get() reads this pointer: it gets a whole cache line, so
+// a layout shift can never put a counter that other threads bump beside it.
+struct alignas(kCacheLineSize) RuntimeSlot {
+  std::atomic<Runtime*> ptr{nullptr};
+};
+RuntimeSlot g_runtime;
 std::atomic<std::uint64_t> g_runtime_generation{0};
 
 }  // namespace
@@ -40,7 +46,7 @@ Runtime::Runtime(RuntimeConfig config)
 
   Runtime* expected = nullptr;
   PGASNB_CHECK_MSG(
-      g_runtime.compare_exchange_strong(expected, this),
+      g_runtime.ptr.compare_exchange_strong(expected, this),
       "another Runtime is already active in this process");
 
   locales_.reserve(config_.num_locales);
@@ -60,20 +66,20 @@ Runtime::Runtime(RuntimeConfig config)
 Runtime::~Runtime() {
   for (auto& locale : locales_) locale->stopThreads();
   locales_.clear();
-  g_runtime.store(nullptr, std::memory_order_release);
+  g_runtime.ptr.store(nullptr, std::memory_order_release);
   if (heap_base_ != nullptr) {
     ::munmap(heap_base_, heap_bytes_);
   }
 }
 
 Runtime& Runtime::get() {
-  Runtime* rt = g_runtime.load(std::memory_order_acquire);
+  Runtime* rt = g_runtime.ptr.load(std::memory_order_acquire);
   PGASNB_CHECK_MSG(rt != nullptr, "no active pgasnb::Runtime");
   return *rt;
 }
 
 bool Runtime::active() noexcept {
-  return g_runtime.load(std::memory_order_acquire) != nullptr;
+  return g_runtime.ptr.load(std::memory_order_acquire) != nullptr;
 }
 
 Locale& Runtime::locale(std::uint32_t id) {

@@ -2,7 +2,7 @@
 //
 // Chapel semantics reproduced here:
 //   * onLocale(l, f)        - synchronous remote task (Chapel `on loc do ...`)
-//   * onLocaleAsync(l, f)   - begin-on (fire-and-join via TaskGroup)
+//   * group.spawnOn(l, f)   - begin-on (a TaskGroup task, joined by wait())
 //   * coforallLocales(f)    - one task per locale, joined (Chapel `coforall
 //                             loc in Locales do on loc ...`)
 //   * coforallHere(n, f)    - n tasks on the current locale

@@ -1,7 +1,6 @@
-// Minimal command-line/environment option parsing for benches and examples.
+// Minimal command-line option parsing for benches and examples.
 //
-// Supports `--key=value` and `--flag` arguments plus `PGASNB_*` environment
-// fallbacks so the whole bench suite can be scaled with one variable.
+// Supports `--key=value` and `--flag` arguments.
 #pragma once
 
 #include <cstdint>
@@ -30,20 +29,10 @@ class Options {
     }
   }
 
-  /// Lookup order: command line, then environment (PGASNB_<UPPER_KEY>),
-  /// then the provided default.
+  /// The command-line value of `key`, or `def` if it was not given.
   std::string str(const std::string& key, const std::string& def = "") const {
-    if (const auto it = values_.find(key); it != values_.end()) {
-      return it->second;
-    }
-    std::string env_key = "PGASNB_";
-    for (const char c : key) {
-      env_key.push_back(c == '-' ? '_' : static_cast<char>(std::toupper(c)));
-    }
-    if (const char* env = std::getenv(env_key.c_str()); env != nullptr) {
-      return env;
-    }
-    return def;
+    const auto it = values_.find(key);
+    return it != values_.end() ? it->second : def;
   }
 
   std::int64_t integer(const std::string& key, std::int64_t def) const {

@@ -33,39 +33,6 @@ TEST_F(CollectivesTest, AndReduceRunsOnEveryLocale) {
   EXPECT_EQ(mask.load(), 0b1111u);
 }
 
-TEST_F(CollectivesTest, AndReduceAsyncResolvesAndJoins) {
-  startRuntime(4);
-  std::atomic<std::uint32_t> mask{0};
-  PendingAnd pending = allLocalesAndAsync([&mask] {
-    mask.fetch_or(1u << Runtime::here());
-    return true;
-  });
-  EXPECT_TRUE(pending.valid());
-  // The initiator overlaps its own work here while the scan runs.
-  EXPECT_TRUE(pending.wait());
-  EXPECT_TRUE(pending.ready());
-  EXPECT_EQ(mask.load(), 0b1111u);
-}
-
-TEST_F(CollectivesTest, AndReduceAsyncReportsFalse) {
-  startRuntime(4);
-  PendingAnd pending =
-      allLocalesAndAsync([] { return Runtime::here() != 3; });
-  EXPECT_FALSE(pending.wait());
-}
-
-TEST_F(CollectivesTest, AndReduceAsyncDropIsJoinedByDestructor) {
-  startRuntime(2);
-  std::atomic<int> ran{0};
-  {
-    PendingAnd pending = allLocalesAndAsync([&ran] {
-      ran.fetch_add(1);
-      return true;
-    });
-  }  // TaskGroup RAII joins; `ran` may not be touched after this line
-  EXPECT_EQ(ran.load(), 2);
-}
-
 TEST_F(CollectivesTest, SumReduce) {
   startRuntime(4);
   const std::uint64_t sum = allLocalesSum(

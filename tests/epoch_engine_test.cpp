@@ -1,4 +1,4 @@
-// EpochEngine: phase schedules execute every admitted op exactly once, ops
+// EpochEngine: the phase schedule executes every admitted op exactly once, ops
 // land on their owner locale, and the boundary protocol upholds the
 // reclamation guarantee -- garbage retired in epoch N is reclaimed by the
 // end of epoch N+1 (ReclaimStats-verified).
@@ -84,22 +84,11 @@ class CounterClient : public engine::EpochClient {
   std::atomic<bool> misrouted_{false};
 };
 
-struct EngineCase {
-  std::uint32_t locales;
-  engine::PhaseMode mode;
-};
-
-std::string engineCaseName(
-    const ::testing::TestParamInfo<EngineCase>& info) {
-  return std::to_string(info.param.locales) + "loc_" +
-         engine::toString(info.param.mode);
-}
-
-class EpochEngineTest : public ::testing::TestWithParam<EngineCase> {
+class EpochEngineTest : public ::testing::TestWithParam<std::uint32_t> {
  protected:
   void SetUp() override {
     runtime_ = std::make_unique<Runtime>(
-        pgasnb::testing::testConfig(GetParam().locales));
+        pgasnb::testing::testConfig(GetParam()));
     domain_ = DistDomain::create();
   }
   void TearDown() override {
@@ -112,7 +101,6 @@ class EpochEngineTest : public ::testing::TestWithParam<EngineCase> {
     cfg.ops_per_epoch = ops;
     cfg.workers_per_locale = 2;
     cfg.window_ops = 16;
-    cfg.mode = GetParam().mode;
     return cfg;
   }
 
@@ -200,16 +188,12 @@ TEST_P(EpochEngineTest, KeepsRawLatencySamplesWhenAsked) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Schedules, EpochEngineTest,
-    ::testing::Values(EngineCase{1, engine::PhaseMode::barriered},
-                      EngineCase{1, engine::PhaseMode::pipelined},
-                      EngineCase{3, engine::PhaseMode::barriered},
-                      EngineCase{3, engine::PhaseMode::pipelined},
-                      EngineCase{4, engine::PhaseMode::barriered},
-                      EngineCase{4, engine::PhaseMode::pipelined}),
-    engineCaseName);
+    Locales, EpochEngineTest, ::testing::Values(1u, 3u, 4u),
+    [](const ::testing::TestParamInfo<std::uint32_t>& info) {
+      return std::to_string(info.param) + "loc";
+    });
 
-/// Records the pipelined schedule's staging order. An op carries its lane
+/// Records the engine's staging order. An op carries its lane
 /// and admit index in `arg` (initialize and execute do not name the lane);
 /// each initialize call logs the admit indices it staged, whether its
 /// guard was pinned, and how many execute() calls of the previous epoch
@@ -287,7 +271,6 @@ TEST(EpochEngineTest, PipelinedStagingInterleavesWithIssue) {
     cfg.ops_per_epoch = kOps;
     cfg.workers_per_locale = 2;
     cfg.window_ops = kWindow;
-    cfg.mode = engine::PhaseMode::pipelined;
     const std::uint32_t n_lanes = locales * cfg.workers_per_locale;
     SliceOrderClient client(n_lanes, kEpochs);
     engine::EpochEngine eng(domain, client, cfg);
@@ -367,7 +350,6 @@ TEST(EpochEngineTest, TailShipsBeforeStaging) {
   cfg.ops_per_epoch = 2 * kOpsPerLane;
   cfg.workers_per_locale = 1;
   cfg.window_ops = 16;
-  cfg.mode = engine::PhaseMode::pipelined;
   cfg.keep_latency_samples = true;
   ChargedStagingClient client;
   engine::EpochEngine eng(domain, client, cfg);
@@ -436,45 +418,40 @@ TEST(EpochEngineTest, LanesStartOnTheirRightNeighbourAndKeepAdmitOrder) {
   // start on one owner; within an owner the ops keep their admit order.
   const std::uint32_t kLocales = 4, kWorkers = 2;
   const std::uint64_t kOps = 320, kEpochs = 3;
-  for (const engine::PhaseMode mode :
-       {engine::PhaseMode::pipelined, engine::PhaseMode::barriered}) {
-    SCOPED_TRACE(engine::toString(mode));
-    Runtime rt(pgasnb::testing::testConfig(kLocales));
-    DistDomain domain = DistDomain::create();
-    engine::EpochEngineConfig cfg;
-    cfg.ops_per_epoch = kOps;
-    cfg.workers_per_locale = kWorkers;
-    cfg.window_ops = 16;
-    cfg.mode = mode;
-    const std::uint32_t n_lanes = kLocales * kWorkers;
-    IssueOrderClient client(n_lanes, kEpochs);
-    engine::EpochEngine eng(domain, client, cfg);
-    ASSERT_EQ(eng.run(kEpochs).size(), kEpochs);
+  Runtime rt(pgasnb::testing::testConfig(kLocales));
+  DistDomain domain = DistDomain::create();
+  engine::EpochEngineConfig cfg;
+  cfg.ops_per_epoch = kOps;
+  cfg.workers_per_locale = kWorkers;
+  cfg.window_ops = 16;
+  const std::uint32_t n_lanes = kLocales * kWorkers;
+  IssueOrderClient client(n_lanes, kEpochs);
+  engine::EpochEngine eng(domain, client, cfg);
+  ASSERT_EQ(eng.run(kEpochs).size(), kEpochs);
 
-    for (std::uint32_t lane = 0; lane < n_lanes; ++lane) {
-      const std::uint32_t first = (lane / kWorkers + 1) % kLocales;
-      for (std::uint64_t e = 0; e < kEpochs; ++e) {
-        const auto& issued = client.issued(lane, e);
-        ASSERT_EQ(issued.size(), kOps / n_lanes);
-        EXPECT_EQ(issued.front().owner, first)
-            << "lane " << lane << " epoch " << e;
-        for (std::size_t i = 1; i < issued.size(); ++i) {
-          const std::uint32_t prev =
-              (issued[i - 1].owner + kLocales - first) % kLocales;
-          const std::uint32_t cur =
-              (issued[i].owner + kLocales - first) % kLocales;
-          ASSERT_LE(prev, cur) << "lane " << lane << " epoch " << e
-                               << " went back to an earlier owner";
-          if (prev == cur) {
-            EXPECT_LT(issued[i - 1].k, issued[i].k)
-                << "lane " << lane << " epoch " << e
-                << " broke admit order within owner " << issued[i].owner;
-          }
+  for (std::uint32_t lane = 0; lane < n_lanes; ++lane) {
+    const std::uint32_t first = (lane / kWorkers + 1) % kLocales;
+    for (std::uint64_t e = 0; e < kEpochs; ++e) {
+      const auto& issued = client.issued(lane, e);
+      ASSERT_EQ(issued.size(), kOps / n_lanes);
+      EXPECT_EQ(issued.front().owner, first)
+          << "lane " << lane << " epoch " << e;
+      for (std::size_t i = 1; i < issued.size(); ++i) {
+        const std::uint32_t prev =
+            (issued[i - 1].owner + kLocales - first) % kLocales;
+        const std::uint32_t cur =
+            (issued[i].owner + kLocales - first) % kLocales;
+        ASSERT_LE(prev, cur) << "lane " << lane << " epoch " << e
+                             << " went back to an earlier owner";
+        if (prev == cur) {
+          EXPECT_LT(issued[i - 1].k, issued[i].k)
+              << "lane " << lane << " epoch " << e
+              << " broke admit order within owner " << issued[i].owner;
         }
       }
     }
-    domain.destroy();
   }
+  domain.destroy();
 }
 
 }  // namespace

@@ -186,21 +186,6 @@ TEST(Cli, DefaultsWhenMissing) {
   EXPECT_FALSE(opts.boolean("nope", false));
 }
 
-TEST(Cli, EnvironmentFallback) {
-  ::setenv("PGASNB_FROM_ENV_OPT", "33", 1);
-  Options opts;
-  EXPECT_EQ(opts.integer("from-env-opt", 0), 33);
-  ::unsetenv("PGASNB_FROM_ENV_OPT");
-}
-
-TEST(Cli, CommandLineBeatsEnvironment) {
-  ::setenv("PGASNB_PRIO", "1", 1);
-  const char* argv[] = {"prog", "--prio=2"};
-  Options opts(2, const_cast<char**>(argv));
-  EXPECT_EQ(opts.integer("prio", 0), 2);
-  ::unsetenv("PGASNB_PRIO");
-}
-
 TEST(Cli, BooleanSpellings) {
   const char* argv[] = {"prog", "--a=0", "--b=false", "--c=no", "--d=yes"};
   Options opts(5, const_cast<char**>(argv));
