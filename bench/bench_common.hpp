@@ -121,8 +121,17 @@ struct BenchOptions {
   std::uint32_t tasks_per_locale = 2;
   bool quick = false;
 
+  /// Parses the command line and rejects any flag a bench does not read.
   static BenchOptions parse(int argc, char** argv) {
-    Options opts(argc, argv);
+    const Options opts(argc, argv);
+    const BenchOptions b = parse(opts);
+    opts.rejectUnread();
+    return b;
+  }
+
+  /// Reads the common flags from `opts`; the caller reads its own and then
+  /// calls `opts.rejectUnread()`.
+  static BenchOptions parse(const Options& opts) {
     BenchOptions b;
     b.scale = opts.real("bench-scale", 1.0);
     b.max_locales =

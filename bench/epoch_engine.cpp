@@ -320,9 +320,11 @@ int runSweep(const BenchOptions& opts) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const BenchOptions opts = BenchOptions::parse(argc, argv);
-  Options raw(argc, argv);
-  if (raw.boolean("epoch-sweep", false)) return runSweep(opts);
+  const Options raw(argc, argv);
+  const BenchOptions opts = BenchOptions::parse(raw);
+  const bool sweep = raw.boolean("epoch-sweep", false);
+  raw.rejectUnread();
+  if (sweep) return runSweep(opts);
 
   const std::uint64_t ops_per_epoch = opts.scaled(4096);
   const std::uint64_t epochs = 4;

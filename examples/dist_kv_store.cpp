@@ -112,12 +112,13 @@ int main(int argc, char** argv) {
   cfg.num_locales = static_cast<std::uint32_t>(opts.integer("locales", 4));
   cfg.comm_mode = parseCommMode(opts.str("comm", "none"));
   cfg.inject_delays = false;
-  Runtime rt(cfg);
   const auto keys = static_cast<std::uint64_t>(opts.integer("keys", 4096));
   const auto epochs =
       static_cast<std::uint64_t>(opts.integer("epochs", 16));
   const auto ops_per_epoch =
       static_cast<std::uint64_t>(opts.integer("ops-per-epoch", 65536));
+  opts.rejectUnread();
+  Runtime rt(cfg);
 
   DistDomain domain = DistDomain::create();
   auto store = RobinHoodMap<std::uint64_t>::create(/*capacity=*/keys * 2,

@@ -50,10 +50,11 @@ int main(int argc, char** argv) {
   cfg.comm_mode = parseCommMode(opts.str("comm", "none"));
   cfg.workers_per_locale = 2;
   cfg.inject_delays = false;
-  Runtime rt(cfg);
   const auto items = static_cast<std::uint64_t>(opts.integer("items", 512));
   const auto workers =
       static_cast<std::uint32_t>(opts.integer("workers", 2));
+  opts.rejectUnread();
+  Runtime rt(cfg);
 
   DistDomain domain = DistDomain::create();
   // Home the bag on the *last* locale: seeding runs on locale 0, so the

@@ -20,6 +20,7 @@ int main(int argc, char** argv) {
   Options opts(argc, argv);
   const int threads = static_cast<int>(opts.integer("threads", 4));
   const double seconds = opts.real("seconds", 2.0);
+  opts.rejectUnread();
   constexpr std::uint64_t kKeySpace = 1024;
   constexpr std::uint64_t kCanary = 0xC0FFEE;
 

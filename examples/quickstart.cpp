@@ -25,6 +25,7 @@ int main(int argc, char** argv) {
   cfg.num_locales = static_cast<std::uint32_t>(opts.integer("locales", 4));
   cfg.comm_mode = parseCommMode(opts.str("comm", "none"));
   cfg.inject_delays = false;  // quickstart: semantics, not timing
+  opts.rejectUnread();
   Runtime rt(cfg);
 
   std::printf("pgas-nb quickstart (%s)\n", cfg.describe().c_str());

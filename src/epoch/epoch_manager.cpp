@@ -98,16 +98,15 @@ std::uint64_t scatterList(LimboList& list,
                           LimboNodePool<ArenaLimboNodeAlloc>& pool,
                           ScatterBuckets& buckets) {
   Runtime& rt = Runtime::get();
-  LimboNode* node = list.popAll();
+  LimboNode* const first = list.popAll();
   std::uint64_t count = 0;
-  while (node != nullptr) {
-    LimboNode* next = LimboList::next(node);
-    buckets[rt.localeOfAddress(node->obj)].push_back(
-        {node->obj, node->deleter});
-    pool.release(node);
-    node = next;
+  LimboNode* last = first;
+  for (LimboNode* n = first; n != nullptr; n = LimboList::next(n)) {
+    buckets[rt.localeOfAddress(n->obj)].push_back({n->obj, n->deleter});
+    last = n;
     ++count;
   }
+  pool.releaseChain(first, last);
   return count;
 }
 
@@ -156,26 +155,22 @@ std::uint64_t detachList(EpochManagerImpl& inst, std::uint32_t index) {
 }
 
 /// Free what this locale has detached: pop the to-free list (one exchange),
-/// run every deleter in place, then return the nodes to the pool. Every
-/// object in this locale's lists is its own: a retire is routed to its
-/// owner's run, and a pointer outside the partitioned heap belongs to the
-/// retiring locale. Two walks, not one: the deleters take the arena's
-/// size-class locks and the releases CAS the pool head, and interleaving
-/// them cost 6-8 % host throughput on reclaim-listing5. A concurrent walker
-/// may take the chain first; then it frees it.
+/// run every deleter in place, then return the whole chain to the pool
+/// with one CAS. Every object in this locale's lists is its own: a retire
+/// is routed to its owner's run, and a pointer outside the partitioned heap
+/// belongs to the retiring locale. A concurrent walker may take the chain
+/// first; then it frees it.
 void freeDetached(EpochManagerImpl& inst) {
-  LimboNode* first = inst.to_free_.popAll();
+  LimboNode* const first = inst.to_free_.popAll();
   sim::charge(Runtime::get().config().latency.cpu_atomic_ns);  // the popAll
   std::uint64_t count = 0;
+  LimboNode* last = first;
   for (LimboNode* n = first; n != nullptr; n = LimboList::next(n)) {
     n->deleter(n->obj);
+    last = n;
     ++count;
   }
-  while (first != nullptr) {
-    LimboNode* next = LimboList::next(first);
-    inst.node_pool_.release(first);
-    first = next;
-  }
+  inst.node_pool_.releaseChain(first, last);
   inst.counters_.reclaimed.fetch_add(count, std::memory_order_relaxed);
 }
 

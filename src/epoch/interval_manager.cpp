@@ -102,16 +102,15 @@ bool intervalTryReclaim(Privatized<IntervalManagerImpl> handle) {
   coforallLocales([handle, popped_p] {
     IntervalManagerImpl& li = handle.local();
     auto& records = (*popped_p)[Runtime::here()];
-    LimboNode* node = li.retired_.popAll();
+    LimboNode* const first = li.retired_.popAll();
     sim::charge(Runtime::get().config().latency.cpu_atomic_ns);
-    while (node != nullptr) {
-      LimboNode* next = LimboList::next(node);
+    LimboNode* last = first;
+    for (LimboNode* n = first; n != nullptr; n = LimboList::next(n)) {
       records.push_back(
-          RetiredRecord{node->obj, node->deleter, node->birth,
-                        node->retire_era});
-      li.node_pool_.release(node);
-      node = next;
+          RetiredRecord{n->obj, n->deleter, n->birth, n->retire_era});
+      last = n;
     }
+    li.node_pool_.releaseChain(first, last);
   });
 
   // Phase 2: gather every locale's live reservations.

@@ -20,7 +20,8 @@
 // type-stable: they return to the pool, never to the allocator, until the
 // pool itself is destroyed -- which is what makes the optimistic reads of
 // the pop safe. The pop takes a whole run's nodes with one CAS
-// (acquireChain).
+// (acquireChain), and a reclaim walk returns its whole chain with one
+// (releaseChain).
 #pragma once
 
 #include <atomic>
@@ -190,13 +191,26 @@ class LimboNodePool {
     return first;
   }
 
-  void release(LimboNode* node) noexcept {
-    node->obj = nullptr;
-    node->deleter = nullptr;
+  void release(LimboNode* node) noexcept { releaseChain(node, node); }
+
+  /// Return the chain `first -> ... -> last` (linked through resolved
+  /// `next` links, as a walk with LimboList::next leaves a popped chain)
+  /// with ONE ABA-protected CAS: link `pool_next` privately, then swing the
+  /// head to `first`. The chain is the caller's until that CAS publishes it.
+  /// A null `first` is an empty chain.
+  void releaseChain(LimboNode* first, LimboNode* last) noexcept {
+    if (first == nullptr) return;
+    for (LimboNode* n = first;; n = n->next.load(std::memory_order_relaxed)) {
+      n->obj = nullptr;
+      n->deleter = nullptr;
+      if (n == last) break;
+      n->pool_next.store(n->next.load(std::memory_order_relaxed),
+                         std::memory_order_release);
+    }
     ABA<LimboNode> head = free_.readABA();
     do {
-      node->pool_next.store(head.getObject(), std::memory_order_release);
-    } while (!free_.compareExchangeABA(head, node));
+      last->pool_next.store(head.getObject(), std::memory_order_release);
+    } while (!free_.compareExchangeABA(head, first));
   }
 
   /// Teardown: pop `list` and return its nodes directly to the allocator.

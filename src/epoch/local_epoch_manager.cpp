@@ -80,15 +80,15 @@ void LocalDomain::deferDelete(Token* token, void* obj, ObjectDeleter deleter) {
 }
 
 void LocalDomain::reclaimList(std::uint32_t index) {
-  LimboNode* node = limbo_[index].popAll();
+  LimboNode* const first = limbo_[index].popAll();
   std::uint64_t count = 0;
-  while (node != nullptr) {
-    LimboNode* next = LimboList::next(node);
-    node->deleter(node->obj);
-    node_pool_.release(node);
-    node = next;
+  LimboNode* last = first;
+  for (LimboNode* n = first; n != nullptr; n = LimboList::next(n)) {
+    n->deleter(n->obj);
+    last = n;
     ++count;
   }
+  node_pool_.releaseChain(first, last);
   counters_.reclaimed.fetch_add(count, std::memory_order_relaxed);
 }
 

@@ -11,9 +11,10 @@ namespace pgasnb::comm {
 
 namespace {
 
-// Every thread bumps these on its hot path: whole cache lines of their own,
-// so no other global (Runtime::get()'s pointer, say) shares one with them.
-struct alignas(kCacheLineSize) AtomicCounters {
+// Every thread bumps these on its hot path, so each thread bumps its own
+// shard (threadShard()): a shard is whole cache lines, so no other global
+// (Runtime::get()'s pointer, say) shares one with it either.
+struct alignas(kCacheLineSize) CounterShard {
   std::atomic<std::uint64_t> nic_atomics{0};
   std::atomic<std::uint64_t> cpu_atomics{0};
   std::atomic<std::uint64_t> am_sync{0};
@@ -26,10 +27,12 @@ struct alignas(kCacheLineSize) AtomicCounters {
   std::atomic<std::uint64_t> dcas_remote{0};
 };
 
-AtomicCounters g_counters;
+CounterShard g_shards[kThreadShards];
 
-inline void bump(std::atomic<std::uint64_t>& c) {
-  c.fetch_add(1, std::memory_order_relaxed);
+inline CounterShard& myShard() noexcept { return g_shards[threadShard()]; }
+
+inline void bump(std::atomic<std::uint64_t>& c, std::uint64_t n = 1) {
+  c.fetch_add(n, std::memory_order_relaxed);
 }
 
 inline std::uint32_t ownerOf(const void* p) {
@@ -46,14 +49,14 @@ void dispatchAmo(const void* target, const Op& op) {
   if (rt.commMode() == CommMode::ugni) {
     // NIC-side atomic: constant cost irrespective of locality, no target
     // CPU involvement, no serialization beyond the memory system itself.
-    bump(g_counters.nic_atomics);
+    bump(myShard().nic_atomics);
     sim::charge(lat.nic_atomic_ns);
     op();
     return;
   }
   const std::uint32_t owner = ownerOf(target);
   if (owner == Runtime::here()) {
-    bump(g_counters.cpu_atomics);
+    bump(myShard().cpu_atomics);
     sim::charge(lat.cpu_atomic_ns);
     op();
     return;
@@ -160,7 +163,7 @@ void spinUntilDone(const HandleCore& core) {
   while (core.done.load(std::memory_order_acquire) == 0) backoff.pause();
 }
 
-void noteAmAsync() noexcept { bump(g_counters.am_async); }
+void noteAmAsync() noexcept { bump(myShard().am_async); }
 
 }  // namespace detail
 
@@ -257,7 +260,7 @@ void amSync(std::uint32_t loc, const std::function<void()>& fn) {
     fn();
     return;
   }
-  bump(g_counters.am_sync);
+  bump(myShard().am_sync);
   injectAmHandle(loc, fn).wait();
 }
 
@@ -269,14 +272,14 @@ void quiesceAmQueues() {
   for (std::uint32_t l = 0; l < n; ++l) {
     // Deliberately no local fast path: the fence must traverse the queue
     // (the caller's own queue can hold batches injected by other locales).
-    bump(g_counters.am_fence);
+    bump(myShard().am_fence);
     fences.push_back(injectAmHandle(l, [] {}));
   }
   for (Handle<>& fence : fences) fence.wait();
 }
 
 Handle<> amProgressHandle(std::uint32_t loc, std::function<void()> fn) {
-  bump(g_counters.am_async);
+  bump(myShard().am_async);
   return injectAmHandle(loc, std::move(fn));
 }
 
@@ -327,7 +330,7 @@ void atomicClear(std::atomic<std::uint64_t>& flag) {
   }
   // A release needs no reply: post the store and go on. Per-destination
   // FIFO keeps every later AM the caller sends to `owner` behind it.
-  bump(g_counters.am_async);
+  bump(myShard().am_async);
   const std::uint64_t cpu_atomic_ns = rt.config().latency.cpu_atomic_ns;
   AmRequest req;
   req.fn = [&flag, cpu_atomic_ns] {
@@ -343,7 +346,7 @@ bool dcas(U128& target, U128& expected, U128 desired) {
   bool ok = false;
   const bool remote = dispatchDword(
       &target, [&] { ok = dcasHardware(&target, expected, desired); });
-  bump(remote ? g_counters.dcas_remote : g_counters.dcas_local);
+  bump(remote ? myShard().dcas_remote : myShard().dcas_local);
   return ok;
 }
 
@@ -366,7 +369,7 @@ U128 dexchange(U128& target, U128 desired) {
 void get(void* dst, std::uint32_t src_locale, const void* src,
          std::size_t bytes) {
   Runtime& rt = Runtime::get();
-  bump(g_counters.gets);
+  bump(myShard().gets);
   std::memcpy(dst, src, bytes);
   if (src_locale != Runtime::here()) {
     sim::charge(rt.config().latency.bulkCost(bytes));
@@ -512,8 +515,8 @@ void Aggregator::flush(std::uint32_t loc) {
   }
   Bucket& bucket = buckets_[loc];
   total_pending_ -= bucket.ops.size();
-  bump(g_counters.am_batched);
-  g_counters.ops_aggregated.fetch_add(bucket.weight, std::memory_order_relaxed);
+  bump(myShard().am_batched);
+  bump(myShard().ops_aggregated, bucket.weight);
   bucket.weight = 0;
   // The ops are in flight from here on: nobody should try to flush them
   // out of this aggregator again.
@@ -604,32 +607,34 @@ Aggregator& taskAggregator() {
 }
 
 Counters counters() noexcept {
-  Counters snapshot;
-  snapshot.nic_atomics = g_counters.nic_atomics.load(std::memory_order_relaxed);
-  snapshot.cpu_atomics = g_counters.cpu_atomics.load(std::memory_order_relaxed);
-  snapshot.am_sync = g_counters.am_sync.load(std::memory_order_relaxed);
-  snapshot.am_async = g_counters.am_async.load(std::memory_order_relaxed);
-  snapshot.am_batched = g_counters.am_batched.load(std::memory_order_relaxed);
-  snapshot.am_fence = g_counters.am_fence.load(std::memory_order_relaxed);
-  snapshot.ops_aggregated =
-      g_counters.ops_aggregated.load(std::memory_order_relaxed);
-  snapshot.gets = g_counters.gets.load(std::memory_order_relaxed);
-  snapshot.dcas_local = g_counters.dcas_local.load(std::memory_order_relaxed);
-  snapshot.dcas_remote = g_counters.dcas_remote.load(std::memory_order_relaxed);
-  return snapshot;
+  const auto load = [](const std::atomic<std::uint64_t>& c) {
+    return c.load(std::memory_order_relaxed);
+  };
+  Counters sum;
+  for (const CounterShard& s : g_shards) {
+    sum.nic_atomics += load(s.nic_atomics);
+    sum.cpu_atomics += load(s.cpu_atomics);
+    sum.am_sync += load(s.am_sync);
+    sum.am_async += load(s.am_async);
+    sum.am_batched += load(s.am_batched);
+    sum.am_fence += load(s.am_fence);
+    sum.ops_aggregated += load(s.ops_aggregated);
+    sum.gets += load(s.gets);
+    sum.dcas_local += load(s.dcas_local);
+    sum.dcas_remote += load(s.dcas_remote);
+  }
+  return sum;
 }
 
 void resetCounters() noexcept {
-  g_counters.nic_atomics.store(0, std::memory_order_relaxed);
-  g_counters.cpu_atomics.store(0, std::memory_order_relaxed);
-  g_counters.am_sync.store(0, std::memory_order_relaxed);
-  g_counters.am_async.store(0, std::memory_order_relaxed);
-  g_counters.am_batched.store(0, std::memory_order_relaxed);
-  g_counters.am_fence.store(0, std::memory_order_relaxed);
-  g_counters.ops_aggregated.store(0, std::memory_order_relaxed);
-  g_counters.gets.store(0, std::memory_order_relaxed);
-  g_counters.dcas_local.store(0, std::memory_order_relaxed);
-  g_counters.dcas_remote.store(0, std::memory_order_relaxed);
+  for (CounterShard& s : g_shards) {
+    for (std::atomic<std::uint64_t>* c :
+         {&s.nic_atomics, &s.cpu_atomics, &s.am_sync, &s.am_async,
+          &s.am_batched, &s.am_fence, &s.ops_aggregated, &s.gets,
+          &s.dcas_local, &s.dcas_remote}) {
+      c->store(0, std::memory_order_relaxed);
+    }
+  }
 }
 
 }  // namespace pgasnb::comm

@@ -603,9 +603,9 @@ struct Counters {
 };
 
 /// Relaxed snapshot of the process-wide communication counters. Each
-/// counter is a dedicated std::atomic internally, so a snapshot never
-/// tears an individual counter (the set is still only quiescent-exact).
-/// Benchmarks use deltas.
+/// thread bumps its own cache-line shard of every counter, and a snapshot
+/// sums the shards, so it is exact only while no thread bumps (quiescent);
+/// resetCounters() zeroes every shard. Benchmarks use deltas.
 Counters counters() noexcept;
 void resetCounters() noexcept;
 

@@ -4,6 +4,7 @@
 // atomic in this library is isolated on its own cache line via CachePadded.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <new>
 #include <type_traits>
@@ -31,6 +32,24 @@ struct alignas(kCacheLineSize) CachePadded {
   T& operator*() { return value; }
   const T& operator*() const { return value; }
 };
+
+/// Shards per hot counter. A counter every thread bumps keeps one cache
+/// line per shard, and each thread bumps the shard `threadShard()` names;
+/// shards are dealt round-robin, so the first this-many threads to bump
+/// get lines of their own. Reads sum the shards: exact whenever the
+/// bumpers are quiescent.
+inline constexpr std::size_t kThreadShards = 16;
+
+/// The calling thread's shard index, dealt round-robin on first use.
+inline std::size_t threadShard() noexcept {
+  static std::atomic<std::size_t> next{0};
+  constexpr std::size_t kUnassigned = ~std::size_t{0};
+  thread_local std::size_t shard = kUnassigned;
+  if (shard == kUnassigned) [[unlikely]] {
+    shard = next.fetch_add(1, std::memory_order_relaxed) % kThreadShards;
+  }
+  return shard;
+}
 
 /// Pause instruction for spin loops; keeps the pipeline and a hyper-twin
 /// happy without giving up the time slice.

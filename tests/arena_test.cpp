@@ -1,6 +1,7 @@
 // Per-locale arena allocator: size classes, recycling, poisoning, ownership.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
 #include <set>
 #include <thread>
@@ -203,6 +204,127 @@ TEST_F(ArenaTest, ConcurrentAllocFreeIsSafe) {
   }
   for (auto& th : threads) th.join();
   EXPECT_EQ(arena.liveBlocks(), live0);
+}
+
+// --- per-thread cache ---------------------------------------------------
+
+/// Runs `fn` on a thread of its own and joins it.
+template <typename Fn>
+void onNewThread(Fn fn) {
+  std::thread(fn).join();
+}
+
+TEST_F(ArenaTest, FreedBlockReturnsToItsThreadWhileAnotherAllocates) {
+  startRuntime(1);
+  Arena& arena = runtime_->locale(0).arena();
+  std::atomic<int> phase{0};
+  void* freed = nullptr;
+  void* again = nullptr;
+  std::set<void*> others;
+  std::thread a([&] {
+    freed = arena.allocate(64);
+    arena.deallocate(freed, 64);
+    phase.store(1);
+    while (phase.load() != 2) std::this_thread::yield();
+    again = arena.allocate(64);
+  });
+  std::thread b([&] {
+    while (phase.load() != 1) std::this_thread::yield();
+    for (int i = 0; i < 100; ++i) others.insert(arena.allocate(64));
+    phase.store(2);
+  });
+  a.join();
+  b.join();
+  EXPECT_EQ(again, freed) << "a thread gets its own freed block back";
+  EXPECT_EQ(others.count(freed), 0u) << "another thread allocates elsewhere";
+  EXPECT_EQ(others.size(), 100u);
+  arena.deallocate(again, 64);
+  for (void* p : others) arena.deallocate(p, 64);
+}
+
+TEST_F(ArenaTest, CacheFromAnEarlierRuntimeIsNeverHandedOut) {
+  // This thread caches blocks of every cached class of the first runtime's
+  // arena (a freed one and the rest of a carved run each). The next
+  // runtime's arena -- often mapped at the very same address -- evicts
+  // some of those cache entries and must hand out none of their blocks:
+  // each would be a block outside it or one it also bumps fresh.
+  std::vector<std::size_t> sizes;
+  for (std::size_t b = Arena::kMinBlock; b < Arena::kCacheBypassBytes; b *= 2) {
+    sizes.push_back(b);
+  }
+  startRuntime(1);
+  Arena& first = runtime_->locale(0).arena();
+  for (const std::size_t b : sizes) first.deallocate(first.allocate(b), b);
+  runtime_.reset();
+
+  startRuntime(1);
+  Arena& arena = runtime_->locale(0).arena();
+  const auto live0 = arena.liveBlocks();
+  std::set<void*> seen;
+  std::vector<std::pair<void*, std::size_t>> blocks;
+  for (const std::size_t b : sizes) {
+    for (int i = 0; i < 32; ++i) {  // past every offset the first one used
+      void* p = arena.allocate(b);
+      ASSERT_TRUE(arena.contains(p)) << b << "-byte block " << i;
+      ASSERT_TRUE(seen.insert(p).second)
+          << b << "-byte block " << i << " handed out twice";
+      blocks.emplace_back(p, b);
+    }
+  }
+  EXPECT_EQ(arena.liveBlocks(), live0 + blocks.size());
+  for (auto [p, b] : blocks) arena.deallocate(p, b);
+  EXPECT_EQ(arena.liveBlocks(), live0);
+}
+
+TEST_F(ArenaTest, LiveBlocksExactAcrossSpillAndRefill) {
+  // One thread frees far more than its cache holds (spilling batches to
+  // the shared list); another allocates them back (refilling from it).
+  startRuntime(1);
+  Arena& arena = runtime_->locale(0).arena();
+  constexpr int kBlocks = 200;
+  const auto live0 = arena.liveBlocks();
+  std::vector<void*> blocks;
+  for (int i = 0; i < kBlocks; ++i) blocks.push_back(arena.allocate(48));
+  EXPECT_EQ(arena.liveBlocks(), live0 + kBlocks);
+  onNewThread([&] {
+    for (void* p : blocks) arena.deallocate(p, 48);
+  });
+  EXPECT_EQ(arena.liveBlocks(), live0);
+  std::vector<void*> reused;
+  onNewThread([&] {
+    for (int i = 0; i < kBlocks; ++i) reused.push_back(arena.allocate(48));
+  });
+  EXPECT_EQ(arena.liveBlocks(), live0 + kBlocks);
+  const std::set<void*> spilled(blocks.begin(), blocks.end());
+  int recycled = 0;
+  for (void* p : reused) recycled += static_cast<int>(spilled.count(p));
+  EXPECT_GE(recycled, kBlocks / 2) << "the spilled batches were refilled";
+  onNewThread([&] {
+    for (void* p : reused) arena.deallocate(p, 48);
+  });
+  EXPECT_EQ(arena.liveBlocks(), live0);
+}
+
+TEST_F(ArenaTest, LargeClassesBypassTheCache) {
+  // A freed large block goes straight to the shared list, so any thread
+  // gets it next; a small one stays in its freeing thread's cache.
+  startRuntime(1);
+  Arena& arena = runtime_->locale(0).arena();
+  const std::size_t large = Arena::kCacheBypassBytes;
+  void* big = nullptr;
+  void* small = nullptr;
+  onNewThread([&] {
+    big = arena.allocate(large);
+    small = arena.allocate(64);
+    arena.deallocate(big, large);
+    arena.deallocate(small, 64);
+  });
+  void* big_again = arena.allocate(large);
+  void* small_other = arena.allocate(64);
+  EXPECT_EQ(big_again, big);
+  EXPECT_NE(small_other, small);
+  arena.deallocate(big_again, large);
+  arena.deallocate(small_other, 64);
 }
 
 }  // namespace

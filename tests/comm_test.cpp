@@ -230,5 +230,53 @@ TEST_F(CommTest, CountersResetWorks) {
   onLocale(1, [a] { gdelete(a); });
 }
 
+// The counters are per-thread shards summed on read: more threads than
+// shards bump at once (so some share a shard), and the sum is exact.
+class CommCountersTest : public RuntimeTest {
+ protected:
+  static constexpr int kThreads = static_cast<int>(kThreadShards) + 4;
+  static constexpr int kOpsPerThread = 500;
+
+  /// Every thread does kOpsPerThread NIC atomics on `word` at once.
+  static void bumpFromThreads(DistAtomicU64* word) {
+    std::atomic<int> ready{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([word, &ready] {
+        ready.fetch_add(1);
+        while (ready.load() < kThreads) std::this_thread::yield();
+        for (int i = 0; i < kOpsPerThread; ++i) word->fetchAdd(1);
+      });
+    }
+    for (auto& th : threads) th.join();
+  }
+};
+
+TEST_F(CommCountersTest, ThreadBumpsSumExactly) {
+  startRuntime(2, CommMode::ugni);
+  DistAtomicU64* word = gnewOn<DistAtomicU64>(1, 0u);
+  comm::resetCounters();
+  bumpFromThreads(word);
+  const auto c = comm::counters();
+  EXPECT_EQ(c.nic_atomics, std::uint64_t{kThreads} * kOpsPerThread);
+  EXPECT_EQ(word->peek(), std::uint64_t{kThreads} * kOpsPerThread);
+  EXPECT_EQ(c.cpu_atomics + c.totalAms() + c.gets, 0u);
+  onLocale(1, [word] { gdelete(word); });
+}
+
+TEST_F(CommCountersTest, ResetZeroesEveryShard) {
+  startRuntime(2, CommMode::ugni);
+  DistAtomicU64* word = gnewOn<DistAtomicU64>(1, 0u);
+  bumpFromThreads(word);  // new threads: every shard gets bumps
+  ASSERT_GT(comm::counters().nic_atomics, 0u);
+  comm::resetCounters();
+  EXPECT_EQ(comm::counters().nic_atomics, 0u);
+  bumpFromThreads(word);
+  EXPECT_EQ(comm::counters().nic_atomics,
+            std::uint64_t{kThreads} * kOpsPerThread)
+      << "a shard kept a count across the reset";
+  onLocale(1, [word] { gdelete(word); });
+}
+
 }  // namespace
 }  // namespace pgasnb

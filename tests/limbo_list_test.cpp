@@ -313,5 +313,79 @@ TEST(LimboNodePool, ConcurrentAcquireChainReleaseStress) {
   releaseChain(pool, all);
 }
 
+TEST(LimboNodePool, ReleaseChainReturnsTheWholeChain) {
+  // A reclaim walk hands its chain back with one CAS; the next acquireChain
+  // takes the same nodes, in the same order, with payloads cleared.
+  LimboNodePool<HeapAlloc> pool;
+  int x = 0;
+  const std::vector<LimboNode*> nodes = chainNodes(pool.acquireChain(5));
+  for (LimboNode* n : nodes) {
+    n->obj = &x;
+    n->deleter = &noopDeleter;
+  }
+  pool.releaseChain(nodes.front(), nodes.back());
+  for (LimboNode* n : nodes) {
+    EXPECT_EQ(n->obj, nullptr);
+    EXPECT_EQ(n->deleter, nullptr);
+  }
+  EXPECT_EQ(chainNodes(pool.acquireChain(5)), nodes);
+  EXPECT_EQ(pool.outstanding(), 5u) << "nothing fresh for the reuse";
+  pool.releaseChain(nodes.front(), nodes.back());
+}
+
+TEST(LimboNodePool, ReleaseChainStacksOnPooledNodes) {
+  LimboNodePool<HeapAlloc> pool;
+  int x = 0;
+  LimboNode* single = pool.acquire(&x, &noopDeleter);
+  pool.release(single);  // free stack: single
+  const std::vector<LimboNode*> three = chainNodes(pool.acquireChain(3));
+  ASSERT_EQ(three.front(), single);
+  pool.releaseChain(three.front(), three[1]);  // two back; three[2] kept
+  LimboNode* kept = three[2];
+  const std::vector<LimboNode*> back = chainNodes(pool.acquireChain(2));
+  EXPECT_EQ(back, (std::vector<LimboNode*>{three[0], three[1]}));
+  EXPECT_EQ(pool.outstanding(), 3u);
+  pool.release(kept);
+  pool.releaseChain(back.front(), back.back());
+}
+
+TEST(LimboNodePool, ConcurrentReleaseChainAcquireChainStress) {
+  // Chains of up to 64 nodes go back in one CAS while other threads pop
+  // chains and single nodes: no node is handed to two threads at once, and
+  // every node ends up pooled.
+  LimboNodePool<HeapAlloc> pool;
+  constexpr int kThreads = 4;
+  constexpr int kIters = 2000;
+  constexpr std::size_t kMaxChain = 64;
+  std::atomic<int> bad{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&pool, &bad, t] {
+      int mine = t;
+      for (int i = 0; i < kIters; ++i) {
+        const std::size_t n = 1 + (static_cast<std::size_t>(i) * 13 + t) %
+                                      kMaxChain;
+        const std::vector<LimboNode*> nodes = chainNodes(pool.acquireChain(n));
+        LimboNode* single = pool.acquire(&mine, &noopDeleter);
+        if (nodes.size() != n) bad.fetch_add(1);
+        for (LimboNode* node : nodes) node->obj = &mine;
+        for (LimboNode* node : nodes) {
+          if (node->obj != &mine || node == single) bad.fetch_add(1);
+        }
+        pool.releaseChain(nodes.front(), nodes.back());
+        pool.release(single);
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(bad.load(), 0) << "a node was handed out twice";
+  const std::uint64_t outstanding = pool.outstanding();
+  EXPECT_LE(outstanding, kThreads * (kMaxChain + 1));
+  LimboNode* all = pool.acquireChain(outstanding);
+  EXPECT_EQ(chainNodes(all).size(), outstanding);
+  EXPECT_EQ(pool.outstanding(), outstanding) << "every node was pooled";
+  releaseChain(pool, all);
+}
+
 }  // namespace
 }  // namespace pgasnb

@@ -195,6 +195,34 @@ TEST(Cli, BooleanSpellings) {
   EXPECT_TRUE(opts.boolean("d", false));
 }
 
+TEST(Cli, AcceptsKeySpaceValue) {
+  // The spelling scripts/bench_json.sh documents for PGASNB_BENCH_ARGS.
+  const char* argv[] = {"prog", "--bench-scale", "2", "--quick",
+                        "--locales", "-3"};
+  Options opts(6, const_cast<char**>(argv));
+  EXPECT_DOUBLE_EQ(opts.real("bench-scale", 1.0), 2.0);
+  EXPECT_TRUE(opts.boolean("quick", false)) << "a flag before a flag";
+  EXPECT_EQ(opts.integer("locales", 1), -3);
+  opts.rejectUnread();  // everything was read: returns
+}
+
+TEST(Cli, RejectsAFlagNothingReads) {
+  const char* argv[] = {"prog", "--max-locales=8", "--max-locale=8"};
+  EXPECT_EXIT(
+      {
+        Options opts(3, const_cast<char**>(argv));
+        (void)opts.integer("max-locales", 64);
+        opts.rejectUnread();
+      },
+      ::testing::ExitedWithCode(2), "unknown option --max-locale\n");
+}
+
+TEST(Cli, RejectsAWordNoFlagTakes) {
+  const char* argv[] = {"prog", "stray", "--quick"};
+  EXPECT_EXIT(Options(3, const_cast<char**>(argv)),
+              ::testing::ExitedWithCode(2), "unexpected argument 'stray'");
+}
+
 // --- table ---------------------------------------------------------------
 
 TEST(Table, PrintsAlignedColumns) {
