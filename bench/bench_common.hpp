@@ -172,13 +172,51 @@ inline RuntimeConfig benchConfig(std::uint32_t locales, CommMode mode,
   return cfg;
 }
 
+/// Objects to free, bucketed by owning locale.
+using ScatterBuckets = std::vector<std::vector<comm::RetireEntry>>;
+
+/// The paper's scatter list: append each of `entries` to its owner's
+/// bucket.
+inline void scatterList(const std::vector<comm::RetireEntry>& entries,
+                        ScatterBuckets& buckets) {
+  for (const comm::RetireEntry& entry : entries) {
+    buckets[localeOf(entry.obj)].push_back(entry);
+  }
+}
+
+/// "Bulk transfer and delete" (Listing 4): the caller's own bucket is freed
+/// in place; one task per other non-empty bucket ships it to its owner in
+/// one transfer and runs the deleters there.
+inline void bulkDeleteScattered(const ScatterBuckets& buckets) {
+  const auto freeBucket = [](const std::vector<comm::RetireEntry>& bucket) {
+    for (const comm::RetireEntry& entry : bucket) entry.deleter(entry.obj);
+  };
+  const std::uint32_t src = Runtime::here();
+  // Spawn the other owners' tasks first, so they run while the caller
+  // frees its own bucket in place.
+  TaskGroup owners;
+  for (std::uint32_t dest = 0; dest < buckets.size(); ++dest) {
+    const auto& bucket = buckets[dest];
+    if (dest == src || bucket.empty()) continue;
+    owners.spawnOn(dest, [&bucket, freeBucket] {
+      // One aggregated transfer instead of one RPC per object -- the
+      // scatter list's entire purpose.
+      sim::charge(Runtime::get().config().latency.bulkCost(
+          bucket.size() * sizeof(void*) * 2));
+      freeBucket(bucket);
+    });
+  }
+  freeBucket(buckets[src]);
+  owners.wait();  // before the buckets' owner unwinds them
+}
+
 /// The paper's remote-retire route (Sec. II.C), kept as a baseline for
 /// fig8 and the scatter-list ablation: a retire goes into the retiring
 /// locale's own list, and reclaim() sorts each list by owner and ships
-/// every bucket home in one bulk transfer (detail::bulkDeleteScattered).
-/// DistDomain instead routes each retire to its owner in a run, so its
-/// reclaim frees in place. No epoch protocol here: reclaim() assumes no
-/// task still holds a retired object.
+/// every bucket home in one bulk transfer (bulkDeleteScattered). Both
+/// distributed domains instead route each retire to its owner in a run, so
+/// their reclaim frees in place. No epoch protocol here: reclaim() assumes
+/// no task still holds a retired object.
 class ScatterBaseline {
  public:
   ScatterBaseline() : lists_(Runtime::get().numLocales()) {}
@@ -208,11 +246,9 @@ class ScatterBaseline {
         entries.swap(list.entries);
       }
       sim::charge(Runtime::get().config().latency.cpu_atomic_ns);
-      detail::ScatterBuckets buckets(Runtime::get().numLocales());
-      for (const comm::RetireEntry& entry : entries) {
-        buckets[localeOf(entry.obj)].push_back(entry);
-      }
-      detail::bulkDeleteScattered(buckets);
+      ScatterBuckets buckets(Runtime::get().numLocales());
+      scatterList(entries, buckets);
+      bulkDeleteScattered(buckets);
       freed.fetch_add(entries.size(), std::memory_order_relaxed);
     });
     return freed.load();

@@ -37,22 +37,9 @@ void EpochManagerImpl::unpin(Token* token) noexcept {
 
 void EpochManagerImpl::insertRetires(
     const std::vector<comm::RetireEntry>& entries) {
-  if (entries.empty()) return;
-  // Take the run's nodes off the pool with one multi-pop, fill and link
-  // them privately, then publish the chain with one exchange: a run of N
-  // retires costs the same limbo-list atomics as a single retire.
-  LimboNode* first = node_pool_.acquireChain(entries.size());
-  LimboNode* last = nullptr;
-  for (const comm::RetireEntry& entry : entries) {
-    last = last == nullptr ? first : last->next.load(std::memory_order_relaxed);
-    last->obj = entry.obj;
-    last->deleter = entry.deleter;
-  }
   const std::uint64_t e = locale_epoch_.load(std::memory_order_seq_cst);
-  limbo_[limboIndexFor(e)].pushChain(first, last);
-  counters_.noteDeferred(entries.size());
-  // The multi-pop, the exchange and the link, whatever the run's length.
-  sim::charge(Runtime::get().config().latency.cpu_atomic_ns * 3);
+  detail::insertRun(limbo_[limboIndexFor(e)], node_pool_, counters_, entries,
+                    /*retire_era=*/0);
 }
 
 // ---------------------------------------------------------------------------
@@ -63,21 +50,12 @@ void DistGuard::retireRaw(void* obj, ObjectDeleter deleter) {
   PGASNB_CHECK_MSG(token_ != nullptr, "retire() on an invalid guard");
   checkHome();
   PGASNB_CHECK_MSG(pinned(), "retire() requires a pinned guard");
-  Runtime& rt = Runtime::get();
   // The retire joins its owner's run in the task's comm::Aggregator. A
   // remote run ships at its threshold or age cutoff (or at
   // tryReclaim/release/clear); the own locale's run is inserted inline at
-  // the same points. Charged first, so a threshold flush stamps this send
-  // time.
-  sim::chargeModelOnly(rt.config().latency.cpu_atomic_ns);
+  // the same points.
   routed_retire_ = true;
-  const std::uint32_t owner = rt.localeOfAddress(obj);
-  comm::taskAggregator().enqueueRetire(
-      owner,
-      [](void* impl, const std::vector<comm::RetireEntry>& run) {
-        static_cast<EpochManagerImpl*>(impl)->insertRetires(run);
-      },
-      handle_.instanceOn(owner), {obj, deleter});
+  detail::routeRetire(handle_, {obj, deleter});
 }
 
 void DistGuard::flush() {
@@ -94,43 +72,38 @@ void DistGuard::flush() {
 
 namespace detail {
 
-std::uint64_t scatterList(LimboList& list,
-                          LimboNodePool<ArenaLimboNodeAlloc>& pool,
-                          ScatterBuckets& buckets) {
-  Runtime& rt = Runtime::get();
-  LimboNode* const first = list.popAll();
+void insertRun(LimboList& list, LimboNodePool<ArenaLimboNodeAlloc>& pool,
+               ReclaimCounters& counters,
+               const std::vector<comm::RetireEntry>& entries,
+               std::uint64_t retire_era) {
+  if (entries.empty()) return;
+  // A run of N retires costs the same limbo-list atomics as a single one.
+  LimboNode* first = pool.acquireChain(entries.size());
+  LimboNode* last = nullptr;
+  for (const comm::RetireEntry& entry : entries) {
+    last = last == nullptr ? first : last->next.load(std::memory_order_relaxed);
+    last->obj = entry.obj;
+    last->deleter = entry.deleter;
+    last->birth = entry.birth;
+    last->retire_era = retire_era;
+  }
+  list.pushChain(first, last);
+  counters.noteDeferred(entries.size());
+  // The multi-pop, the exchange and the link, whatever the run's length.
+  sim::charge(Runtime::get().config().latency.cpu_atomic_ns * 3);
+}
+
+void freeChain(LimboNode* first, LimboNodePool<ArenaLimboNodeAlloc>& pool,
+               ReclaimCounters& counters) {
   std::uint64_t count = 0;
   LimboNode* last = first;
   for (LimboNode* n = first; n != nullptr; n = LimboList::next(n)) {
-    buckets[rt.localeOfAddress(n->obj)].push_back({n->obj, n->deleter});
+    n->deleter(n->obj);
     last = n;
     ++count;
   }
   pool.releaseChain(first, last);
-  return count;
-}
-
-void bulkDeleteScattered(const ScatterBuckets& buckets) {
-  const auto freeBucket = [](const std::vector<comm::RetireEntry>& bucket) {
-    for (const comm::RetireEntry& entry : bucket) entry.deleter(entry.obj);
-  };
-  const std::uint32_t src = Runtime::here();
-  // Spawn the other owners' tasks first, so they run while the caller
-  // frees its own bucket in place.
-  TaskGroup owners;
-  for (std::uint32_t dest = 0; dest < buckets.size(); ++dest) {
-    const auto& bucket = buckets[dest];
-    if (dest == src || bucket.empty()) continue;
-    owners.spawnOn(dest, [&bucket, freeBucket] {
-      // One aggregated transfer instead of one RPC per object -- the
-      // scatter list's entire purpose.
-      sim::charge(Runtime::get().config().latency.bulkCost(
-          bucket.size() * sizeof(void*) * 2));
-      freeBucket(bucket);
-    });
-  }
-  freeBucket(buckets[src]);
-  owners.wait();  // before the buckets' owner unwinds them
+  counters.reclaimed.fetch_add(count, std::memory_order_relaxed);
 }
 
 namespace {
@@ -154,24 +127,13 @@ std::uint64_t detachList(EpochManagerImpl& inst, std::uint32_t index) {
   return count;
 }
 
-/// Free what this locale has detached: pop the to-free list (one exchange),
-/// run every deleter in place, then return the whole chain to the pool
-/// with one CAS. Every object in this locale's lists is its own: a retire
-/// is routed to its owner's run, and a pointer outside the partitioned heap
-/// belongs to the retiring locale. A concurrent walker may take the chain
-/// first; then it frees it.
+/// Free what this locale has detached: pop the to-free list (one exchange)
+/// and free the chain in place (freeChain). A concurrent walker may take the
+/// chain first; then it frees it.
 void freeDetached(EpochManagerImpl& inst) {
   LimboNode* const first = inst.to_free_.popAll();
   sim::charge(Runtime::get().config().latency.cpu_atomic_ns);  // the popAll
-  std::uint64_t count = 0;
-  LimboNode* last = first;
-  for (LimboNode* n = first; n != nullptr; n = LimboList::next(n)) {
-    n->deleter(n->obj);
-    last = n;
-    ++count;
-  }
-  inst.node_pool_.releaseChain(first, last);
-  inst.counters_.reclaimed.fetch_add(count, std::memory_order_relaxed);
+  freeChain(first, inst.node_pool_, inst.counters_);
 }
 
 }  // namespace

@@ -78,21 +78,37 @@ void arenaDeleter(void* p) {
   Runtime::get().deleteLocal(static_cast<T*>(p));
 }
 
-/// Objects to free, bucketed by owning locale.
-using ScatterBuckets = std::vector<std::vector<comm::RetireEntry>>;
+/// Insert a run of retires into `list`, each node tagged with its entry's
+/// birth and `retire_era`: one multi-pop (LimboNodePool::acquireChain) and
+/// one exchange (LimboList::pushChain), charged as three processor atomics
+/// whatever the run's length.
+void insertRun(LimboList& list, LimboNodePool<ArenaLimboNodeAlloc>& pool,
+               ReclaimCounters& counters,
+               const std::vector<comm::RetireEntry>& entries,
+               std::uint64_t retire_era);
 
-/// Pop `list`, append each object to its owner's bucket and recycle the
-/// nodes into `pool`; returns the number of objects moved.
-std::uint64_t scatterList(LimboList& list,
-                          LimboNodePool<ArenaLimboNodeAlloc>& pool,
-                          ScatterBuckets& buckets);
+/// Run every deleter of the null-terminated chain at `first` in place, then
+/// return the chain to `pool` with one CAS. A locale's lists hold only its
+/// own objects: a retire rides its owner's run, and a pointer outside the
+/// partitioned heap belongs to the retiring locale.
+void freeChain(LimboNode* first, LimboNodePool<ArenaLimboNodeAlloc>& pool,
+               ReclaimCounters& counters);
 
-/// "Bulk transfer and delete" (Listing 4): the caller's own bucket is freed
-/// in place; one task per other non-empty bucket ships it to its owner in
-/// one transfer and runs the deleters there. IntervalDomain reclaims
-/// through it. The buckets are scan-private, so scans that overlap share
-/// no mutable state.
-void bulkDeleteScattered(const ScatterBuckets& buckets);
+/// Route one retire to the owner's run in the calling task's
+/// comm::Aggregator, for the owner's Impl::insertRetires. Charged first, so
+/// a threshold flush stamps this send time.
+template <typename Impl>
+void routeRetire(Privatized<Impl> handle, comm::RetireEntry entry) {
+  Runtime& rt = Runtime::get();
+  sim::chargeModelOnly(rt.config().latency.cpu_atomic_ns);
+  const std::uint32_t owner = rt.localeOfAddress(entry.obj);
+  comm::taskAggregator().enqueueRetire(
+      owner,
+      [](void* impl, const std::vector<comm::RetireEntry>& run) {
+        static_cast<Impl*>(impl)->insertRetires(run);
+      },
+      handle.instanceOn(owner), entry);
+}
 
 }  // namespace detail
 
@@ -118,13 +134,11 @@ class EpochManagerImpl {
   void unpin(Token* token) noexcept;
 
   /// Insert a run of aggregated retires into this locale's current-epoch
-  /// limbo list: takes the run's nodes off the pool in one multi-pop
-  /// (LimboNodePool::acquireChain), links them privately and splices the
-  /// chain with ONE exchange (LimboList::pushChain). A shipped run is
-  /// inserted on the progress thread, the own locale's run inline on the
-  /// task that flushes it. Inserting at this locale's *current* epoch is
-  /// safe however late the run arrives: that epoch is at least the one the
-  /// retire was pinned in, so the objects can only wait longer.
+  /// limbo list (detail::insertRun). A shipped run is inserted on the
+  /// progress thread, the own locale's run inline on the task that flushes
+  /// it. Inserting at this locale's *current* epoch is safe however late
+  /// the run arrives: that epoch is at least the one the retire was pinned
+  /// in, so the objects can only wait longer.
   void insertRetires(const std::vector<comm::RetireEntry>& entries);
 
   // Fields are accessed directly by the reclaim driver in epoch_manager.cpp

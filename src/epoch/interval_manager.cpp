@@ -1,5 +1,6 @@
 #include "epoch/interval_manager.hpp"
 
+#include <utility>
 #include <vector>
 
 namespace pgasnb {
@@ -31,25 +32,34 @@ void IntervalManagerImpl::unpin(Token* token) noexcept {
   }
 }
 
-void IntervalManagerImpl::deferRetire(Token* token, void* obj,
-                                      ObjectDeleter deleter,
-                                      std::uint64_t birth) {
-  PGASNB_CHECK_MSG(token->pinned(), "deferRetire requires a pinned token");
-  auto& era = intervalEraClock();
-  const std::uint64_t retire_era = era.load(std::memory_order_seq_cst);
-  LimboNode* node = node_pool_.acquire(obj, deleter, birth, retire_era);
-  retired_.push(node);
-  counters_.noteDeferred(1);
-  const LatencyModel& lat = Runtime::get().config().latency;
-  // recycle-pop + exchange + link, all locale-local processor atomics
-  sim::charge(lat.cpu_atomic_ns * 3);
+void IntervalManagerImpl::insertRetires(
+    const std::vector<comm::RetireEntry>& entries) {
+  // Stamped at insert, not at retire: the era only grows, so a late stamp
+  // widens [birth, retire] and can only keep the block longer.
+  detail::insertRun(retired_, node_pool_, counters_, entries,
+                    intervalEraClock().load(std::memory_order_seq_cst));
+}
+
+// ---------------------------------------------------------------------------
+// IntervalGuard
+// ---------------------------------------------------------------------------
+
+void IntervalGuard::route(void* obj, ObjectDeleter deleter,
+                          std::uint64_t birth) {
+  PGASNB_CHECK_MSG(token_ != nullptr, "retire() on an invalid guard");
+  checkHome();
+  PGASNB_CHECK_MSG(pinned(), "retire() requires a pinned guard");
+  routed_retire_ = true;
+  detail::routeRetire(handle_, {obj, deleter, birth});
   // Retire-path era amortization: reservations age out of long-running
   // workloads even if nobody calls tryReclaim.
-  if (retires_since_era_.fetch_add(1, std::memory_order_relaxed) + 1 >=
-      kEraFreq) {
-    retires_since_era_.store(0, std::memory_order_relaxed);
-    era.fetch_add(1, std::memory_order_seq_cst);
-    sim::charge(lat.nic_atomic_ns);  // modeled FADD on the locale-0 era
+  auto& since = handle_.local().retires_since_era_;
+  if (since.fetch_add(1, std::memory_order_relaxed) + 1 >=
+      IntervalManagerImpl::kEraFreq) {
+    since.store(0, std::memory_order_relaxed);
+    intervalEraClock().fetch_add(1, std::memory_order_seq_cst);
+    // modeled FADD on the locale-0 era
+    sim::charge(Runtime::get().config().latency.nic_atomic_ns);
   }
 }
 
@@ -61,13 +71,19 @@ namespace detail {
 
 namespace {
 
-/// A retired block pulled off a locale's retired list during a scan.
-struct RetiredRecord {
-  void* obj;
-  ObjectDeleter deleter;
-  std::uint64_t birth;
-  std::uint64_t retire;
-};
+/// Every locale's live reservations [lo, hi].
+using Reservations =
+    std::vector<std::vector<std::pair<std::uint64_t, std::uint64_t>>>;
+
+/// Whether some reservation intersects the block's [birth, retire].
+bool held(const Reservations& reservations, const LimboNode& n) {
+  for (const auto& per_locale : reservations) {
+    for (const auto& [lo, hi] : per_locale) {
+      if (n.birth <= hi && n.retire_era >= lo) return true;
+    }
+  }
+  return false;
+}
 
 }  // namespace
 
@@ -75,8 +91,8 @@ bool intervalTryReclaim(Privatized<IntervalManagerImpl> handle) {
   IntervalManagerImpl& inst = handle.local();
   const LatencyModel& lat = Runtime::get().config().latency;
 
-  // Local FCFS election only: concurrent scans on different locales each
-  // pop their own retired list against a full reservation snapshot, so
+  // Local FCFS election only: scans started on different locales pop
+  // disjoint chains and each reads the reservations after its own pops, so
   // they are independent and may overlap safely.
   sim::charge(lat.cpu_atomic_ns);
   if (inst.is_scanning_.exchange(1, std::memory_order_seq_cst) != 0) {
@@ -86,7 +102,7 @@ bool intervalTryReclaim(Privatized<IntervalManagerImpl> handle) {
 
   // Advance the era first: every reservation we are about to read that
   // validates against the *old* era already has its widening published
-  // (protect's seq_cst era check), and blocks retired from here on carry
+  // (protect's seq_cst era check), and runs inserted from here on carry
   // retire eras past the snapshot.
   intervalEraClock().fetch_add(1, std::memory_order_seq_cst);
   sim::charge(lat.nic_atomic_ns);  // modeled FADD on the locale-0 era
@@ -97,30 +113,20 @@ bool intervalTryReclaim(Privatized<IntervalManagerImpl> handle) {
   // Phase 1: every locale pops its retired list privately (one exchange).
   // A block popped here is unreachable to any reader that pins later, so
   // reading reservations *after* the pops cannot miss a holder.
-  std::vector<std::vector<RetiredRecord>> popped(num_locales);
+  std::vector<LimboNode*> popped(num_locales);
   auto* popped_p = &popped;  // coforall joins before the frame unwinds
   coforallLocales([handle, popped_p] {
-    IntervalManagerImpl& li = handle.local();
-    auto& records = (*popped_p)[Runtime::here()];
-    LimboNode* const first = li.retired_.popAll();
+    (*popped_p)[Runtime::here()] = handle.local().retired_.popAll();
     sim::charge(Runtime::get().config().latency.cpu_atomic_ns);
-    LimboNode* last = first;
-    for (LimboNode* n = first; n != nullptr; n = LimboList::next(n)) {
-      records.push_back(
-          RetiredRecord{n->obj, n->deleter, n->birth, n->retire_era});
-      last = n;
-    }
-    li.node_pool_.releaseChain(first, last);
   });
 
   // Phase 2: gather every locale's live reservations.
-  std::vector<std::vector<std::pair<std::uint64_t, std::uint64_t>>>
-      reservations_per_locale(num_locales);
-  auto* resv_p = &reservations_per_locale;
-  coforallLocales([handle, resv_p] {
+  Reservations reservations(num_locales);
+  auto* reservations_p = &reservations;
+  coforallLocales([handle, reservations_p] {
     IntervalManagerImpl& li = handle.local();
     const LatencyModel& llat = Runtime::get().config().latency;
-    auto& out = (*resv_p)[Runtime::here()];
+    auto& out = (*reservations_p)[Runtime::here()];
     for (Token* t = li.tokens_.allocatedHead(); t != nullptr;
          t = t->next_allocated) {
       sim::chargeModelOnly(llat.cpu_atomic_ns);
@@ -134,43 +140,32 @@ bool intervalTryReclaim(Privatized<IntervalManagerImpl> handle) {
       out.push_back({lo, hi});
     }
   });
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> reservations;
-  for (const auto& per_locale : reservations_per_locale) {
-    reservations.insert(reservations.end(), per_locale.begin(),
-                        per_locale.end());
-  }
 
-  // Phase 3: partition each locale's snapshot against the full reservation
-  // list -- freed iff no [lo, hi] intersects [birth, retire] -- scatter the
-  // freeable blocks by owner, bulk-delete, and re-defer the survivors.
-  auto* reservations_p = &reservations;
+  // Phase 3: each locale splits its popped chain in place against the full
+  // reservation list -- freed iff no [lo, hi] intersects [birth, retire] --
+  // frees the freed chain right here (every block in a locale's list is its
+  // own) and re-pushes the kept chain at its original interval.
   coforallLocales([handle, popped_p, reservations_p] {
     IntervalManagerImpl& li = handle.local();
-    Runtime& rt = Runtime::get();
-    auto& records = (*popped_p)[Runtime::here()];
-    ScatterBuckets to_delete(rt.numLocales());
-    std::uint64_t freed = 0;
-    for (const RetiredRecord& rec : records) {
-      sim::chargeModelOnly(rt.config().latency.cpu_atomic_ns);
-      bool held = false;
-      for (const auto& [lo, hi] : *reservations_p) {
-        if (rec.birth <= hi && rec.retire >= lo) {
-          held = true;
-          break;
-        }
-      }
-      if (held) {
-        // Survivor: re-defer at its original interval.
-        li.retired_.push(
-            li.node_pool_.acquire(rec.obj, rec.deleter, rec.birth, rec.retire));
+    const LatencyModel& llat = Runtime::get().config().latency;
+    LimboNode* freed = nullptr;
+    LimboNode* kept = nullptr;
+    LimboNode* kept_last = nullptr;
+    for (LimboNode *n = (*popped_p)[Runtime::here()], *next; n != nullptr;
+         n = next) {
+      next = LimboList::next(n);
+      sim::chargeModelOnly(llat.cpu_atomic_ns);
+      if (held(*reservations_p, *n)) {
+        if (kept == nullptr) kept_last = n;
+        n->next.store(kept, std::memory_order_relaxed);
+        kept = n;
       } else {
-        to_delete[rt.localeOfAddress(rec.obj)].push_back(
-            comm::RetireEntry{rec.obj, rec.deleter});
-        ++freed;
+        n->next.store(freed, std::memory_order_relaxed);
+        freed = n;
       }
     }
-    li.counters_.reclaimed.fetch_add(freed, std::memory_order_relaxed);
-    bulkDeleteScattered(to_delete);
+    freeChain(freed, li.node_pool_, li.counters_);
+    if (kept != nullptr) li.retired_.pushChain(kept, kept_last);
   });
 
   inst.is_scanning_.store(0, std::memory_order_seq_cst);
@@ -179,18 +174,14 @@ bool intervalTryReclaim(Privatized<IntervalManagerImpl> handle) {
 }
 
 void intervalClearAll(Privatized<IntervalManagerImpl> handle) {
-  // Tasks are quiescent per the clear() contract, but async structure ops
-  // may still have retires in flight through the AM queues; fence them so
-  // every retire has landed in some locale's retired list.
+  // Tasks are quiescent per the clear() contract, but retire runs may still
+  // be buffered or in flight through the AM queues: ship this task's, then
+  // fence every queue so every retire has landed in its owner's list.
   comm::taskAggregator().flushAll();
   comm::quiesceAmQueues();
   coforallLocales([handle] {
     IntervalManagerImpl& li = handle.local();
-    ScatterBuckets to_delete(Runtime::get().numLocales());
-    li.counters_.reclaimed.fetch_add(
-        scatterList(li.retired_, li.node_pool_, to_delete),
-        std::memory_order_relaxed);
-    bulkDeleteScattered(to_delete);
+    freeChain(li.retired_.popAll(), li.node_pool_, li.counters_);
   });
 }
 

@@ -8,9 +8,11 @@
 // Protocol
 // --------
 // * A process-wide monotone *era* clock replaces the cycling 4-value
-//   epoch. Every make<N>() allocation is tagged with its birth era; every
-//   retire records the retire era, so each garbage block carries a
-//   lifetime interval [birth, retire].
+//   epoch. Every make<N>() allocation is tagged with its birth era. A
+//   retire carries it to its owner's run, like a DistDomain retire, and
+//   the owner stamps the retire era on insert, so each garbage block
+//   carries a lifetime interval [birth, retire]; the late stamp only
+//   widens it, keeping the block longer.
 // * A pinned guard holds a *reservation* [lo, hi]: lo is the era at pin
 //   time (stored in Token::local_epoch, so quiescence detection is shared
 //   with EBR), hi (Token::interval_upper) starts equal to lo and is
@@ -23,11 +25,10 @@
 //   after its last protect() widening is freed immediately, so a stalled
 //   locale bounds pending garbage by a constant instead of stalling all
 //   reclamation (kBlocksOnLaggingPin = false).
-// * tryReclaim never fails a scan: it advances the era, snapshots every
+// * tryReclaim never fails a scan: it advances the era, pops every
 //   locale's retired list (one exchange each), gathers all reservations,
-//   partitions each locale's snapshot against them, bulk-deletes the
-//   freeable blocks on their owning locales (detail::bulkDeleteScattered,
-//   shared with the epoch manager), and re-defers the survivors.
+//   then each locale splits its popped chain in place, frees one part
+//   (detail::freeChain) and re-pushes the other with one exchange.
 //
 // Simulation note (deviation from a real PGAS): the era clock is a plain
 // process-wide atomic rather than a locale-0 DistAtomicU64. A per-protect
@@ -41,6 +42,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <thread>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -95,10 +97,10 @@ void blockDeleter(void* p) {
 /// Per-locale privatized instance: one retired list (all eras share it --
 /// the interval tags, not the list index, decide reclaimability), node and
 /// token pools, and a local scan-election flag. There is no global
-/// election: concurrent per-locale scans each pop only their own retired
-/// list against a full reservation snapshot and carry their freeable
-/// blocks in scan-private scatter buffers, so overlapping scans share no
-/// mutable state (elections_lost_global stays 0 by construction).
+/// election: scans started on different locales may overlap. Each pops
+/// every locale's retired list, so each frees or re-pushes only the chains
+/// it popped, and it reads the reservations after its own pops
+/// (elections_lost_global stays 0 by construction).
 class IntervalManagerImpl {
  public:
   /// Retire-path era amortization: every kEraFreq retires on a locale bump
@@ -120,13 +122,11 @@ class IntervalManagerImpl {
   void pin(Token* token);
   void unpin(Token* token) noexcept;
 
-  /// Record [birth, now] for `obj` and push it on the retired list.
-  /// Wait-free: node recycle + one exchange (plus the era bump every
-  /// kEraFreq retires).
-  void deferRetire(Token* token, void* obj, ObjectDeleter deleter,
-                   std::uint64_t birth);
+  /// Insert a run of retires bound for this locale into the retired list,
+  /// each stamped [birth, now] (detail::insertRun).
+  void insertRetires(const std::vector<comm::RetireEntry>& entries);
 
-  // Fields are accessed directly by the reclaim driver in
+  // Fields are accessed directly by the reclaim driver and the guard in
   // interval_manager.cpp and by white-box tests.
   LimboList retired_;
   LimboNodePool<detail::ArenaLimboNodeAlloc> node_pool_;
@@ -151,10 +151,10 @@ void intervalClearAll(Privatized<IntervalManagerImpl> handle);
 
 /// A task's registration in an IntervalDomain and its RAII guard; same
 /// surface as DistGuard (epoch/epoch_manager.hpp), so every domain-generic
-/// structure works unchanged. Interval retires always go to the *local*
-/// retired list -- reclamation ships freeable blocks home via the scatter
-/// lists (the paper's scatter baseline) -- so there is nothing to buffer or
-/// flush. Move-only.
+/// structure works unchanged. Retires take DistGuard's route: each joins
+/// its owner's run in the task's comm::Aggregator, with DistGuard's flush
+/// points, and the guard is bound to the locale and OS thread that
+/// registered it. Move-only.
 class IntervalGuard {
  public:
   IntervalGuard() = default;
@@ -164,7 +164,10 @@ class IntervalGuard {
     handle_ = other.handle_;
     token_ = other.token_;
     home_ = other.home_;
+    owner_thread_ = other.owner_thread_;
+    routed_retire_ = other.routed_retire_;
     other.token_ = nullptr;
+    other.routed_retire_ = false;
     return *this;
   }
   IntervalGuard(const IntervalGuard&) = delete;
@@ -192,26 +195,28 @@ class IntervalGuard {
   }
 
   /// Defer deletion of an IntervalDomain::make<T>() object; the birth era
-  /// is read back from the block header. May target any locale's object.
+  /// is read back from the block header and rides the retire to its owner.
+  /// Requires the guard to be pinned. May target any locale's object.
   template <typename T>
   void retire(T* obj) {
-    PGASNB_CHECK_MSG(token_ != nullptr, "retire() on an invalid guard");
-    checkHome();
-    handle_.local().deferRetire(token_, obj, &interval_detail::blockDeleter<T>,
-                                interval_detail::blockOf(obj)->birth);
+    route(obj, &interval_detail::blockDeleter<T>,
+          interval_detail::blockOf(obj)->birth);
   }
 
   /// Custom-deleter escape hatch for objects without a birth tag. Birth 0
   /// means "unknown, assume ancient": the block is freed only once every
-  /// live reservation was pinned after the retire.
+  /// live reservation was pinned after its owner inserted the retire.
   void retireRaw(void* obj, ObjectDeleter deleter) {
-    PGASNB_CHECK_MSG(token_ != nullptr, "retire() on an invalid guard");
-    checkHome();
-    handle_.local().deferRetire(token_, obj, deleter, /*birth=*/0);
+    route(obj, deleter, /*birth=*/0);
   }
 
-  /// Interval retires are never buffered; parity with DistGuard.
-  void flush() noexcept {}
+  /// Flush buffered retires now; same points and contract as
+  /// DistGuard::flush.
+  void flush() {
+    if (token_ == nullptr || !routed_retire_) return;
+    checkHome();
+    comm::taskAggregator().flushAll();
+  }
 
   /// Protected read (the IBR read protocol): protectOnce(load) until the
   /// era holds still across it -- on return, everything `load` observed is
@@ -245,11 +250,13 @@ class IntervalGuard {
 
   bool tryReclaim() {
     if (token_ == nullptr) return false;
+    flush();
     return detail::intervalTryReclaim(handle_);
   }
 
   void release() {
     if (token_ == nullptr) return;
+    flush();
     handle_.local().unpin(token_);
     handle_.local().tokens_.release(token_);
     token_ = nullptr;
@@ -264,18 +271,28 @@ class IntervalGuard {
   IntervalGuard(Privatized<IntervalManagerImpl> handle, bool pin_now)
       : handle_(handle),
         token_(handle.local().tokens_.acquire()),
-        home_(Runtime::here()) {
+        home_(Runtime::here()),
+        owner_thread_(std::this_thread::get_id()) {
     if (pin_now) pin();
   }
 
-  /// handle_.local() resolves per-calling-locale: a guard must be used on
-  /// its registering locale (no per-thread buffering, so unlike DistGuard
-  /// any OS thread of that locale may use it).
-  void checkHome() const { PGASNB_DCHECK(Runtime::here() == home_); }
+  /// Route one retire to its owner's run; every kEraFreq-th on this locale
+  /// bumps the era.
+  void route(void* obj, ObjectDeleter deleter, std::uint64_t birth);
+
+  /// Registering locale and OS thread only (see DistGuard::checkHome).
+  void checkHome() const {
+    PGASNB_DCHECK(Runtime::here() == home_);
+    PGASNB_DCHECK(std::this_thread::get_id() == owner_thread_);
+  }
 
   Privatized<IntervalManagerImpl> handle_;
   Token* token_ = nullptr;
-  std::uint32_t home_ = 0;  ///< registering locale
+  std::uint32_t home_ = 0;        ///< registering locale
+  std::thread::id owner_thread_;  ///< registering OS thread
+  /// Set by the guard's first retire: only then does flush() touch the
+  /// task aggregator.
+  bool routed_retire_ = false;
 };
 
 /// Distributed interval-based reclaim domain: a trivially copyable

@@ -40,9 +40,9 @@ struct LimboNode {
   void* obj = nullptr;
   ObjectDeleter deleter = nullptr;
   /// Interval-reclamation era tags (epoch/interval_manager.hpp): the era
-  /// the object was allocated in and the era it was retired in. A block is
-  /// freeable once no reservation `[lo, hi]` intersects `[birth,
-  /// retire_era]`. Epoch managers leave both 0 (untagged).
+  /// the object was allocated in and the era its owner inserted the retire
+  /// in. A block is freeable once no reservation `[lo, hi]` intersects
+  /// `[birth, retire_era]`. Epoch managers leave both 0 (untagged).
   std::uint64_t birth = 0;
   std::uint64_t retire_era = 0;
   std::atomic<LimboNode*> next{nullptr};
@@ -127,13 +127,10 @@ class LimboNodePool {
     // destructor (destroyList) before the pool dies.
   }
 
-  LimboNode* acquire(void* obj, ObjectDeleter deleter, std::uint64_t birth = 0,
-                     std::uint64_t retire_era = 0) {
+  LimboNode* acquire(void* obj, ObjectDeleter deleter) {
     LimboNode* node = acquireChain(1);
     node->obj = obj;
     node->deleter = deleter;
-    node->birth = birth;
-    node->retire_era = retire_era;
     return node;
   }
 

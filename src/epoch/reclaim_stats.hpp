@@ -4,8 +4,8 @@
 // the one block of atomics every domain instance counts into.
 //
 // Counter semantics:
-//   deferred   retired objects filed for a later free (a DistDomain retire
-//              counts once its run reaches a limbo list)
+//   deferred   retired objects filed for a later free (a distributed
+//              domain's retire counts once its run reaches its owner's list)
 //   reclaimed  objects whose deleter has run
 //   advances   successful epoch advances won by this domain
 //   elections_lost_local   tryReclaim attempts bounced off the locale-local

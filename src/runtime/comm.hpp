@@ -311,6 +311,9 @@ void get(void* dst, std::uint32_t src_locale, const void* src, std::size_t bytes
 struct RetireEntry {
   void* obj;
   void (*deleter)(void*);
+  /// The object's birth era under interval reclamation; 0 (unknown, kept
+  /// longest) for objects without one and for every epoch-domain retire.
+  std::uint64_t birth = 0;
 };
 
 /// Hands a run of retires, in enqueue order, to domain instance `target`.

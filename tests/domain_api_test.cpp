@@ -1,7 +1,7 @@
 // The unified Domain/Guard reclamation API: one test template instantiated
 // for all three models of the ReclaimDomain concept (LocalDomain,
-// DistDomain, IntervalDomain), plus per-domain coverage of cross-locale
-// retire scattering.
+// DistDomain, IntervalDomain), plus the distributed domains' cross-locale
+// retire route.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -345,14 +345,18 @@ TYPED_TEST(DomainApiTest, DomainGenericStructureUsesDomainHooks) {
   EXPECT_EQ(domain.stats().reclaimed, 10u);
 }
 
-// --- DistDomain-only: cross-locale retire scattering ------------------------
+// --- distributed domains: remote retires are freed on their owners ----------
 
-class DistDomainScatterTest : public testing::RuntimeTest {};
+template <typename D>
+class RemoteRetireTest : public testing::RuntimeTest {};
+using DistributedDomains = ::testing::Types<DistDomain, IntervalDomain>;
+TYPED_TEST_SUITE(RemoteRetireTest, DistributedDomains);
 
-TEST_F(DistDomainScatterTest, RemoteRetiresAreShippedHome) {
-  startRuntime(4);
-  DistDomain domain = DistDomain::create();
-  Runtime& rt = *runtime_;
+TYPED_TEST(RemoteRetireTest, RemoteRetiresAreShippedHome) {
+  Tracked::live.store(0);
+  this->startRuntime(4);
+  TypeParam domain = TypeParam::create();
+  Runtime& rt = *this->runtime_;
   const std::uint32_t nloc = rt.numLocales();
   std::vector<std::uint64_t> live_before(nloc);
   for (std::uint32_t l = 0; l < nloc; ++l) {
@@ -363,18 +367,25 @@ TEST_F(DistDomainScatterTest, RemoteRetiresAreShippedHome) {
   coforallLocales([domain, nloc] {
     auto guard = domain.pin();
     for (int i = 0; i < kPerLocale; ++i) {
-      // Retire an object owned by a *different* locale: reclamation must
-      // sort it into the scatter bucket and free it on its owner.
+      // Allocate on a *different* locale and retire it here: the retire
+      // rides its owner's run, and the owner frees it (payload dtor and
+      // arena return) in place.
       const std::uint32_t target =
           (Runtime::here() + 1 + static_cast<std::uint32_t>(i) % nloc) % nloc;
-      guard.retire(gnewOn<Tracked>(target));
+      guard.retire(TypeParam::template makeOn<Tracked>(target));
     }
-  });
+  });  // each guard's scope exit ships its runs
+  comm::quiesceAmQueues();
+  const std::uint64_t retired = static_cast<std::uint64_t>(kPerLocale) * nloc;
+  EXPECT_EQ(domain.stats().deferred, retired);
 
-  domain.clear();
-  const auto s = domain.stats();
-  EXPECT_EQ(s.deferred, static_cast<std::uint64_t>(kPerLocale) * nloc);
-  EXPECT_EQ(s.reclaimed, s.deferred);
+  // No guard is live: the domain's grace period of advances frees
+  // everything on the reclaim path, not through clear().
+  for (std::uint64_t i = 0; i < TypeParam::kGraceAdvances; ++i) {
+    domain.advance();
+  }
+  EXPECT_EQ(Tracked::live.load(), 0);
+  EXPECT_EQ(domain.stats().reclaimed, retired);
   for (std::uint32_t l = 0; l < nloc; ++l) {
     EXPECT_LE(rt.locale(l).arena().liveBlocks(), live_before[l] + 64)
         << "retired objects must be freed on owning locale " << l;
@@ -382,47 +393,7 @@ TEST_F(DistDomainScatterTest, RemoteRetiresAreShippedHome) {
   domain.destroy();
 }
 
-// --- IntervalDomain: cross-locale retire scattering under IBR ---------------
-
-class IntervalDomainScatterTest : public testing::RuntimeTest {};
-
-TEST_F(IntervalDomainScatterTest, RemoteRetiresAreShippedHome) {
-  Tracked::live.store(0);
-  startRuntime(4);
-  IntervalDomain domain = IntervalDomain::create();
-  Runtime& rt = *runtime_;
-  const std::uint32_t nloc = rt.numLocales();
-  std::vector<std::uint64_t> live_before(nloc);
-  for (std::uint32_t l = 0; l < nloc; ++l) {
-    live_before[l] = rt.locale(l).arena().liveBlocks();
-  }
-
-  constexpr int kPerLocale = 48;
-  coforallLocales([domain, nloc] {
-    auto guard = domain.pin();
-    for (int i = 0; i < kPerLocale; ++i) {
-      // Allocate the birth-tagged block on a *different* locale and retire
-      // it here: the scan must sort it into the scatter bucket and free it
-      // (payload dtor + arena return) on its owner.
-      const std::uint32_t target =
-          (Runtime::here() + 1 + static_cast<std::uint32_t>(i) % nloc) % nloc;
-      guard.retire(IntervalDomain::makeOn<Tracked>(target));
-    }
-  });
-
-  // No guard is live: one scan frees everything (kGraceAdvances == 1),
-  // exercising the reservation-scan + scatter path rather than clear().
-  EXPECT_TRUE(domain.tryReclaim());
-  EXPECT_EQ(Tracked::live.load(), 0);
-  const auto s = domain.stats();
-  EXPECT_EQ(s.deferred, static_cast<std::uint64_t>(kPerLocale) * nloc);
-  EXPECT_EQ(s.reclaimed, s.deferred);
-  for (std::uint32_t l = 0; l < nloc; ++l) {
-    EXPECT_LE(rt.locale(l).arena().liveBlocks(), live_before[l] + 64)
-        << "retired blocks must be freed on owning locale " << l;
-  }
-  domain.destroy();
-}
+class DistDomainScatterTest : public testing::RuntimeTest {};
 
 TEST_F(DistDomainScatterTest, HandleIsValueCapturableAcrossLocales) {
   startRuntime(3);

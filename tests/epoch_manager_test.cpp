@@ -257,12 +257,12 @@ TEST_F(EpochManagerTest, AllLocalFreeSpawnsNoTask) {
   const LatencyModel& lat = runtime_->config().latency;
   Arena& arena0 = runtime_->locale(0).arena();
   const std::uint64_t live = arena0.liveBlocks();
-  detail::ScatterBuckets buckets(4);
+  bench::ScatterBuckets buckets(4);
   for (int i = 0; i < 8; ++i) {
     buckets[0].push_back({gnew<Payload>(), &detail::arenaDeleter<Payload>});
   }
   std::uint64_t t0 = sim::now();
-  detail::bulkDeleteScattered(buckets);
+  bench::bulkDeleteScattered(buckets);
   EXPECT_EQ(sim::now() - t0, 0u) << "an all-local free runs in place";
   EXPECT_EQ(arena0.liveBlocks(), live);
 
@@ -271,7 +271,7 @@ TEST_F(EpochManagerTest, AllLocalFreeSpawnsNoTask) {
   buckets.assign(4, {});
   buckets[2].push_back({gnewOn<Payload>(2), &detail::arenaDeleter<Payload>});
   t0 = sim::now();
-  detail::bulkDeleteScattered(buckets);
+  bench::bulkDeleteScattered(buckets);
   EXPECT_EQ(sim::now() - t0, lat.am_wire_ns * 2 + lat.remote_task_spawn_ns +
                                  lat.bulkCost(sizeof(void*) * 2));
 }

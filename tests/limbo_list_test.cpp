@@ -241,7 +241,9 @@ TEST(LimboNodePool, AcquireChainReturnsNDistinctClearedNodes) {
 TEST(LimboNodePool, AcquireChainReusesPooledNodesBeforeFreshOnes) {
   LimboNodePool<HeapAlloc> pool;
   int x = 0;
-  LimboNode* a = pool.acquire(&x, &noopDeleter, 7, 9);
+  LimboNode* a = pool.acquire(&x, &noopDeleter);
+  a->birth = 7;
+  a->retire_era = 9;
   LimboNode* b = pool.acquire(&x, &noopDeleter);
   LimboNode* c = pool.acquire(&x, &noopDeleter);
   pool.release(a);
